@@ -26,6 +26,7 @@ from .roots import (
 from .julia import (
     EscapeGrid,
     PointCloud,
+    SamplingError,
     boundary_cells,
     escape_grid,
     holo_hull_fill,

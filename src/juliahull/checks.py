@@ -24,7 +24,7 @@ from .geometry import (
     signed_distance,
     worst_signed_distance,
 )
-from .julia import PointCloud, escape_grid, sample_julia
+from .julia import EscapeGrid, PointCloud, escape_grid, sample_julia
 from .polynomial import (
     AffineMap,
     Polynomial,
@@ -140,13 +140,14 @@ class Classification:
 
 @dataclass(eq=False)
 class HullContext:
-    """Shared per-polynomial state so a suite samples the Julia set once."""
+    """Shared per-polynomial state: one Julia sample and one escape grid per suite."""
 
     polynomial: Polynomial
     cloud: PointCloud
     hull: ConvexPolygon
     hull_query: ConvexPolygon
     diameter: float
+    grid: EscapeGrid
 
 
 def build_context(p: Polynomial, cfg: CheckConfig) -> HullContext:
@@ -156,7 +157,8 @@ def build_context(p: Polynomial, cfg: CheckConfig) -> HullContext:
     hull = convex_hull(cloud)
     diam = hull.diameter
     query = decimate(hull, _QUERY_EPS_REL * max(diam, 1e-300))
-    return HullContext(p, cloud, hull, query, diam)
+    grid = escape_grid(p, cfg.grid_resolution, cfg.grid_max_iter)
+    return HullContext(p, cloud, hull, query, diam, grid)
 
 
 def _rng(cfg: CheckConfig, stream: int) -> np.random.Generator:
@@ -227,7 +229,7 @@ def check_filled_in_hull(p: Polynomial, cfg: CheckConfig,
                          ctx: Optional[HullContext] = None) -> CheckReport:
     """Bounded-orbit raster cells must sit inside the hull (cell diagonal slack)."""
     ctx = ctx or build_context(p, cfg)
-    grid = escape_grid(p, cfg.grid_resolution, cfg.grid_max_iter)
+    grid = ctx.grid
     centers = grid.true_centers()
     slack = grid.cell_size * math.sqrt(2.0)
     if centers.size == 0:

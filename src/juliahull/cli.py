@@ -5,7 +5,7 @@ Verbs: ``check`` (five hull checks), ``classify`` (equality classifier),
 stdout or ``--out`` as JSON (default) or CSV.
 
 Exit codes: 0 all passed, 1 some check failed, 2 usage error,
-3 inconclusive outcome.
+3 inconclusive outcome (including a root solver or sampler failure).
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ from .checks import (
     check_preimage_convexity,
     classify_equality,
 )
+from .julia import SamplingError
 from .polynomial import Polynomial, chebyshev, format_complex, monomial
 from .roots import RootSolveError
 
@@ -43,6 +44,9 @@ _FLOAT_PATTERN = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(
     rf"^(?P<re>{_FLOAT_PATTERN})(?:(?P<im>[+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)i)?$"
 )
+# A coefficient list may start with a minus sign ("-1,0,2"); argparse would
+# read such a separate --poly value as a flag.
+_NEGATIVE_VALUE_RE = re.compile(r"^-[\d.]")
 
 
 class ParseError(ValueError):
@@ -243,6 +247,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_poly_values(argv: list) -> list:
+    """Rewrite ``--poly -1,0,2`` as ``--poly=-1,0,2`` so argparse keeps the value."""
+    out, i = [], 0
+    while i < len(argv):
+        if (argv[i] == "--poly" and i + 1 < len(argv)
+                and _NEGATIVE_VALUE_RE.match(argv[i + 1])):
+            out.append(f"--poly={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def _config_from(args) -> CheckConfig:
     return CheckConfig(
         julia_samples=args.n, boundary_samples=args.m, interior_samples=args.k,
@@ -253,7 +271,8 @@ def _config_from(args) -> CheckConfig:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_poly_values(argv))
     try:
         spec = parse_polynomial(args.poly)
         if spec.polynomial.degree < 2:
@@ -296,6 +315,9 @@ def main(argv=None) -> int:
         return 3
     except RootSolveError as exc:
         print(f"juliahull: root solver gave up: {exc}", file=sys.stderr)
+        return 3
+    except SamplingError as exc:
+        print(f"juliahull: Julia sampling failed: {exc}", file=sys.stderr)
         return 3
 
 

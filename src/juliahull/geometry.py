@@ -24,7 +24,10 @@ POINT = "Point"
 _TURN_EPS = 1e-14
 _DUP_EPS = 1e-12
 
-_CHUNK_BUDGET = 1_500_000  # point-edge pairs per block, sized for cache residency
+# Point-edge pairs per block of the distance kernel.  A block holds about
+# five float temporaries of this length; 2**16 pairs keeps them near cache
+# size and bounds peak memory when several checks run the kernel at once.
+_CHUNK_BUDGET = 65_536
 
 
 def _points_of(obj) -> np.ndarray:

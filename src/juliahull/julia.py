@@ -1,9 +1,10 @@
 """Point-cloud and raster approximations of Julia sets.
 
-``sample_julia`` transcribes backward invariance into inverse iteration:
-repeatedly replace z by a randomly chosen root of p(.) = z.  Orbits are
-run as one vectorized batch and concatenated, which is equivalent to many
-independent seeded orbits.
+``sample_julia`` transcribes backward invariance into full-fiber inverse
+iteration: every step solves the whole fiber p(.) = z of each orbit's
+current point, keeps all d preimages as sample points, and moves the orbit
+on along one randomly chosen branch.  Orbits are run as one vectorized
+batch, which is equivalent to many independent seeded orbits.
 
 ``escape_grid`` rasters the bounded-orbit set by iterating cell centers
 until they leave the escape disk, and ``holo_hull_fill`` absorbs bounded
@@ -29,10 +30,14 @@ from .roots import (
 JULIA_SAMPLE = "JuliaSample"
 GENERIC = "Generic"
 
-# Pullback steps discarded before points are kept; geometric convergence
-# toward the Julia set makes 64 ample, doubled when the orbit has to start
-# from the generic seed 1+0i instead of a repelling fixed point.
+# Pullback steps discarded before points are kept.  A repelling fixed point
+# lies on the Julia set, and so does every iterated preimage of it: there
+# burn-in only spreads the batch over distinct branches of the preimage
+# tree, which takes ceil(log_d(batch)) steps plus _SPREAD_STEPS.  The
+# generic seed 1+0i (used when no fixed point repels) is not on the Julia
+# set, so its orbits need 2 * BURN_IN steps of geometric convergence.
 BURN_IN = 64
+_SPREAD_STEPS = 4
 
 # Orbits advanced in lockstep per batch; a throughput knob, not semantics.
 _ORBIT_BATCH = 2048
@@ -101,6 +106,10 @@ class EscapeGrid:
         return float(self.cells.sum()) * self.cell_size ** 2
 
 
+class SamplingError(RuntimeError):
+    """Inverse iteration could not produce a trustworthy Julia sample."""
+
+
 def _pullback(p: Polynomial, z: np.ndarray, prev_fiber, prev_branch,
               branch: np.ndarray, tol: float):
     """One backward step for all orbits; retries stubborn members.
@@ -116,7 +125,7 @@ def _pullback(p: Polynomial, z: np.ndarray, prev_fiber, prev_branch,
         attempt += 1
         if attempt > 5:
             i = int(np.flatnonzero(~ok)[0])
-            raise RuntimeError(
+            raise SamplingError(
                 "inverse iteration aborted: fiber solve kept failing at "
                 f"z={z[i]!r} (worst residual {res[i].max():.3e})"
             )
@@ -131,21 +140,26 @@ def _pullback(p: Polynomial, z: np.ndarray, prev_fiber, prev_branch,
     return roots[np.arange(z.size), branch], roots
 
 
-def _orbit_seed(p: Polynomial):
+def _orbit_seed(p: Polynomial, m: int):
+    """Start point and burn-in length for a batch of m orbits."""
     try:
-        return repelling_fixed_point(p), BURN_IN
+        z0 = repelling_fixed_point(p)
     except NoRepellingFixedPointError:
         return 1.0 + 0j, 2 * BURN_IN
+    depth = 0  # ceil(log_d m), in exact integer arithmetic
+    while p.degree ** depth < m:
+        depth += 1
+    return z0, depth + _SPREAD_STEPS
 
 
 def _run_orbits(p: Polynomial, n: int, seed: int, tol: float, capture_pairs: bool):
-    z0, burn = _orbit_seed(p)
     d = p.degree
     m = min(_ORBIT_BATCH, n)
-    per = math.ceil(n / m)
+    z0, burn = _orbit_seed(p, m)
+    per = math.ceil(n / (m * d))
     rng = np.random.Generator(np.random.Philox(seed))
     z = np.full(m, z0, dtype=np.complex128)
-    kept = np.empty((per, m), dtype=np.complex128)
+    kept = np.empty(n, dtype=np.complex128)
     pairs = [] if capture_pairs else None
     fiber = branch = None
     for step in range(burn + per):
@@ -154,17 +168,21 @@ def _run_orbits(p: Polynomial, n: int, seed: int, tol: float, capture_pairs: boo
         branch = next_branch
         if capture_pairs:
             # _pullback may have swapped stubborn parents in place; z is current
-            pairs.append((z.copy(), children.copy()))
-        z = children
+            pairs.append((z.copy(), fiber.copy()))
         if step >= burn:
-            kept[step - burn] = z
-    points = kept.ravel()[:n]
-    return points, pairs
+            lo = (step - burn) * m * d
+            kept[lo:lo + m * d] = fiber.ravel()[:n - lo]
+        z = children
+    return kept, pairs
 
 
 def sample_julia(p: Polynomial, n: int, seed: int,
                  tol: float = DEFAULT_TOL) -> PointCloud:
-    """n-point inverse-iteration sample of the Julia set, reproducible per seed."""
+    """n-point inverse-iteration sample of the Julia set, reproducible per seed.
+
+    Raises SamplingError when the fiber solves keep failing or a sample
+    point leaves the escape disk.
+    """
     if p.degree < 2:
         raise ValueError("julia sampling requires degree >= 2")
     if n < 100:
@@ -173,7 +191,7 @@ def sample_julia(p: Polynomial, n: int, seed: int,
     radius = escape_radius(p)
     worst = float(np.abs(points).max())
     if worst > radius + 1e-9:
-        raise AssertionError(
+        raise SamplingError(
             f"sampled point escaped the invariant disk ({worst} > {radius})"
         )
     return PointCloud(points, label=JULIA_SAMPLE)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .checks import CheckConfig, build_context, classify_equality
 from .geometry import POINT, SEGMENT, boundary_points
-from .julia import escape_grid
+from .julia import escape_grid  # noqa: F401  (name kept for existing importers)
 from .polynomial import Polynomial
 from .roots import critical_points, preimage_fibers
 
@@ -101,7 +101,7 @@ def render_scene(p: Polynomial, label: str, cfg: CheckConfig):
     ctx = build_context(p, cfg)
     reports = run_check_set(p, cfg, ctx)
     classification = classify_equality(p, cfg, ctx)
-    grid = escape_grid(p, cfg.grid_resolution, cfg.grid_max_iter)
+    grid = ctx.grid
 
     span = 1.05 * grid.radius
     cam = _Camera(span)

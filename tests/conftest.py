@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import juliahull.julia as julia_mod
 from juliahull import CheckConfig, Polynomial, chebyshev
 
 
@@ -29,3 +30,14 @@ def squaring():
 @pytest.fixture
 def t2():
     return chebyshev(2)
+
+
+@pytest.fixture
+def unsolvable_fibers(monkeypatch):
+    """Every fiber solve the Julia sampler makes reports non-convergence."""
+    def never_converges(p, targets, *args, **kwargs):
+        m = np.size(targets)
+        roots = np.zeros((m, p.degree), dtype=np.complex128)
+        return roots, np.ones((m, p.degree)), np.zeros(m, dtype=bool)
+
+    monkeypatch.setattr(julia_mod, "solve_fibers", never_converges)

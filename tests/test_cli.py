@@ -88,6 +88,20 @@ class TestCommands:
     def test_usage_error_for_malformed_poly(self, capsys):
         assert main(["suite", "--poly", "1,oops"] + SMALL) == 2
 
+    def test_poly_value_with_leading_minus(self, tmp_path):
+        # the README example, as a separate argument and in the = form
+        outs = [tmp_path / "separate.json", tmp_path / "joined.json"]
+        for poly_args, out in zip((["--poly", "-1,0,2"], ["--poly=-1,0,2"]), outs):
+            assert main(["check", *poly_args, "--out", str(out)] + SMALL) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text())[0]["polynomial"] \
+            == format_polynomial(chebyshev(2))
+
+    def test_sampler_failure_exits_3(self, unsolvable_fibers, capsys):
+        assert main(["suite", "--poly", "quad:-1+0i"] + SMALL) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("juliahull: ") and "kept failing" in err
+
     def test_check_json_document(self, tmp_path):
         out = tmp_path / "checks.json"
         code = main(["check", "--poly", "quad:-1+0i", "--out", str(out)] + SMALL)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,18 +16,37 @@ from juliahull import (
     evaluate,
     hausdorff_distance,
     holo_hull_fill,
+    monomial,
     polygon_hausdorff,
     rasterize_points,
     sample_julia,
     to_pgm,
 )
-from juliahull.julia import JULIA_SAMPLE, _run_orbits
+from juliahull.julia import BURN_IN, JULIA_SAMPLE, SamplingError, _run_orbits
+
+
+def _count_solves(monkeypatch):
+    """Wrap the sampler's solve_fibers; returns the list of batch sizes."""
+    calls = []
+    original = julia_mod.solve_fibers
+
+    def counting(p, targets, *args, **kwargs):
+        calls.append(np.size(targets))
+        return original(p, targets, *args, **kwargs)
+
+    monkeypatch.setattr(julia_mod, "solve_fibers", counting)
+    return calls
 
 
 class TestSampleJulia:
     def test_unit_circle(self, squaring):
         cloud = sample_julia(squaring, 100_000, seed=7)
         assert cloud.label == JULIA_SAMPLE
+        assert len(cloud) == 100_000
+        assert np.abs(np.abs(cloud.points) - 1.0).max() <= 1e-6
+
+    def test_unimodular_cubic_unit_circle(self):
+        cloud = sample_julia(monomial(0.6 + 0.8j, 3), 100_000, seed=7)
         assert len(cloud) == 100_000
         assert np.abs(np.abs(cloud.points) - 1.0).max() <= 1e-6
 
@@ -62,8 +83,29 @@ class TestSampleJulia:
     def test_consecutive_pairs_are_preimages(self, basilica):
         _, pairs = _run_orbits(basilica, 2_000, seed=2, tol=1e-10,
                                capture_pairs=True)
-        for parents, children in pairs:
-            assert np.abs(evaluate(basilica, children) - parents).max() <= 1e-8
+        for parents, fiber in pairs:
+            # every root of every solved fiber, not only the followed branch
+            assert fiber.shape == (parents.size, basilica.degree)
+            assert np.abs(evaluate(basilica, fiber) - parents[:, None]).max() <= 1e-8
+        for (_, fiber), (children, _) in zip(pairs, pairs[1:]):
+            # each orbit goes on from one root of its previous fiber
+            assert np.all((fiber == children[:, None]).any(axis=1))
+
+    def test_sample_is_made_of_whole_fibers(self, basilica):
+        # n = 2 kept steps of 2048 orbits times d = 2 roots
+        points = sample_julia(basilica, 8192, seed=4).points
+        pairs = points.reshape(-1, basilica.degree)
+        images = evaluate(basilica, pairs)
+        assert np.abs(images[:, 1] - images[:, 0]).max() <= 1e-8
+        assert np.abs(pairs.sum(axis=1)).max() <= 1e-8  # roots of z^2 - 1 = t
+
+    def test_solver_calls_pinned(self, monkeypatch, basilica):
+        calls = _count_solves(monkeypatch)
+        n, m, d = 100_000, 2048, basilica.degree
+        sample_julia(basilica, n, seed=0)
+        burn = 11 + julia_mod._SPREAD_STEPS  # 2**11 = 2048 orbits
+        assert len(calls) == burn + math.ceil(n / (m * d))
+        assert set(calls) == {m}
 
     def test_one_more_pullback_is_stationary(self, basilica):
         cloud = sample_julia(basilica, 100_000, seed=6)
@@ -93,8 +135,21 @@ class TestSampleJulia:
             raise roots_mod.NoRepellingFixedPointError("forced")
 
         monkeypatch.setattr(julia_mod, "repelling_fixed_point", no_fixed_point)
-        cloud = sample_julia(squaring, 1_000, seed=1)
+        calls = _count_solves(monkeypatch)
+        n = 1_000  # one batch of n orbits; one kept step holds 2n roots
+        cloud = sample_julia(squaring, n, seed=1)
+        assert len(calls) == 2 * BURN_IN + 1
         assert np.abs(np.abs(cloud.points) - 1.0).max() <= 1e-6
+
+    def test_unconverged_solves_raise_sampling_error(self, unsolvable_fibers,
+                                                     basilica):
+        with pytest.raises(SamplingError, match="kept failing"):
+            sample_julia(basilica, 1_000, seed=0)
+
+    def test_escaped_point_raises_sampling_error(self, monkeypatch, basilica):
+        monkeypatch.setattr(julia_mod, "escape_radius", lambda p: 1.0)
+        with pytest.raises(SamplingError, match="escaped"):
+            sample_julia(basilica, 1_000, seed=0)
 
 
 class TestEscapeGrid:
