@@ -89,6 +89,10 @@ class CheckConfig:
             raise ValueError("seed must be nonnegative")
         if self.residual_tol <= 0.0:
             raise ValueError("residual_tol must be positive")
+        if self.grid_resolution < 64:
+            raise ValueError("grid_resolution must be at least 64")
+        if self.grid_max_iter < 50:
+            raise ValueError("grid_max_iter must be at least 50")
 
 
 def _complex_pair(z) -> list:

@@ -8,7 +8,13 @@ batch, which is equivalent to many independent seeded orbits.
 
 ``escape_grid`` rasters the bounded-orbit set by iterating cell centers
 until they leave the escape disk, and ``holo_hull_fill`` absorbs bounded
-complement components of a raster (flood fill from the border).
+complement components of a raster (flood fill from the border).  The disk
+test runs once per block of a few steps: once |z| >= R, |p(z)| >= 2|z|, so
+an orbit that ends a block inside the disk stayed inside for all of it.
+An orbit that returns exactly, in floating point, to its value at the last
+power-of-two step (from step 4 on: Brent's cycle detection) is periodic and
+never escapes; its cell is marked bounded and it stops early.  The cells are
+exactly those of a test after every step up to ``max_iter``.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .polynomial import Polynomial, _horner, escape_radius, format_polynomial
+from .polynomial import Polynomial, escape_radius, format_polynomial
 from .roots import (
     MAX_ITERATIONS,
     DEFAULT_TOL,
@@ -43,6 +49,10 @@ _SPREAD_STEPS = 4
 _ORBIT_BATCH = 2048
 
 _GRID_SPAN = 1.05  # half-width of the raster square in units of R (5% margin)
+
+# Escape-grid steps between disk tests.  Escape is permanent, so a test at
+# the end of a block decides every step of it; a constant, not an option.
+_BLOCK_STEPS = 4
 
 
 @dataclass(eq=False)
@@ -215,14 +225,32 @@ def escape_grid(p: Polynomial, resolution: int = 512, max_iter: int = 200) -> Es
     centers = (axis[None, :] + 1j * axis[:, None]).ravel()
     alive = np.flatnonzero(np.abs(centers) <= radius)
     w = centers[alive]
+    del centers  # a full-grid complex array; the loop needs only w
+    cells = np.zeros(resolution * resolution, dtype=bool)
     coeffs = p.coeffs
-    for _ in range(max_iter):
-        w = _horner(coeffs, w)
-        inside = np.abs(w) <= radius
-        alive, w = alive[inside], w[inside]
-        if alive.size == 0:
-            break
-    cells = np.zeros(centers.size, dtype=bool)
+    snapshot = None  # w at the last power-of-two step, from step 4 on
+    done = 0
+    # An escaped orbit may overflow to inf or nan before its block ends;
+    # neither passes the disk test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < max_iter and alive.size:
+            steps = min(_BLOCK_STEPS, max_iter - done)
+            for _ in range(steps):
+                acc = np.full_like(w, coeffs[-1])
+                for c in coeffs[-2::-1]:
+                    acc *= w
+                    acc += c
+                w = acc
+            done += steps
+            keep = np.abs(w) <= radius
+            if snapshot is not None:
+                cycled = w == snapshot  # implies inside: the snapshot was inside
+                cells[alive[cycled]] = True
+                keep &= ~cycled
+                snapshot = snapshot[keep]
+            alive, w = alive[keep], w[keep]
+            if not done & (done - 1):  # Brent: re-anchor at powers of two
+                snapshot = w
     cells[alive] = True
     return EscapeGrid(
         origin_real=float(axis[0]), origin_imag=float(axis[0]),

@@ -25,6 +25,11 @@ _INIT_ROTATION = 0.4
 
 _REPELLING_MARGIN = 1e-9
 
+# Fiber members per solve times d**2.  The solver holds several (m, d, d)
+# complex temporaries; 2**20 elements keeps each near 16 MiB at any degree
+# and splits no batch of 2048 fibers below degree 23.
+_CHUNK_BUDGET = 2 ** 20
+
 
 @dataclass(eq=False)
 class RootSet:
@@ -114,12 +119,14 @@ def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter, method):
 
 def solve_fibers(p: Polynomial, targets, tol: float = DEFAULT_TOL,
                  max_iter: int = MAX_ITERATIONS):
-    """Roots of p(z) = t for every t in ``targets`` in one batch.
+    """Roots of p(z) = t for every t in ``targets``, in vectorized batches.
 
     Returns ``(roots, residuals, ok)`` with shapes (m, d), (m, d), (m,).
-    ``ok[i]`` is True when every residual |p(root) - t| of member i meets
-    the backward-stable bound tol * max(largest coefficient modulus,
-    per-root evaluation scale).  No exception is raised here;
+    Members are solved in chunks of at most _CHUNK_BUDGET // d**2, which
+    bounds memory at high degree.  ``ok[i]`` is True when every residual
+    |p(root) - t| of member i meets the backward-stable bound
+    tol * max(largest coefficient modulus, per-root evaluation scale).
+    No exception is raised here;
     ``preimage_fibers`` wraps this with the raising behavior.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=np.complex128))
@@ -132,7 +139,19 @@ def solve_fibers(p: Polynomial, targets, tol: float = DEFAULT_TOL,
     if d == 1:
         roots = ((targets - coeffs[0]) / coeffs[1])[:, None]
         return roots, np.zeros_like(targets.real)[:, None], np.ones(targets.size, bool)
+    # members are solved independently, so chunking leaves every bit unchanged
+    chunk = max(1, _CHUNK_BUDGET // (d * d))
+    if targets.size <= chunk:
+        return _solve_batch(p, targets, tol, max_iter)
+    parts = [_solve_batch(p, targets[lo:lo + chunk], tol, max_iter)
+             for lo in range(0, targets.size, chunk)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
+
+def _solve_batch(p: Polynomial, targets: np.ndarray, tol: float, max_iter: int):
+    """``solve_fibers`` on one chunk of members, for degree >= 2."""
+    coeffs = p.coeffs
+    d = p.degree
     floor = np.maximum(np.abs(coeffs[1:]).max(), np.abs(coeffs[0] - targets))
     abs_coeffs = np.abs(coeffs).astype(np.complex128)
     abs_coeffs[0] = 0.0  # constant term differs per member, added back below

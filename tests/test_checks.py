@@ -51,6 +51,8 @@ class TestCheckConfig:
         dict(tol_rel=0.0),
         dict(seed=-1),
         dict(residual_tol=0.0),
+        dict(grid_resolution=32),
+        dict(grid_max_iter=10),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from juliahull import ParseError, Polynomial, chebyshev, format_polynomial, parse_polynomial
 from juliahull.cli import main, parse_complex, worker_count
@@ -96,6 +99,17 @@ class TestCommands:
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert json.loads(outs[0].read_text())[0]["polynomial"] \
             == format_polynomial(chebyshev(2))
+
+    @pytest.mark.parametrize("option,value,field", [
+        ("--res", "32", "grid_resolution"),
+        ("--max-iter", "10", "grid_max_iter"),
+    ])
+    def test_grid_option_out_of_range_is_usage_error(self, capsys, option,
+                                                     value, field):
+        argv = ["classify", "--poly", "quad:-1+0i", option, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("juliahull: ") and field in err
 
     def test_sampler_failure_exits_3(self, unsolvable_fibers, capsys):
         assert main(["suite", "--poly", "quad:-1+0i"] + SMALL) == 3
@@ -220,3 +234,44 @@ class TestRender:
         for path in (a, b):
             main(["render", "--poly", "quad:0+1i", "--out", str(path)] + SMALL)
         assert a.read_bytes() == b.read_bytes()
+
+
+# Each option is drawn in range (tiny sizes) unless it is among the
+# spoiled ones, which are drawn out of range.
+_IN_RANGE = {
+    "--n": st.integers(1000, 2000),
+    "--m": st.integers(16, 48),
+    "--k": st.integers(16, 32),
+    "--tol": st.sampled_from(["1e-4", "1e-3", "0.01", "0.049"]),
+    "--seed": st.integers(0, 40),
+    "--res": st.integers(64, 96),
+    "--max-iter": st.integers(50, 80),
+}
+_OUT_OF_RANGE = {
+    "--n": st.integers(-5, 999),
+    "--m": st.integers(-1, 15),
+    "--k": st.integers(-1, 15),
+    "--tol": st.sampled_from(["-1", "0", "0.05", "1", "nan", "inf"]),
+    "--seed": st.integers(-3, -1),
+    "--res": st.integers(-1, 63),
+    "--max-iter": st.integers(-1, 49),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(verb=st.sampled_from(["check", "classify", "suite", "render"]),
+       poly=st.sampled_from(["quad:-1+0i", "quad:0+1i", "cheb:2", "monomial:1,3"]),
+       spoiled=st.sets(st.sampled_from(sorted(_IN_RANGE)), max_size=2),
+       data=st.data())
+def test_option_fuzz_ends_in_a_defined_exit_code(verb, poly, spoiled, data):
+    argv = [verb, "--poly", poly]
+    for option, in_range in _IN_RANGE.items():
+        strategy = _OUT_OF_RANGE[option] if option in spoiled else in_range
+        argv += [option, str(data.draw(strategy, label=option))]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    if spoiled:
+        assert code == 2 and err.getvalue().startswith("juliahull: ")
+    else:
+        assert code in (0, 1, 3)

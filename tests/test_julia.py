@@ -200,6 +200,63 @@ class TestEscapeGrid:
             escape_grid(squaring, max_iter=10)
 
 
+def _reference_cells(p, resolution, max_iter):
+    """Plain escape loop: one step and one disk test per iteration, no exit."""
+    grid = escape_grid(p, resolution, max_iter)
+    # the grid's own center arithmetic: origin + i*cell can differ in the last bit
+    axis = (np.arange(resolution) - resolution // 2) * grid.cell_size
+    centers = (axis[None, :] + 1j * axis[:, None]).ravel()
+    alive = np.flatnonzero(np.abs(centers) <= grid.radius)
+    w = centers[alive]
+    for _ in range(max_iter):
+        w = evaluate(p, w)
+        inside = np.abs(w) <= grid.radius
+        alive, w = alive[inside], w[inside]
+    cells = np.zeros(centers.size, dtype=bool)
+    cells[alive] = True
+    return grid.cells, cells.reshape(grid.cells.shape)
+
+
+def _random_polynomial(d, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(-1, 1, d + 1) + 1j * rng.uniform(-1, 1, d + 1)
+    coeffs[-1] += 1.0
+    return Polynomial(coeffs)
+
+
+class TestEscapeGridEarlyExit:
+    @pytest.mark.parametrize("p,resolution,max_iter", [
+        (Polynomial([-1, 0, 1]), 128, 200),                # basilica
+        (Polynomial([-0.12 + 0.74j, 0, 1]), 128, 333),     # rabbit
+        (Polynomial([-0.39 + 0.59j, 0, 1]), 96, 51),       # near-Siegel
+        # parabolic: orbits near 1/2 creep, so escapers nearly repeat a value
+        (Polynomial([0.25, 0, 1]), 256, 1000),
+        (chebyshev(3), 128, 200),
+        (monomial(np.exp(0.7j), 3), 100, 77),
+        *[(_random_polynomial(d, seed=d), 96, 51 + 70 * d) for d in range(2, 7)],
+    ])
+    def test_cells_equal_per_step_reference(self, p, resolution, max_iter):
+        cells, reference = _reference_cells(p, resolution, max_iter)
+        assert np.array_equal(cells, reference)
+
+    @pytest.mark.parametrize("c", [-1.0, -0.12 + 0.74j])
+    def test_periodic_orbits_stop_early(self, c):
+        # 1e6 steps per bounded cell would take minutes without the exit
+        p = Polynomial([c, 0, 1])
+        short = escape_grid(p, resolution=128, max_iter=1000)
+        huge = escape_grid(p, resolution=128, max_iter=10 ** 6)
+        assert short.cells.any()
+        assert np.array_equal(huge.cells, short.cells)
+
+    def test_overflow_within_a_block_is_silent(self, recwarn):
+        # escaping orbits of a large-coefficient sextic pass 1e308 in one block
+        p = Polynomial([0, 0, 0, 0, 0, 0, 1e6])
+        with np.errstate(over="warn", invalid="warn"):
+            grid = escape_grid(p, resolution=64, max_iter=50)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert grid.cells.any()
+
+
 class TestHoloHullFill:
     def test_idempotent_on_escape_grid(self, squaring):
         grid = escape_grid(squaring, resolution=256, max_iter=100)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import juliahull.roots as roots_mod
 from juliahull import (
     NoRepellingFixedPointError,
     Polynomial,
@@ -115,6 +116,18 @@ class TestPreimages:
             fibers = preimage_fibers(p, evaluate(p, z0))
             dist = np.abs(fibers - z0[:, None]).min(axis=1)
             assert dist.max() <= 1e-7
+
+    def test_chunked_solve_is_bitwise_identical(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        p = Polynomial(rng.normal(size=8) + 1j * rng.normal(size=8))
+        targets = rng.normal(size=40) + 1j * rng.normal(size=40)
+        whole = roots_mod.solve_fibers(p, targets)
+        # three degree-7 members per chunk: 14 chunks, the last one short
+        monkeypatch.setattr(roots_mod, "_CHUNK_BUDGET", 3 * 7 * 7)
+        chunked = roots_mod.solve_fibers(p, targets)
+        assert whole[2].all()
+        for a, b in zip(whole, chunked):
+            assert np.array_equal(a, b)
 
 
 class TestCriticalPoints:
