@@ -21,6 +21,7 @@ from .geometry import (
     classify_shape,
     convex_hull,
     decimate,
+    distance_to_segments,
     signed_distance,
     worst_signed_distance,
 )
@@ -183,6 +184,8 @@ def _interior_points(hull: ConvexPolygon, count: int,
 def _report(check: str, cfg: CheckConfig, p: Polynomial, worst, diam: float,
             candidates: np.ndarray, violations: np.ndarray, note: str = "") -> CheckReport:
     """Assemble verdict and up-to-10 worst witnesses from violation values."""
+    if not math.isfinite(worst):
+        return _inconclusive(check, cfg, p, f"worst violation is {worst}")
     tol = cfg.tol_rel * diam
     verdict = PASS if worst <= tol else FAIL
     witnesses: list = []
@@ -350,20 +353,6 @@ def _match_chains(fibers: np.ndarray) -> np.ndarray:
     return chains
 
 
-def _distance_to_segments(queries: np.ndarray, starts: np.ndarray,
-                          ends: np.ndarray) -> np.ndarray:
-    """Min distance from each query to a family of segments, chunked."""
-    e = ends - starts
-    len2 = np.maximum(np.abs(e) ** 2, 1e-300)
-    out = np.empty(queries.size)
-    chunk = max(1, 2_000_000 // starts.size)
-    for lo in range(0, queries.size, chunk):
-        rel = queries[lo:lo + chunk, None] - starts[None, :]
-        t = np.clip((rel * np.conj(e)[None, :]).real / len2[None, :], 0.0, 1.0)
-        out[lo:lo + chunk] = np.abs(rel - t * e[None, :]).min(axis=1)
-    return out
-
-
 def _boundary_preimage_gap(p: Polynomial, hull: ConvexPolygon, m: int,
                            tol: float) -> float:
     """Max distance from the hull boundary to the preimage curve of that boundary.
@@ -377,20 +366,9 @@ def _boundary_preimage_gap(p: Polynomial, hull: ConvexPolygon, m: int,
     """
     wb = boundary_points(hull, m, offset=0.0)
     fibers = preimage_fibers(p, wb, tol)
-    chains = _match_chains(fibers)
-    starts = [chains[:, :-1].ravel()]
-    ends = [chains[:, 1:].ravel()]
-    # closing chords: match the last fiber back onto the first
-    first = chains[:, 0].copy()
-    used = np.zeros(chains.shape[0], dtype=bool)
-    for k in range(chains.shape[0]):
-        dist = np.abs(first - chains[k, -1])
-        dist[used] = np.inf
-        pick = int(np.argmin(dist))
-        used[pick] = True
-        starts.append(chains[k, -1:])
-        ends.append(first[pick:pick + 1])
-    gap = _distance_to_segments(wb, np.concatenate(starts), np.concatenate(ends))
+    # the walk closes: matching the first fiber again adds the closing chords
+    chains = _match_chains(np.concatenate([fibers, fibers[:1]]))
+    gap = distance_to_segments(wb, chains[:, :-1].ravel(), chains[:, 1:].ravel())
     return float(gap.max())
 
 

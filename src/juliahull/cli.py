@@ -13,12 +13,12 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .checks import (
     CheckConfig,
@@ -33,12 +33,17 @@ from .checks import (
     check_half_plane_surjectivity,
     check_preimage_convexity,
     classify_equality,
+    run_checks,
 )
 from .julia import SamplingError
-from .polynomial import Polynomial, chebyshev, format_complex, monomial
+from .polynomial import Polynomial, chebyshev, escape_radius, format_complex, monomial
 from .roots import RootSolveError
 
 _PRESETS = ("cheb", "negcheb", "monomial", "quad")
+
+# Largest escape radius R accepted.  Geometry squares coordinates up to
+# about 2.1 R, which overflows double precision from R near 1e153 on.
+_MAX_ESCAPE_RADIUS = 1e150
 
 _FLOAT_PATTERN = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(
@@ -124,35 +129,11 @@ def parse_polynomial(text: str) -> PolySpec:
         raise ParseError(str(exc), 1) from None
 
 
-def worker_count() -> int:
-    """Thread cap from JULIAHULL_THREADS; 0 or unset means automatic."""
-    raw = os.environ.get("JULIAHULL_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value > 0:
-        return value
-    return min(5, os.cpu_count() or 1)
-
-
-_CHECK_RUNNERS = (
-    check_backward_inclusion,
-    check_critical_in_hull,
-    check_filled_in_hull,
-    check_preimage_convexity,
-    check_half_plane_surjectivity,
-)
-
-
-def run_check_set(p: Polynomial, cfg: CheckConfig, ctx) -> list[CheckReport]:
-    """The five checks against a shared context, optionally threaded."""
-    workers = worker_count()
-    if workers <= 1:
-        return [run(p, cfg, ctx) for run in _CHECK_RUNNERS]
-    with ThreadPoolExecutor(max_workers=min(workers, len(_CHECK_RUNNERS))) as pool:
-        futures = [pool.submit(run, p, cfg, ctx) for run in _CHECK_RUNNERS]
-        return [f.result() for f in futures]
+# Inert aliases: checks.run_checks runs the checks, but the benchmark harness
+# (perfbench/spans.py and perfbench/test_smoke.py) still reads these names.
+_CHECK_RUNNERS = (check_backward_inclusion, check_critical_in_hull, check_filled_in_hull,
+                  check_preimage_convexity, check_half_plane_surjectivity)
+run_check_set = run_checks
 
 
 def _exit_code(reports: list[CheckReport]) -> int:
@@ -168,7 +149,7 @@ def run_suite(spec: PolySpec, cfg: CheckConfig) -> tuple[int, list[dict]]:
     """All five checks plus the classifier; returns (exit code, JSON documents)."""
     p = spec.polynomial
     ctx = build_context(p, cfg)
-    reports = run_check_set(p, cfg, ctx)
+    reports = run_checks(p, cfg, ctx)
     classification = classify_equality(p, cfg, ctx)
     docs = [r.to_dict() for r in reports] + [classification.to_dict()]
     return _exit_code(reports), docs
@@ -277,6 +258,11 @@ def main(argv=None) -> int:
         spec = parse_polynomial(args.poly)
         if spec.polynomial.degree < 2:
             raise ParseError("checks need a polynomial of degree >= 2", 1)
+        with np.errstate(over="ignore"):
+            radius = escape_radius(spec.polynomial)
+        if radius > _MAX_ESCAPE_RADIUS:
+            raise ValueError(f"escape radius {radius:.3g} exceeds {_MAX_ESCAPE_RADIUS:.0e}"
+                             "; the hull geometry would overflow")
         cfg = _config_from(args)
     except (ParseError, ValueError) as exc:
         print(f"juliahull: {exc}", file=sys.stderr)
@@ -290,7 +276,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "check":
             ctx = build_context(spec.polynomial, cfg)
-            reports = run_check_set(spec.polynomial, cfg, ctx)
+            reports = run_checks(spec.polynomial, cfg, ctx)
             _emit([r.to_dict() for r in reports], args.format, args.out)
             return _exit_code(reports)
         if args.command == "suite":

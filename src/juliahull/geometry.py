@@ -24,9 +24,9 @@ POINT = "Point"
 _TURN_EPS = 1e-14
 _DUP_EPS = 1e-12
 
-# Point-edge pairs per block of the distance kernel.  A block holds about
-# five float temporaries of this length; 2**16 pairs keeps them near cache
-# size and bounds peak memory when several checks run the kernel at once.
+# Point-edge pairs per block of the distance kernels (vertices per batch in
+# Douglas-Peucker).  A block holds about five float temporaries of this
+# length; 2**16 keeps them near cache size and bounds peak memory.
 _CHUNK_BUDGET = 65_536
 
 
@@ -266,13 +266,22 @@ def convex_hull(points) -> ConvexPolygon:
     return ConvexPolygon(np.array(hull), PROPER)
 
 
-def _segment_distance(pts: np.ndarray, a: complex, b: complex) -> np.ndarray:
-    e = b - a
-    len2 = abs(e) ** 2
-    if len2 == 0.0:  # length underflow: the segment is a point
-        return np.abs(pts - a)
-    t = np.clip(((pts - a) * np.conj(e)).real / len2, 0.0, 1.0)
-    return np.abs(pts - (a + t * e))
+def _inverse_len2(ex, ey):
+    """1 / (ex^2 + ey^2) per segment, 0 for a zero-length one."""
+    len2 = ex * ex + ey * ey
+    return np.divide(1.0, len2, out=np.zeros_like(len2), where=len2 > 0.0)
+
+
+def _clamp_offsets(rx, ry, ex, ey, inv_len2):
+    """Offsets (dx, dy) from points to their nearest points on segments.
+
+    ``(rx, ry)`` is a point relative to a segment start, ``(ex, ey)`` the
+    segment and ``inv_len2`` its inverse squared length (0 for a zero-length
+    segment, whose nearest point is then its start).  Operands broadcast.
+    """
+    t = (rx * ex + ry * ey) * inv_len2
+    np.clip(t, 0.0, 1.0, out=t)
+    return rx - t * ex, ry - t * ey
 
 
 def _polygon_distance_kernel(vertices: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -280,20 +289,33 @@ def _polygon_distance_kernel(vertices: np.ndarray, pts: np.ndarray) -> np.ndarra
     vx, vy = vertices.real, vertices.imag
     ex = np.roll(vx, -1) - vx
     ey = np.roll(vy, -1) - vy
-    inv_len2 = 1.0 / (ex * ex + ey * ey)
+    inv_len2 = _inverse_len2(ex, ey)
     out = np.empty(pts.size)
     chunk = max(1, _CHUNK_BUDGET // vertices.size)
     for lo in range(0, pts.size, chunk):
         hi = min(lo + chunk, pts.size)
         rx = pts[lo:hi].real[:, None] - vx[None, :]
         ry = pts[lo:hi].imag[:, None] - vy[None, :]
-        t = (rx * ex + ry * ey) * inv_len2
-        np.clip(t, 0.0, 1.0, out=t)
-        dx = rx - t * ex
-        dy = ry - t * ey
+        dx, dy = _clamp_offsets(rx, ry, ex, ey, inv_len2)
         dist = np.sqrt((dx * dx + dy * dy).min(axis=1))
         inside = ((ex * ry - ey * rx) >= 0.0).all(axis=1)
         out[lo:hi] = np.where(inside, -dist, dist)
+    return out
+
+
+def distance_to_segments(queries: np.ndarray, starts: np.ndarray,
+                         ends: np.ndarray) -> np.ndarray:
+    """Distance from each query point to the nearest segment [start, end]."""
+    sx, sy = starts.real, starts.imag
+    ex, ey = ends.real - sx, ends.imag - sy
+    inv_len2 = _inverse_len2(ex, ey)
+    out = np.empty(queries.size)
+    chunk = max(1, _CHUNK_BUDGET // starts.size)
+    for lo in range(0, queries.size, chunk):
+        q = queries[lo:lo + chunk]
+        dx, dy = _clamp_offsets(q.real[:, None] - sx, q.imag[:, None] - sy,
+                                ex, ey, inv_len2)
+        out[lo:lo + chunk] = np.sqrt((dx * dx + dy * dy).min(axis=1))
     return out
 
 
@@ -305,12 +327,10 @@ def signed_distance(polygon: ConvexPolygon, z):
     """
     arr = np.asarray(z, dtype=np.complex128)
     pts = np.atleast_1d(arr).ravel()
-    if polygon.kind == POINT:
-        out = np.abs(pts - polygon.vertices[0])
-    elif polygon.kind == SEGMENT:
-        out = _segment_distance(pts, polygon.vertices[0], polygon.vertices[1])
-    else:
+    if polygon.kind == PROPER:
         out = _polygon_distance_kernel(polygon.vertices, pts)
+    else:  # a point is a zero-length segment
+        out = distance_to_segments(pts, polygon.vertices[:1], polygon.vertices[-1:])
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
@@ -339,23 +359,28 @@ def worst_signed_distance(polygon: ConvexPolygon, points, top: int = 10):
     return float(sd[order[0]]), pts[order], sd[order]
 
 
-def _nearest_boundary_point(polygon: ConvexPolygon, z: complex) -> complex:
-    if polygon.kind == POINT:
-        return complex(polygon.vertices[0])
-    if polygon.kind == SEGMENT:
-        a, b = polygon.vertices
-        e = b - a
-        len2 = abs(e) ** 2
-        if len2 == 0.0:
-            return complex(a)
-        t = np.clip(((z - a) * np.conj(e)).real / len2, 0.0, 1.0)
-        return complex(a + t * e)
+def _boundary_offset(polygon: ConvexPolygon, z: complex) -> complex:
+    """z minus its nearest boundary point.
+
+    The edges close the cycle, so a segment is walked both ways and a point
+    is one zero-length edge.  Each edge is measured from its end nearer z,
+    and a foot inside an edge is taken along the edge's perpendicular, so
+    the offset keeps its direction however long the edge.
+    """
     v = polygon.vertices
-    e = np.roll(v, -1) - v
-    rel = z - v
-    t = np.clip((rel * np.conj(e)).real / np.abs(e) ** 2, 0.0, 1.0)
-    proj = v + t * e
-    return complex(proj[np.argmin(np.abs(z - proj))])
+    w = np.roll(v, -1)
+    swap = np.abs(z - w) < np.abs(z - v)
+    a, b = np.where(swap, w, v), np.where(swap, v, w)
+    ex, ey = b.real - a.real, b.imag - a.imag
+    rx, ry = z.real - a.real, z.imag - a.imag
+    inv_len2 = _inverse_len2(ex, ey)
+    dx, dy = _clamp_offsets(rx, ry, ex, ey, inv_len2)
+    k = int(np.argmin(dx * dx + dy * dy))
+    if 0.0 < (rx[k] * ex[k] + ry[k] * ey[k]) * inv_len2[k] < 1.0:
+        # r - t e cancels to rounding noise when z is close to a long edge
+        c = (ex[k] * ry[k] - ey[k] * rx[k]) * inv_len2[k]
+        return complex(-c * ey[k], c * ex[k])
+    return complex(dx[k], dy[k])
 
 
 def separating_half_plane(polygon: ConvexPolygon, z: complex) -> HalfPlane:
@@ -368,10 +393,9 @@ def separating_half_plane(polygon: ConvexPolygon, z: complex) -> HalfPlane:
     z = complex(z)
     if signed_distance(polygon, z) <= 0.0:
         raise ValueError("point not strictly outside")
-    q = _nearest_boundary_point(polygon, z)
-    delta = z - q
+    delta = _boundary_offset(polygon, z)
     normal = delta / abs(delta)
-    offset = float(_inner(q, normal) + 0.5 * abs(delta))
+    offset = float(_inner(z - delta, normal) + 0.5 * abs(delta))
     return HalfPlane(normal, offset)
 
 
@@ -415,22 +439,44 @@ def boundary_points(polygon: ConvexPolygon, count: int,
     return v[idx] + frac * e[idx]
 
 
-def _rdp_indices(v: np.ndarray, lo: int, hi: int, eps: float, out: list):
-    """Keep lo; recursively keep interior vertices deviating > eps from the chord."""
-    out.append(lo)
-    stack = [(lo, hi)]
-    while stack:
-        i, j = stack.pop()
-        if j - i < 2:
+def _rdp_splits(v: np.ndarray, spans: list, eps: float) -> list:
+    """Douglas-Peucker splits of the index spans (lo, hi) of v.
+
+    A span whose farthest interior vertex (the first, on ties) lies more
+    than eps from its chord keeps that vertex and splits there.  Spans are
+    measured in batches of about _CHUNK_BUDGET interior vertices, so short
+    spans share one pass; returns the kept interior indices.
+    """
+    vx, vy = v.real, v.imag
+    kept: list = []
+    while spans:
+        batch, size = [], 0
+        while spans and size < _CHUNK_BUDGET:
+            lo, hi = spans.pop()
+            if hi - lo > 1:
+                batch.append((lo, hi))
+                size += hi - lo - 1
+        if not batch:
             continue
-        seg = v[i + 1:j]
-        dev = _segment_distance(seg, v[i], v[j])
-        k = int(np.argmax(dev))
-        if dev[k] > eps:
-            split = i + 1 + k
-            stack.append((split, j))
-            stack.append((i, split))
-            out.append(split)
+        lo, hi = np.array(batch).T
+        inner = hi - lo - 1
+        first = np.cumsum(inner) - inner  # where each span starts in the batch
+        idx = np.arange(size) + np.repeat(lo + 1 - first, inner)
+        ex, ey = vx[hi] - vx[lo], vy[hi] - vy[lo]
+        per_point = [np.repeat(a, inner) for a in (vx[lo], vy[lo], ex, ey,
+                                                    _inverse_len2(ex, ey))]
+        dx, dy = _clamp_offsets(vx[idx] - per_point[0], vy[idx] - per_point[1],
+                                *per_point[2:])
+        dev = np.sqrt(dx * dx + dy * dy)
+        peak = np.maximum.reduceat(dev, first)
+        at_peak = np.flatnonzero(dev == np.repeat(peak, inner))
+        owner = np.searchsorted(first, at_peak, side="right") - 1
+        split = idx[at_peak[np.unique(owner, return_index=True)[1]]]
+        far = peak > eps
+        kept.extend(split[far].tolist())
+        spans.extend(zip(lo[far].tolist(), split[far].tolist()))
+        spans.extend(zip(split[far].tolist(), hi[far].tolist()))
+    return kept
 
 
 def decimate(polygon: ConvexPolygon, eps: float) -> ConvexPolygon:
@@ -444,14 +490,11 @@ def decimate(polygon: ConvexPolygon, eps: float) -> ConvexPolygon:
     v = polygon.vertices
     anchors = sorted({int(np.argmax(v.real)), int(np.argmax(v.imag)),
                       int(np.argmin(v.real)), int(np.argmin(v.imag))})
-    keep: list = []
-    for a, b in zip(anchors, anchors[1:] + [anchors[0] + v.size]):
-        arc = np.concatenate([v[a:], v[: b - v.size + 1]]) if b >= v.size else v[a:b + 1]
-        local: list = []
-        _rdp_indices(arc, 0, arc.size - 1, eps, local)
-        keep.extend((a + k) % v.size for k in sorted(local))
-    keep = sorted(set(keep))
-    if len(keep) < 3:
+    # the arcs between consecutive anchors, the last one wrapping around
+    ring = np.concatenate([v, v[:anchors[0] + 1]])
+    arcs = list(zip(anchors, anchors[1:] + [anchors[0] + v.size]))
+    keep = np.unique(np.array(anchors + _rdp_splits(ring, arcs, eps)) % v.size)
+    if keep.size < 3:
         return polygon
     return ConvexPolygon(v[keep], PROPER)
 

@@ -182,9 +182,8 @@ def _solve_batch(p: Polynomial, targets: np.ndarray, tol: float, max_iter: int):
     return z, res, ok
 
 
-def preimage_fibers(p: Polynomial, targets, tol: float = DEFAULT_TOL,
-                    max_iter: int = MAX_ITERATIONS) -> np.ndarray:
-    """Batched preimages p^{-1}(t) for an array of targets; raises on failure."""
+def _solved(p: Polynomial, targets, tol: float, max_iter: int):
+    """``solve_fibers`` as (roots, residuals); raises RootSolveError on failure."""
     roots, res, ok = solve_fibers(p, targets, tol, max_iter)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
@@ -193,30 +192,25 @@ def preimage_fibers(p: Polynomial, targets, tol: float = DEFAULT_TOL,
             f"(worst residual {res[i].max():.3e})",
             best_roots=roots[i], residuals=res[i],
         )
-    return roots
+    return roots, res
+
+
+def preimage_fibers(p: Polynomial, targets, tol: float = DEFAULT_TOL,
+                    max_iter: int = MAX_ITERATIONS) -> np.ndarray:
+    """Batched preimages p^{-1}(t) for an array of targets; raises on failure."""
+    return _solved(p, targets, tol, max_iter)[0]
 
 
 def all_roots(p: Polynomial, tol: float = DEFAULT_TOL,
               max_iter: int = MAX_ITERATIONS) -> RootSet:
     """All d roots of p, multiplicity repeated, residuals |p(root)| <= tol*scale."""
-    roots, res, ok = solve_fibers(p, np.zeros(1), tol, max_iter)
-    if not ok[0]:
-        raise RootSolveError(
-            f"root iteration did not converge (worst residual {res[0].max():.3e})",
-            best_roots=roots[0], residuals=res[0],
-        )
+    roots, res = _solved(p, np.zeros(1, dtype=np.complex128), tol, max_iter)
     return RootSet(roots[0], res[0])
 
 
 def preimages(p: Polynomial, w: complex, tol: float = DEFAULT_TOL) -> RootSet:
     """Roots of p(z) - w: exactly d values counted with multiplicity."""
-    roots, res, ok = solve_fibers(p, np.array([w], dtype=np.complex128), tol)
-    if not ok[0]:
-        raise RootSolveError(
-            f"preimage iteration did not converge for w={w!r} "
-            f"(worst residual {res[0].max():.3e})",
-            best_roots=roots[0], residuals=res[0],
-        )
+    roots, res = _solved(p, np.array([w], dtype=np.complex128), tol, MAX_ITERATIONS)
     return RootSet(roots[0], res[0])
 
 

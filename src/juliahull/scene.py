@@ -11,9 +11,9 @@ import zlib
 
 import numpy as np
 
-from .checks import CheckConfig, build_context, classify_equality
+from .checks import CheckConfig, build_context, classify_equality, run_checks
 from .geometry import POINT, SEGMENT, boundary_points
-from .julia import escape_grid  # noqa: F401  (name kept for existing importers)
+from .julia import escape_grid  # noqa: F401  (read by perfbench/test_smoke.py)
 from .polynomial import Polynomial
 from .roots import critical_points, preimage_fibers
 
@@ -96,10 +96,8 @@ def render_scene(p: Polynomial, label: str, cfg: CheckConfig):
     preimages of hull boundary samples, critical points, and a legend with
     the check verdicts and the classification.
     """
-    from .cli import run_check_set  # local import, avoids a module cycle
-
     ctx = build_context(p, cfg)
-    reports = run_check_set(p, cfg, ctx)
+    reports = run_checks(p, cfg, ctx)
     classification = classify_equality(p, cfg, ctx)
     grid = ctx.grid
 

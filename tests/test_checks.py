@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -26,10 +28,12 @@ from juliahull import (
 )
 from juliahull.checks import (
     CHEBYSHEV_CONJUGATE,
+    INCONCLUSIVE,
     MONOMIAL_CONJUGATE,
     PASS,
     STRICT_INCLUSION,
     _boundary_preimage_gap,
+    _report,
 )
 from juliahull.geometry import HalfPlane
 
@@ -57,6 +61,16 @@ class TestCheckConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             CheckConfig(**kwargs)
+
+
+@pytest.mark.parametrize("worst", [np.nan, np.inf])
+def test_report_of_non_finite_worst_is_inconclusive(worst, fast_cfg):
+    # NaN fails "worst <= tol" and would otherwise read as Fail
+    report = _report("backward_inclusion", fast_cfg, Polynomial([-1, 0, 1]), worst,
+                     1.0, np.zeros(1, dtype=complex), np.array([worst]))
+    assert report.verdict == INCONCLUSIVE and report.worst_violation is None
+    assert report.note
+    json.dumps(report.to_dict(), allow_nan=False)
 
 
 class TestBackwardInclusion:

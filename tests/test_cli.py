@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from juliahull import ParseError, Polynomial, chebyshev, format_polynomial, parse_polynomial
-from juliahull.cli import main, parse_complex, worker_count
+from juliahull.cli import main, parse_complex
 
 
 class TestParse:
@@ -66,20 +66,6 @@ class TestParse:
             assert np.array_equal(again.coeffs, p.coeffs)
 
 
-class TestWorkerCount:
-    def test_explicit_cap(self, monkeypatch):
-        monkeypatch.setenv("JULIAHULL_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("JULIAHULL_THREADS", "0")
-        assert worker_count() >= 1
-
-    def test_garbage_means_auto(self, monkeypatch):
-        monkeypatch.setenv("JULIAHULL_THREADS", "lots")
-        assert worker_count() >= 1
-
-
 SMALL = ["--n", "2000", "--m", "64", "--k", "32", "--res", "128", "--seed", "11"]
 
 
@@ -110,6 +96,20 @@ class TestCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("juliahull: ") and field in err
+
+    @pytest.mark.parametrize("verb", ["check", "classify", "suite", "render"])
+    @pytest.mark.parametrize("poly", ["0,1e160,1", "0,1e200,1"])
+    def test_escape_radius_too_large_is_usage_error(self, capsys, verb, poly):
+        # coordinates this large overflow when the geometry squares them
+        assert main([verb, "--poly", poly] + SMALL) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("juliahull: ") and "escape radius" in err
+
+    def test_large_escape_radius_within_bound_still_works(self, tmp_path):
+        out = tmp_path / "suite.json"
+        assert main(["suite", "--poly", "0,1e140,1", "--out", str(out)] + SMALL) == 0
+        docs = json.loads(out.read_text(), parse_constant=pytest.fail)
+        assert all(d["verdict"] == "Pass" for d in docs[:5])
 
     def test_sampler_failure_exits_3(self, unsolvable_fibers, capsys):
         assert main(["suite", "--poly", "quad:-1+0i"] + SMALL) == 3
@@ -154,15 +154,6 @@ class TestCommands:
         for path in paths:
             main(["suite", "--poly", "quad:-1+0i", "--out", str(path)] + SMALL)
         assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        blobs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("JULIAHULL_THREADS", threads)
-            out = tmp_path / f"threads{threads}.json"
-            main(["suite", "--poly", "quad:0+1i", "--out", str(out)] + SMALL)
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1]
 
     def test_csv_projection(self, tmp_path):
         out = tmp_path / "suite.csv"
@@ -275,3 +266,41 @@ def test_option_fuzz_ends_in_a_defined_exit_code(verb, poly, spoiled, data):
         assert code == 2 and err.getvalue().startswith("juliahull: ")
     else:
         assert code in (0, 1, 3)
+
+
+_MANTISSA = st.floats(1e-3, 1e3).map(lambda x: f"{x:.4g}")
+_REAL = st.builds("{}{}{}".format, st.sampled_from(["", "+", "-"]), _MANTISSA,
+                  st.sampled_from(["", "e2", "E-3", "e+1"]))
+_NUMBER = st.one_of(
+    _REAL, st.builds("{}{}{}i".format, _REAL, st.sampled_from(["+", "-"]), _MANTISSA))
+_STRAY = st.sampled_from(["", "i", "j", "1j", "2+i", "3i", "1+-2i", "1e", "e2",
+                          "nan", "inf", "-inf", "1e999", "0x1"])
+
+
+@st.composite
+def _poly_texts(draw):
+    """Preset or coefficient-list text, well formed about half of the time."""
+    if draw(st.booleans()):
+        head = draw(st.sampled_from(["quad", "cheb", "negcheb", "monomial"]))
+        body = draw(st.one_of(
+            st.integers(-1, 6).map(str), _NUMBER, _STRAY,
+            st.builds("{},{}".format, _NUMBER | _STRAY,
+                      st.sampled_from(["2", "3", "0", "x", ""]))))
+        return f"{head}:{body}"
+    tokens = draw(st.lists(_NUMBER, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_STRAY)
+    return ",".join(tokens)
+
+
+@settings(max_examples=25, deadline=None)
+@given(verb=st.sampled_from(["check", "classify"]), text=_poly_texts())
+def test_poly_grammar_fuzz_ends_in_a_defined_exit_code(verb, text):
+    argv = [verb, f"--poly={text}", "--n", "1000", "--m", "16", "--k", "16",
+            "--res", "64", "--max-iter", "50"]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("juliahull: ")

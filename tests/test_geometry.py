@@ -20,7 +20,9 @@ from juliahull.geometry import (
     PROPER,
     SEGMENT,
     POINT,
+    _boundary_offset,
     decimate,
+    distance_to_segments,
     fit_circle,
     fit_line,
     worst_signed_distance,
@@ -128,6 +130,76 @@ class TestSignedDistance:
         assert values[0] == pytest.approx(exact.max(), abs=1e-12)
 
 
+def _plain_segment_distance(z: complex, a: complex, b: complex) -> float:
+    """Distance from z to [a, b] by clamped projection, in plain Python."""
+    e = b - a
+    len2 = e.real * e.real + e.imag * e.imag
+    t = 0.0 if len2 == 0.0 else min(1.0, max(0.0, ((z - a) * e.conjugate()).real / len2))
+    return abs(z - (a + t * e))
+
+
+def _plain_signed_distance(vertices: list, kind: str, z: complex) -> float:
+    if kind == POINT:
+        return abs(z - vertices[0])
+    edges = list(zip(vertices, vertices[1:] + vertices[:1]))
+    dist = min(_plain_segment_distance(z, a, b) for a, b in edges)
+    inside = kind == PROPER and all(
+        (b - a).real * (z - a).imag - (b - a).imag * (z - a).real >= 0.0
+        for a, b in edges)
+    return -dist if inside else dist
+
+
+finite = st.floats(-9, 9, allow_nan=False)
+plane_point = st.builds(complex, finite, finite)
+
+
+class TestDistanceReference:
+    """The clamp-projection kernels against a plain-Python brute force."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(planar_points, st.sampled_from([PROPER, SEGMENT, POINT]),
+           st.lists(plane_point, min_size=1, max_size=20))
+    def test_signed_distance(self, pts, shape, queries):
+        pts = np.array(pts)
+        if shape == SEGMENT:
+            pts = 0.3 - 0.7j + pts.real * (1 + 2j)
+        elif shape == POINT:
+            pts = pts[:1]
+        hull = convex_hull(pts)
+        got = signed_distance(hull, np.array(queries))
+        verts = hull.vertices.tolist()
+        scale = max(1.0, np.abs(pts).max(), np.abs(queries).max())
+        for z, value in zip(queries, got):
+            ref = _plain_signed_distance(verts, hull.kind, z)
+            assert abs(value - ref) <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(plane_point, plane_point, st.booleans()),
+                    min_size=1, max_size=12),
+           st.lists(plane_point, min_size=1, max_size=20))
+    def test_distance_to_segments_with_zero_length_ones(self, segments, queries):
+        starts = np.array([a for a, _, _ in segments])
+        ends = np.array([a if zero else b for a, b, zero in segments])
+        got = distance_to_segments(np.array(queries), starts, ends)
+        for z, value in zip(queries, got):
+            ref = min(_plain_segment_distance(z, a, b)
+                      for a, b in zip(starts.tolist(), ends.tolist()))
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(z), np.abs(starts).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(planar_points, plane_point)
+    def test_nearest_boundary_point(self, pts, z):
+        # the point separating_half_plane builds its witness from
+        hull = convex_hull(np.array(pts))
+        q = z - _boundary_offset(hull, z)
+        verts = hull.vertices.tolist()
+        scale = max(1.0, np.abs(pts).max(), abs(z))
+        ref = abs(_plain_signed_distance(verts, hull.kind, z))
+        assert abs(abs(z - q) - ref) <= 1e-12 * scale
+        # q lies on the boundary
+        assert abs(_plain_signed_distance(verts, hull.kind, q)) <= 1e-12 * scale
+
+
 class TestSeparation:
     def test_square_far_point(self, square):
         hull = convex_hull(square)
@@ -147,6 +219,15 @@ class TestSeparation:
         hp = separating_half_plane(hull, 1.5 + 0j)
         assert abs(hp.normal - 1.0) <= 1e-6
         assert 1 < hp.offset < 1.5
+
+    @pytest.mark.parametrize("end", [5.727055799813556e-09, 5.727055799813556e-09 - 1j])
+    def test_witness_near_a_long_thin_segment(self, end):
+        # 0 lies 3e-9 to 6e-9 off a segment of length 1 or 2; a witness
+        # direction taken from a rounded r - t e misses the far vertex
+        seg = convex_hull(np.array([1j, end]))
+        hp = separating_half_plane(seg, 0j)
+        assert hp.value(0j) > 0
+        assert np.all(hp.value(seg.vertices) < 0)
 
     def test_rejects_inside_point(self, square):
         hull = convex_hull(square)
@@ -206,6 +287,33 @@ class TestDecimate:
         slim = decimate(hull, eps)
         assert len(slim) < len(hull)
         assert polygon_hausdorff(hull, slim) <= eps * 1.01
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2])
+    def test_matches_one_arc_at_a_time_reference(self, eps):
+        # batched spans must split exactly where a plain recursive
+        # Douglas-Peucker over each anchor-to-anchor arc does
+        rng = np.random.default_rng(11)
+        hull = convex_hull((1.0 + 0.3j) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20_000)))
+        v = hull.vertices.tolist()
+        n = len(v)
+
+        def split(i, j, out):
+            if j - i < 2:
+                return
+            devs = [_plain_segment_distance(v[k % n], v[i % n], v[j % n])
+                    for k in range(i + 1, j)]
+            k = int(np.argmax(devs))
+            if devs[k] > eps:
+                out.add((i + 1 + k) % n)
+                split(i, i + 1 + k, out)
+                split(i + 1 + k, j, out)
+
+        anchors = sorted({int(np.argmax(hull.vertices.real)), int(np.argmax(hull.vertices.imag)),
+                          int(np.argmin(hull.vertices.real)), int(np.argmin(hull.vertices.imag))})
+        kept = set(anchors)
+        for i, j in zip(anchors, anchors[1:] + [anchors[0] + n]):
+            split(i, j, kept)
+        assert decimate(hull, eps).vertices.tolist() == [v[k] for k in sorted(kept)]
 
 
 class TestClassifyShape:

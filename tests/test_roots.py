@@ -90,6 +90,24 @@ class TestAllRoots:
             assert np.abs(rebuilt - p.coeffs).max() <= 1e-6 * scale
 
 
+@pytest.mark.parametrize("solve", [
+    lambda p: preimage_fibers(p, np.array([0.5, 2.0])),
+    lambda p: all_roots(p),
+    lambda p: preimages(p, 0.5),
+], ids=["preimage_fibers", "all_roots", "preimages"])
+def test_solver_failure_raises_with_best_iterate(monkeypatch, solve):
+    def never_converges(p, targets, *args, **kwargs):
+        m = np.size(targets)
+        return (np.full((m, p.degree), 1j), np.ones((m, p.degree)),
+                np.zeros(m, dtype=bool))
+
+    monkeypatch.setattr(roots_mod, "solve_fibers", never_converges)
+    with pytest.raises(RootSolveError, match="did not converge") as info:
+        solve(Polynomial([-1, 0, 1]))
+    assert np.array_equal(info.value.best_roots, [1j, 1j])
+    assert np.array_equal(info.value.residuals, [1.0, 1.0])
+
+
 class TestPreimages:
     def test_square_fiber_of_one(self, squaring):
         rs = preimages(squaring, 1.0)
