@@ -29,8 +29,6 @@ from .julia import (
     SamplingError,
     boundary_cells,
     escape_grid,
-    holo_hull_fill,
-    rasterize_points,
     sample_julia,
     to_pgm,
 )
@@ -43,7 +41,6 @@ from .geometry import (
     boundary_points,
     classify_shape,
     convex_hull,
-    hausdorff_distance,
     polygon_hausdorff,
     separating_half_plane,
     signed_distance,

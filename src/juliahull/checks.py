@@ -25,7 +25,7 @@ from .geometry import (
     signed_distance,
     worst_signed_distance,
 )
-from .julia import EscapeGrid, PointCloud, escape_grid, sample_julia
+from .julia import EscapeGrid, PointCloud, _bounded, escape_grid, sample_julia
 from .polynomial import (
     AffineMap,
     Polynomial,
@@ -372,26 +372,6 @@ def _boundary_preimage_gap(p: Polynomial, hull: ConvexPolygon, m: int,
     return float(gap.max())
 
 
-def _interior_orbits_bounded(p: Polynomial, cfg: CheckConfig,
-                             ctx: HullContext) -> bool:
-    """Hull-interior samples must have bounded orbits on an equality candidate.
-
-    Meaningful only when the bounded-orbit set has interior (circle-type
-    candidates); segment-type sets have measure zero, where any sampling
-    noise escapes eventually.
-    """
-    from .polynomial import _horner
-
-    pts = _interior_points(ctx.hull_query, cfg.interior_samples, _rng(cfg, 4))
-    radius = escape_radius(p)
-    z = pts.copy()
-    for _ in range(cfg.grid_max_iter):
-        z = _horner(p.coeffs, z)
-        if np.any(np.abs(z) > radius):
-            return False
-    return True
-
-
 def _chebyshev_match(p: Polynomial, u: complex, v: complex):
     """Best (residual, sign, map) of g o p o g^-1 against +-T_d for both orientations."""
     target = chebyshev(p.degree).coeffs
@@ -438,9 +418,12 @@ def classify_equality(p: Polynomial, cfg: CheckConfig,
         return Classification(STRICT_INCLUSION, None, None, None,
                               hull_gap=gap, match_residual=resid)
     if isinstance(shape, CircleShape):
-        if not _interior_orbits_bounded(p, cfg, ctx):
-            # hull equality forces the hull inside the bounded-orbit set;
-            # escaping interior samples expose a false candidate
+        # Hull equality forces the hull inside the bounded-orbit set, so
+        # escaping hull-interior samples expose a false candidate.  Only
+        # circle candidates are tested: a segment-type set has measure zero,
+        # where any sampling noise escapes eventually.
+        pts = _interior_points(ctx.hull_query, cfg.interior_samples, _rng(cfg, 4))
+        if not _bounded(p, pts, cfg.grid_max_iter).all():
             return Classification(STRICT_INCLUSION, None, None, None,
                                   hull_gap=gap)
         g = AffineMap(1.0 / shape.radius, -shape.center / shape.radius)

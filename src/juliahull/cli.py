@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -44,6 +45,10 @@ _PRESETS = ("cheb", "negcheb", "monomial", "quad")
 # Largest escape radius R accepted.  Geometry squares coordinates up to
 # about 2.1 R, which overflows double precision from R near 1e153 on.
 _MAX_ESCAPE_RADIUS = 1e150
+
+# Fiber solves stay finite while |a_d| rho^d on the solver's start circle
+# (see _start_circle_log10) stays below 1e308.
+_MAX_START_LOG10 = 308.0
 
 _FLOAT_PATTERN = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(
@@ -134,6 +139,19 @@ def parse_polynomial(text: str) -> PolySpec:
 _CHECK_RUNNERS = (check_backward_inclusion, check_critical_in_hull, check_filled_in_hull,
                   check_preimage_convexity, check_half_plane_surjectivity)
 run_check_set = run_checks
+
+
+def _start_circle_log10(p: Polynomial, radius: float) -> float:
+    """log10 of |a_d| rho^d for the fiber solves of the half-plane check.
+
+    That check solves p(z) = y for |y| up to 2R, and roots._initial_points
+    starts Aberth on the circle of radius
+    rho = 1 + max(max_{0<j<d} |a_j|, |a_0| + 2R) / |a_d|.
+    """
+    mods = [abs(complex(c)) for c in p.coeffs]
+    lead = mods[-1]
+    top = max(max(mods[1:-1]), mods[0] + 2.0 * radius)
+    return math.log10(lead) + p.degree * (math.log10(lead + top) - math.log10(lead))
 
 
 def _exit_code(reports: list[CheckReport]) -> int:
@@ -263,6 +281,10 @@ def main(argv=None) -> int:
         if radius > _MAX_ESCAPE_RADIUS:
             raise ValueError(f"escape radius {radius:.3g} exceeds {_MAX_ESCAPE_RADIUS:.0e}"
                              "; the hull geometry would overflow")
+        start = _start_circle_log10(spec.polynomial, radius)
+        if start >= _MAX_START_LOG10:
+            raise ValueError(f"|p| reaches 1e{start:.1f} on the root solver's start "
+                             "circle; double precision overflows at 1e308")
         cfg = _config_from(args)
     except (ParseError, ValueError) as exc:
         print(f"juliahull: {exc}", file=sys.stderr)

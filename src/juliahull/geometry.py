@@ -2,8 +2,8 @@
 
 Hulls come from a monotone chain over lexicographically sorted points,
 with an Akl-Toussaint prefilter so huge clouds stay cheap.  Distances,
-separation witnesses, Hausdorff metrics and the degenerate-shape fits
-(line and circle) all live here.
+separation witnesses, the polygon Hausdorff distance and the
+degenerate-shape fits (line and circle) all live here.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 PROPER = "Proper"
 SEGMENT = "Segment"
@@ -96,14 +95,6 @@ class ConvexPolygon:
         v = self.vertices
         w = np.roll(v, -1)
         return 0.5 * float(np.sum(v.real * w.imag - w.real * v.imag))
-
-    @cached_property
-    def perimeter(self) -> float:
-        if self.kind == POINT:
-            return 0.0
-        if self.kind == SEGMENT:
-            return 2.0 * abs(self.vertices[1] - self.vertices[0])
-        return float(np.abs(np.roll(self.vertices, -1) - self.vertices).sum())
 
 
 @dataclass(eq=False)
@@ -267,9 +258,14 @@ def convex_hull(points) -> ConvexPolygon:
 
 
 def _inverse_len2(ex, ey):
-    """1 / (ex^2 + ey^2) per segment, 0 for a zero-length one."""
+    """1 / (ex^2 + ey^2) per segment, 0 for a zero-length one.
+
+    A segment shorter than about 1.5e-154 counts as zero-length: its
+    squared length is subnormal (or 0), and its inverse would overflow.
+    """
     len2 = ex * ex + ey * ey
-    return np.divide(1.0, len2, out=np.zeros_like(len2), where=len2 > 0.0)
+    return np.divide(1.0, len2, out=np.zeros_like(len2),
+                     where=len2 >= np.finfo(np.float64).tiny)
 
 
 def _clamp_offsets(rx, ry, ex, ey, inv_len2):
@@ -397,17 +393,6 @@ def separating_half_plane(polygon: ConvexPolygon, z: complex) -> HalfPlane:
     normal = delta / abs(delta)
     offset = float(_inner(z - delta, normal) + 0.5 * abs(delta))
     return HalfPlane(normal, offset)
-
-
-def hausdorff_distance(first, second) -> float:
-    """Symmetric sup-inf distance between two finite point sets."""
-    a = _points_of(first)
-    b = _points_of(second)
-    pa = np.column_stack([a.real, a.imag])
-    pb = np.column_stack([b.real, b.imag])
-    d_ab = cKDTree(pb).query(pa, k=1)[0].max()
-    d_ba = cKDTree(pa).query(pb, k=1)[0].max()
-    return float(max(d_ab, d_ba))
 
 
 def boundary_points(polygon: ConvexPolygon, count: int,

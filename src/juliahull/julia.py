@@ -7,24 +7,23 @@ on along one randomly chosen branch.  Orbits are run as one vectorized
 batch, which is equivalent to many independent seeded orbits.
 
 ``escape_grid`` rasters the bounded-orbit set by iterating cell centers
-until they leave the escape disk, and ``holo_hull_fill`` absorbs bounded
-complement components of a raster (flood fill from the border).  The disk
-test runs once per block of a few steps: once |z| >= R, |p(z)| >= 2|z|, so
-an orbit that ends a block inside the disk stayed inside for all of it.
-An orbit that returns exactly, in floating point, to its value at the last
-power-of-two step (from step 4 on: Brent's cycle detection) is periodic and
-never escapes; its cell is marked bounded and it stops early.  The cells are
-exactly those of a test after every step up to ``max_iter``.
+until they leave the escape disk; ``_bounded`` is that iteration, and the
+classifier runs it on hull-interior samples too.  The disk test runs once
+per block of a few steps: once |z| >= R, |p(z)| >= 2|z|, so an orbit that
+ends a block inside the disk stayed inside for all of it.  An orbit that
+returns exactly, in floating point, to its value at the last power-of-two
+step (from step 4 on: Brent's cycle detection) is periodic and never
+escapes; it is marked bounded and stops early.  The result is exactly that
+of a test after every step up to ``max_iter``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .polynomial import Polynomial, escape_radius, format_polynomial
+from .polynomial import Polynomial, _horner, escape_radius, format_polynomial
 from .roots import (
     MAX_ITERATIONS,
     DEFAULT_TOL,
@@ -102,18 +101,18 @@ class EscapeGrid:
             raise ValueError("cells must have shape (height, width)")
         self.cells = cells
 
-    def cell_centers(self) -> np.ndarray:
-        xs = self.origin_real + self.cell_size * np.arange(self.width)
-        ys = self.origin_imag + self.cell_size * np.arange(self.height)
-        return xs[None, :] + 1j * ys[:, None]
-
     def true_centers(self) -> np.ndarray:
-        iy, ix = np.nonzero(self.cells)
-        return (self.origin_real + self.cell_size * ix
-                + 1j * (self.origin_imag + self.cell_size * iy))
+        return _centers(self, self.cells)
 
     def bounded_area(self) -> float:
         return float(self.cells.sum()) * self.cell_size ** 2
+
+
+def _centers(grid: EscapeGrid, mask: np.ndarray) -> np.ndarray:
+    """Centers of the cells of ``grid`` where ``mask`` is true."""
+    iy, ix = np.nonzero(mask)
+    return (grid.origin_real + grid.cell_size * ix
+            + 1j * (grid.origin_imag + grid.cell_size * iy))
 
 
 class SamplingError(RuntimeError):
@@ -207,6 +206,40 @@ def sample_julia(p: Polynomial, n: int, seed: int,
     return PointCloud(points, label=JULIA_SAMPLE)
 
 
+def _bounded(p: Polynomial, z: np.ndarray, max_iter: int) -> np.ndarray:
+    """Mask of the points of z whose orbits stay in the escape disk for max_iter steps.
+
+    Callers may pass z as a temporary: its only use is the first disk test,
+    after which the loop holds just the points inside.
+    """
+    radius = escape_radius(p)
+    alive = np.flatnonzero(np.abs(z) <= radius)
+    w, size = z[alive], z.size
+    del z
+    bounded = np.zeros(size, dtype=bool)
+    snapshot = None  # w at the last power-of-two step, from step 4 on
+    done = 0
+    # An escaped orbit may overflow to inf or nan before its block ends;
+    # neither passes the disk test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < max_iter and alive.size:
+            steps = min(_BLOCK_STEPS, max_iter - done)
+            for _ in range(steps):
+                w = _horner(p.coeffs, w)
+            done += steps
+            keep = np.abs(w) <= radius
+            if snapshot is not None:
+                cycled = w == snapshot  # implies inside: the snapshot was inside
+                bounded[alive[cycled]] = True
+                keep &= ~cycled
+                snapshot = snapshot[keep]
+            alive, w = alive[keep], w[keep]
+            if not done & (done - 1):  # Brent: re-anchor at powers of two
+                snapshot = w
+    bounded[alive] = True
+    return bounded
+
+
 def escape_grid(p: Polynomial, resolution: int = 512, max_iter: int = 200) -> EscapeGrid:
     """Raster of the bounded-orbit set on the square of half-width 1.05 R.
 
@@ -222,36 +255,8 @@ def escape_grid(p: Polynomial, resolution: int = 512, max_iter: int = 200) -> Es
     cell = 2.0 * _GRID_SPAN * radius / resolution
     half = resolution // 2
     axis = (np.arange(resolution) - half) * cell
-    centers = (axis[None, :] + 1j * axis[:, None]).ravel()
-    alive = np.flatnonzero(np.abs(centers) <= radius)
-    w = centers[alive]
-    del centers  # a full-grid complex array; the loop needs only w
-    cells = np.zeros(resolution * resolution, dtype=bool)
-    coeffs = p.coeffs
-    snapshot = None  # w at the last power-of-two step, from step 4 on
-    done = 0
-    # An escaped orbit may overflow to inf or nan before its block ends;
-    # neither passes the disk test.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while done < max_iter and alive.size:
-            steps = min(_BLOCK_STEPS, max_iter - done)
-            for _ in range(steps):
-                acc = np.full_like(w, coeffs[-1])
-                for c in coeffs[-2::-1]:
-                    acc *= w
-                    acc += c
-                w = acc
-            done += steps
-            keep = np.abs(w) <= radius
-            if snapshot is not None:
-                cycled = w == snapshot  # implies inside: the snapshot was inside
-                cells[alive[cycled]] = True
-                keep &= ~cycled
-                snapshot = snapshot[keep]
-            alive, w = alive[keep], w[keep]
-            if not done & (done - 1):  # Brent: re-anchor at powers of two
-                snapshot = w
-    cells[alive] = True
+    # the full-grid centers go in as a temporary, which _bounded drops early
+    cells = _bounded(p, (axis[None, :] + 1j * axis[:, None]).ravel(), max_iter)
     return EscapeGrid(
         origin_real=float(axis[0]), origin_imag=float(axis[0]),
         cell_size=float(cell), width=resolution, height=resolution,
@@ -261,50 +266,13 @@ def escape_grid(p: Polynomial, resolution: int = 512, max_iter: int = 200) -> Es
     )
 
 
-def holo_hull_fill(grid: EscapeGrid) -> EscapeGrid:
-    """Absorb bounded holes: empty cells unreachable from the border turn true.
-
-    Idempotent on escape grids, which are already filled; applied to a
-    rasterized boundary sample it produces the filled set.
-    """
-    empty = ~grid.cells
-    labels, _ = ndimage.label(empty)
-    rim = np.concatenate([labels[0], labels[-1], labels[:, 0], labels[:, -1]])
-    rim = np.unique(rim[rim != 0])
-    reachable = np.isin(labels, rim)
-    return replace(grid, cells=~reachable)
-
-
-def rasterize_points(points, resolution: int, radius: float,
-                     polynomial: str = "") -> EscapeGrid:
-    """Mark cells containing sample points, on escape_grid geometry for ``radius``."""
-    pts = points.points if isinstance(points, PointCloud) else np.asarray(points)
-    pts = np.atleast_1d(pts.astype(np.complex128))
-    if resolution < 8:
-        raise ValueError("resolution too small")
-    cell = 2.0 * _GRID_SPAN * radius / resolution
-    half = resolution // 2
-    ix = np.clip(np.round(pts.real / cell).astype(int) + half, 0, resolution - 1)
-    iy = np.clip(np.round(pts.imag / cell).astype(int) + half, 0, resolution - 1)
-    cells = np.zeros((resolution, resolution), dtype=bool)
-    cells[iy, ix] = True
-    origin = float(-half * cell)
-    return EscapeGrid(
-        origin_real=origin, origin_imag=origin, cell_size=float(cell),
-        width=resolution, height=resolution, cells=cells,
-        radius=float(radius), max_iter=0, polynomial=polynomial,
-    )
-
-
 def boundary_cells(grid: EscapeGrid) -> np.ndarray:
     """Centers of true cells that touch an empty cell or the image rim."""
     c = grid.cells
     padded = np.pad(c, 1, constant_values=False)
     surrounded = (padded[:-2, 1:-1] & padded[2:, 1:-1]
                   & padded[1:-1, :-2] & padded[1:-1, 2:])
-    iy, ix = np.nonzero(c & ~surrounded)
-    return (grid.origin_real + grid.cell_size * ix
-            + 1j * (grid.origin_imag + grid.cell_size * iy))
+    return _centers(grid, c & ~surrounded)
 
 
 def to_pgm(grid: EscapeGrid) -> bytes:

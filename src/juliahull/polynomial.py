@@ -77,10 +77,14 @@ class AffineMap:
 
 
 def _horner(coeffs: np.ndarray, z):
-    """Evaluate an ascending coefficient vector at z (scalar or array)."""
+    """Evaluate an ascending coefficient vector at z (scalar or array).
+
+    One accumulator is updated in place, so no step allocates an array.
+    """
     acc = np.full_like(z, coeffs[-1], dtype=np.complex128)
     for c in coeffs[-2::-1]:
-        acc = acc * z + c
+        acc *= z
+        acc += c
     return acc
 
 

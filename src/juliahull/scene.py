@@ -13,6 +13,7 @@ import numpy as np
 
 from .checks import CheckConfig, build_context, classify_equality, run_checks
 from .geometry import POINT, SEGMENT, boundary_points
+from .julia import _GRID_SPAN
 from .julia import escape_grid  # noqa: F401  (read by perfbench/test_smoke.py)
 from .polynomial import Polynomial
 from .roots import critical_points, preimage_fibers
@@ -101,7 +102,7 @@ def render_scene(p: Polynomial, label: str, cfg: CheckConfig):
     classification = classify_equality(p, cfg, ctx)
     grid = ctx.grid
 
-    span = 1.05 * grid.radius
+    span = _GRID_SPAN * grid.radius
     cam = _Camera(span)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_VIEW:.0f}" '

@@ -297,6 +297,18 @@ class TestClassifyEquality:
         with pytest.raises(EqualityUnresolvedError, match="increase n"):
             classify_equality(squaring, cfg, ctx)
 
+    def test_escaping_interior_exposes_false_circle_candidate(self, squaring):
+        # doctored context: the cloud still fits the unit circle and the
+        # boundary gap still vanishes, but the query hull is moved off J_p,
+        # so its interior samples escape
+        cfg = CheckConfig(julia_samples=20_000, seed=5)
+        ctx = build_context(squaring, cfg)
+        assert classify_equality(squaring, cfg, ctx).kind == MONOMIAL_CONJUGATE
+        ctx.hull_query = convex_hull(ctx.cloud.points + 1.5)
+        cls = classify_equality(squaring, cfg, ctx)
+        assert cls.kind == STRICT_INCLUSION
+        assert cls.conjugation is None and cls.match_residual is None
+
     def test_classification_json_shape(self):
         cfg = CheckConfig(julia_samples=20_000, seed=7)
         doc = classify_equality(chebyshev(2), cfg).to_dict()

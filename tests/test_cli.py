@@ -111,6 +111,23 @@ class TestCommands:
         docs = json.loads(out.read_text(), parse_constant=pytest.fail)
         assert all(d["verdict"] == "Pass" for d in docs[:5])
 
+    @pytest.mark.parametrize("verb", ["check", "classify", "suite", "render"])
+    @pytest.mark.parametrize("poly", ["0,0,0,0,1e-60", "0,0,0,0,0,1e-40",
+                                      "0,0,0,0,0,0,1e-30", "0,0,0,0,0,0,1e-40"])
+    def test_solver_start_circle_overflow_is_usage_error(self, capsys, verb, poly):
+        # the half-plane check solves p(z) = y for |y| <= 2R; Aberth's start
+        # circle there has |a_d| rho^d above 1e333, past double precision
+        assert main([verb, "--poly", poly] + SMALL) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("juliahull: ") and "start circle" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_start_circle_below_overflow_still_runs(self, tmp_path):
+        # |a_d| rho^d is about 1e301.8: accepted, and no overflow warning
+        out = tmp_path / "check.json"
+        assert main(["check", "--poly", "0,0,0,1e-60", "--out", str(out)] + SMALL) == 0
+        json.loads(out.read_text(), parse_constant=pytest.fail)
+
     def test_sampler_failure_exits_3(self, unsolvable_fibers, capsys):
         assert main(["suite", "--poly", "quad:-1+0i"] + SMALL) == 3
         err = capsys.readouterr().err

@@ -10,7 +10,6 @@ from juliahull import (
     boundary_points,
     classify_shape,
     convex_hull,
-    hausdorff_distance,
     polygon_hausdorff,
     sample_julia,
     separating_half_plane,
@@ -186,6 +185,15 @@ class TestDistanceReference:
                       for a, b in zip(starts.tolist(), ends.tolist()))
             assert abs(value - ref) <= 1e-12 * max(1.0, abs(z), np.abs(starts).max())
 
+    def test_segment_with_subnormal_squared_length(self):
+        # 6.7e-156 squared is 4.5e-311, whose inverse overflows; the segment
+        # counts as zero-length, which errs by about its own length
+        tip = 6.709607484364434e-156j
+        seg = convex_hull(np.array([0j, tip]))
+        assert seg.kind == SEGMENT
+        got = signed_distance(seg, np.array([0j, tip, 1 + 0j]))
+        assert np.abs(got - [0.0, 0.0, 1.0]).max() <= 2 * abs(tip)
+
     @settings(max_examples=60, deadline=None)
     @given(planar_points, plane_point)
     def test_nearest_boundary_point(self, pts, z):
@@ -246,20 +254,6 @@ class TestSeparation:
         # affine witness: negative at z, nonnegative on every vertex
         assert hp.value(z) > 0
         assert np.all(hp.value(hull.vertices) < 0)
-
-
-class TestHausdorff:
-    def test_identical_sets(self):
-        pts = np.array([0, 1, 1j])
-        assert hausdorff_distance(pts, pts) == 0.0
-
-    def test_singletons(self):
-        assert hausdorff_distance(np.array([0j]), np.array([3 + 4j])) == pytest.approx(5.0)
-
-    def test_concentric_circles(self):
-        t = np.linspace(0, 2 * np.pi, 4000, endpoint=False)
-        a = np.exp(1j * t)
-        assert hausdorff_distance(a, 1.1 * a) == pytest.approx(0.1, abs=1e-3)
 
 
 class TestBoundaryPoints:

@@ -1,0 +1,26 @@
+"""The package starts without scipy, and the scripts load against its names."""
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_no_scipy_at_run_time():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import juliahull, juliahull.cli, juliahull.scene; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("script", ["convergence_study.py", "render_gallery.py"])
+def test_scripts_import(script):
+    # a name other than __main__ runs the imports and definitions only
+    namespace = runpy.run_path(str(ROOT / "scripts" / script),
+                               run_name="script_under_test")
+    assert callable(namespace["main"])

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import ndimage
+from scipy.spatial import cKDTree
 
 import juliahull.julia as julia_mod
 from juliahull import (
@@ -14,15 +17,32 @@ from juliahull import (
     escape_grid,
     escape_radius,
     evaluate,
-    hausdorff_distance,
-    holo_hull_fill,
     monomial,
     polygon_hausdorff,
-    rasterize_points,
     sample_julia,
     to_pgm,
 )
 from juliahull.julia import BURN_IN, JULIA_SAMPLE, SamplingError, _run_orbits
+
+
+def _hausdorff(a, b):
+    """Symmetric sup-inf distance between two point clouds."""
+    pa, pb = (np.column_stack([z.real, z.imag]) for z in (a, b))
+    return max(cKDTree(pb).query(pa)[0].max(), cKDTree(pa).query(pb)[0].max())
+
+
+def _sample_raster(cloud, grid):
+    """``grid``'s cell layout, with the cells that hold a sample point true."""
+    ix = np.round((cloud.points.real - grid.origin_real) / grid.cell_size).astype(int)
+    iy = np.round((cloud.points.imag - grid.origin_imag) / grid.cell_size).astype(int)
+    cells = np.zeros_like(grid.cells)
+    cells[np.clip(iy, 0, grid.height - 1), np.clip(ix, 0, grid.width - 1)] = True
+    return replace(grid, cells=cells)
+
+
+def _fill_holes(raster):
+    """Empty cells unreachable from the border turn true."""
+    return replace(raster, cells=ndimage.binary_fill_holes(raster.cells))
 
 
 def _count_solves(monkeypatch):
@@ -124,7 +144,7 @@ class TestSampleJulia:
         q = conjugate(basilica, g)
         base = sample_julia(basilica, 50_000, seed=8)
         moved = sample_julia(q, 50_000, seed=8)
-        dist = hausdorff_distance(g.a * base.points + g.b, moved.points)
+        dist = _hausdorff(g.a * base.points + g.b, moved.points)
         diam = convex_hull(moved).diameter
         assert dist <= 1e-2 * diam
 
@@ -258,30 +278,14 @@ class TestEscapeGridEarlyExit:
 
 
 class TestHoloHullFill:
-    def test_idempotent_on_escape_grid(self, squaring):
-        grid = escape_grid(squaring, resolution=256, max_iter=100)
-        filled = holo_hull_fill(grid)
-        assert np.array_equal(filled.cells, grid.cells)
-
-    def test_annulus_becomes_disk(self):
-        n = 128
-        ys, xs = np.mgrid[0:n, 0:n]
-        r = np.hypot(xs - n / 2, ys - n / 2)
-        ring = (r >= 30) & (r <= 36)
-        grid = julia_mod.EscapeGrid(
-            origin_real=-1.0, origin_imag=-1.0, cell_size=2.0 / n,
-            width=n, height=n, cells=ring, radius=1.0, max_iter=0)
-        filled = holo_hull_fill(grid)
-        disk = r <= 36
-        assert np.array_equal(filled.cells, disk)
+    """A sample rastered on the escape grid's cells, with its holes filled."""
 
     def test_filled_circle_cloud_matches_escape_area(self, squaring):
         # smooth boundary: the filled sample reproduces the bounded set's area
         cloud = sample_julia(squaring, 100_000, seed=3)
-        resolution = 512
-        raster = rasterize_points(cloud, resolution, escape_radius(squaring))
-        filled = holo_hull_fill(raster)
-        grid = escape_grid(squaring, resolution=resolution, max_iter=200)
+        grid = escape_grid(squaring, resolution=512, max_iter=200)
+        raster = _sample_raster(cloud, grid)
+        filled = _fill_holes(raster)
         assert filled.bounded_area() == pytest.approx(grid.bounded_area(), rel=0.03)
 
     def test_filled_basilica_cloud_covers_escape_raster(self, basilica):
@@ -289,10 +293,9 @@ class TestHoloHullFill:
         # meaningless, but the fill must cover the bounded raster exactly and
         # overshoot by at most the band itself
         cloud = sample_julia(basilica, 200_000, seed=3)
-        resolution = 128
-        raster = rasterize_points(cloud, resolution, escape_radius(basilica))
-        filled = holo_hull_fill(raster)
-        grid = escape_grid(basilica, resolution=resolution, max_iter=300)
+        grid = escape_grid(basilica, resolution=128, max_iter=300)
+        raster = _sample_raster(cloud, grid)
+        filled = _fill_holes(raster)
         assert not np.any(grid.cells & ~filled.cells)
         cell2 = raster.cell_size ** 2
         excess = (filled.cells & ~grid.cells).sum() * cell2
