@@ -2,7 +2,9 @@
 
 from .polynomial import (
     AffineMap,
+    ParseError,
     Polynomial,
+    PolySpec,
     chebyshev,
     compose,
     conjugate,
@@ -12,6 +14,7 @@ from .polynomial import (
     format_complex,
     format_polynomial,
     monomial,
+    parse_polynomial,
 )
 from .roots import (
     NoRepellingFixedPointError,
@@ -59,6 +62,5 @@ from .checks import (
     classify_equality,
     run_checks,
 )
-from .cli import ParseError, PolySpec, parse_polynomial, run_suite
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ from .geometry import (
     classify_shape,
     convex_hull,
     decimate,
-    distance_to_segments,
     signed_distance,
     worst_signed_distance,
 )
@@ -56,10 +55,6 @@ ALL_CHECKS = (BACKWARD_INCLUSION, CRITICAL_IN_HULL, FILLED_IN_HULL,
 
 # Coefficient agreement required to accept a normal-form match.
 _MATCH_TOL = 1e-6
-
-# Decimation budget for distance queries against huge hulls; 1% of the
-# check tolerance, so it never influences verdicts.
-_QUERY_EPS_REL = 1e-5
 
 
 class EqualityUnresolvedError(RuntimeError):
@@ -123,6 +118,14 @@ class CheckReport:
 
 @dataclass(eq=False)
 class Classification:
+    """Outcome of classify_equality; ``to_dict`` keeps the first four fields.
+
+    On an equality kind, g = ``conjugation`` turns p into the normal form
+    ``sign_or_c`` T_d (sign +-1) or c z^d (|c| = 1).  ``hull_gap`` is the
+    largest distance from p(boundary of H) to that boundary, in the image
+    plane; ``match_residual`` belongs to a rejected shape candidate.
+    """
+
     kind: str
     conjugation: Optional[AffineMap]
     sign_or_c: Optional[complex]
@@ -161,7 +164,8 @@ def build_context(p: Polynomial, cfg: CheckConfig) -> HullContext:
     cloud = sample_julia(p, cfg.julia_samples, cfg.seed, tol=cfg.residual_tol)
     hull = convex_hull(cloud)
     diam = hull.diameter
-    query = decimate(hull, _QUERY_EPS_REL * max(diam, 1e-300))
+    # distance queries run against a hull decimated to 1% of the tolerance
+    query = decimate(hull, cfg.tol_rel / 100 * max(diam, 1e-300))
     grid = escape_grid(p, cfg.grid_resolution, cfg.grid_max_iter)
     return HullContext(p, cloud, hull, query, diam, grid)
 
@@ -329,47 +333,22 @@ def check_half_plane_surjectivity(p: Polynomial, cfg: CheckConfig,
                    target_grid, flat)
 
 
-def _match_chains(fibers: np.ndarray) -> np.ndarray:
-    """Order each fiber so branch k stays continuous along the target walk.
+def _boundary_image_gap(p: Polynomial, hull: ConvexPolygon,
+                        query: ConvexPolygon, m: int) -> float:
+    """Largest distance between p(boundary of the hull) and that boundary.
 
-    ``fibers`` is (m, d): the d preimages of m consecutive boundary samples.
-    Greedy nearest-neighbor matching between consecutive fibers returns
-    (d, m) polylines tracing the preimage curve of the hull boundary.
+    With p^-1(H) inside a convex H, equality holds exactly when p maps the
+    boundary of H into itself (open mapping theorem), so the distance
+    vanishes on the equality locus and measures the defect elsewhere.  An
+    image beyond |z| = 2R is pulled radially onto that circle: it still
+    lies at least R >= diam/2 outside H, and its distance stays finite.
     """
-    m, d = fibers.shape
-    chains = np.empty((d, m), dtype=np.complex128)
-    prev = fibers[0].copy()
-    chains[:, 0] = prev
-    for j in range(1, m):
-        row = fibers[j]
-        used = np.zeros(d, dtype=bool)
-        for k in range(d):
-            dist = np.abs(row - prev[k])
-            dist[used] = np.inf
-            pick = int(np.argmin(dist))
-            used[pick] = True
-            prev[k] = row[pick]
-        chains[:, j] = prev
-    return chains
-
-
-def _boundary_preimage_gap(p: Polynomial, hull: ConvexPolygon, m: int,
-                           tol: float) -> float:
-    """Max distance from the hull boundary to the preimage curve of that boundary.
-
-    Zero exactly when the boundary is covered by its own preimage (the
-    equality case); strict-inclusion polynomials leave inward bulges whose
-    depth this reports.  The preimage curve is approximated by the matched
-    branch polylines, so it stays dense even where the derivative vanishes.
-    The walk anchors at the extreme values (offset 0): their fibers hold
-    the critical points that join adjacent preimage branches.
-    """
-    wb = boundary_points(hull, m, offset=0.0)
-    fibers = preimage_fibers(p, wb, tol)
-    # the walk closes: matching the first fiber again adds the closing chords
-    chains = _match_chains(np.concatenate([fibers, fibers[:1]]))
-    gap = distance_to_segments(wb, chains[:, :-1].ravel(), chains[:, 1:].ravel())
-    return float(gap.max())
+    images = p(boundary_points(hull, m))
+    limit = 2.0 * escape_radius(p)
+    modulus = np.abs(images)
+    far = modulus > limit
+    images[far] *= limit / modulus[far]
+    return float(np.abs(signed_distance(query, images)).max())
 
 
 def _chebyshev_match(p: Polynomial, u: complex, v: complex):
@@ -397,16 +376,20 @@ def classify_equality(p: Polynomial, cfg: CheckConfig,
                       ctx: Optional[HullContext] = None) -> Classification:
     """Decide between strict preimage inclusion and the two equality families.
 
-    Step 1 measures how far the hull boundary recedes from its own preimage
-    curve; the distance vanishes exactly for hull-preserving polynomials.
-    Only on (near-)equality does step 2 fit the Julia sample as a segment
-    (Chebyshev normal form, either sign) or a circle (unimodular monomial
-    normal form) and verify the conjugated coefficients.
+    p^-1(H) = H holds only for conjugates of +-T_d and of c z^d, |c| = 1.
+    Step 1 tests it forward: the hull gap, the largest distance from
+    p(boundary of H) to that boundary, vanishes exactly on equality, and a
+    gap above tol_rel * diam reads StrictInclusion.  No anchor or branch
+    order enters, so the answer does not depend on how the hull is turned.
+    Only a gap within tolerance reaches step 2, which fits the Julia sample
+    as a segment (Chebyshev normal form, either sign) or a circle
+    (unimodular monomial normal form, after checking that hull-interior
+    samples stay bounded) and verifies the conjugated coefficients.  A
+    sample that fits neither raises EqualityUnresolvedError.
     """
     ctx = ctx or build_context(p, cfg)
     d = p.degree
-    gap = _boundary_preimage_gap(p, ctx.hull, cfg.boundary_samples,
-                                 cfg.residual_tol)
+    gap = _boundary_image_gap(p, ctx.hull, ctx.hull_query, cfg.boundary_samples)
     if gap > cfg.tol_rel * ctx.diameter:
         return Classification(STRICT_INCLUSION, None, None, None, hull_gap=gap)
     shape = classify_shape(ctx.cloud.points, cfg.tol_rel)
@@ -438,7 +421,10 @@ def classify_equality(p: Polynomial, cfg: CheckConfig,
         return Classification(STRICT_INCLUSION, None, None, None,
                               hull_gap=gap, match_residual=resid)
     raise EqualityUnresolvedError(
-        "equality without segment/circle shape - increase n")
+        f"hull gap {gap / ctx.diameter:.3g} x diameter is within tol_rel "
+        f"{cfg.tol_rel:g}, but the Julia sample fits neither a segment nor a "
+        "circle; lower --tol to test for strict inclusion, or increase n "
+        "(--n) to sharpen the fit")
 
 
 def run_checks(p: Polynomial, cfg: CheckConfig,

@@ -16,7 +16,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,10 +36,16 @@ from .checks import (
     run_checks,
 )
 from .julia import SamplingError
-from .polynomial import Polynomial, chebyshev, escape_radius, format_complex, monomial
+from .polynomial import (  # noqa: F401  (parse_complex: part of this module's API)
+    ParseError,
+    Polynomial,
+    PolySpec,
+    escape_radius,
+    format_complex,
+    parse_complex,
+    parse_polynomial,
+)
 from .roots import RootSolveError
-
-_PRESETS = ("cheb", "negcheb", "monomial", "quad")
 
 # Largest escape radius R accepted.  Geometry squares coordinates up to
 # about 2.1 R, which overflows double precision from R near 1e153 on.
@@ -50,88 +55,9 @@ _MAX_ESCAPE_RADIUS = 1e150
 # (see _start_circle_log10) stays below 1e308.
 _MAX_START_LOG10 = 308.0
 
-_FLOAT_PATTERN = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(
-    rf"^(?P<re>{_FLOAT_PATTERN})(?:(?P<im>[+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)i)?$"
-)
 # A coefficient list may start with a minus sign ("-1,0,2"); argparse would
 # read such a separate --poly value as a flag.
 _NEGATIVE_VALUE_RE = re.compile(r"^-[\d.]")
-
-
-class ParseError(ValueError):
-    """Malformed polynomial text; ``column`` is 1-based."""
-
-    def __init__(self, message: str, column: int):
-        super().__init__(f"{message} (column {column})")
-        self.column = column
-
-
-@dataclass(eq=False)
-class PolySpec:
-    """Parsed CLI polynomial: original text, coefficients, optional preset tag."""
-
-    source: str
-    polynomial: Polynomial
-    preset: Optional[str] = None
-
-
-def parse_complex(token: str, column: int = 1) -> complex:
-    m = _COMPLEX_RE.match(token)
-    if not m:
-        raise ParseError(f"malformed complex literal {token!r}", column)
-    re_part = float(m.group("re"))
-    im_part = float(m.group("im")) if m.group("im") else 0.0
-    return complex(re_part, im_part)
-
-
-def _parse_preset(text: str) -> PolySpec:
-    head, _, rest = text.partition(":")
-    if head == "quad":
-        c = parse_complex(rest, column=len(head) + 2)
-        return PolySpec(text, Polynomial([c, 0.0, 1.0]), preset=text)
-    if head in ("cheb", "negcheb"):
-        if not rest.isdigit():
-            raise ParseError(f"preset degree must be an integer, got {rest!r}",
-                             len(head) + 2)
-        d = int(rest)
-        if d < 1:
-            raise ParseError("preset degree must be >= 1", len(head) + 2)
-        p = chebyshev(d)
-        if head == "negcheb":
-            p = Polynomial(-p.coeffs)
-        return PolySpec(text, p, preset=text)
-    # monomial:c,d
-    c_text, comma, d_text = rest.rpartition(",")
-    if not comma or not d_text.isdigit():
-        raise ParseError("monomial preset needs the form monomial:c,d",
-                         len(head) + 2)
-    c = parse_complex(c_text, column=len(head) + 2)
-    d = int(d_text)
-    if d < 1 or abs(c) == 0.0:
-        raise ParseError("monomial preset needs d >= 1 and c != 0",
-                         len(head) + 2)
-    return PolySpec(text, monomial(c, d), preset=text)
-
-
-def parse_polynomial(text: str) -> PolySpec:
-    """Parse a coefficient list ('-1,0,2') or a preset ('cheb:3')."""
-    if not text:
-        raise ParseError("empty polynomial text", 1)
-    head = text.split(":", 1)[0]
-    if head in _PRESETS:
-        return _parse_preset(text)
-    coeffs = []
-    column = 1
-    for token in text.split(","):
-        if not token:
-            raise ParseError("empty coefficient", column)
-        coeffs.append(parse_complex(token, column))
-        column += len(token) + 1
-    try:
-        return PolySpec(text, Polynomial(coeffs))
-    except ValueError as exc:
-        raise ParseError(str(exc), 1) from None
 
 
 # Inert aliases: checks.run_checks runs the checks, but the benchmark harness

@@ -395,30 +395,25 @@ def separating_half_plane(polygon: ConvexPolygon, z: complex) -> HalfPlane:
     return HalfPlane(normal, offset)
 
 
-def boundary_points(polygon: ConvexPolygon, count: int,
-                    offset: float = 0.5) -> np.ndarray:
+def boundary_points(polygon: ConvexPolygon, count: int) -> np.ndarray:
     """Arc-length uniform boundary sample (linear for a segment).
 
-    The default midpoint ``offset`` keeps samples off the vertices, so
-    extreme points are approached but never duplicated; ``offset=0``
-    anchors the walk at vertex 0 (and, for a segment, includes both
-    endpoints), which matters when fibers of the extreme values themselves
-    are wanted.
+    Samples sit at the midpoints of ``count`` equal steps, so they stay off
+    the vertices: extreme points are approached but never duplicated.
     """
     if count < 1:
         raise ValueError("need at least one boundary sample")
     if polygon.kind == POINT:
         return np.full(count, polygon.vertices[0])
+    t = (np.arange(count) + 0.5) / count
     if polygon.kind == SEGMENT:
         a, b = polygon.vertices
-        if offset == 0.0:
-            return a + np.linspace(0.0, 1.0, count) * (b - a)
-        return a + ((np.arange(count) + offset) / count) * (b - a)
+        return a + t * (b - a)
     v = polygon.vertices
     e = np.roll(v, -1) - v
     lengths = np.abs(e)
     cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    s = ((np.arange(count) + offset) / count) * cum[-1]
+    s = t * cum[-1]
     idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, v.size - 1)
     frac = (s - cum[idx]) / lengths[idx]
     return v[idx] + frac * e[idx]

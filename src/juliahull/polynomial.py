@@ -2,11 +2,14 @@
 
 Coefficients are stored in ascending power order (index j holds the
 coefficient of z**j), which makes Horner evaluation a reverse fold over
-the array.
+the array.  ``parse_polynomial`` reads the text form used on the command
+line: a coefficient list or a preset.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -175,3 +178,86 @@ def format_complex(z: complex) -> str:
 def format_polynomial(p: Polynomial) -> str:
     """Comma-separated ascending coefficient list (round-trips through parsing)."""
     return ",".join(format_complex(c) for c in p.coeffs)
+
+
+_PRESETS = ("cheb", "negcheb", "monomial", "quad")
+
+_FLOAT_PATTERN = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_COMPLEX_RE = re.compile(
+    rf"^(?P<re>{_FLOAT_PATTERN})(?:(?P<im>[+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)i)?$"
+)
+
+
+class ParseError(ValueError):
+    """Malformed polynomial text; ``column`` is 1-based."""
+
+    def __init__(self, message: str, column: int):
+        super().__init__(f"{message} (column {column})")
+        self.column = column
+
+
+@dataclass(eq=False)
+class PolySpec:
+    """Parsed CLI polynomial: original text, coefficients, optional preset tag."""
+
+    source: str
+    polynomial: Polynomial
+    preset: Optional[str] = None
+
+
+def parse_complex(token: str, column: int = 1) -> complex:
+    m = _COMPLEX_RE.match(token)
+    if not m:
+        raise ParseError(f"malformed complex literal {token!r}", column)
+    re_part = float(m.group("re"))
+    im_part = float(m.group("im")) if m.group("im") else 0.0
+    return complex(re_part, im_part)
+
+
+def _parse_preset(text: str) -> PolySpec:
+    head, _, rest = text.partition(":")
+    if head == "quad":
+        c = parse_complex(rest, column=len(head) + 2)
+        return PolySpec(text, Polynomial([c, 0.0, 1.0]), preset=text)
+    if head in ("cheb", "negcheb"):
+        if not rest.isdigit():
+            raise ParseError(f"preset degree must be an integer, got {rest!r}",
+                             len(head) + 2)
+        d = int(rest)
+        if d < 1:
+            raise ParseError("preset degree must be >= 1", len(head) + 2)
+        p = chebyshev(d)
+        if head == "negcheb":
+            p = Polynomial(-p.coeffs)
+        return PolySpec(text, p, preset=text)
+    # monomial:c,d
+    c_text, comma, d_text = rest.rpartition(",")
+    if not comma or not d_text.isdigit():
+        raise ParseError("monomial preset needs the form monomial:c,d",
+                         len(head) + 2)
+    c = parse_complex(c_text, column=len(head) + 2)
+    d = int(d_text)
+    if d < 1 or abs(c) == 0.0:
+        raise ParseError("monomial preset needs d >= 1 and c != 0",
+                         len(head) + 2)
+    return PolySpec(text, monomial(c, d), preset=text)
+
+
+def parse_polynomial(text: str) -> PolySpec:
+    """Parse a coefficient list ('-1,0,2') or a preset ('cheb:3')."""
+    if not text:
+        raise ParseError("empty polynomial text", 1)
+    head = text.split(":", 1)[0]
+    if head in _PRESETS:
+        return _parse_preset(text)
+    coeffs = []
+    column = 1
+    for token in text.split(","):
+        if not token:
+            raise ParseError("empty coefficient", column)
+        coeffs.append(parse_complex(token, column))
+        column += len(token) + 1
+    try:
+        return PolySpec(text, Polynomial(coeffs))
+    except ValueError as exc:
+        raise ParseError(str(exc), 1) from None

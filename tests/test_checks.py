@@ -26,16 +26,21 @@ from juliahull import (
     sample_julia,
     signed_distance,
 )
+from juliahull import checks
 from juliahull.checks import (
     CHEBYSHEV_CONJUGATE,
     INCONCLUSIVE,
     MONOMIAL_CONJUGATE,
     PASS,
     STRICT_INCLUSION,
-    _boundary_preimage_gap,
+    _boundary_image_gap,
     _report,
 )
 from juliahull.geometry import HalfPlane
+
+# +-T_d bases for the quarter-turn conjugates
+CHEBYSHEV_BASES = {f"T{d}": chebyshev(d) for d in range(2, 6)}
+CHEBYSHEV_BASES["-T3"] = Polynomial(-chebyshev(3).coeffs)
 
 
 class TestCheckConfig:
@@ -61,6 +66,16 @@ class TestCheckConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             CheckConfig(**kwargs)
+
+
+def test_query_hull_decimation_follows_tolerance():
+    # the decimated query hull stays within 1% of the tolerance of the hull
+    cfg = CheckConfig(julia_samples=5_000, tol_rel=1e-5, seed=3,
+                      grid_resolution=64, grid_max_iter=50)
+    ctx = build_context(monomial(1, 2), cfg)
+    assert ctx.hull_query.vertices.size < ctx.hull.vertices.size
+    budget = cfg.tol_rel / 100 * ctx.diameter
+    assert np.abs(signed_distance(ctx.hull_query, ctx.hull.vertices)).max() <= budget
 
 
 @pytest.mark.parametrize("worst", [np.nan, np.inf])
@@ -254,8 +269,22 @@ class TestClassifyEquality:
         cfg = CheckConfig(seed=1)
         grid = escape_grid(p, resolution=1024, max_iter=300)
         hull = convex_hull(boundary_cells(grid))
-        gap = _boundary_preimage_gap(p, hull, 512, 1e-10)
+        gap = _boundary_image_gap(p, hull, hull, 512)
         assert gap > 10 * cfg.tol_rel * hull.diameter
+
+    @pytest.mark.parametrize("turn", [1, 1j, -1, -1j],
+                             ids=["0deg", "90deg", "180deg", "270deg"])
+    @pytest.mark.parametrize("base", list(CHEBYSHEV_BASES))
+    def test_chebyshev_kind_survives_quarter_turns(self, base, turn):
+        # exact quarter turns z -> e^{i theta} z: a vertical or horizontal
+        # segment sample hulls to a sliver whose vertex order rounding decides
+        cfg = CheckConfig(julia_samples=20_000, seed=0, grid_resolution=64,
+                          grid_max_iter=50)
+        p = conjugate(CHEBYSHEV_BASES[base], AffineMap(turn))
+        ctx = build_context(p, cfg)
+        cls = classify_equality(p, cfg, ctx)
+        assert cls.kind == CHEBYSHEV_CONJUGATE
+        assert cls.hull_gap <= 0.01 * cfg.tol_rel * ctx.diameter
 
     def test_negated_chebyshev_sign(self):
         cfg = CheckConfig(seed=2)
@@ -297,13 +326,15 @@ class TestClassifyEquality:
         with pytest.raises(EqualityUnresolvedError, match="increase n"):
             classify_equality(squaring, cfg, ctx)
 
-    def test_escaping_interior_exposes_false_circle_candidate(self, squaring):
+    def test_escaping_interior_exposes_false_circle_candidate(self, squaring,
+                                                               monkeypatch):
         # doctored context: the cloud still fits the unit circle and the
-        # boundary gap still vanishes, but the query hull is moved off J_p,
-        # so its interior samples escape
+        # boundary gap is forced to vanish, but the query hull is moved off
+        # J_p, so its interior samples escape
         cfg = CheckConfig(julia_samples=20_000, seed=5)
         ctx = build_context(squaring, cfg)
         assert classify_equality(squaring, cfg, ctx).kind == MONOMIAL_CONJUGATE
+        monkeypatch.setattr(checks, "_boundary_image_gap", lambda *args: 0.0)
         ctx.hull_query = convex_hull(ctx.cloud.points + 1.5)
         cls = classify_equality(squaring, cfg, ctx)
         assert cls.kind == STRICT_INCLUSION

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -165,6 +166,25 @@ class TestCommands:
                      "--res", "128", "--seed", "11"])
         assert code == 0
         assert json.loads(out.read_text())[-1]["kind"] == kind
+
+    def test_vertical_chebyshev_segment_classifies(self, tmp_path):
+        # z^3 + 3z is -T_3 conjugated by z = (i/2) w; its Julia set is [-2i, 2i]
+        out = tmp_path / "cls.json"
+        assert main(["classify", "--poly", "0,3,0,1", "--out", str(out), "--n",
+                     "20000", "--res", "64", "--max-iter", "50"]) == 0
+        assert json.loads(out.read_text())["kind"] == "ChebyshevConjugate"
+
+    @pytest.mark.parametrize("poly", ["0.01,0,1", "0,0+0.01i,0,1"])
+    def test_unresolved_equality_states_gap_and_tolerance(self, capsys, poly):
+        # strict inclusions whose hull gap lies below the default tolerance
+        argv = ["classify", "--poly", poly, "--n", "20000", "--res", "64",
+                "--max-iter", "50"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"hull gap \S+ x diameter is within tol_rel 0\.001", err)
+        assert "lower --tol" in err and "increase n" in err
+        assert main(argv + ["--tol", "1e-5"]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "StrictInclusion"
 
     def test_deterministic_bytes(self, tmp_path):
         paths = [tmp_path / f"run{i}.json" for i in range(2)]

@@ -267,11 +267,6 @@ class TestBoundaryPoints:
         pts = boundary_points(seg, 8)
         assert np.abs(pts).max() < 1.0
 
-    def test_segment_anchored_walk_includes_endpoints(self):
-        seg = convex_hull(np.array([-1.0, 1.0]))
-        pts = boundary_points(seg, 8, offset=0.0)
-        assert pts[0] == -1.0 and pts[-1] == 1.0
-
 
 class TestDecimate:
     def test_stays_within_budget(self):

@@ -1,4 +1,6 @@
-"""The package starts without scipy, and the scripts load against its names."""
+"""The package starts without scipy or the CLI, and the scripts load against its names."""
+import json
+import os
 import runpy
 import subprocess
 import sys
@@ -24,3 +26,23 @@ def test_scripts_import(script):
     namespace = runpy.run_path(str(ROOT / "scripts" / script),
                                run_name="script_under_test")
     assert callable(namespace["main"])
+
+
+def test_package_import_leaves_cli_out():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import juliahull; "
+            "print('juliahull.cli' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_module_runs_under_warnings_as_errors():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-W", "error", "-m", "juliahull.cli", "classify",
+            "--poly", "quad:-1+0i", "--n", "2000", "--res", "64",
+            "--max-iter", "50"]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["kind"] == "StrictInclusion"
