@@ -22,9 +22,15 @@ from .geometry import (
     convex_hull,
     decimate,
     signed_distance,
-    worst_signed_distance,
 )
-from .julia import EscapeGrid, PointCloud, _bounded, escape_grid, sample_julia
+from .julia import (
+    EscapeGrid,
+    PointCloud,
+    _bounded,
+    boundary_cells,
+    escape_grid,
+    sample_julia,
+)
 from .polynomial import (
     AffineMap,
     Polynomial,
@@ -185,18 +191,18 @@ def _interior_points(hull: ConvexPolygon, count: int,
     return weights @ v
 
 
-def _report(check: str, cfg: CheckConfig, p: Polynomial, worst, diam: float,
+def _report(check: str, cfg: CheckConfig, p: Polynomial, diam: float,
             candidates: np.ndarray, violations: np.ndarray, note: str = "") -> CheckReport:
-    """Assemble verdict and up-to-10 worst witnesses from violation values."""
+    """Verdict on the largest violation, with up to 10 worst witnesses on Fail."""
+    worst = violations.max()
     if not math.isfinite(worst):
         return _inconclusive(check, cfg, p, f"worst violation is {worst}")
     tol = cfg.tol_rel * diam
     verdict = PASS if worst <= tol else FAIL
     witnesses: list = []
     if verdict == FAIL:
-        order = np.argsort(violations)[::-1]
-        bad = [complex(candidates[i]) for i in order[:10] if violations[i] > tol]
-        witnesses = bad if bad else [complex(candidates[order[0]])]
+        order = np.argsort(violations)[::-1][:10]
+        witnesses = [complex(candidates[i]) for i in order if violations[i] > tol]
     return CheckReport(check, verdict, float(worst), witnesses, cfg,
                        format_polynomial(p), note)
 
@@ -218,9 +224,9 @@ def check_backward_inclusion(p: Polynomial, cfg: CheckConfig,
         fibers = preimage_fibers(p, targets, cfg.residual_tol)
     except RootSolveError as exc:
         return _inconclusive(BACKWARD_INCLUSION, cfg, p, str(exc))
-    worst, offenders, values = worst_signed_distance(ctx.hull_query, fibers.ravel())
-    return _report(BACKWARD_INCLUSION, cfg, p, worst, ctx.diameter,
-                   offenders, values)
+    points = fibers.ravel()
+    return _report(BACKWARD_INCLUSION, cfg, p, ctx.diameter, points,
+                   signed_distance(ctx.hull_query, points))
 
 
 def check_critical_in_hull(p: Polynomial, cfg: CheckConfig,
@@ -231,24 +237,31 @@ def check_critical_in_hull(p: Polynomial, cfg: CheckConfig,
         crit = critical_points(p, cfg.residual_tol)
     except RootSolveError as exc:
         return _inconclusive(CRITICAL_IN_HULL, cfg, p, str(exc))
-    sd = signed_distance(ctx.hull_query, crit.roots)
-    return _report(CRITICAL_IN_HULL, cfg, p, sd.max(), ctx.diameter,
-                   crit.roots, sd)
+    return _report(CRITICAL_IN_HULL, cfg, p, ctx.diameter, crit.roots,
+                   signed_distance(ctx.hull_query, crit.roots))
 
 
 def check_filled_in_hull(p: Polynomial, cfg: CheckConfig,
                          ctx: Optional[HullContext] = None) -> CheckReport:
-    """Bounded-orbit raster cells must sit inside the hull (cell diagonal slack)."""
+    """Bounded-orbit raster cells must sit inside the hull (cell diagonal slack).
+
+    Signed distance to a convex polygon is convex, and a bounded cell with
+    four bounded neighbours is the midpoint of two of them, so the largest
+    violation lies on a boundary cell.  On Fail every bounded cell is
+    measured, so the witnesses rank interior cells too.
+    """
     ctx = ctx or build_context(p, cfg)
     grid = ctx.grid
-    centers = grid.true_centers()
+    centers = boundary_cells(grid)
     slack = grid.cell_size * math.sqrt(2.0)
     if centers.size == 0:
         return CheckReport(FILLED_IN_HULL, PASS, -slack, [], cfg,
                            format_polynomial(p), "raster holds no bounded cells")
-    worst, offenders, values = worst_signed_distance(ctx.hull_query, centers)
-    return _report(FILLED_IN_HULL, cfg, p, worst - slack, ctx.diameter,
-                   offenders, values - slack)
+    violations = signed_distance(ctx.hull_query, centers) - slack
+    if violations.max() > cfg.tol_rel * ctx.diameter:
+        centers = grid.true_centers()
+        violations = signed_distance(ctx.hull_query, centers) - slack
+    return _report(FILLED_IN_HULL, cfg, p, ctx.diameter, centers, violations)
 
 
 def check_preimage_convexity(p: Polynomial, cfg: CheckConfig,
@@ -290,9 +303,10 @@ def check_preimage_convexity(p: Polynomial, cfg: CheckConfig,
         fibers = preimage_fibers(p, mixed, cfg.residual_tol)
     except RootSolveError as exc:
         return _inconclusive(PREIMAGE_CONVEXITY, cfg, p, str(exc))
-    worst, offenders, values = worst_signed_distance(ctx.hull_query, fibers.ravel())
-    return _report(PREIMAGE_CONVEXITY, cfg, p, worst, ctx.diameter,
-                   offenders, values, note=f"{pairs} admissible pairs tested")
+    points = fibers.ravel()
+    return _report(PREIMAGE_CONVEXITY, cfg, p, ctx.diameter, points,
+                   signed_distance(ctx.hull_query, points),
+                   note=f"{pairs} admissible pairs tested")
 
 
 def check_half_plane_surjectivity(p: Polynomial, cfg: CheckConfig,
@@ -326,11 +340,9 @@ def check_half_plane_surjectivity(p: Polynomial, cfg: CheckConfig,
     offsets = (pivots * np.conj(normals)).real
     best = proj.max(axis=2)
     shortfall = offsets[:, None] - best
-    worst = shortfall.max()
-    flat = shortfall.ravel()
     target_grid = np.broadcast_to(ys[None, :], shortfall.shape).ravel()
-    return _report(HALF_PLANE_SURJECTIVITY, cfg, p, worst, ctx.diameter,
-                   target_grid, flat)
+    return _report(HALF_PLANE_SURJECTIVITY, cfg, p, ctx.diameter,
+                   target_grid, shortfall.ravel())
 
 
 def _boundary_image_gap(p: Polynomial, hull: ConvexPolygon,

@@ -4,8 +4,9 @@ Verbs: ``check`` (five hull checks), ``classify`` (equality classifier),
 ``suite`` (checks plus classifier), ``render`` (SVG scene).  Reports go to
 stdout or ``--out`` as JSON (default) or CSV.
 
-Exit codes: 0 all passed, 1 some check failed, 2 usage error,
-3 inconclusive outcome (including a root solver or sampler failure).
+Exit codes: 0 all passed, 1 some check failed, 2 usage error or an
+unwritable output path, 3 inconclusive outcome (including a root solver
+or sampler failure).
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import json
 import math
 import re
 import sys
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -128,16 +130,20 @@ def _csv_text(docs: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _output(text: str, out: Optional[str]) -> None:
+    """Write ``text`` to the path ``out``, or to stdout when there is none."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(docs, fmt: str, out: Optional[str]) -> None:
     if fmt == "csv":
         text = _csv_text(docs if isinstance(docs, list) else [docs])
     else:
         text = json.dumps(docs, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _output(text, out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -234,16 +240,15 @@ def main(argv=None) -> int:
         # render
         from .scene import render_scene
         svg, grid = render_scene(spec.polynomial, spec.source, cfg)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(svg)
-        else:
-            sys.stdout.write(svg)
+        _output(svg, args.out)
         if args.raster_out:
             from .julia import to_pgm
-            with open(args.raster_out, "wb") as fh:
-                fh.write(to_pgm(grid))
+            Path(args.raster_out).write_bytes(to_pgm(grid))
         return 0
+    except OSError as exc:  # only the output writes touch the file system
+        print(f"juliahull: cannot write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     except EqualityUnresolvedError as exc:
         print(f"juliahull: {exc}", file=sys.stderr)
         return 3

@@ -332,29 +332,6 @@ def signed_distance(polygon: ConvexPolygon, z):
     return out.reshape(arr.shape)
 
 
-def worst_signed_distance(polygon: ConvexPolygon, points, top: int = 10):
-    """Largest signed distance over many points, with the worst offenders.
-
-    Returns ``(worst, offenders, values)``.  Against a many-vertex polygon,
-    points deep inside an inscribed disk are bounded by ``|z - o| - r_in``
-    (an upper bound on their signed distance, still negative) instead of
-    measured edge by edge; potential violators always get the exact value.
-    """
-    pts = _points_of(points)
-    if polygon.kind != PROPER or polygon.vertices.size <= 1024 or pts.size <= 4096:
-        sd = signed_distance(polygon, pts)
-    else:
-        center = complex(polygon.vertices.mean())
-        r_in = -signed_distance(polygon, center)
-        radial = np.abs(pts - center)
-        near = radial > 0.95 * r_in
-        sd = radial - r_in
-        if near.any():
-            sd[near] = signed_distance(polygon, pts[near])
-    order = np.argsort(sd)[::-1][:top]
-    return float(sd[order[0]]), pts[order], sd[order]
-
-
 def _boundary_offset(polygon: ConvexPolygon, z: complex) -> complex:
     """z minus its nearest boundary point.
 
@@ -565,21 +542,25 @@ def classify_shape(points, tol_rel: float = 1e-3):
     """Segment, circle or generic shape of a planar sample.
 
     The segment test runs first so a near-degenerate circle (huge radius)
-    still classifies as a segment.
+    still classifies as a segment.  It accepts a total-least-squares line
+    whose largest deviation is at most ``tol_rel`` times the fitted length,
+    the extent of the sample's projection onto that line.  Near the
+    threshold this length equals the sample's diameter to within a
+    relative ``2 tol_rel**2``.  The circle test bounds the largest radial
+    residual by ``tol_rel`` times the fitted radius.
     """
     pts = _points_of(points)
     if pts.size < 10:
         raise ValueError("shape classification needs at least 10 points")
     if not 0.0 < tol_rel < 0.1:
         raise ValueError("tol_rel must lie in (0, 0.1)")
-    hull = convex_hull(pts)
-    diam = hull.diameter
-    if diam == 0.0:
+    c, u, dev = fit_line(pts)
+    t = _inner(pts - c, u)
+    length = t.max() - t.min()
+    if length == 0.0:
         p = complex(pts[0])
         return SegmentShape(p, p)
-    c, u, dev = fit_line(pts)
-    if dev <= tol_rel * diam:
-        t = _inner(pts - c, u)
+    if dev <= tol_rel * length:
         return SegmentShape(complex(c + t.min() * u), complex(c + t.max() * u))
     center, radius, rad_dev = fit_circle(pts)
     if radius > 0.0 and rad_dev <= tol_rel * radius:

@@ -6,7 +6,9 @@ import pytest
 from juliahull import (
     AffineMap,
     CheckConfig,
+    ConvexPolygon,
     EqualityUnresolvedError,
+    EscapeGrid,
     Polynomial,
     build_context,
     chebyshev,
@@ -22,6 +24,7 @@ from juliahull import (
     escape_radius,
     monomial,
     boundary_cells,
+    parse_polynomial,
     preimages,
     sample_julia,
     signed_distance,
@@ -29,6 +32,7 @@ from juliahull import (
 from juliahull import checks
 from juliahull.checks import (
     CHEBYSHEV_CONJUGATE,
+    FAIL,
     INCONCLUSIVE,
     MONOMIAL_CONJUGATE,
     PASS,
@@ -36,7 +40,7 @@ from juliahull.checks import (
     _boundary_image_gap,
     _report,
 )
-from juliahull.geometry import HalfPlane
+from juliahull.geometry import PROPER, HalfPlane
 
 # +-T_d bases for the quarter-turn conjugates
 CHEBYSHEV_BASES = {f"T{d}": chebyshev(d) for d in range(2, 6)}
@@ -81,7 +85,7 @@ def test_query_hull_decimation_follows_tolerance():
 @pytest.mark.parametrize("worst", [np.nan, np.inf])
 def test_report_of_non_finite_worst_is_inconclusive(worst, fast_cfg):
     # NaN fails "worst <= tol" and would otherwise read as Fail
-    report = _report("backward_inclusion", fast_cfg, Polynomial([-1, 0, 1]), worst,
+    report = _report("backward_inclusion", fast_cfg, Polynomial([-1, 0, 1]),
                      1.0, np.zeros(1, dtype=complex), np.array([worst]))
     assert report.verdict == INCONCLUSIVE and report.worst_violation is None
     assert report.note
@@ -162,6 +166,39 @@ class TestFilledInHull:
     def test_segment_bounded_set(self, t2, fast_cfg):
         report = check_filled_in_hull(t2, fast_cfg)
         assert report.verdict == PASS
+
+    @pytest.mark.parametrize("poly", ["quad:-1+0i", "quad:-0.12+0.74i",
+                                      "quad:-0.39+0.59i", "monomial:1,2",
+                                      "monomial:0.6+0.8i,3", "cheb:4"])
+    def test_worst_equals_scan_of_every_bounded_cell(self, poly):
+        # the check measures boundary cells only; convexity makes that exact
+        p = parse_polynomial(poly).polynomial
+        cfg = CheckConfig(julia_samples=20_000, seed=1)
+        ctx = build_context(p, cfg)
+        report = check_filled_in_hull(p, cfg, ctx)
+        scan = signed_distance(ctx.hull_query, ctx.grid.true_centers()).max()
+        assert report.worst_violation == scan - ctx.grid.cell_size * np.sqrt(2)
+
+    def test_fail_witnesses_rank_interior_cells(self):
+        cfg = CheckConfig(julia_samples=5_000, seed=0, grid_resolution=64,
+                          grid_max_iter=50)
+        ctx = build_context(Polynomial([0, 0, 1]), cfg)
+        g = ctx.grid
+        cells = np.zeros_like(g.cells)
+        cells[20:40, 20:40] = True
+        ctx.grid = EscapeGrid(g.origin_real, g.origin_imag, g.cell_size,
+                              g.width, g.height, cells, g.radius, g.max_iter)
+        corner = complex(g.origin_real + 20 * g.cell_size,
+                         g.origin_imag + 20 * g.cell_size)
+        ctx.hull_query = ConvexPolygon(
+            corner - 0.05 - 0.05j + np.array([0, 0.01, 0.01j]), PROPER)
+        report = check_filled_in_hull(ctx.polynomial, cfg, ctx)
+        assert report.verdict == FAIL
+        slack = g.cell_size * np.sqrt(2)
+        every = signed_distance(ctx.hull_query, ctx.grid.true_centers()) - slack
+        # the block is symmetric, so compare values: tied cells may swap
+        found = signed_distance(ctx.hull_query, np.array(report.witnesses)) - slack
+        assert np.array_equal(np.sort(found), np.sort(every)[-10:])
 
     def test_direct_grid_scan_oracle(self, basilica):
         # every bounded cell center lies in the sampled hull (plus slack)

@@ -201,6 +201,17 @@ class TestCommands:
         assert len(lines) == 7  # header + five checks + classification
         assert lines[-1].startswith("classification,")
 
+    @pytest.mark.parametrize("verb,flag", [("check", "--out"), ("classify", "--out"),
+                                           ("render", "--raster-out")])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, verb, flag):
+        target = tmp_path / "missing" / "out"
+        extra = ["--out", str(tmp_path / "scene.svg")] if flag != "--out" else []
+        code = main([verb, "--poly", "quad:-1+0i", flag, str(target)] + extra + SMALL)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"juliahull: cannot write {target}: ")
+        assert "Traceback" not in err
+
     def test_classify_command(self, tmp_path):
         out = tmp_path / "cls.json"
         code = main(["classify", "--poly", "monomial:1,3", "--out", str(out)]

@@ -24,7 +24,6 @@ from juliahull.geometry import (
     distance_to_segments,
     fit_circle,
     fit_line,
-    worst_signed_distance,
 )
 
 planar_points = st.lists(
@@ -118,15 +117,6 @@ class TestSignedDistance:
         seg = convex_hull(np.array([-1.0, 1.0]))
         assert signed_distance(seg, 1j) == pytest.approx(1.0)
         assert signed_distance(seg, 0.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_worst_signed_distance_matches_exact(self):
-        rng = np.random.default_rng(8)
-        hull = convex_hull(np.exp(1j * rng.uniform(0, 2 * np.pi, 30_000)))
-        pts = rng.uniform(-1.2, 1.2, 9000) + 1j * rng.uniform(-1.2, 1.2, 9000)
-        worst, offenders, values = worst_signed_distance(hull, pts)
-        exact = signed_distance(hull, pts)
-        assert worst == pytest.approx(exact.max(), abs=1e-12)
-        assert values[0] == pytest.approx(exact.max(), abs=1e-12)
 
 
 def _plain_segment_distance(z: complex, a: complex, b: complex) -> float:

@@ -20,7 +20,8 @@ def test_no_scipy_at_run_time():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("script", ["convergence_study.py", "render_gallery.py"])
+@pytest.mark.parametrize("script", ["convergence_study.py", "output_digest.py",
+                                    "render_gallery.py"])
 def test_scripts_import(script):
     # a name other than __main__ runs the imports and definitions only
     namespace = runpy.run_path(str(ROOT / "scripts" / script),
