@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -161,7 +162,13 @@ class HullContext:
     hull: ConvexPolygon
     hull_query: ConvexPolygon
     diameter: float
-    grid: EscapeGrid
+    config: CheckConfig
+
+    @cached_property
+    def grid(self) -> EscapeGrid:
+        """The escape grid, built on first read: the classifier never reads it."""
+        return escape_grid(self.polynomial, self.config.grid_resolution,
+                           self.config.grid_max_iter)
 
 
 def build_context(p: Polynomial, cfg: CheckConfig) -> HullContext:
@@ -172,8 +179,7 @@ def build_context(p: Polynomial, cfg: CheckConfig) -> HullContext:
     diam = hull.diameter
     # distance queries run against a hull decimated to 1% of the tolerance
     query = decimate(hull, cfg.tol_rel / 100 * max(diam, 1e-300))
-    grid = escape_grid(p, cfg.grid_resolution, cfg.grid_max_iter)
-    return HullContext(p, cloud, hull, query, diam, grid)
+    return HullContext(p, cloud, hull, query, diam, cfg)
 
 
 def _rng(cfg: CheckConfig, stream: int) -> np.random.Generator:
@@ -201,7 +207,8 @@ def _report(check: str, cfg: CheckConfig, p: Polynomial, diam: float,
     verdict = PASS if worst <= tol else FAIL
     witnesses: list = []
     if verdict == FAIL:
-        order = np.argsort(violations)[::-1][:10]
+        # a stable sort lists exactly tied witnesses in candidate order
+        order = np.argsort(-violations, kind="stable")[:10]
         witnesses = [complex(candidates[i]) for i in order if violations[i] > tol]
     return CheckReport(check, verdict, float(worst), witnesses, cfg,
                        format_polynomial(p), note)

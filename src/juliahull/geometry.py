@@ -1,9 +1,19 @@
 """Planar convex geometry on complex points.
 
 Hulls come from a monotone chain over lexicographically sorted points,
-with an Akl-Toussaint prefilter so huge clouds stay cheap.  Distances,
-separation witnesses, the polygon Hausdorff distance and the
-degenerate-shape fits (line and circle) all live here.
+with an Akl-Toussaint prefilter so huge clouds stay cheap.  The chord from
+the first to the last sorted point splits the cloud into a lower and an
+upper chain.  Each chain, and then the closed cycle across its two seams,
+is reduced in rounds of one vectorized turn test over every consecutive
+triple.  A round drops every other member of each run of failing
+vertices, never two neighbours, since each of two neighbours can be
+collinear only through the other.  Tolerance contract: the vertices are
+input points in strictly convex ccw order, and every input point lies
+within 1e-12 * scale of the hull; a cluster inside ``_DUP_EPS * scale``
+keeps one representative, and a point dropped as collinear lies within
+about ``_TURN_EPS * scale`` of it.  Distances, separation witnesses, the
+polygon Hausdorff distance and the degenerate-shape fits (line and
+circle) all live here.
 """
 from __future__ import annotations
 
@@ -86,7 +96,7 @@ class ConvexPolygon:
             return 0.0
         if self.kind == SEGMENT:
             return abs(self.vertices[1] - self.vertices[0])
-        return _calipers_diameter(self.vertices.tolist())
+        return _antipodal_diameter(self.vertices)
 
     @cached_property
     def area(self) -> float:
@@ -119,23 +129,26 @@ class HalfPlane:
         return self.value(z) >= -tol
 
 
-def _calipers_diameter(pts: list) -> float:
-    n = len(pts)
-    if n == 2:
-        return abs(pts[1] - pts[0])
+def _antipodal_diameter(v: np.ndarray) -> float:
+    """Rotating calipers on a proper ccw polygon, all edges at once.
+
+    Edge k runs from vertex k to k + 1.  For edge i the calipers stop at
+    the first vertex j whose edge has turned by at least pi from edge i;
+    ``searchsorted`` on the unwrapped edge angles finds it up to rounding,
+    so the pairs (i, j - 1 .. j + 1) and (i + 1, j - 1 .. j + 1) are all
+    measured, each with hypot as ``abs`` of a Python complex measures it.
+    """
+    x, y = v.real, v.imag
+    n = v.size
+    angle = np.arctan2(np.roll(y, -1) - y, np.roll(x, -1) - x)
+    # every turn lies in (0, pi), so a drop below -pi/2 is a wrap past pi
+    angle += 2.0 * np.pi * np.concatenate(([0], np.cumsum(np.diff(angle) < -0.5 * np.pi)))
+    j = np.searchsorted(np.concatenate([angle, angle + 2.0 * np.pi]), angle + np.pi)
+    i = np.arange(n)
     best = 0.0
-    j = 1
-    for i in range(n):
-        ni = i + 1 if i + 1 < n else 0
-        e = pts[ni] - pts[i]
-        while True:
-            nj = j + 1 if j + 1 < n else 0
-            step = pts[nj] - pts[j]
-            if e.real * step.imag - e.imag * step.real > 0.0:
-                j = nj
-            else:
-                break
-        best = max(best, abs(pts[i] - pts[j]), abs(pts[ni] - pts[j]))
+    for a in (i, (i + 1) % n):
+        for b in ((j - 1) % n, j % n, (j + 1) % n):
+            best = max(best, float(np.hypot(x[a] - x[b], y[a] - y[b]).max()))
     return best
 
 
@@ -160,63 +173,89 @@ def _akl_toussaint_keep(pts: np.ndarray, scale: float) -> np.ndarray:
     return ~inside
 
 
-def _pops(o, a, q, eps_len: float) -> bool:
-    """Middle vertex a is dropped from the chain o -> a -> q.
+def _pop_mask(o, a, q, eps_len: float) -> np.ndarray:
+    """Mask of middle vertices a dropped from the triples o -> a -> q.
 
     True on a non-left turn (exact cross test) or when a lies within
     ``eps_len`` of the chord segment [o, q]; distance is measured to the
     segment, not the line, so far-away vertices over micro-chords survive.
+    Distances use hypot, as ``abs`` of a Python complex does.
     """
-    cross = ((a.real - o.real) * (q.imag - o.imag)
-             - (a.imag - o.imag) * (q.real - o.real))
-    if cross <= 0.0:
-        return True
+    rx, ry = a.real - o.real, a.imag - o.imag
     ex, ey = q.real - o.real, q.imag - o.imag
+    cross = rx * ey - ry * ex
     len2 = ex * ex + ey * ey
-    if len2 == 0.0:
-        return abs(a - o) <= eps_len
-    t = ((a.real - o.real) * ex + (a.imag - o.imag) * ey) / len2
-    if t <= 0.0:
-        dist = abs(a - o)
-    elif t >= 1.0:
-        dist = abs(a - q)
-    else:
-        dist = cross / (len2 ** 0.5)
-    return dist <= eps_len
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = np.divide(rx * ex + ry * ey, len2, out=np.zeros_like(len2),
+                      where=len2 != 0.0)
+        inner = cross / np.sqrt(len2)
+    dist = np.where(t <= 0.0, np.hypot(rx, ry),
+                    np.where(t >= 1.0, np.hypot(a.real - q.real, a.imag - q.imag), inner))
+    return (cross <= 0.0) | (dist <= eps_len)
 
 
-def _prune_cyclic(verts: list, scale: float) -> list:
-    """Drop near-duplicate and tolerance-collinear vertices around the cycle."""
+def _every_other(mask: np.ndarray) -> np.ndarray:
+    """The members at even offsets in each run of True: never two neighbours."""
+    idx = np.arange(mask.size)
+    start = mask & ~np.concatenate(([False], mask[:-1]))
+    first = np.maximum.accumulate(np.where(start, idx, 0))
+    return mask & ((idx - first) % 2 == 0)
+
+
+def _every_other_cyclic(mask: np.ndarray) -> np.ndarray:
+    """``_every_other`` around a cycle, whose last and first entries are neighbours."""
+    n = mask.size
+    if mask.all():
+        drop = np.zeros(n, dtype=bool)
+        drop[:n - n % 2:2] = True
+        return drop
+    shift = int(np.argmin(mask)) + 1  # a run never wraps past a False entry
+    return np.roll(_every_other(np.roll(mask, -shift)), shift)
+
+
+def _reduce_chain(c: np.ndarray, eps_len: float) -> np.ndarray:
+    """Drop popped vertices of an open chain in rounds; the two ends stay.
+
+    Each round drops every other member of each run of popped vertices.
+    Dropping two neighbours at once could lose a true vertex, when each
+    was collinear only through the other.
+    """
+    while c.size > 2:
+        drop = _every_other(_pop_mask(c[:-2], c[1:-1], c[2:], eps_len))
+        if not drop.any():
+            break
+        c = c[np.concatenate(([True], ~drop, [True]))]
+    return c
+
+
+def _reduce_cycle(v: np.ndarray, scale: float) -> np.ndarray:
+    """Drop near-duplicate, then popped vertices around the cycle, in rounds.
+
+    Of a near-duplicate pair the later vertex goes (the last one across
+    the seam), and no round drops two neighbours, the seam included.
+    """
     eps_len = _TURN_EPS * scale
-    dup = _DUP_EPS * scale
-    changed = True
-    while changed and len(verts) > 2:
-        changed = False
-        out: list = []
-        for q in verts:
-            if out and abs(q - out[-1]) <= dup:
-                changed = True
-                continue
-            while len(out) >= 2 and _pops(out[-2], out[-1], q, eps_len):
-                out.pop()
-                changed = True
-            out.append(q)
-        if len(out) >= 2 and abs(out[0] - out[-1]) <= dup:
-            out.pop()
-            changed = True
-        # turns across the seam are not seen by the sweep above
-        while len(out) > 2 and _pops(out[-2], out[-1], out[0], eps_len):
-            out.pop()
-            changed = True
-        while len(out) > 2 and _pops(out[-1], out[0], out[1], eps_len):
-            out.pop(0)
-            changed = True
-        verts = out
-    return verts
+    while v.size > 2:
+        prev = np.roll(v, 1)
+        near = np.hypot(v.real - prev.real, v.imag - prev.imag) <= _DUP_EPS * scale
+        if near.any():
+            near[-1] |= near[0]
+            near[0] = False
+            drop = near
+        else:
+            drop = _pop_mask(prev, v, np.roll(v, -1), eps_len)
+            if not drop.any():
+                break
+        v = v[~_every_other_cyclic(drop)]
+    return v
 
 
 def convex_hull(points) -> ConvexPolygon:
-    """Monotone-chain hull with collinear interior points removed."""
+    """Monotone-chain hull with collinear interior points removed.
+
+    The lower chain takes the points on or right of the chord from the
+    first to the last sorted point, the upper chain those on or left of it.
+    """
     pts = _points_of(points)
     scale = max(np.ptp(pts.real), np.ptp(pts.imag))
     if scale == 0.0:
@@ -232,20 +271,12 @@ def convex_hull(points) -> ConvexPolygon:
         kept = _akl_toussaint_keep(pts, scale)
         pts = pts[kept]
     eps_len = _TURN_EPS * scale
-    seq = pts.tolist()
-
-    def chain(seq_iter):
-        out = []
-        for q in seq_iter:
-            while len(out) >= 2 and _pops(out[-2], out[-1], q, eps_len):
-                out.pop()
-            out.append(q)
-        return out
-
-    lower = chain(seq)
-    upper = chain(reversed(seq))
-    hull = _prune_cyclic(lower[:-1] + upper[:-1], scale)
-    if len(hull) <= 2:
+    first, chord = pts[0], pts[-1] - pts[0]
+    side = chord.real * (pts.imag - first.imag) - chord.imag * (pts.real - first.real)
+    lower = _reduce_chain(pts[side <= 0.0], eps_len)
+    upper = _reduce_chain(pts[side >= 0.0][::-1], eps_len)
+    hull = _reduce_cycle(np.concatenate([lower[:-1], upper[:-1]]), scale)
+    if hull.size <= 2:
         # tolerance-collinear input: recover the true extremes by two sweeps,
         # the sort-order endpoints can sit anywhere along the line
         e1 = pts[np.argmax(np.abs(pts - pts[0]))]
@@ -254,8 +285,7 @@ def convex_hull(points) -> ConvexPolygon:
             return ConvexPolygon(np.array([e1]), POINT)
         ends = sorted([e1, e2], key=lambda z: (z.real, z.imag))
         return ConvexPolygon(np.array(ends), SEGMENT)
-    return ConvexPolygon(np.array(hull), PROPER)
-
+    return ConvexPolygon(hull, PROPER)
 
 def _inverse_len2(ex, ey):
     """1 / (ex^2 + ey^2) per segment, 0 for a zero-length one.

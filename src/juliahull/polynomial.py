@@ -83,11 +83,14 @@ def _horner(coeffs: np.ndarray, z):
     """Evaluate an ascending coefficient vector at z (scalar or array).
 
     One accumulator is updated in place, so no step allocates an array.
+    A zero coefficient is not added: that can only change the sign of a
+    zero result.
     """
     acc = np.full_like(z, coeffs[-1], dtype=np.complex128)
     for c in coeffs[-2::-1]:
         acc *= z
-        acc += c
+        if c != 0:
+            acc += c
     return acc
 
 

@@ -92,6 +92,15 @@ def test_report_of_non_finite_worst_is_inconclusive(worst, fast_cfg):
     json.dumps(report.to_dict(), allow_nan=False)
 
 
+def test_tied_witnesses_keep_candidate_order(fast_cfg):
+    candidates = np.array([1, 2, 3, 4, 5], dtype=complex)
+    violations = np.array([0.5, 2.0, 0.0, 2.0, 1.0])
+    report = _report("backward_inclusion", fast_cfg, Polynomial([-1, 0, 1]),
+                     1.0, candidates, violations)
+    assert report.verdict == FAIL
+    assert report.witnesses == [2, 4, 5, 1]
+
+
 class TestBackwardInclusion:
     def test_chebyshev_segment(self, t2, fast_cfg):
         report = check_backward_inclusion(t2, fast_cfg)

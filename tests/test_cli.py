@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from juliahull import checks
 from juliahull import ParseError, Polynomial, chebyshev, format_polynomial, parse_polynomial
 from juliahull.cli import main, parse_complex
 
@@ -143,6 +144,18 @@ class TestCommands:
             "backward_inclusion", "critical_in_hull", "filled_in_hull",
             "preimage_convexity", "half_plane_surjectivity"]
         assert all(d["verdict"] == "Pass" for d in docs)
+
+    @pytest.mark.parametrize("verb, grids", [
+        ("classify", 0), ("check", 1), ("suite", 1), ("render", 1)])
+    def test_escape_grid_built_only_when_read(self, monkeypatch, tmp_path,
+                                              verb, grids):
+        calls = []
+        original = checks.escape_grid
+        monkeypatch.setattr(checks, "escape_grid",
+                            lambda *args: calls.append(args) or original(*args))
+        out = tmp_path / "out"
+        assert main([verb, "--poly", "quad:-1+0i", "--out", str(out)] + SMALL) == 0
+        assert len(calls) == grids
 
     def test_suite_appends_classification(self, tmp_path):
         out = tmp_path / "suite.json"

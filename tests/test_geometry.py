@@ -15,10 +15,14 @@ from juliahull import (
     separating_half_plane,
     signed_distance,
 )
+import juliahull.geometry as geometry
 from juliahull.geometry import (
     PROPER,
     SEGMENT,
     POINT,
+    _DUP_EPS,
+    _TURN_EPS,
+    _akl_toussaint_keep,
     _boundary_offset,
     decimate,
     distance_to_segments,
@@ -32,6 +36,122 @@ planar_points = st.lists(
               st.floats(-5, 5, allow_nan=False, allow_infinity=False)),
     min_size=1, max_size=60,
 )
+
+
+def _scalar_pops(o, a, q, eps_len: float) -> bool:
+    """Middle vertex a is dropped from the chain o -> a -> q (plain Python)."""
+    cross = ((a.real - o.real) * (q.imag - o.imag)
+             - (a.imag - o.imag) * (q.real - o.real))
+    if cross <= 0.0:
+        return True
+    ex, ey = q.real - o.real, q.imag - o.imag
+    len2 = ex * ex + ey * ey
+    if len2 == 0.0:
+        return abs(a - o) <= eps_len
+    t = ((a.real - o.real) * ex + (a.imag - o.imag) * ey) / len2
+    if t <= 0.0:
+        dist = abs(a - o)
+    elif t >= 1.0:
+        dist = abs(a - q)
+    else:
+        dist = cross / (len2 ** 0.5)
+    return dist <= eps_len
+
+
+def _scalar_chain(seq, eps_len: float) -> list:
+    out: list = []
+    for q in seq:
+        while len(out) >= 2 and _scalar_pops(out[-2], out[-1], q, eps_len):
+            out.pop()
+        out.append(q)
+    return out
+
+
+def _scalar_prune_cyclic(verts: list, scale: float) -> list:
+    """Drop near-duplicate and tolerance-collinear vertices around the cycle."""
+    eps_len = _TURN_EPS * scale
+    dup = _DUP_EPS * scale
+    changed = True
+    while changed and len(verts) > 2:
+        changed = False
+        out: list = []
+        for q in verts:
+            if out and abs(q - out[-1]) <= dup:
+                changed = True
+                continue
+            while len(out) >= 2 and _scalar_pops(out[-2], out[-1], q, eps_len):
+                out.pop()
+                changed = True
+            out.append(q)
+        if len(out) >= 2 and abs(out[0] - out[-1]) <= dup:
+            out.pop()
+            changed = True
+        # turns across the seam are not seen by the sweep above
+        while len(out) > 2 and _scalar_pops(out[-2], out[-1], out[0], eps_len):
+            out.pop()
+            changed = True
+        while len(out) > 2 and _scalar_pops(out[-1], out[0], out[1], eps_len):
+            out.pop(0)
+            changed = True
+        verts = out
+    return verts
+
+
+def _scalar_hull_vertices(points) -> list:
+    """Stack monotone chain over all sorted points, then the cyclic prune.
+
+    The same sort, dedup and prefilter as ``convex_hull``; returns the
+    vertices of a proper hull, or fewer than 3 points for a degenerate one.
+    """
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    scale = max(np.ptp(pts.real), np.ptp(pts.imag))
+    if scale == 0.0:
+        return []
+    pts = pts[np.lexsort((pts.imag, pts.real))]
+    pts = pts[np.concatenate([[True], np.abs(np.diff(pts)) > _DUP_EPS * scale])]
+    if pts.size > 4096:
+        pts = pts[_akl_toussaint_keep(pts, scale)]
+    seq = pts.tolist()
+    eps_len = _TURN_EPS * scale
+    lower = _scalar_chain(seq, eps_len)
+    upper = _scalar_chain(reversed(seq), eps_len)
+    return _scalar_prune_cyclic(lower[:-1] + upper[:-1], scale)
+
+
+def _scalar_calipers(pts: list) -> float:
+    """Rotating calipers over a proper ccw polygon, one edge at a time."""
+    n = len(pts)
+    best = 0.0
+    j = 1
+    for i in range(n):
+        ni = i + 1 if i + 1 < n else 0
+        e = pts[ni] - pts[i]
+        while True:
+            nj = j + 1 if j + 1 < n else 0
+            step = pts[nj] - pts[j]
+            if e.real * step.imag - e.imag * step.real > 0.0:
+                j = nj
+            else:
+                break
+        best = max(best, abs(pts[i] - pts[j]), abs(pts[ni] - pts[j]))
+    return best
+
+
+def _fixed_clouds():
+    """Named clouds with ties, collinear runs and many-vertex hulls."""
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-1, 1, 20_000)
+    return {
+        "gauss": rng.normal(size=5000) + 1j * rng.normal(size=5000),
+        "circle": 3.0 * np.exp(2j * np.pi * rng.uniform(size=8000)),
+        "regular-polygon": np.exp(2j * np.pi * np.arange(64) / 64),
+        "lattice": rng.integers(0, 12, 3000) + 1j * rng.integers(0, 12, 3000),
+        "thin": rng.uniform(-1, 1, 6000) + 1e-9j * rng.normal(size=6000),
+        "collinear": (0.6 - 0.8j) * rng.uniform(-2, 2, 500) + 0.25,
+        "parabola": x + 1j * x * x,
+        "vertical-ties": rng.integers(0, 4, 5000) + 1j * rng.normal(size=5000),
+        "rounded": np.round(rng.normal(size=5000) + 1j * rng.normal(size=5000), 1),
+    }
 
 
 class TestConvexHull:
@@ -102,6 +222,87 @@ class TestConvexHull:
         hull = convex_hull(pts)
         brute = np.abs(pts[:, None] - pts[None, :]).max()
         assert hull.diameter == pytest.approx(brute, abs=1e-9)
+
+
+class TestHullReference:
+    """The vectorized hull and diameter against the scalar stack chain."""
+
+    @staticmethod
+    def _assert_matches(pts):
+        hull = convex_hull(pts)
+        expected = _scalar_hull_vertices(pts)
+        if len(expected) <= 2:
+            assert hull.kind != PROPER
+            return
+        assert hull.kind == PROPER
+        assert np.array_equal(hull.vertices, np.array(expected))
+        assert hull.diameter == _scalar_calipers(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(planar_points)
+    def test_random_clouds(self, pts):
+        self._assert_matches(np.array(pts))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)),
+                    min_size=1, max_size=40))
+    def test_integer_lattice_clouds(self, pts):
+        self._assert_matches(np.array(pts))
+
+    @pytest.mark.parametrize("name", sorted(_fixed_clouds()))
+    def test_fixed_clouds(self, name):
+        self._assert_matches(_fixed_clouds()[name])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_clusters_inside_dup_eps_keep_the_contract(self, seed):
+        # near-duplicates of hull vertices may keep a different
+        # representative than the stack chain; the contract still holds
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=400) + 1j * rng.normal(size=400)
+        corners = convex_hull(pts).vertices
+        scale = max(np.ptp(pts.real), np.ptp(pts.imag))
+        jitter = 0.2 * _DUP_EPS * scale * (rng.normal(size=(corners.size, 4))
+                                           + 1j * rng.normal(size=(corners.size, 4)))
+        pts = np.concatenate([pts, (corners[:, None] + jitter).ravel()])
+        scale = max(np.ptp(pts.real), np.ptp(pts.imag))
+        hull = convex_hull(pts)
+        assert hull.kind == PROPER
+        assert np.isin(hull.vertices, pts).all()
+        e = np.roll(hull.vertices, -1) - hull.vertices
+        assert ((np.roll(e, 1) * np.conj(e)).imag < 0).all()
+        assert signed_distance(hull, pts).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_parabola_keeps_every_point_inside(self, seed):
+        # on these clouds, dropping two neighbours in one round (each
+        # collinear only through the other) leaves a true vertex 1e-10 to
+        # 1e-8 * scale outside the hull
+        x = np.random.default_rng(seed).uniform(-1, 1, 20_000)
+        pts = x + 1j * x * x
+        hull = convex_hull(pts)
+        dropped = pts[~np.isin(pts, hull.vertices)]
+        scale = max(np.ptp(pts.real), np.ptp(pts.imag))
+        assert signed_distance(hull, dropped).max() <= _TURN_EPS * scale
+
+    @pytest.mark.parametrize("cloud, vertices, rounds", [
+        # every point of a fine circle is a vertex: a per-point loop would
+        # call the turn test about 1e5 times
+        (np.exp(2j * np.pi * np.arange(100_000) / 100_000), 100_000, 5),
+        # nearly every point pops (no prefilter at this size): dropping one
+        # point per round would take about 4000 rounds
+        (np.array([1, 1j]) @ np.random.default_rng(1).normal(size=(2, 4096)), 12, 64),
+    ], ids=["circle", "gauss"])
+    def test_turn_tests_run_in_few_rounds(self, monkeypatch, cloud, vertices, rounds):
+        calls = []
+        original = geometry._pop_mask
+
+        def counted(*args):
+            calls.append(args[1].size)
+            return original(*args)
+
+        monkeypatch.setattr(geometry, "_pop_mask", counted)
+        assert len(convex_hull(cloud)) == vertices
+        assert len(calls) <= rounds
 
 
 class TestSignedDistance:
