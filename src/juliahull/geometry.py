@@ -1,17 +1,20 @@
 """Planar convex geometry on complex points.
 
 Hulls come from a monotone chain over lexicographically sorted points,
-with an Akl-Toussaint prefilter so huge clouds stay cheap.  The chord from
-the first to the last sorted point splits the cloud into a lower and an
-upper chain.  Each chain, and then the closed cycle across its two seams,
-is reduced in rounds of one vectorized turn test over every consecutive
-triple.  A round drops every other member of each run of failing
-vertices, never two neighbours, since each of two neighbours can be
-collinear only through the other.  Tolerance contract: the vertices are
-input points in strictly convex ccw order, and every input point lies
-within 1e-12 * scale of the hull; a cluster inside ``_DUP_EPS * scale``
-keeps one representative, and a point dropped as collinear lies within
-about ``_TURN_EPS * scale`` of it.  Distances, separation witnesses, the
+after an Akl-Toussaint prefilter at every size: it drops the points
+strictly inside the octagon of extreme points, which keeps huge clouds
+cheap and spares the rounds of a cascade, where each point pops only
+after its neighbour is dropped.  The chord from the first to the last
+sorted point splits the cloud into a lower and an upper chain.  Each
+chain, and then the closed cycle across its two seams, is reduced in
+rounds of one vectorized turn test over every consecutive triple.  A
+round drops every other member of each run of failing vertices, never
+two neighbours, since each of two neighbours can be collinear only
+through the other.  Tolerance contract: the vertices are input points in
+strictly convex ccw order, and every input point lies within 1e-12 *
+scale of the hull; a cluster inside ``_DUP_EPS * scale`` keeps one
+representative, and a point dropped as collinear lies within about
+``_TURN_EPS * scale`` of it.  Distances, separation witnesses, the
 polygon Hausdorff distance and the degenerate-shape fits (line and
 circle) all live here.
 """
@@ -267,9 +270,7 @@ def convex_hull(points) -> ConvexPolygon:
     pts = pts[keep]
     if pts.size == 1:
         return ConvexPolygon(pts, POINT)
-    if pts.size > 4096:
-        kept = _akl_toussaint_keep(pts, scale)
-        pts = pts[kept]
+    pts = pts[_akl_toussaint_keep(pts, scale)]
     eps_len = _TURN_EPS * scale
     first, chord = pts[0], pts[-1] - pts[0]
     side = chord.real * (pts.imag - first.imag) - chord.imag * (pts.real - first.real)

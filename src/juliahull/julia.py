@@ -15,6 +15,17 @@ returns exactly, in floating point, to its value at the last power-of-two
 step (from step 4 on: Brent's cycle detection) is periodic and never
 escapes; it is marked bounded and stops early.  The result is exactly that
 of a test after every step up to ``max_iter``.
+
+An even or odd p (p(-z) = +-p(z): every coefficient whose index parity
+differs from the degree's is zero) has a raster symmetric under z -> -z,
+and ``escape_grid`` iterates only the rows on or below the real axis.
+The mirror is exact.  The center axis is k*cell for integers k, so the
+negated center is a center too.  IEEE rounding is symmetric under sign,
+so negating one factor of a product negates it bit for bit.  Horner skips
+zero coefficients, so for an even p the accumulator is multiplied by z an
+even number of times before each coefficient is added, and p(-z) is p(z)
+bit for bit; for an odd p it is -p(z).  The disk test uses |w| and the
+cycle test ``==``, and neither sees a sign.
 """
 from __future__ import annotations
 
@@ -240,12 +251,23 @@ def _bounded(p: Polynomial, z: np.ndarray, max_iter: int) -> np.ndarray:
     return bounded
 
 
+def _grid_rows(p: Polynomial, xs: np.ndarray, ys: np.ndarray, max_iter: int) -> np.ndarray:
+    """Bounded mask of the centers xs[ix] + 1j*ys[iy], laid out [iy, ix].
+
+    The centers go in as a temporary, which _bounded drops after its disk test.
+    """
+    return _bounded(p, (xs[None, :] + 1j * ys[:, None]).ravel(), max_iter).reshape(
+        ys.size, xs.size)
+
+
 def escape_grid(p: Polynomial, resolution: int = 512, max_iter: int = 200) -> EscapeGrid:
     """Raster of the bounded-orbit set on the square of half-width 1.05 R.
 
     Cell centers are laid out so the real and imaginary axes are hit
     exactly; segment Julia sets on an axis keep a row of bounded centers
-    at any iteration budget instead of draining to an empty raster.
+    at any iteration budget instead of draining to an empty raster.  For
+    an even or odd p only rows 0..half are iterated, and the rest are the
+    mirror image of those (module docstring).
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
@@ -255,12 +277,21 @@ def escape_grid(p: Polynomial, resolution: int = 512, max_iter: int = 200) -> Es
     cell = 2.0 * _GRID_SPAN * radius / resolution
     half = resolution // 2
     axis = (np.arange(resolution) - half) * cell
-    # the full-grid centers go in as a temporary, which _bounded drops early
-    cells = _bounded(p, (axis[None, :] + 1j * axis[:, None]).ravel(), max_iter)
+    if np.any(p.coeffs[(p.degree + 1) % 2::2]):
+        cells = _grid_rows(p, axis, axis, max_iter)
+    else:
+        # cell [iy, ix] mirrors cell [2 half - iy, 2 half - ix]; for even
+        # resolution, column 0 of the upper rows has none and is iterated
+        cells = np.empty((resolution, resolution), dtype=bool)
+        cells[:half + 1] = _grid_rows(p, axis, axis[:half + 1], max_iter)
+        lo = 2 * half + 1 - resolution
+        cells[half + 1:, lo:] = cells[lo:half, lo:][::-1, ::-1]
+        if lo:
+            cells[half + 1:, :1] = _grid_rows(p, axis[:1], axis[half + 1:], max_iter)
     return EscapeGrid(
         origin_real=float(axis[0]), origin_imag=float(axis[0]),
         cell_size=float(cell), width=resolution, height=resolution,
-        cells=cells.reshape(resolution, resolution),
+        cells=cells,
         radius=float(radius), max_iter=max_iter,
         polynomial=format_polynomial(p),
     )

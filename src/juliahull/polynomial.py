@@ -82,15 +82,34 @@ class AffineMap:
 def _horner(coeffs: np.ndarray, z):
     """Evaluate an ascending coefficient vector at z (scalar or array).
 
-    One accumulator is updated in place, so no step allocates an array.
-    A zero coefficient is not added: that can only change the sign of a
-    zero result.
+    One accumulator is allocated and then updated in place.  A zero
+    coefficient is not added: that can only change the sign of a zero
+    result.  For a monic vector the accumulator starts as z itself, since
+    1*z is z up to the sign of a zero; that saves the fill and one product.
+    Its first step writes into a new array, so z is never written, and a
+    0-d z stays a 0-d array that numpy's array loops compute, as in the
+    filled form.  Any other leading coefficient is filled first and
+    multiplied as ``acc *= z``: numpy's vectorized complex multiply need not
+    give ``z * a`` the same bits as ``full(a) * z``.
     """
-    acc = np.full_like(z, coeffs[-1], dtype=np.complex128)
-    for c in coeffs[-2::-1]:
-        acc *= z
+    rest = coeffs[-2::-1]
+    if coeffs[-1] == 1 and rest.size:
+        acc, rest = z, rest[1:]
+        out = np.empty_like(z, dtype=np.complex128)
+        if coeffs[-2] != 0:
+            acc = np.add(z, coeffs[-2], out=out)
+    else:
+        acc = np.full_like(z, coeffs[-1], dtype=np.complex128)
+    for c in rest:
+        if acc is z:
+            acc = np.multiply(z, z, out=out, dtype=np.complex128)
+        else:
+            acc *= z
         if c != 0:
             acc += c
+    if acc is z:  # p(z) = z
+        out[...] = z
+        acc = out
     return acc
 
 

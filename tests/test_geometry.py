@@ -22,7 +22,6 @@ from juliahull.geometry import (
     POINT,
     _DUP_EPS,
     _TURN_EPS,
-    _akl_toussaint_keep,
     _boundary_offset,
     decimate,
     distance_to_segments,
@@ -100,7 +99,8 @@ def _scalar_prune_cyclic(verts: list, scale: float) -> list:
 def _scalar_hull_vertices(points) -> list:
     """Stack monotone chain over all sorted points, then the cyclic prune.
 
-    The same sort, dedup and prefilter as ``convex_hull``; returns the
+    The same sort and dedup as ``convex_hull``, but no prefilter, so a
+    match also shows that the prefilter drops no vertex; returns the
     vertices of a proper hull, or fewer than 3 points for a degenerate one.
     """
     pts = np.asarray(points, dtype=np.complex128).ravel()
@@ -109,8 +109,6 @@ def _scalar_hull_vertices(points) -> list:
         return []
     pts = pts[np.lexsort((pts.imag, pts.real))]
     pts = pts[np.concatenate([[True], np.abs(np.diff(pts)) > _DUP_EPS * scale])]
-    if pts.size > 4096:
-        pts = pts[_akl_toussaint_keep(pts, scale)]
     seq = pts.tolist()
     eps_len = _TURN_EPS * scale
     lower = _scalar_chain(seq, eps_len)
@@ -137,6 +135,29 @@ def _scalar_calipers(pts: list) -> float:
     return best
 
 
+def _count_pop_masks(monkeypatch):
+    """Wrap the hull's turn test; returns the list of triple counts passed."""
+    calls = []
+    original = geometry._pop_mask
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return original(*args)
+
+    monkeypatch.setattr(geometry, "_pop_mask", counted)
+    return calls
+
+
+def _cascade_cloud():
+    """A shallow arc over the chord and one far point below it.
+
+    Every arc point pops, but only after its neighbour is dropped: without
+    the prefilter this cascade took one reduction round per point.
+    """
+    x = np.linspace(0, 1, 4000)
+    return np.concatenate([x + 1e-3j * (x * x - x), [0.99 - 10j]])
+
+
 def _fixed_clouds():
     """Named clouds with ties, collinear runs and many-vertex hulls."""
     rng = np.random.default_rng(17)
@@ -151,6 +172,7 @@ def _fixed_clouds():
         "parabola": x + 1j * x * x,
         "vertical-ties": rng.integers(0, 4, 5000) + 1j * rng.normal(size=5000),
         "rounded": np.round(rng.normal(size=5000) + 1j * rng.normal(size=5000), 1),
+        "cascade": _cascade_cloud(),
     }
 
 
@@ -288,21 +310,26 @@ class TestHullReference:
         # every point of a fine circle is a vertex: a per-point loop would
         # call the turn test about 1e5 times
         (np.exp(2j * np.pi * np.arange(100_000) / 100_000), 100_000, 5),
-        # nearly every point pops (no prefilter at this size): dropping one
-        # point per round would take about 4000 rounds
+        # nearly every point pops: dropping one point per round would take
+        # about 4000 rounds
         (np.array([1, 1j]) @ np.random.default_rng(1).normal(size=(2, 4096)), 12, 64),
-    ], ids=["circle", "gauss"])
+        (_cascade_cloud(), 3, 4),
+    ], ids=["circle", "gauss", "cascade"])
     def test_turn_tests_run_in_few_rounds(self, monkeypatch, cloud, vertices, rounds):
-        calls = []
-        original = geometry._pop_mask
-
-        def counted(*args):
-            calls.append(args[1].size)
-            return original(*args)
-
-        monkeypatch.setattr(geometry, "_pop_mask", counted)
+        calls = _count_pop_masks(monkeypatch)
         assert len(convex_hull(cloud)) == vertices
         assert len(calls) <= rounds
+
+    def test_chain_without_prefilter_runs_in_few_rounds(self, monkeypatch):
+        # the prefilter leaves few points to reduce; the rounds alone must
+        # also be few, and keep the stack chain's vertices
+        pts = np.array([1, 1j]) @ np.random.default_rng(1).normal(size=(2, 4096))
+        pts = pts[np.lexsort((pts.imag, pts.real))]
+        eps_len = _TURN_EPS * max(np.ptp(pts.real), np.ptp(pts.imag))
+        expected = _scalar_chain(pts.tolist(), eps_len)
+        calls = _count_pop_masks(monkeypatch)
+        assert np.array_equal(geometry._reduce_chain(pts, eps_len), np.array(expected))
+        assert len(calls) <= 64
 
 
 class TestSignedDistance:

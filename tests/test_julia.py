@@ -277,6 +277,64 @@ class TestEscapeGridEarlyExit:
         assert grid.cells.any()
 
 
+def _count_bounded(monkeypatch):
+    """Wrap the grid's _bounded; returns the list of point counts passed."""
+    calls = []
+    original = julia_mod._bounded
+
+    def counting(p, z, max_iter):
+        calls.append(z.size)
+        return original(p, z, max_iter)
+
+    monkeypatch.setattr(julia_mod, "_bounded", counting)
+    return calls
+
+
+class TestEscapeGridSymmetry:
+    """Even and odd p iterate half the raster and mirror the rest."""
+
+    @pytest.mark.parametrize("p", [
+        Polynomial([-1, 0, 1]),                             # basilica
+        Polynomial([-0.12 + 0.74j, 0, 1]),                  # rabbit
+        # the rabbit conjugated by z -> a z: even, with leading coefficient 1/a
+        Polynomial([(0.8 - 0.3j) * (-0.12 + 0.74j), 0, 1 / (0.8 - 0.3j)]),
+        chebyshev(4),
+        Polynomial(-chebyshev(3).coeffs),                   # odd, lead -4
+        Polynomial([0, 3, 0, 1]),
+        monomial(0.6 + 0.8j, 3),
+        Polynomial([0.1, 0, 0.3 + 0.2j, 0, 1.5 - 0.7j]),
+    ], ids=["basilica", "rabbit", "even-lead", "cheb4", "negcheb3", "0,3,0,1",
+            "monomial3", "quartic"])
+    @pytest.mark.parametrize("resolution", [64, 65, 128, 129])
+    def test_cells_equal_full_grid(self, p, resolution):
+        grid = escape_grid(p, resolution, max_iter=120)
+        axis = (np.arange(resolution) - resolution // 2) * grid.cell_size
+        full = julia_mod._bounded(p, (axis[None, :] + 1j * axis[:, None]).ravel(), 120)
+        assert grid.cells.any()
+        assert np.array_equal(grid.cells, full.reshape(resolution, resolution))
+
+    @pytest.mark.parametrize("p", [
+        Polynomial([0.2, 0.1j, 1]),
+        Polynomial([0, 1e-300, 1]),                         # a tiny odd term
+        Polynomial([0.1, 0, 0, 1]),
+        Polynomial([0, 0.5, 0.3j, 1]),                     # odd but for z^2
+    ])
+    @pytest.mark.parametrize("resolution", [64, 65])
+    def test_parity_free_iterates_every_cell(self, monkeypatch, p, resolution):
+        calls = _count_bounded(monkeypatch)
+        escape_grid(p, resolution, max_iter=60)
+        assert calls == [resolution ** 2]
+
+    @pytest.mark.parametrize("resolution", [64, 65, 128, 129])
+    def test_quadratic_iterates_about_half(self, monkeypatch, basilica, resolution):
+        calls = _count_bounded(monkeypatch)
+        escape_grid(basilica, resolution, max_iter=60)
+        half = resolution // 2
+        rows = (half + 1) * resolution
+        assert calls == ([rows, half - 1] if resolution % 2 == 0 else [rows])
+        assert sum(calls) < resolution * (half + 2)
+
+
 class TestHoloHullFill:
     """A sample rastered on the escape grid's cells, with its holes filled."""
 

@@ -14,6 +14,7 @@ from juliahull import (
     format_complex,
     monomial,
 )
+from juliahull.polynomial import _horner
 
 finite_complex = st.builds(
     complex,
@@ -72,6 +73,58 @@ class TestEvaluate:
     def test_rejects_nonfinite_point(self, t2):
         with pytest.raises(ValueError):
             evaluate(t2, complex("inf"))
+
+
+def _fill_horner(coeffs, z):
+    """Horner with the leading coefficient filled first, for any coefficients."""
+    acc = np.full_like(z, coeffs[-1], dtype=np.complex128)
+    for c in coeffs[-2::-1]:
+        acc *= z
+        if c != 0:
+            acc += c
+    return acc
+
+
+def _read_only(z):
+    z = np.array(z)
+    z.flags.writeable = False
+    return z
+
+
+_RNG = np.random.default_rng(3)
+_Z = _RNG.normal(size=(7, 11)) + 1j * _RNG.normal(size=(7, 11))
+
+
+class TestHorner:
+    @pytest.mark.parametrize("coeffs", [
+        [-1, 0, 1],                          # monic, zero subleading
+        [0.3 - 0.2j, 0.5j, 1],               # monic, nonzero subleading
+        [0, 0, 0, 1],
+        [1, 2, 3, 1],
+        [0, 1, 0, 0, 1],
+        [0, 1],                              # the identity
+        [2, 1],
+        [1],
+        [-1, 0, 2],                          # non-monic
+        [0.1, 0, 0.3 + 0.2j, 0, 1.5 - 0.7j],
+        [0.5, 1, -1],
+        [3],
+    ])
+    @pytest.mark.parametrize("z", [
+        _Z[0, 0],                            # 0-d
+        _Z[0],                               # 1-d
+        _Z,                                  # 2-d
+        np.abs(_Z[1]),                       # real, as the root solver passes
+    ], ids=["0d", "1d", "2d", "real"])
+    def test_matches_fill_reference(self, coeffs, z):
+        coeffs = np.array(coeffs, dtype=np.complex128)
+        z = _read_only(z)  # writing into z would raise
+        out = _horner(coeffs, z)
+        expected = _fill_horner(coeffs, z)
+        assert isinstance(out, np.ndarray) and out.dtype == np.complex128
+        assert out.shape == expected.shape
+        # == ignores the sign of a zero, the only difference allowed
+        assert np.all(out == expected)
 
 
 class TestDerivative:
