@@ -6,7 +6,7 @@ Usage: python scripts/render_gallery.py [--out-dir gallery] [--n 20000]
 import argparse
 import pathlib
 
-from juliahull import CheckConfig, parse_polynomial
+from juliahull import CheckConfig, build_context, parse_polynomial
 from juliahull.scene import render_scene
 
 PRESETS = (
@@ -15,12 +15,12 @@ PRESETS = (
 )
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="gallery")
     parser.add_argument("--n", type=int, default=20_000)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = CheckConfig(julia_samples=args.n, boundary_samples=128,
@@ -28,7 +28,7 @@ def main() -> None:
                       grid_resolution=256)
     for preset in PRESETS:
         spec = parse_polynomial(preset)
-        svg, _ = render_scene(spec.polynomial, spec.source, cfg)
+        svg, _ = render_scene(build_context(spec.polynomial, cfg), spec.source)
         path = out_dir / (preset.replace(":", "_").replace(",", "_") + ".svg")
         path.write_text(svg, encoding="utf-8")
         print(f"wrote {path}")

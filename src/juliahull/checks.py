@@ -1,15 +1,19 @@
 """Hull-invariance checks and the equality-case classifier.
 
-Every check builds (or receives) the convex hull H of an inverse-iteration
-sample of the Julia set, then measures how badly an expected inclusion
-fails, in plain Euclidean distance.  A check passes when the worst
-violation stays below tol_rel times the hull diameter.
+``build_context`` samples the Julia set once and keeps its convex hull H,
+the diameter and the config in a ``HullContext``.  Every check, the
+classifier and ``run_checks`` take that context and nothing else: the
+polynomial and the config are read from it, so a report cannot mix two
+polynomials.  A check measures how badly an expected inclusion fails, in
+plain Euclidean distance, and passes when the worst violation stays below
+tol_rel times the hull diameter.  A root solver failure inside a check
+reads Inconclusive, with the solver's message as the note.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Optional
 
 import numpy as np
@@ -62,6 +66,13 @@ ALL_CHECKS = (BACKWARD_INCLUSION, CRITICAL_IN_HULL, FILLED_IN_HULL,
 
 # Coefficient agreement required to accept a normal-form match.
 _MATCH_TOL = 1e-6
+
+# Admissible pairs the preimage-convexity check mixes.
+_PAIR_TARGET = 100
+
+# Half-planes and targets of the half-plane surjectivity check.
+_PLANES = 20
+_PLANE_TARGETS = 50
 
 
 class EqualityUnresolvedError(RuntimeError):
@@ -155,7 +166,7 @@ class Classification:
 
 @dataclass(eq=False)
 class HullContext:
-    """Shared per-polynomial state: one Julia sample and one escape grid per suite."""
+    """One polynomial's sample, hull and escape grid: the argument of every check."""
 
     polynomial: Polynomial
     cloud: PointCloud
@@ -197,59 +208,64 @@ def _interior_points(hull: ConvexPolygon, count: int,
     return weights @ v
 
 
-def _report(check: str, cfg: CheckConfig, p: Polynomial, diam: float,
-            candidates: np.ndarray, violations: np.ndarray, note: str = "") -> CheckReport:
+def _report(ctx: HullContext, check: str, candidates: np.ndarray,
+            violations: np.ndarray, note: str = "") -> CheckReport:
     """Verdict on the largest violation, with up to 10 worst witnesses on Fail."""
     worst = violations.max()
     if not math.isfinite(worst):
-        return _inconclusive(check, cfg, p, f"worst violation is {worst}")
-    tol = cfg.tol_rel * diam
+        return _inconclusive(ctx, check, f"worst violation is {worst}")
+    tol = ctx.config.tol_rel * ctx.diameter
     verdict = PASS if worst <= tol else FAIL
     witnesses: list = []
     if verdict == FAIL:
         # a stable sort lists exactly tied witnesses in candidate order
         order = np.argsort(-violations, kind="stable")[:10]
         witnesses = [complex(candidates[i]) for i in order if violations[i] > tol]
-    return CheckReport(check, verdict, float(worst), witnesses, cfg,
-                       format_polynomial(p), note)
+    return CheckReport(check, verdict, float(worst), witnesses, ctx.config,
+                       format_polynomial(ctx.polynomial), note)
 
 
-def _inconclusive(check: str, cfg: CheckConfig, p: Polynomial, note: str) -> CheckReport:
-    return CheckReport(check, INCONCLUSIVE, None, [], cfg,
-                       format_polynomial(p), note)
+def _inconclusive(ctx: HullContext, check: str, note: str) -> CheckReport:
+    return CheckReport(check, INCONCLUSIVE, None, [], ctx.config,
+                       format_polynomial(ctx.polynomial), note)
 
 
-def check_backward_inclusion(p: Polynomial, cfg: CheckConfig,
-                             ctx: Optional[HullContext] = None) -> CheckReport:
+def _solver_guarded(check_fn):
+    """Turn a RootSolveError inside ``check_<name>`` into an Inconclusive report."""
+    name = check_fn.__name__.removeprefix("check_")
+
+    @wraps(check_fn)
+    def guarded(ctx: HullContext) -> CheckReport:
+        try:
+            return check_fn(ctx)
+        except RootSolveError as exc:
+            return _inconclusive(ctx, name, str(exc))
+
+    return guarded
+
+
+@_solver_guarded
+def check_backward_inclusion(ctx: HullContext) -> CheckReport:
     """Preimages of boundary and interior hull samples must stay in the hull."""
-    ctx = ctx or build_context(p, cfg)
+    cfg = ctx.config
     targets = np.concatenate([
         boundary_points(ctx.hull, cfg.boundary_samples),
         _interior_points(ctx.hull_query, cfg.interior_samples, _rng(cfg, 1)),
     ])
-    try:
-        fibers = preimage_fibers(p, targets, cfg.residual_tol)
-    except RootSolveError as exc:
-        return _inconclusive(BACKWARD_INCLUSION, cfg, p, str(exc))
-    points = fibers.ravel()
-    return _report(BACKWARD_INCLUSION, cfg, p, ctx.diameter, points,
+    points = preimage_fibers(ctx.polynomial, targets, cfg.residual_tol).ravel()
+    return _report(ctx, BACKWARD_INCLUSION, points,
                    signed_distance(ctx.hull_query, points))
 
 
-def check_critical_in_hull(p: Polynomial, cfg: CheckConfig,
-                           ctx: Optional[HullContext] = None) -> CheckReport:
+@_solver_guarded
+def check_critical_in_hull(ctx: HullContext) -> CheckReport:
     """Every zero of p' must lie inside the hull."""
-    ctx = ctx or build_context(p, cfg)
-    try:
-        crit = critical_points(p, cfg.residual_tol)
-    except RootSolveError as exc:
-        return _inconclusive(CRITICAL_IN_HULL, cfg, p, str(exc))
-    return _report(CRITICAL_IN_HULL, cfg, p, ctx.diameter, crit.roots,
+    crit = critical_points(ctx.polynomial, ctx.config.residual_tol)
+    return _report(ctx, CRITICAL_IN_HULL, crit.roots,
                    signed_distance(ctx.hull_query, crit.roots))
 
 
-def check_filled_in_hull(p: Polynomial, cfg: CheckConfig,
-                         ctx: Optional[HullContext] = None) -> CheckReport:
+def check_filled_in_hull(ctx: HullContext) -> CheckReport:
     """Bounded-orbit raster cells must sit inside the hull (cell diagonal slack).
 
     Signed distance to a convex polygon is convex, and a bounded cell with
@@ -257,30 +273,29 @@ def check_filled_in_hull(p: Polynomial, cfg: CheckConfig,
     violation lies on a boundary cell.  On Fail every bounded cell is
     measured, so the witnesses rank interior cells too.
     """
-    ctx = ctx or build_context(p, cfg)
     grid = ctx.grid
     centers = boundary_cells(grid)
     slack = grid.cell_size * math.sqrt(2.0)
     if centers.size == 0:
-        return CheckReport(FILLED_IN_HULL, PASS, -slack, [], cfg,
-                           format_polynomial(p), "raster holds no bounded cells")
+        return CheckReport(FILLED_IN_HULL, PASS, -slack, [], ctx.config,
+                           format_polynomial(ctx.polynomial),
+                           "raster holds no bounded cells")
     violations = signed_distance(ctx.hull_query, centers) - slack
-    if violations.max() > cfg.tol_rel * ctx.diameter:
+    if violations.max() > ctx.config.tol_rel * ctx.diameter:
         centers = grid.true_centers()
         violations = signed_distance(ctx.hull_query, centers) - slack
-    return _report(FILLED_IN_HULL, cfg, p, ctx.diameter, centers, violations)
+    return _report(ctx, FILLED_IN_HULL, centers, violations)
 
 
-def check_preimage_convexity(p: Polynomial, cfg: CheckConfig,
-                             ctx: Optional[HullContext] = None,
-                             pair_target: int = 100) -> CheckReport:
+@_solver_guarded
+def check_preimage_convexity(ctx: HullContext) -> CheckReport:
     """Targets whose full fiber sits in the hull form a convex set.
 
     Admissible targets are found by rejection sampling over the hull's
-    bounding box; every interior convex combination (t = 0.1 .. 0.9) of an
-    admissible pair must be admissible again.
+    bounding box; every interior convex combination (t = 0.1 .. 0.9) of up
+    to _PAIR_TARGET admissible pairs must be admissible again.
     """
-    ctx = ctx or build_context(p, cfg)
+    p, cfg = ctx.polynomial, ctx.config
     rng = _rng(cfg, 2)
     tol = cfg.tol_rel * ctx.diameter
     v = ctx.hull.vertices
@@ -294,62 +309,49 @@ def check_preimage_convexity(p: Polynomial, cfg: CheckConfig,
         sd = signed_distance(ctx.hull_query, roots.ravel()).reshape(roots.shape)
         good = ok & (sd.max(axis=1) <= tol)
         admissible.extend(w[good].tolist())
-        if len(admissible) >= 2 * pair_target:
+        if len(admissible) >= 2 * _PAIR_TARGET:
             break
     pairs = len(admissible) // 2
     if pairs < 10:
-        return _inconclusive(
-            PREIMAGE_CONVEXITY, cfg, p,
-            f"fewer than 10 admissible pairs found ({pairs})")
-    pairs = min(pairs, pair_target)
+        return _inconclusive(ctx, PREIMAGE_CONVEXITY,
+                             f"fewer than 10 admissible pairs found ({pairs})")
+    pairs = min(pairs, _PAIR_TARGET)
     w1 = np.array(admissible[0:2 * pairs:2])
     w2 = np.array(admissible[1:2 * pairs:2])
     ts = np.linspace(0.1, 0.9, 9)
     mixed = (ts[:, None] * w1[None, :] + (1.0 - ts)[:, None] * w2[None, :]).ravel()
-    try:
-        fibers = preimage_fibers(p, mixed, cfg.residual_tol)
-    except RootSolveError as exc:
-        return _inconclusive(PREIMAGE_CONVEXITY, cfg, p, str(exc))
-    points = fibers.ravel()
-    return _report(PREIMAGE_CONVEXITY, cfg, p, ctx.diameter, points,
+    points = preimage_fibers(p, mixed, cfg.residual_tol).ravel()
+    return _report(ctx, PREIMAGE_CONVEXITY, points,
                    signed_distance(ctx.hull_query, points),
                    note=f"{pairs} admissible pairs tested")
 
 
-def check_half_plane_surjectivity(p: Polynomial, cfg: CheckConfig,
-                                  ctx: Optional[HullContext] = None,
-                                  planes: int = 20, targets: int = 50) -> CheckReport:
+@_solver_guarded
+def check_half_plane_surjectivity(ctx: HullContext) -> CheckReport:
     """Half-planes touching the critical hull map onto the whole plane.
 
-    For each half-plane E through the convex hull of the critical points
-    and each target y, at least one preimage of y must lie in E.
+    For each of _PLANES half-planes E through the convex hull of the
+    critical points and each of _PLANE_TARGETS targets y, at least one
+    preimage of y must lie in E.
     """
-    ctx = ctx or build_context(p, cfg)
+    p, cfg = ctx.polynomial, ctx.config
     rng = _rng(cfg, 3)
-    try:
-        crit = critical_points(p, cfg.residual_tol)
-    except RootSolveError as exc:
-        return _inconclusive(HALF_PLANE_SURJECTIVITY, cfg, p, str(exc))
-    crit_hull = convex_hull(crit.roots)
-    pivots = _interior_points(crit_hull, planes, rng)
-    angles = rng.uniform(0.0, 2.0 * np.pi, planes)
+    crit_hull = convex_hull(critical_points(p, cfg.residual_tol).roots)
+    pivots = _interior_points(crit_hull, _PLANES, rng)
+    angles = rng.uniform(0.0, 2.0 * np.pi, _PLANES)
     normals = np.exp(1j * angles)
     radius = 2.0 * escape_radius(p)
-    u = rng.uniform(0.0, 1.0, targets)
-    phase = rng.uniform(0.0, 2.0 * np.pi, targets)
+    u = rng.uniform(0.0, 1.0, _PLANE_TARGETS)
+    phase = rng.uniform(0.0, 2.0 * np.pi, _PLANE_TARGETS)
     ys = radius * np.sqrt(u) * np.exp(1j * phase)
-    try:
-        fibers = preimage_fibers(p, ys, cfg.residual_tol)
-    except RootSolveError as exc:
-        return _inconclusive(HALF_PLANE_SURJECTIVITY, cfg, p, str(exc))
+    fibers = preimage_fibers(p, ys, cfg.residual_tol)
     # margin of the best fiber point relative to each half-plane boundary
     proj = (fibers[None, :, :] * np.conj(normals)[:, None, None]).real
     offsets = (pivots * np.conj(normals)).real
     best = proj.max(axis=2)
     shortfall = offsets[:, None] - best
     target_grid = np.broadcast_to(ys[None, :], shortfall.shape).ravel()
-    return _report(HALF_PLANE_SURJECTIVITY, cfg, p, ctx.diameter,
-                   target_grid, shortfall.ravel())
+    return _report(ctx, HALF_PLANE_SURJECTIVITY, target_grid, shortfall.ravel())
 
 
 def _boundary_image_gap(p: Polynomial, hull: ConvexPolygon,
@@ -391,8 +393,7 @@ def _chebyshev_match(p: Polynomial, u: complex, v: complex):
     return combos[0], scale
 
 
-def classify_equality(p: Polynomial, cfg: CheckConfig,
-                      ctx: Optional[HullContext] = None) -> Classification:
+def classify_equality(ctx: HullContext) -> Classification:
     """Decide between strict preimage inclusion and the two equality families.
 
     p^-1(H) = H holds only for conjugates of +-T_d and of c z^d, |c| = 1.
@@ -406,7 +407,7 @@ def classify_equality(p: Polynomial, cfg: CheckConfig,
     samples stay bounded) and verifies the conjugated coefficients.  A
     sample that fits neither raises EqualityUnresolvedError.
     """
-    ctx = ctx or build_context(p, cfg)
+    p, cfg = ctx.polynomial, ctx.config
     d = p.degree
     gap = _boundary_image_gap(p, ctx.hull, ctx.hull_query, cfg.boundary_samples)
     if gap > cfg.tol_rel * ctx.diameter:
@@ -446,14 +447,13 @@ def classify_equality(p: Polynomial, cfg: CheckConfig,
         "(--n) to sharpen the fit")
 
 
-def run_checks(p: Polynomial, cfg: CheckConfig,
-               ctx: Optional[HullContext] = None) -> list[CheckReport]:
+def run_checks(ctx: HullContext) -> list[CheckReport]:
     """All five checks against one shared context, in canonical order."""
-    ctx = ctx or build_context(p, cfg)
+    # module names, looked up per call: tracers patch them there
     return [
-        check_backward_inclusion(p, cfg, ctx),
-        check_critical_in_hull(p, cfg, ctx),
-        check_filled_in_hull(p, cfg, ctx),
-        check_preimage_convexity(p, cfg, ctx),
-        check_half_plane_surjectivity(p, cfg, ctx),
+        check_backward_inclusion(ctx),
+        check_critical_in_hull(ctx),
+        check_filled_in_hull(ctx),
+        check_preimage_convexity(ctx),
+        check_half_plane_surjectivity(ctx),
     ]

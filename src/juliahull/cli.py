@@ -4,9 +4,12 @@ Verbs: ``check`` (five hull checks), ``classify`` (equality classifier),
 ``suite`` (checks plus classifier), ``render`` (SVG scene).  Reports go to
 stdout or ``--out`` as JSON (default) or CSV.
 
-Exit codes: 0 all passed, 1 some check failed, 2 usage error or an
-unwritable output path, 3 inconclusive outcome (including a root solver
-or sampler failure).
+Every verb samples the Julia set once: ``main`` builds one ``HullContext``
+and hands it to the checks, the classifier or the scene.
+
+Exit codes: 0 all passed, 1 some check failed, 2 usage error, an
+unwritable output path or out of memory, 3 inconclusive outcome
+(including a root solver or sampler failure).
 """
 from __future__ import annotations
 
@@ -41,7 +44,6 @@ from .julia import SamplingError
 from .polynomial import (  # noqa: F401  (parse_complex: part of this module's API)
     ParseError,
     Polynomial,
-    PolySpec,
     escape_radius,
     format_complex,
     parse_complex,
@@ -91,16 +93,6 @@ def _exit_code(reports: list[CheckReport]) -> int:
     return 0
 
 
-def run_suite(spec: PolySpec, cfg: CheckConfig) -> tuple[int, list[dict]]:
-    """All five checks plus the classifier; returns (exit code, JSON documents)."""
-    p = spec.polynomial
-    ctx = build_context(p, cfg)
-    reports = run_checks(p, cfg, ctx)
-    classification = classify_equality(p, cfg, ctx)
-    docs = [r.to_dict() for r in reports] + [classification.to_dict()]
-    return _exit_code(reports), docs
-
-
 _CSV_COLUMNS = ("check", "verdict", "worst_violation", "witnesses", "polynomial",
                 "kind", "conjugation_a", "conjugation_b", "sign_or_c",
                 "coefficient_residual")
@@ -140,7 +132,7 @@ def _output(text: str, out: Optional[str]) -> None:
 
 def _emit(docs, fmt: str, out: Optional[str]) -> None:
     if fmt == "csv":
-        text = _csv_text(docs if isinstance(docs, list) else [docs])
+        text = _csv_text(docs)
     else:
         text = json.dumps(docs, indent=2) + "\n"
     _output(text, out)
@@ -223,28 +215,24 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        ctx = build_context(spec.polynomial, cfg)
         if args.command == "classify":
-            ctx = build_context(spec.polynomial, cfg)
-            classification = classify_equality(spec.polynomial, cfg, ctx)
-            _emit(classification.to_dict(), "json", args.out)
+            _emit(classify_equality(ctx).to_dict(), "json", args.out)
             return 0
-        if args.command == "check":
-            ctx = build_context(spec.polynomial, cfg)
-            reports = run_checks(spec.polynomial, cfg, ctx)
-            _emit([r.to_dict() for r in reports], args.format, args.out)
-            return _exit_code(reports)
+        if args.command == "render":
+            from .scene import render_scene
+            svg, grid = render_scene(ctx, spec.source)
+            _output(svg, args.out)
+            if args.raster_out:
+                from .julia import to_pgm
+                Path(args.raster_out).write_bytes(to_pgm(grid))
+            return 0
+        reports = run_checks(ctx)
+        docs = [r.to_dict() for r in reports]
         if args.command == "suite":
-            code, docs = run_suite(spec, cfg)
-            _emit(docs, args.format, args.out)
-            return code
-        # render
-        from .scene import render_scene
-        svg, grid = render_scene(spec.polynomial, spec.source, cfg)
-        _output(svg, args.out)
-        if args.raster_out:
-            from .julia import to_pgm
-            Path(args.raster_out).write_bytes(to_pgm(grid))
-        return 0
+            docs.append(classify_equality(ctx).to_dict())
+        _emit(docs, args.format, args.out)
+        return _exit_code(reports)
     except OSError as exc:  # only the output writes touch the file system
         print(f"juliahull: cannot write {exc.filename}: {exc.strerror}",
               file=sys.stderr)
@@ -258,6 +246,10 @@ def main(argv=None) -> int:
     except SamplingError as exc:
         print(f"juliahull: Julia sampling failed: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"juliahull: out of memory ({exc or 'allocation failed'}); "
+              "lower --n, --k or --res", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

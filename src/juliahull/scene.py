@@ -11,11 +11,10 @@ import zlib
 
 import numpy as np
 
-from .checks import CheckConfig, build_context, classify_equality, run_checks
+from .checks import HullContext, classify_equality, run_checks
 from .geometry import POINT, SEGMENT, boundary_points
 from .julia import _GRID_SPAN
 from .julia import escape_grid  # noqa: F401  (read by perfbench/test_smoke.py)
-from .polynomial import Polynomial
 from .roots import critical_points, preimage_fibers
 
 _VIEW = 1000.0  # viewport edge in SVG user units
@@ -90,16 +89,16 @@ def _hull_path(cam: _Camera, hull) -> str:
             f'stroke="#14325a" stroke-width="2.5" fill="none"/>')
 
 
-def render_scene(p: Polynomial, label: str, cfg: CheckConfig):
-    """Compose the SVG scene for one polynomial; returns (svg text, escape grid).
+def render_scene(ctx: HullContext, label: str):
+    """Compose the SVG scene for one context; returns (svg text, escape grid).
 
     Layers: bounded-set raster underlay, Julia sample cloud, hull outline,
     preimages of hull boundary samples, critical points, and a legend with
     the check verdicts and the classification.
     """
-    ctx = build_context(p, cfg)
-    reports = run_checks(p, cfg, ctx)
-    classification = classify_equality(p, cfg, ctx)
+    p, cfg = ctx.polynomial, ctx.config
+    reports = run_checks(ctx)
+    classification = classify_equality(ctx)
     grid = ctx.grid
 
     span = _GRID_SPAN * grid.radius

@@ -55,7 +55,7 @@ def test_criterion_1_backward_inclusion_fuzz():
         p = Polynomial(coeffs)
         cfg = CheckConfig(julia_samples=100_000, seed=trial)
         ctx = build_context(p, cfg)
-        report = check_backward_inclusion(p, cfg, ctx)
+        report = check_backward_inclusion(ctx)
         ratio = report.worst_violation / (cfg.tol_rel * ctx.diameter)
         worst_ratio = max(worst_ratio, ratio)
         assert report.verdict == PASS, (
@@ -79,7 +79,7 @@ def test_criterion_2_known_equality_cases():
     failures = []
     for name, p, expected in cases:
         cfg = CheckConfig(seed=21)
-        cls = classify_equality(p, cfg)
+        cls = classify_equality(build_context(p, cfg))
         scale = max(1.0, float(np.abs(p.coeffs).max()))
         if cls.kind != expected or cls.coefficient_residual > 1e-6 * scale:
             failures.append((name, cls.kind, cls.coefficient_residual))
@@ -89,7 +89,7 @@ def test_criterion_2_known_equality_cases():
         a = complex(rng.uniform(0.5, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         b = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         moved = conjugate(base, AffineMap(a, b))
-        cls = classify_equality(moved, CheckConfig(seed=100 + i))
+        cls = classify_equality(build_context(moved, CheckConfig(seed=100 + i)))
         if cls.kind != expected:
             failures.append((f"conjugate #{i}", cls.kind, None))
     elapsed = time.perf_counter() - start
@@ -105,7 +105,7 @@ def test_criterion_3_known_strict_cases():
         p = Polynomial([c, 0, 1])
         cfg = CheckConfig(seed=5)
         ctx = build_context(p, cfg)
-        cls = classify_equality(p, cfg, ctx)
+        cls = classify_equality(ctx)
         assert cls.kind == STRICT_INCLUSION, label
         ratios[label] = cls.hull_gap / (cfg.tol_rel * ctx.diameter)
     ok = all(r >= 10.0 for r in ratios.values())
@@ -166,7 +166,7 @@ def test_criterion_7_preimage_convexity():
     for preset in presets:
         p = parse_polynomial(preset).polynomial
         cfg = CheckConfig(julia_samples=50_000, seed=47)
-        report = check_preimage_convexity(p, cfg, pair_target=100)
+        report = check_preimage_convexity(build_context(p, cfg))
         if report.verdict != PASS or "100 admissible pairs" not in report.note:
             failures.append((preset, report.verdict, report.note))
     _line(7, not failures,

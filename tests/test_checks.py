@@ -10,6 +10,7 @@ from juliahull import (
     EqualityUnresolvedError,
     EscapeGrid,
     Polynomial,
+    RootSolveError,
     build_context,
     chebyshev,
     check_backward_inclusion,
@@ -26,17 +27,22 @@ from juliahull import (
     boundary_cells,
     parse_polynomial,
     preimages,
+    run_checks,
     sample_julia,
     signed_distance,
 )
 from juliahull import checks
 from juliahull.checks import (
+    BACKWARD_INCLUSION,
     CHEBYSHEV_CONJUGATE,
     FAIL,
+    HALF_PLANE_SURJECTIVITY,
     INCONCLUSIVE,
     MONOMIAL_CONJUGATE,
     PASS,
+    PREIMAGE_CONVEXITY,
     STRICT_INCLUSION,
+    HullContext,
     _boundary_image_gap,
     _report,
 )
@@ -82,11 +88,16 @@ def test_query_hull_decimation_follows_tolerance():
     assert np.abs(signed_distance(ctx.hull_query, ctx.hull.vertices)).max() <= budget
 
 
+def _unit_context(cfg: CheckConfig) -> HullContext:
+    """A context of diameter 1 with no sample: enough for _report."""
+    return HullContext(Polynomial([-1, 0, 1]), None, None, None, 1.0, cfg)
+
+
 @pytest.mark.parametrize("worst", [np.nan, np.inf])
 def test_report_of_non_finite_worst_is_inconclusive(worst, fast_cfg):
     # NaN fails "worst <= tol" and would otherwise read as Fail
-    report = _report("backward_inclusion", fast_cfg, Polynomial([-1, 0, 1]),
-                     1.0, np.zeros(1, dtype=complex), np.array([worst]))
+    report = _report(_unit_context(fast_cfg), "backward_inclusion",
+                     np.zeros(1, dtype=complex), np.array([worst]))
     assert report.verdict == INCONCLUSIVE and report.worst_violation is None
     assert report.note
     json.dumps(report.to_dict(), allow_nan=False)
@@ -95,26 +106,56 @@ def test_report_of_non_finite_worst_is_inconclusive(worst, fast_cfg):
 def test_tied_witnesses_keep_candidate_order(fast_cfg):
     candidates = np.array([1, 2, 3, 4, 5], dtype=complex)
     violations = np.array([0.5, 2.0, 0.0, 2.0, 1.0])
-    report = _report("backward_inclusion", fast_cfg, Polynomial([-1, 0, 1]),
-                     1.0, candidates, violations)
+    report = _report(_unit_context(fast_cfg), "backward_inclusion",
+                     candidates, violations)
     assert report.verdict == FAIL
     assert report.witnesses == [2, 4, 5, 1]
 
 
+class TestSolverFailure:
+    MESSAGE = "fiber solve missed the residual bound"
+
+    @pytest.fixture
+    def failing_ctx(self, basilica, fast_cfg, monkeypatch):
+        ctx = build_context(basilica, fast_cfg)
+
+        def give_up(*args, **kwargs):
+            raise RootSolveError(self.MESSAGE)
+
+        monkeypatch.setattr(checks, "preimage_fibers", give_up)
+        return ctx
+
+    def test_direct_call_reads_inconclusive(self, failing_ctx):
+        report = check_backward_inclusion(failing_ctx)
+        assert report.verdict == INCONCLUSIVE
+        assert report.note == self.MESSAGE
+        assert report.worst_violation is None
+
+    def test_only_fiber_checks_turn_inconclusive(self, failing_ctx):
+        reports = run_checks(failing_ctx)
+        assert [r.check for r in reports if r.verdict == INCONCLUSIVE] == [
+            BACKWARD_INCLUSION, PREIMAGE_CONVEXITY, HALF_PLANE_SURJECTIVITY]
+        assert all(r.note == self.MESSAGE for r in reports
+                   if r.verdict == INCONCLUSIVE)
+        assert [r.verdict for r in reports if r.verdict != INCONCLUSIVE] == [
+            PASS, PASS]
+
+
 class TestBackwardInclusion:
     def test_chebyshev_segment(self, t2, fast_cfg):
-        report = check_backward_inclusion(t2, fast_cfg)
+        report = check_backward_inclusion(build_context(t2, fast_cfg))
         assert report.verdict == PASS
         assert report.witnesses == []
 
     def test_unimodular_monomial(self, fast_cfg):
-        report = check_backward_inclusion(monomial(0.6 + 0.8j, 2), fast_cfg)
+        ctx = build_context(monomial(0.6 + 0.8j, 2), fast_cfg)
+        report = check_backward_inclusion(ctx)
         assert report.verdict == PASS
 
     def test_basilica_interior_up_to_sampling(self, basilica):
         cfg = CheckConfig(seed=3)
         ctx = build_context(basilica, cfg)
-        report = check_backward_inclusion(basilica, cfg, ctx)
+        report = check_backward_inclusion(ctx)
         assert report.verdict == PASS
         # preimages sit (sampling noise aside) strictly inside the hull
         assert report.worst_violation < 0.01 * cfg.tol_rel * ctx.diameter
@@ -125,11 +166,11 @@ class TestBackwardInclusion:
             d = int(rng.integers(2, 7))
             p = Polynomial(rng.uniform(0, 1, d + 1) + 1j * rng.uniform(0, 1, d + 1))
             cfg = CheckConfig(julia_samples=20_000, seed=trial)
-            report = check_backward_inclusion(p, cfg)
+            report = check_backward_inclusion(build_context(p, cfg))
             assert report.verdict == PASS, (p.coeffs, report.worst_violation)
 
     def test_json_shape(self, t2, fast_cfg):
-        doc = check_backward_inclusion(t2, fast_cfg).to_dict()
+        doc = check_backward_inclusion(build_context(t2, fast_cfg)).to_dict()
         assert list(doc) == ["check", "verdict", "worst_violation",
                              "witnesses", "config", "polynomial"]
         assert doc["check"] == "backward_inclusion"
@@ -138,12 +179,12 @@ class TestBackwardInclusion:
 
 class TestCriticalInHull:
     def test_quadratic_center(self, fast_cfg):
-        report = check_critical_in_hull(Polynomial([0.2j, 0, 1]), fast_cfg)
+        report = check_critical_in_hull(build_context(Polynomial([0.2j, 0, 1]), fast_cfg))
         assert report.verdict == PASS
 
     def test_t4_critical_points(self, fast_cfg):
         p = chebyshev(4)
-        report = check_critical_in_hull(p, fast_cfg)
+        report = check_critical_in_hull(build_context(p, fast_cfg))
         assert report.verdict == PASS
         # oracle: zeros of 32z^3 - 16z are 0 and +-sqrt(2)/2, inside [-1, 1]
         from juliahull import critical_points
@@ -153,7 +194,7 @@ class TestCriticalInHull:
     def test_bounded_cubic_with_direction_oracle(self, fast_cfg):
         p = Polynomial([0.1, -0.6, 0.05j, 1])
         ctx = build_context(p, fast_cfg)
-        report = check_critical_in_hull(p, fast_cfg, ctx)
+        report = check_critical_in_hull(ctx)
         assert report.verdict == PASS
         # contradiction search: no direction separates a critical point
         # from the whole Julia sample
@@ -169,11 +210,11 @@ class TestCriticalInHull:
 class TestFilledInHull:
     @pytest.mark.parametrize("coeffs", [[0, 0, 1], [-1, 0, 1]])
     def test_passes(self, coeffs, fast_cfg):
-        report = check_filled_in_hull(Polynomial(coeffs), fast_cfg)
+        report = check_filled_in_hull(build_context(Polynomial(coeffs), fast_cfg))
         assert report.verdict == PASS
 
     def test_segment_bounded_set(self, t2, fast_cfg):
-        report = check_filled_in_hull(t2, fast_cfg)
+        report = check_filled_in_hull(build_context(t2, fast_cfg))
         assert report.verdict == PASS
 
     @pytest.mark.parametrize("poly", ["quad:-1+0i", "quad:-0.12+0.74i",
@@ -184,7 +225,7 @@ class TestFilledInHull:
         p = parse_polynomial(poly).polynomial
         cfg = CheckConfig(julia_samples=20_000, seed=1)
         ctx = build_context(p, cfg)
-        report = check_filled_in_hull(p, cfg, ctx)
+        report = check_filled_in_hull(ctx)
         scan = signed_distance(ctx.hull_query, ctx.grid.true_centers()).max()
         assert report.worst_violation == scan - ctx.grid.cell_size * np.sqrt(2)
 
@@ -201,7 +242,7 @@ class TestFilledInHull:
                          g.origin_imag + 20 * g.cell_size)
         ctx.hull_query = ConvexPolygon(
             corner - 0.05 - 0.05j + np.array([0, 0.01, 0.01j]), PROPER)
-        report = check_filled_in_hull(ctx.polynomial, cfg, ctx)
+        report = check_filled_in_hull(ctx)
         assert report.verdict == FAIL
         slack = g.cell_size * np.sqrt(2)
         every = signed_distance(ctx.hull_query, ctx.grid.true_centers()) - slack
@@ -223,7 +264,7 @@ class TestPreimageConvexity:
     def test_disk_case_with_sqrt_oracle(self, squaring):
         cfg = CheckConfig(julia_samples=20_000, seed=5)
         ctx = build_context(squaring, cfg)
-        report = check_preimage_convexity(squaring, cfg, ctx)
+        report = check_preimage_convexity(ctx)
         assert report.verdict == PASS
         # oracle: w is admissible for the unit disk iff both preimages
         # +-sqrt(w) stay inside, which happens exactly when |w| <= 1
@@ -236,11 +277,11 @@ class TestPreimageConvexity:
         assert np.array_equal(admissible, np.abs(w) <= (1 + tol) ** 2)
 
     def test_t3_segment(self, fast_cfg):
-        report = check_preimage_convexity(chebyshev(3), fast_cfg)
+        report = check_preimage_convexity(build_context(chebyshev(3), fast_cfg))
         assert report.verdict == PASS
 
     def test_basilica(self, basilica, fast_cfg):
-        report = check_preimage_convexity(basilica, fast_cfg)
+        report = check_preimage_convexity(build_context(basilica, fast_cfg))
         assert report.verdict == PASS
         assert "100 admissible pairs" in report.note
 
@@ -258,7 +299,7 @@ class TestHalfPlaneSurjectivity:
     def test_check_passes_for_cubic(self, fast_cfg):
         p = Polynomial([0, -3, 0, 1])
         ctx = build_context(p, fast_cfg)
-        report = check_half_plane_surjectivity(p, fast_cfg, ctx)
+        report = check_half_plane_surjectivity(ctx)
         assert report.verdict == PASS
         # enumeration oracle: all three cube preimages of random targets
         # computed directly, membership checked per half-plane
@@ -273,14 +314,14 @@ class TestHalfPlaneSurjectivity:
             assert member.any(axis=1).all()
 
     def test_squaring(self, squaring, fast_cfg):
-        report = check_half_plane_surjectivity(squaring, fast_cfg)
+        report = check_half_plane_surjectivity(build_context(squaring, fast_cfg))
         assert report.verdict == PASS
 
 
 class TestClassifyEquality:
     def test_t5_is_plain_chebyshev(self):
         cfg = CheckConfig(seed=1)
-        cls = classify_equality(chebyshev(5), cfg)
+        cls = classify_equality(build_context(chebyshev(5), cfg))
         assert cls.kind == CHEBYSHEV_CONJUGATE
         assert cls.sign_or_c == 1.0
         assert abs(cls.conjugation.a - 1.0) <= 1e-6
@@ -290,7 +331,7 @@ class TestClassifyEquality:
         g = AffineMap(2.0, 1 - 1j)
         p = conjugate(Polynomial([0, 0, 0, 1]), g)
         cfg = CheckConfig(seed=1)
-        cls = classify_equality(p, cfg)
+        cls = classify_equality(build_context(p, cfg))
         assert cls.kind == MONOMIAL_CONJUGATE
         assert abs(abs(cls.sign_or_c) - 1.0) <= 1e-9
         # recovered map must invert the constructed one
@@ -302,7 +343,7 @@ class TestClassifyEquality:
         cfg = CheckConfig(seed=1)
         p = Polynomial([0.25j, 0, 1])
         ctx = build_context(p, cfg)
-        cls = classify_equality(p, cfg, ctx)
+        cls = classify_equality(ctx)
         assert cls.kind == STRICT_INCLUSION
         assert cls.hull_gap > 10 * cfg.tol_rel * ctx.diameter
         assert cls.conjugation is None and cls.coefficient_residual is None
@@ -328,13 +369,13 @@ class TestClassifyEquality:
                           grid_max_iter=50)
         p = conjugate(CHEBYSHEV_BASES[base], AffineMap(turn))
         ctx = build_context(p, cfg)
-        cls = classify_equality(p, cfg, ctx)
+        cls = classify_equality(ctx)
         assert cls.kind == CHEBYSHEV_CONJUGATE
         assert cls.hull_gap <= 0.01 * cfg.tol_rel * ctx.diameter
 
     def test_negated_chebyshev_sign(self):
         cfg = CheckConfig(seed=2)
-        cls = classify_equality(Polynomial(-chebyshev(3).coeffs), cfg)
+        cls = classify_equality(build_context(Polynomial(-chebyshev(3).coeffs), cfg))
         assert cls.kind == CHEBYSHEV_CONJUGATE
         assert cls.sign_or_c == -1.0
 
@@ -345,7 +386,7 @@ class TestClassifyEquality:
         g = AffineMap(complex(rng.uniform(0.5, 2)) * np.exp(1j * rng.uniform(0, 6)),
                       complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
         p = conjugate(base, g)
-        cls = classify_equality(p, cfg)
+        cls = classify_equality(build_context(p, cfg))
         assert cls.kind == CHEBYSHEV_CONJUGATE
         normal = Polynomial(cls.sign_or_c * chebyshev(3).coeffs)
         back = conjugate(normal, cls.conjugation.inverse())
@@ -356,10 +397,11 @@ class TestClassifyEquality:
         cfg = CheckConfig(julia_samples=50_000, seed=6)
         rng = np.random.default_rng(3)
         for base in (chebyshev(2), monomial(1j, 2), Polynomial([-1 + 0j, 0, 1])):
-            expected = classify_equality(base, cfg).kind
+            expected = classify_equality(build_context(base, cfg)).kind
             a = complex(rng.uniform(0.5, 2)) * np.exp(1j * rng.uniform(0, 6))
             b = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            moved = classify_equality(conjugate(base, AffineMap(a, b)), cfg)
+            moved_p = conjugate(base, AffineMap(a, b))
+            moved = classify_equality(build_context(moved_p, cfg))
             assert moved.kind == expected
 
     def test_equality_without_shape_raises(self, basilica, squaring):
@@ -370,7 +412,7 @@ class TestClassifyEquality:
         blob = sample_julia(basilica, 20_000, seed=5)
         ctx.cloud = blob
         with pytest.raises(EqualityUnresolvedError, match="increase n"):
-            classify_equality(squaring, cfg, ctx)
+            classify_equality(ctx)
 
     def test_escaping_interior_exposes_false_circle_candidate(self, squaring,
                                                                monkeypatch):
@@ -379,16 +421,16 @@ class TestClassifyEquality:
         # J_p, so its interior samples escape
         cfg = CheckConfig(julia_samples=20_000, seed=5)
         ctx = build_context(squaring, cfg)
-        assert classify_equality(squaring, cfg, ctx).kind == MONOMIAL_CONJUGATE
+        assert classify_equality(ctx).kind == MONOMIAL_CONJUGATE
         monkeypatch.setattr(checks, "_boundary_image_gap", lambda *args: 0.0)
         ctx.hull_query = convex_hull(ctx.cloud.points + 1.5)
-        cls = classify_equality(squaring, cfg, ctx)
+        cls = classify_equality(ctx)
         assert cls.kind == STRICT_INCLUSION
         assert cls.conjugation is None and cls.match_residual is None
 
     def test_classification_json_shape(self):
         cfg = CheckConfig(julia_samples=20_000, seed=7)
-        doc = classify_equality(chebyshev(2), cfg).to_dict()
+        doc = classify_equality(build_context(chebyshev(2), cfg)).to_dict()
         assert list(doc) == ["kind", "conjugation_a", "conjugation_b",
                              "sign_or_c", "coefficient_residual"]
         assert doc["kind"] == CHEBYSHEV_CONJUGATE

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from juliahull import checks
-from juliahull import ParseError, Polynomial, chebyshev, format_polynomial, parse_polynomial
+from juliahull import checks, cli
+from juliahull import ParseError, RootSolveError, Polynomial, chebyshev, format_polynomial, parse_polynomial
 from juliahull.cli import main, parse_complex
 
 
@@ -149,13 +149,39 @@ class TestCommands:
         ("classify", 0), ("check", 1), ("suite", 1), ("render", 1)])
     def test_escape_grid_built_only_when_read(self, monkeypatch, tmp_path,
                                               verb, grids):
-        calls = []
+        calls, contexts = [], []
         original = checks.escape_grid
         monkeypatch.setattr(checks, "escape_grid",
                             lambda *args: calls.append(args) or original(*args))
+        build = cli.build_context
+        monkeypatch.setattr(cli, "build_context",
+                            lambda *args: contexts.append(args) or build(*args))
         out = tmp_path / "out"
         assert main([verb, "--poly", "quad:-1+0i", "--out", str(out)] + SMALL) == 0
         assert len(calls) == grids
+        # one Julia sample per run, whatever the verb
+        assert len(contexts) == 1
+
+    def test_out_of_memory_is_usage_error(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 7.45 TiB for an array")
+
+        monkeypatch.setattr(checks, "escape_grid", exhausted)
+        assert main(["check", "--poly", "quad:-1+0i"] + SMALL) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("juliahull: out of memory (Unable to allocate")
+        assert "lower --n, --k or --res" in err and "Traceback" not in err
+
+    def test_solver_failure_in_checks_exits_3(self, monkeypatch, capsys):
+        def give_up(*args, **kwargs):
+            raise RootSolveError("fiber solve missed the residual bound")
+
+        monkeypatch.setattr(checks, "preimage_fibers", give_up)
+        assert main(["suite", "--poly", "quad:-1+0i"] + SMALL) == 3
+        docs = json.loads(capsys.readouterr().out)
+        assert len(docs) == 6
+        assert [d["verdict"] for d in docs[:5]] == [
+            "Inconclusive", "Pass", "Pass", "Inconclusive", "Inconclusive"]
 
     def test_suite_appends_classification(self, tmp_path):
         out = tmp_path / "suite.json"

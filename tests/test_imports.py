@@ -29,6 +29,16 @@ def test_scripts_import(script):
     assert callable(namespace["main"])
 
 
+def test_render_gallery_writes_every_scene(tmp_path):
+    namespace = runpy.run_path(str(ROOT / "scripts" / "render_gallery.py"),
+                               run_name="script_under_test")
+    namespace["main"](["--n", "2000", "--out-dir", str(tmp_path)])
+    scenes = sorted(tmp_path.glob("*.svg"))
+    assert len(scenes) == len(namespace["PRESETS"]) == 8
+    assert all(path.read_text(encoding="utf-8").startswith("<svg")
+               for path in scenes)
+
+
 def test_package_import_leaves_cli_out():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import juliahull; "
             "print('juliahull.cli' in sys.modules)")
