@@ -23,7 +23,6 @@ from .roots import (
     all_roots,
     critical_points,
     preimage_fibers,
-    preimages,
     repelling_fixed_point,
 )
 from .julia import (
@@ -39,13 +38,11 @@ from .geometry import (
     CircleShape,
     ConvexPolygon,
     GenericShape,
-    HalfPlane,
     SegmentShape,
     boundary_points,
     classify_shape,
     convex_hull,
     polygon_hausdorff,
-    separating_half_plane,
     signed_distance,
 )
 from .checks import (

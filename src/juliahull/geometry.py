@@ -14,9 +14,8 @@ through the other.  Tolerance contract: the vertices are input points in
 strictly convex ccw order, and every input point lies within 1e-12 *
 scale of the hull; a cluster inside ``_DUP_EPS * scale`` keeps one
 representative, and a point dropped as collinear lies within about
-``_TURN_EPS * scale`` of it.  Distances, separation witnesses, the
-polygon Hausdorff distance and the degenerate-shape fits (line and
-circle) all live here.
+``_TURN_EPS * scale`` of it.  Distances, the polygon Hausdorff distance
+and the degenerate-shape fits (line and circle) all live here.
 """
 from __future__ import annotations
 
@@ -108,28 +107,6 @@ class ConvexPolygon:
         v = self.vertices
         w = np.roll(v, -1)
         return 0.5 * float(np.sum(v.real * w.imag - w.real * v.imag))
-
-
-@dataclass(eq=False)
-class HalfPlane:
-    """{z : <z, normal> >= offset} with a unit normal."""
-
-    normal: complex
-    offset: float
-
-    def __post_init__(self):
-        n = complex(self.normal)
-        if abs(abs(n) - 1.0) > 1e-12:
-            raise ValueError("half-plane normal must have unit modulus")
-        self.normal = n
-        self.offset = float(self.offset)
-
-    def value(self, z):
-        """<z, normal> - offset; nonnegative inside the half-plane."""
-        return _inner(np.asarray(z, dtype=np.complex128), self.normal) - self.offset
-
-    def contains(self, z, tol: float = 0.0):
-        return self.value(z) >= -tol
 
 
 def _antipodal_diameter(v: np.ndarray) -> float:
@@ -361,46 +338,6 @@ def signed_distance(polygon: ConvexPolygon, z):
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
-
-
-def _boundary_offset(polygon: ConvexPolygon, z: complex) -> complex:
-    """z minus its nearest boundary point.
-
-    The edges close the cycle, so a segment is walked both ways and a point
-    is one zero-length edge.  Each edge is measured from its end nearer z,
-    and a foot inside an edge is taken along the edge's perpendicular, so
-    the offset keeps its direction however long the edge.
-    """
-    v = polygon.vertices
-    w = np.roll(v, -1)
-    swap = np.abs(z - w) < np.abs(z - v)
-    a, b = np.where(swap, w, v), np.where(swap, v, w)
-    ex, ey = b.real - a.real, b.imag - a.imag
-    rx, ry = z.real - a.real, z.imag - a.imag
-    inv_len2 = _inverse_len2(ex, ey)
-    dx, dy = _clamp_offsets(rx, ry, ex, ey, inv_len2)
-    k = int(np.argmin(dx * dx + dy * dy))
-    if 0.0 < (rx[k] * ex[k] + ry[k] * ey[k]) * inv_len2[k] < 1.0:
-        # r - t e cancels to rounding noise when z is close to a long edge
-        c = (ex[k] * ry[k] - ey[k] * rx[k]) * inv_len2[k]
-        return complex(-c * ey[k], c * ex[k])
-    return complex(dx[k], dy[k])
-
-
-def separating_half_plane(polygon: ConvexPolygon, z: complex) -> HalfPlane:
-    """Half-plane containing z, disjoint from the polygon.
-
-    The witness is built from the perpendicular bisector direction at the
-    nearest boundary point, so both sides clear the boundary by half the
-    separation distance.
-    """
-    z = complex(z)
-    if signed_distance(polygon, z) <= 0.0:
-        raise ValueError("point not strictly outside")
-    delta = _boundary_offset(polygon, z)
-    normal = delta / abs(delta)
-    offset = float(_inner(z - delta, normal) + 0.5 * abs(delta))
-    return HalfPlane(normal, offset)
 
 
 def boundary_points(polygon: ConvexPolygon, count: int) -> np.ndarray:

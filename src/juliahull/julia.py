@@ -115,9 +115,6 @@ class EscapeGrid:
     def true_centers(self) -> np.ndarray:
         return _centers(self, self.cells)
 
-    def bounded_area(self) -> float:
-        return float(self.cells.sum()) * self.cell_size ** 2
-
 
 def _centers(grid: EscapeGrid, mask: np.ndarray) -> np.ndarray:
     """Centers of the cells of ``grid`` where ``mask`` is true."""

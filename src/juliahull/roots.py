@@ -5,6 +5,9 @@ on a Cauchy-bound circle, with a Durand-Kerner pass as fallback when the
 main iteration stalls.  A whole family p(z) = t_m can be solved in one
 vectorized batch, which is what the inverse-iteration sampler leans on.
 
+A quadratic fiber starts from its exact roots instead, in Vieta form
+(``_quadratic_roots``), and the same iteration only confirms them.
+
 Everything here is deterministic: no randomness enters the initial
 configuration or the iteration, so identical inputs give identical outputs.
 """
@@ -61,6 +64,22 @@ def _initial_points(coeffs: np.ndarray, targets: np.ndarray, d: int) -> np.ndarr
     radius = 1.0 + np.maximum(mid, np.abs(coeffs[0] - targets)) / lead
     angles = 2.0 * np.pi * np.arange(d) / d + _INIT_ROTATION
     return radius[:, None] * np.exp(1j * angles)[None, :]
+
+
+def _quadratic_roots(coeffs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Both roots of a_2 z**2 + a_1 z + a_0 = t for every target, as (m, 2).
+
+    With s = -a_1/(2 a_2) and r = sqrt((t - a_0)/a_2 + s**2), the root of
+    larger modulus is whichever of s + r and s - r does not cancel; the
+    other is the product of the roots, (a_0 - t)/a_2, over it (Vieta).
+    """
+    a0, a1, a2 = coeffs
+    s = -a1 / (2.0 * a2)
+    r = np.sqrt((targets - a0) / a2 + s * s)
+    big = np.where((np.conj(s) * r).real >= 0, s + r, s - r)
+    # big == 0 only when s == r == 0: a double root at 0
+    small = np.divide((a0 - targets) / a2, big, out=big.copy(), where=big != 0)
+    return np.stack([big, small], axis=1)
 
 
 def _residual_bounds(abs_coeffs, const_shift, z, tol, floor):
@@ -149,7 +168,11 @@ def solve_fibers(p: Polynomial, targets, tol: float = DEFAULT_TOL,
 
 
 def _solve_batch(p: Polynomial, targets: np.ndarray, tol: float, max_iter: int):
-    """``solve_fibers`` on one chunk of members, for degree >= 2."""
+    """``solve_fibers`` on one chunk of members, for degree >= 2.
+
+    Degree 2 starts from the exact roots, in Vieta form; they meet the
+    residual bound, so ``_iterate`` freezes them before any step.
+    """
     coeffs = p.coeffs
     d = p.degree
     floor = np.maximum(np.abs(coeffs[1:]).max(), np.abs(coeffs[0] - targets))
@@ -162,7 +185,8 @@ def _solve_batch(p: Polynomial, targets: np.ndarray, tol: float, max_iter: int):
         return _residual_bounds(abs_coeffs, const_shift[members], z, tol,
                                 floor[members])
 
-    z = _initial_points(coeffs, targets, d)
+    z = (_quadratic_roots(coeffs, targets) if d == 2
+         else _initial_points(coeffs, targets, d))
     z = _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter, "aberth")
     everyone = np.arange(targets.size)
     res = np.abs(_horner(coeffs, z) - targets[:, None])
@@ -205,12 +229,6 @@ def all_roots(p: Polynomial, tol: float = DEFAULT_TOL,
               max_iter: int = MAX_ITERATIONS) -> RootSet:
     """All d roots of p, multiplicity repeated, residuals |p(root)| <= tol*scale."""
     roots, res = _solved(p, np.zeros(1, dtype=np.complex128), tol, max_iter)
-    return RootSet(roots[0], res[0])
-
-
-def preimages(p: Polynomial, w: complex, tol: float = DEFAULT_TOL) -> RootSet:
-    """Roots of p(z) - w: exactly d values counted with multiplicity."""
-    roots, res = _solved(p, np.array([w], dtype=np.complex128), tol, MAX_ITERATIONS)
     return RootSet(roots[0], res[0])
 
 

@@ -12,7 +12,6 @@ from juliahull import (
     convex_hull,
     polygon_hausdorff,
     sample_julia,
-    separating_half_plane,
     signed_distance,
 )
 import juliahull.geometry as geometry
@@ -22,7 +21,6 @@ from juliahull.geometry import (
     POINT,
     _DUP_EPS,
     _TURN_EPS,
-    _boundary_offset,
     decimate,
     distance_to_segments,
     fit_circle,
@@ -430,67 +428,6 @@ class TestDistanceReference:
         assert seg.kind == SEGMENT
         got = signed_distance(seg, np.array([0j, tip, 1 + 0j]))
         assert np.abs(got - [0.0, 0.0, 1.0]).max() <= 2 * abs(tip)
-
-    @settings(max_examples=60, deadline=None)
-    @given(planar_points, plane_point)
-    def test_nearest_boundary_point(self, pts, z):
-        # the point separating_half_plane builds its witness from
-        hull = convex_hull(np.array(pts))
-        q = z - _boundary_offset(hull, z)
-        verts = hull.vertices.tolist()
-        scale = max(1.0, np.abs(pts).max(), abs(z))
-        ref = abs(_plain_signed_distance(verts, hull.kind, z))
-        assert abs(abs(z - q) - ref) <= 1e-12 * scale
-        # q lies on the boundary
-        assert abs(_plain_signed_distance(verts, hull.kind, q)) <= 1e-12 * scale
-
-
-class TestSeparation:
-    def test_square_far_point(self, square):
-        hull = convex_hull(square)
-        hp = separating_half_plane(hull, 3 + 0j)
-        assert hp.normal == pytest.approx(1 + 0j)
-        assert 1 < hp.offset < 3
-        assert hp.contains(3 + 0j)
-
-    def test_segment_perpendicular(self):
-        seg = convex_hull(np.array([-1.0, 1.0]))
-        hp = separating_half_plane(seg, 2j)
-        assert hp.normal == pytest.approx(1j)
-
-    def test_chebyshev_hull_separation(self, t2):
-        cloud = sample_julia(t2, 20_000, seed=3)
-        hull = convex_hull(cloud)
-        hp = separating_half_plane(hull, 1.5 + 0j)
-        assert abs(hp.normal - 1.0) <= 1e-6
-        assert 1 < hp.offset < 1.5
-
-    @pytest.mark.parametrize("end", [5.727055799813556e-09, 5.727055799813556e-09 - 1j])
-    def test_witness_near_a_long_thin_segment(self, end):
-        # 0 lies 3e-9 to 6e-9 off a segment of length 1 or 2; a witness
-        # direction taken from a rounded r - t e misses the far vertex
-        seg = convex_hull(np.array([1j, end]))
-        hp = separating_half_plane(seg, 0j)
-        assert hp.value(0j) > 0
-        assert np.all(hp.value(seg.vertices) < 0)
-
-    def test_rejects_inside_point(self, square):
-        hull = convex_hull(square)
-        with pytest.raises(ValueError, match="not strictly outside"):
-            separating_half_plane(hull, 0.5 + 0.5j)
-
-    @settings(max_examples=40, deadline=None)
-    @given(planar_points,
-           st.builds(complex, st.floats(-9, 9, allow_nan=False),
-                     st.floats(-9, 9, allow_nan=False)))
-    def test_soundness(self, pts, z):
-        hull = convex_hull(np.array(pts))
-        if signed_distance(hull, z) <= 1e-9:
-            return
-        hp = separating_half_plane(hull, z)
-        # affine witness: negative at z, nonnegative on every vertex
-        assert hp.value(z) > 0
-        assert np.all(hp.value(hull.vertices) < 0)
 
 
 class TestBoundaryPoints:

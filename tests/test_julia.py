@@ -7,6 +7,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 import juliahull.julia as julia_mod
+import juliahull.roots as roots_mod
 from juliahull import (
     AffineMap,
     Polynomial,
@@ -22,6 +23,7 @@ from juliahull import (
     sample_julia,
     to_pgm,
 )
+from juliahull.geometry import SEGMENT
 from juliahull.julia import BURN_IN, JULIA_SAMPLE, SamplingError, _run_orbits
 
 
@@ -38,6 +40,11 @@ def _sample_raster(cloud, grid):
     cells = np.zeros_like(grid.cells)
     cells[np.clip(iy, 0, grid.height - 1), np.clip(ix, 0, grid.width - 1)] = True
     return replace(grid, cells=cells)
+
+
+def _area(grid):
+    """Area of ``grid``'s true cells."""
+    return float(grid.cells.sum()) * grid.cell_size ** 2
 
 
 def _fill_holes(raster):
@@ -63,7 +70,8 @@ class TestSampleJulia:
         cloud = sample_julia(squaring, 100_000, seed=7)
         assert cloud.label == JULIA_SAMPLE
         assert len(cloud) == 100_000
-        assert np.abs(np.abs(cloud.points) - 1.0).max() <= 1e-6
+        # quadratic fibers are solved exactly, to a few units in the last place
+        assert np.abs(np.abs(cloud.points) - 1.0).max() <= 1e-15
 
     def test_unimodular_cubic_unit_circle(self):
         cloud = sample_julia(monomial(0.6 + 0.8j, 3), 100_000, seed=7)
@@ -72,7 +80,9 @@ class TestSampleJulia:
 
     def test_chebyshev_segment(self, t2):
         cloud = sample_julia(t2, 100_000, seed=7)
-        assert np.abs(cloud.points.imag).max() <= 1e-6
+        # +-sqrt of a real in [0, 1]: the closed-form fiber stays on the axis
+        assert np.all(cloud.points.imag == 0)
+        assert convex_hull(cloud).kind == SEGMENT
         assert cloud.points.real.min() >= -1 - 1e-6
         assert cloud.points.real.max() <= 1 + 1e-6
 
@@ -161,6 +171,30 @@ class TestSampleJulia:
         assert len(calls) == 2 * BURN_IN + 1
         assert np.abs(np.abs(cloud.points) - 1.0).max() <= 1e-6
 
+    def test_parabolic_quadratic_seeds_from_one(self, monkeypatch):
+        # z^2 + 1/4: no fixed point repels, so the orbits start at 1+0i
+        calls = _count_solves(monkeypatch)
+        n = 1_000
+        cloud = sample_julia(Polynomial([0.25, 0, 1]), n, seed=1)
+        assert len(calls) == 2 * BURN_IN + 1
+        assert len(cloud) == n
+
+    def test_quadratic_sample_takes_no_solver_step(self, monkeypatch, basilica):
+        # every fiber starts exact, so _iterate returns its start untouched
+        # and the Durand-Kerner fallback never runs
+        runs = []
+        original = roots_mod._iterate
+
+        def watched(coeffs, dcoeffs, targets, z, bounds_of, max_iter, method):
+            start = z.copy()
+            out = original(coeffs, dcoeffs, targets, z, bounds_of, max_iter, method)
+            runs.append((method, np.array_equal(out, start)))
+            return out
+
+        monkeypatch.setattr(roots_mod, "_iterate", watched)
+        sample_julia(basilica, 100_000, seed=0)
+        assert runs and set(runs) == {("aberth", True)}
+
     def test_unconverged_solves_raise_sampling_error(self, unsolvable_fibers,
                                                      basilica):
         with pytest.raises(SamplingError, match="kept failing"):
@@ -175,7 +209,7 @@ class TestSampleJulia:
 class TestEscapeGrid:
     def test_disk_area(self, squaring):
         grid = escape_grid(squaring, resolution=512, max_iter=200)
-        assert grid.bounded_area() == pytest.approx(np.pi, rel=0.02)
+        assert _area(grid) == pytest.approx(np.pi, rel=0.02)
 
     def test_escaping_critical_orbit_leaves_thin_raster(self):
         p = Polynomial([4, 0, 1])
@@ -187,7 +221,7 @@ class TestEscapeGrid:
             steps += 1
         assert steps < 10
         grid = escape_grid(p, resolution=512, max_iter=200)
-        assert grid.bounded_area() < 0.05 * np.pi * radius ** 2
+        assert _area(grid) < 0.05 * np.pi * radius ** 2
 
     def test_true_cells_inside_escape_disk(self, basilica):
         grid = escape_grid(basilica, resolution=256, max_iter=100)
@@ -344,7 +378,7 @@ class TestHoloHullFill:
         grid = escape_grid(squaring, resolution=512, max_iter=200)
         raster = _sample_raster(cloud, grid)
         filled = _fill_holes(raster)
-        assert filled.bounded_area() == pytest.approx(grid.bounded_area(), rel=0.03)
+        assert _area(filled) == pytest.approx(_area(grid), rel=0.03)
 
     def test_filled_basilica_cloud_covers_escape_raster(self, basilica):
         # fractal boundary: the sampled band is wide, so area comparison is

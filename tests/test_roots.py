@@ -12,8 +12,8 @@ from juliahull import (
     critical_points,
     escape_radius,
     evaluate,
+    monomial,
     preimage_fibers,
-    preimages,
     repelling_fixed_point,
     signed_distance,
 )
@@ -93,8 +93,7 @@ class TestAllRoots:
 @pytest.mark.parametrize("solve", [
     lambda p: preimage_fibers(p, np.array([0.5, 2.0])),
     lambda p: all_roots(p),
-    lambda p: preimages(p, 0.5),
-], ids=["preimage_fibers", "all_roots", "preimages"])
+], ids=["preimage_fibers", "all_roots"])
 def test_solver_failure_raises_with_best_iterate(monkeypatch, solve):
     def never_converges(p, targets, *args, **kwargs):
         m = np.size(targets)
@@ -108,21 +107,36 @@ def test_solver_failure_raises_with_best_iterate(monkeypatch, solve):
     assert np.array_equal(info.value.residuals, [1.0, 1.0])
 
 
+def _fiber(p, w):
+    """The d roots of p(z) = w."""
+    return preimage_fibers(p, np.array([w], dtype=np.complex128))[0]
+
+
+def _assert_chunking_is_bitwise(monkeypatch, p, targets):
+    whole = roots_mod.solve_fibers(p, targets)
+    # three members per chunk: the last chunk is short unless 3 divides m
+    monkeypatch.setattr(roots_mod, "_CHUNK_BUDGET", 3 * p.degree ** 2)
+    chunked = roots_mod.solve_fibers(p, targets)
+    assert whole[2].all()
+    for a, b in zip(whole, chunked):
+        assert np.array_equal(a, b)
+
+
 class TestPreimages:
     def test_square_fiber_of_one(self, squaring):
-        rs = preimages(squaring, 1.0)
-        assert match_multisets(rs.roots.tolist(), [-1, 1], 1e-9)
+        roots = _fiber(squaring, 1.0)
+        assert match_multisets(roots.tolist(), [-1, 1], 1e-9)
 
     def test_square_fiber_of_zero_is_double(self, squaring):
-        rs = preimages(squaring, 0.0)
-        assert len(rs) == 2
-        assert np.abs(rs.roots).max() <= 1e-5
+        roots = _fiber(squaring, 0.0)
+        assert len(roots) == 2
+        assert np.abs(roots).max() <= 1e-5
 
     def test_t2_critical_value_fiber(self, t2):
         # solving 2z^2 - 1 = -1 gives the double root at the critical point
-        rs = preimages(t2, -1.0)
-        assert len(rs) == 2
-        assert np.abs(rs.roots).max() <= 1e-5
+        roots = _fiber(t2, -1.0)
+        assert len(roots) == 2
+        assert np.abs(roots).max() <= 1e-5
 
     def test_fiber_contains_pulled_point(self):
         rng = np.random.default_rng(11)
@@ -139,13 +153,68 @@ class TestPreimages:
         rng = np.random.default_rng(7)
         p = Polynomial(rng.normal(size=8) + 1j * rng.normal(size=8))
         targets = rng.normal(size=40) + 1j * rng.normal(size=40)
-        whole = roots_mod.solve_fibers(p, targets)
-        # three degree-7 members per chunk: 14 chunks, the last one short
-        monkeypatch.setattr(roots_mod, "_CHUNK_BUDGET", 3 * 7 * 7)
-        chunked = roots_mod.solve_fibers(p, targets)
-        assert whole[2].all()
-        for a, b in zip(whole, chunked):
-            assert np.array_equal(a, b)
+        _assert_chunking_is_bitwise(monkeypatch, p, targets)  # 14 chunks
+
+
+# Quadratics whose naive roots s +- r lose digits to cancellation (the first
+# three), the basilica, and the parabolic map.
+_CANCELLATION_CASES = {
+    "1e-8z^2+z": [0, 1, 1e-8],
+    "z^2+1e4z+0.3": [0.3, 1e4, 1],
+    "1e-3z^2+1e6z+0.2-0.1i": [0.2 - 0.1j, 1e6, 1e-3],
+    "z^2-1": [-1, 0, 1],
+    "z^2+1/4": [0.25, 0, 1],
+}
+
+
+def _mixed_targets(p, m, seed):
+    """m targets: half in the unit square, half in the escape square."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
+    t[m // 2:] *= escape_radius(p)
+    return t
+
+
+class TestQuadraticStart:
+    """Degree 2 starts from the exact roots, and _iterate only confirms them."""
+
+    @pytest.mark.parametrize("coeffs", _CANCELLATION_CASES.values(),
+                             ids=_CANCELLATION_CASES.keys())
+    def test_exact_start_takes_no_step(self, coeffs):
+        p = Polynomial(coeffs)
+        targets = _mixed_targets(p, 4096, seed=3)
+        roots, _, ok = roots_mod.solve_fibers(p, targets)
+        assert ok.all()
+        assert np.array_equal(roots, roots_mod._quadratic_roots(p.coeffs, targets))
+
+    def test_chunked_quadratic_solve_is_bitwise_identical(self, monkeypatch, basilica):
+        targets = _mixed_targets(basilica, 40, seed=7)
+        _assert_chunking_is_bitwise(monkeypatch, basilica, targets)
+
+    def test_perturbed_start_converges_through_the_iteration(self, monkeypatch):
+        p = Polynomial([-0.12 + 0.74j, 0.3, 1])
+        tol = 1e-10
+        targets = _mixed_targets(p, 512, seed=5)
+        exact = roots_mod._quadratic_roots(p.coeffs, targets)
+        start = exact + 1e-3 * np.abs(exact) * np.exp(1j * np.arange(2))
+        starts = []
+
+        def perturbed(coeffs, t):
+            starts.append(t.size)
+            return start.copy()
+
+        monkeypatch.setattr(roots_mod, "_quadratic_roots", perturbed)
+        roots, res, ok = roots_mod.solve_fibers(p, targets, tol)
+        assert starts == [targets.size]
+        assert ok.all()
+        # the backward-stable bound of p(z) - t, whose constant term is a_0 - t
+        shifted = np.abs(p.coeffs - np.eye(3)[0] * targets[:, None])
+        scale = np.einsum("mrj,mj->mr", np.abs(roots)[..., None] ** np.arange(3), shifted)
+        assert np.all(res <= tol * np.maximum(shifted.max(axis=1)[:, None], scale))
+        # each member's pair is the exact pair, in either order
+        straight = np.abs(roots - exact).max(axis=1)
+        crossed = np.abs(roots - exact[:, ::-1]).max(axis=1)
+        assert np.minimum(straight, crossed).max() <= 1e-8 * np.abs(exact).max()
 
 
 class TestCriticalPoints:
@@ -153,6 +222,11 @@ class TestCriticalPoints:
         rs = critical_points(Polynomial([0.2j, 0, 1]))
         assert len(rs) == 1
         assert abs(rs.roots[0]) <= 1e-12
+
+    def test_double_critical_point_is_exact(self):
+        # p' = 3c z^2 is solved in closed form, with no split of the double root
+        rs = critical_points(monomial(0.6 + 0.8j, 3))
+        assert np.array_equal(rs.roots, [0, 0])
 
     def test_t3(self):
         rs = critical_points(chebyshev(3))
@@ -187,11 +261,11 @@ class TestRepellingFixedPoint:
         expected = plus if abs(2 * plus) > abs(2 * minus) else minus
         assert abs(repelling_fixed_point(basilica) - expected) <= 1e-9
 
-    def test_parabolic_quadratic_lands_on_the_fixed_point(self):
-        # z^2 + 1/4 has one parabolic fixed point; the numerically split
-        # double root sits on the Julia set, which is all the seed needs
-        fp = repelling_fixed_point(Polynomial([0.25, 0, 1]))
-        assert abs(fp - 0.5) <= 1e-4
+    def test_parabolic_quadratic_has_none(self):
+        # z^2 + 1/4 has one fixed point, the double root 1/2, of multiplier
+        # exactly 1; the sampler then seeds from 1+0i (tests/test_julia.py)
+        with pytest.raises(NoRepellingFixedPointError):
+            repelling_fixed_point(Polynomial([0.25, 0, 1]))
 
     def test_error_type_available_for_fallback(self):
         assert issubclass(NoRepellingFixedPointError, RuntimeError)
