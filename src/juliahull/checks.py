@@ -67,8 +67,14 @@ ALL_CHECKS = (BACKWARD_INCLUSION, CRITICAL_IN_HULL, FILLED_IN_HULL,
 # Coefficient agreement required to accept a normal-form match.
 _MATCH_TOL = 1e-6
 
-# Admissible pairs the preimage-convexity check mixes.
+# Admissible pairs the preimage-convexity check mixes, and its rejection
+# sampling: at most _ROUNDS rounds of _ROUND_SIZE targets, solved in
+# batches of rounds.  The first batch holds _FIRST_ROUNDS, because most
+# polynomials reach the count in two or three rounds.
 _PAIR_TARGET = 100
+_ROUNDS = 60
+_ROUND_SIZE = 128
+_FIRST_ROUNDS = 2
 
 # Half-planes and targets of the half-plane surjectivity check.
 _PLANES = 20
@@ -292,8 +298,15 @@ def check_preimage_convexity(ctx: HullContext) -> CheckReport:
     """Targets whose full fiber sits in the hull form a convex set.
 
     Admissible targets are found by rejection sampling over the hull's
-    bounding box; every interior convex combination (t = 0.1 .. 0.9) of up
-    to _PAIR_TARGET admissible pairs must be admissible again.
+    bounding box, round after round, until a round brings the count to
+    2 * _PAIR_TARGET or _ROUNDS rounds are spent; every interior convex
+    combination (t = 0.1 .. 0.9) of up to _PAIR_TARGET admissible pairs
+    must be admissible again.  The rounds are drawn in order but solved in
+    batches: the first holds _FIRST_ROUNDS rounds, and each later one as
+    many as the admissible rate so far says are still needed.  A fiber
+    does not depend on the batch it is solved in, and admissible targets
+    are listed in the order drawn, of which the pairs use only the first
+    2 * _PAIR_TARGET, so the result is that of solving one round at a time.
     """
     p, cfg = ctx.polynomial, ctx.config
     rng = _rng(cfg, 2)
@@ -301,16 +314,21 @@ def check_preimage_convexity(ctx: HullContext) -> CheckReport:
     v = ctx.hull.vertices
     lo_x, hi_x = v.real.min(), v.real.max()
     lo_y, hi_y = v.imag.min(), v.imag.max()
+    need = 2 * _PAIR_TARGET
     admissible: list = []
-    for _ in range(60):
-        w = (rng.uniform(lo_x, hi_x, 128)
-             + 1j * rng.uniform(lo_y, hi_y, 128))
+    drawn, batch = 0, _FIRST_ROUNDS
+    while drawn < _ROUNDS and len(admissible) < need:
+        rounds = min(batch, _ROUNDS - drawn)
+        w = np.concatenate([rng.uniform(lo_x, hi_x, _ROUND_SIZE)
+                            + 1j * rng.uniform(lo_y, hi_y, _ROUND_SIZE)
+                            for _ in range(rounds)])
+        drawn += rounds
         roots, _, ok = solve_fibers(p, w, cfg.residual_tol)
         sd = signed_distance(ctx.hull_query, roots.ravel()).reshape(roots.shape)
         good = ok & (sd.max(axis=1) <= tol)
         admissible.extend(w[good].tolist())
-        if len(admissible) >= 2 * _PAIR_TARGET:
-            break
+        batch = (math.ceil((need - len(admissible)) * drawn / len(admissible))
+                 if admissible else _ROUNDS)
     pairs = len(admissible) // 2
     if pairs < 10:
         return _inconclusive(ctx, PREIMAGE_CONVEXITY,

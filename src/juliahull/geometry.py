@@ -100,14 +100,6 @@ class ConvexPolygon:
             return abs(self.vertices[1] - self.vertices[0])
         return _antipodal_diameter(self.vertices)
 
-    @cached_property
-    def area(self) -> float:
-        if self.kind != PROPER:
-            return 0.0
-        v = self.vertices
-        w = np.roll(v, -1)
-        return 0.5 * float(np.sum(v.real * w.imag - w.real * v.imag))
-
 
 def _antipodal_diameter(v: np.ndarray) -> float:
     """Rotating calipers on a proper ccw polygon, all edges at once.

@@ -4,7 +4,11 @@
 iteration: every step solves the whole fiber p(.) = z of each orbit's
 current point, keeps all d preimages as sample points, and moves the orbit
 on along one randomly chosen branch.  Orbits are run as one vectorized
-batch, which is equivalent to many independent seeded orbits.
+batch, which is equivalent to many independent seeded orbits.  All
+orbits start at one point, so burn-in solves each distinct target once,
+until every target of a step is distinct, and hands its fiber to every
+orbit at it: a fiber does not depend on the batch it is solved in, so no
+sample bit changes.
 
 ``escape_grid`` rasters the bounded-orbit set by iterating cell centers
 until they leave the escape disk; ``_bounded`` is that iteration, and the
@@ -127,16 +131,44 @@ class SamplingError(RuntimeError):
     """Inverse iteration could not produce a trustworthy Julia sample."""
 
 
+def _distinct(z: np.ndarray):
+    """(first, inverse) with z[first] holding each bit pattern of z once.
+
+    z is z[first][inverse] bit for bit.  Targets are sorted by one 64-bit
+    key, the real part's bits xor the imaginary part's with their halves
+    swapped, so the two sign bits stay apart and z, -z and conj(z) get
+    different keys.  A run of bit-identical neighbours is one target: a key
+    shared by two patterns can only split a pattern, never merge two.
+    """
+    re, im = z.view(np.uint64).reshape(z.size, 2).T
+    order = np.argsort(re ^ ((im << 32) | (im >> 32)))
+    re, im = re[order], im[order]
+    starts = np.empty(z.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(re[1:], re[:-1], out=starts[1:])
+    starts[1:] |= im[1:] != im[:-1]
+    inverse = np.empty(z.size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
 def _pullback(p: Polynomial, z: np.ndarray, prev_fiber, prev_branch,
-              branch: np.ndarray, tol: float):
+              branch: np.ndarray, tol: float, share=None):
     """One backward step for all orbits; retries stubborn members.
 
     Returns (children, fiber) where children = fiber[i, branch[i]].
-    A member whose fiber solve fails is retried, first with a longer
-    iteration budget, then by backing up to a different branch of the
-    previous fiber; five failed retries abort the sampler.
+    ``share`` = ``_distinct(z)`` solves each distinct target once and hands
+    every orbit its target's fiber, which is the fiber a solve of that
+    orbit alone gives.  A member whose fiber solve fails is retried, first
+    with a longer iteration budget, then by backing up to a different
+    branch of the previous fiber; five failed retries abort the sampler.
     """
-    roots, res, ok = solve_fibers(p, z, tol)
+    if share is None:
+        roots, res, ok = solve_fibers(p, z, tol)
+    else:
+        first, inverse = share
+        roots, res, ok = (np.take(a, inverse, axis=0)
+                          for a in solve_fibers(p, z[first], tol))
     attempt = 0
     while not ok.all():
         attempt += 1
@@ -179,9 +211,12 @@ def _run_orbits(p: Polynomial, n: int, seed: int, tol: float, capture_pairs: boo
     kept = np.empty(n, dtype=np.complex128)
     pairs = [] if capture_pairs else None
     fiber = branch = None
+    shared = True  # burn-in orbits share targets until every target is distinct
     for step in range(burn + per):
         next_branch = rng.integers(0, d, size=m)
-        children, fiber = _pullback(p, z, fiber, branch, next_branch, tol)
+        share = _distinct(z) if shared and step < burn else None
+        shared = share is not None and share[0].size < m
+        children, fiber = _pullback(p, z, fiber, branch, next_branch, tol, share)
         branch = next_branch
         if capture_pairs:
             # _pullback may have swapped stubborn parents in place; z is current

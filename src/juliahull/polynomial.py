@@ -82,9 +82,12 @@ class AffineMap:
 def _horner(coeffs: np.ndarray, z):
     """Evaluate an ascending coefficient vector at z (scalar or array).
 
-    One accumulator is allocated and then updated in place.  A zero
-    coefficient is not added: that can only change the sign of a zero
-    result.  For a monic vector the accumulator starts as z itself, since
+    The result has the common dtype of the coefficients and z: complex for
+    a polynomial, float for real coefficients at real points, where each
+    step has the bits of the real part of the same step done in complex
+    arithmetic.  One accumulator is allocated and then updated in place.
+    A zero coefficient is not added: that can only change the sign of a
+    zero result.  For a monic vector the accumulator starts as z itself, since
     1*z is z up to the sign of a zero; that saves the fill and one product.
     Its first step writes into a new array, so z is never written, and a
     0-d z stays a 0-d array that numpy's array loops compute, as in the
@@ -93,16 +96,17 @@ def _horner(coeffs: np.ndarray, z):
     give ``z * a`` the same bits as ``full(a) * z``.
     """
     rest = coeffs[-2::-1]
+    dtype = np.result_type(coeffs, z)
     if coeffs[-1] == 1 and rest.size:
         acc, rest = z, rest[1:]
-        out = np.empty_like(z, dtype=np.complex128)
+        out = np.empty_like(z, dtype=dtype)
         if coeffs[-2] != 0:
             acc = np.add(z, coeffs[-2], out=out)
     else:
-        acc = np.full_like(z, coeffs[-1], dtype=np.complex128)
+        acc = np.full_like(z, coeffs[-1], dtype=dtype)
     for c in rest:
         if acc is z:
-            acc = np.multiply(z, z, out=out, dtype=np.complex128)
+            acc = np.multiply(z, z, out=out, dtype=dtype)
         else:
             acc *= z
         if c != 0:

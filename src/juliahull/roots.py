@@ -10,6 +10,11 @@ A quadratic fiber starts from its exact roots instead, in Vieta form
 
 Everything here is deterministic: no randomness enters the initial
 configuration or the iteration, so identical inputs give identical outputs.
+Every operation acts on each member's own row, so a member's roots,
+residuals and ``ok`` do not depend on the batch it is solved in: not on
+the other members, their order or number, nor on the chunking.  The
+sampler's deduplicated burn-in and the preimage-convexity check's batched
+rejection rounds rest on this.
 """
 from __future__ import annotations
 
@@ -89,51 +94,77 @@ def _residual_bounds(abs_coeffs, const_shift, z, tol, floor):
     certify at a root of that modulus; the floor keeps the bound at least
     as strict as tol times the largest coefficient modulus.
     """
-    scale = _horner(abs_coeffs, np.abs(z)).real + const_shift[:, None]
+    scale = _horner(abs_coeffs, np.abs(z)) + const_shift[:, None]
     return tol * np.maximum(scale, floor[:, None])
 
 
 def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter, method):
-    """Run one solver family in place; returns the updated iterates.
+    """Run one solver family on z in place; returns (residuals, ok).
 
-    ``method`` is "aberth" or "dk".  Members whose residuals all pass the
-    per-root threshold are frozen and drop out of the working set.
+    ``method`` is "aberth" or "dk".  ``bounds_of(w, members)`` gives the
+    thresholds of iterates w of the members with those row numbers.  A
+    member whose residuals all pass is frozen: its row of z, its residuals
+    and its ``ok`` are written out, and it leaves the working set, which
+    is compacted then and not gathered and scattered every step.  Members
+    still working after ``max_iter`` steps are judged at their last
+    iterate.  The per-step temporaries are reused in place, and each
+    complex product keeps its operand order (``newton * sum``, ``lead *
+    prod``): numpy's complex multiply is not bitwise commutative.
     """
     m, d = z.shape
     lead = coeffs[-1]
-    eye = np.eye(d, dtype=bool)
-    active = np.arange(m)
-    for _ in range(max_iter):
-        za = z[active]
-        pv = _horner(coeffs, za) - targets[active, None]
-        done = (np.abs(pv) <= bounds_of(za, active)).all(axis=1)
+    res = np.empty((m, d))
+    ok = np.zeros(m, dtype=bool)
+    members = np.arange(m)
+    w = z  # the working set; a compacted copy after the first freeze
+    pair_buf = np.empty((m, d, d), dtype=np.complex128)
+    for it in range(max_iter + 1):
+        pv = _horner(coeffs, w)
+        pv -= targets[:, None]
+        err = np.abs(pv)
+        done = (err <= bounds_of(w, members)).all(axis=1)
+        if it == max_iter or done.all():
+            if w is z:  # nothing frozen yet: every row is still in place
+                return err, done
+            z[members] = w
+            res[members] = err
+            ok[members] = done
+            break
         if done.any():
+            frozen = members[done]
+            z[frozen] = w[done]
+            res[frozen] = err[done]
+            ok[frozen] = True
             keep = ~done
-            active = active[keep]
-            if active.size == 0:
-                break
-            za, pv = za[keep], pv[keep]
-        diff = za[:, :, None] - za[:, None, :]
-        diff[:, eye] = 1.0
+            members, w, pv, targets = members[keep], w[keep], pv[keep], targets[keep]
+        k = members.size
+        # (k, d, d) views of the first k rows stay contiguous, and the
+        # diagonal of each d x d block is every (d + 1)-th element of its row
+        diff = np.subtract(w[:, :, None], w[:, None, :], out=pair_buf[:k])
+        diag = diff.reshape(k, d * d)[:, ::d + 1]
+        diag[...] = 1.0
         collided = diff == 0
         if collided.any():
             # exact off-diagonal collisions are broken by a deterministic nudge
-            diff = np.where(collided, 1e-12 * (1.0 + np.abs(za))[:, :, None], diff)
+            np.copyto(diff, 1e-12 * (1.0 + np.abs(w))[:, :, None], where=collided)
         if method == "aberth":
-            dv = _horner(dcoeffs, za)
-            dv = np.where(dv == 0, 1e-300, dv)
-            newton = pv / dv
-            inv = 1.0 / diff
-            inv[:, eye] = 0.0
-            denom = 1.0 - newton * inv.sum(axis=2)
-            denom = np.where(denom == 0, 1.0, denom)
-            step = newton / denom
+            dv = _horner(dcoeffs, w)
+            dv[dv == 0] = 1e-300
+            newton = np.divide(pv, dv, out=pv)
+            inv = np.divide(1.0, diff, out=diff)
+            diag[...] = 0.0
+            denom = inv.sum(axis=2)
+            np.multiply(newton, denom, out=denom)
+            np.subtract(1.0, denom, out=denom)
+            denom[denom == 0] = 1.0
+            step = np.divide(newton, denom, out=newton)
         else:
-            denom = lead * diff.prod(axis=2)
-            denom = np.where(denom == 0, 1e-300, denom)
-            step = pv / denom
-        z[active] = za - step
-    return z
+            denom = diff.prod(axis=2)
+            np.multiply(lead, denom, out=denom)
+            denom[denom == 0] = 1e-300
+            step = np.divide(pv, denom, out=pv)
+        w -= step
+    return res, ok
 
 
 def solve_fibers(p: Polynomial, targets, tol: float = DEFAULT_TOL,
@@ -175,10 +206,10 @@ def _solve_batch(p: Polynomial, targets: np.ndarray, tol: float, max_iter: int):
     """
     coeffs = p.coeffs
     d = p.degree
-    floor = np.maximum(np.abs(coeffs[1:]).max(), np.abs(coeffs[0] - targets))
-    abs_coeffs = np.abs(coeffs).astype(np.complex128)
-    abs_coeffs[0] = 0.0  # constant term differs per member, added back below
     const_shift = np.abs(coeffs[0] - targets)
+    floor = np.maximum(np.abs(coeffs[1:]).max(), const_shift)
+    abs_coeffs = np.abs(coeffs)
+    abs_coeffs[0] = 0.0  # constant term differs per member, added back below
     dcoeffs = derivative(p).coeffs
 
     def bounds_of(z, members):
@@ -187,10 +218,7 @@ def _solve_batch(p: Polynomial, targets: np.ndarray, tol: float, max_iter: int):
 
     z = (_quadratic_roots(coeffs, targets) if d == 2
          else _initial_points(coeffs, targets, d))
-    z = _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter, "aberth")
-    everyone = np.arange(targets.size)
-    res = np.abs(_horner(coeffs, z) - targets[:, None])
-    ok = (res <= bounds_of(z, everyone)).all(axis=1)
+    res, ok = _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter, "aberth")
     if not ok.all():
         # stalled members get a Durand-Kerner pass from their current iterates
         bad = np.flatnonzero(~ok)
@@ -198,11 +226,10 @@ def _solve_batch(p: Polynomial, targets: np.ndarray, tol: float, max_iter: int):
         def bounds_bad(z_local, members):
             return bounds_of(z_local, bad[members])
 
-        zb = _iterate(coeffs, dcoeffs, targets[bad], z[bad].copy(),
-                      bounds_bad, max_iter, "dk")
+        zb = z[bad]
+        res[bad], ok[bad] = _iterate(coeffs, dcoeffs, targets[bad], zb,
+                                     bounds_bad, max_iter, "dk")
         z[bad] = zb
-        res[bad] = np.abs(_horner(coeffs, zb) - targets[bad, None])
-        ok = (res <= bounds_of(z, everyone)).all(axis=1)
     return z, res, ok
 
 

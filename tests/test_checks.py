@@ -1,4 +1,6 @@
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,9 @@ from juliahull.checks import (
     _report,
 )
 from juliahull.geometry import PROPER
+from juliahull.roots import solve_fibers
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # +-T_d bases for the quarter-turn conjugates
 CHEBYSHEV_BASES = {f"T{d}": chebyshev(d) for d in range(2, 6)}
@@ -284,6 +289,74 @@ class TestPreimageConvexity:
         report = check_preimage_convexity(build_context(basilica, fast_cfg))
         assert report.verdict == PASS
         assert "100 admissible pairs" in report.note
+
+    @pytest.mark.parametrize("workload, key, seed, first_rounds", [
+        ("equality-suite", "cheb5-conjugate", 1, 2),  # spends all 60 rounds
+        ("generic-suite", "random-d4", 0, 2),
+        ("generic-suite", "random-d6", 31, 2),
+        # one batch of every round: it finds admissible targets past the
+        # round where the round-by-round loop stops, and they go unused
+        ("generic-suite", "random-d6", 31, 60),
+    ])
+    def test_batched_rounds_report_as_round_by_round(self, monkeypatch, tmp_path,
+                                                     workload, key, seed,
+                                                     first_rounds):
+        monkeypatch.setattr(checks, "_FIRST_ROUNDS", first_rounds)
+        workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+        op = next(op for op in workloads["make_workload"](workload, seed, tmp_path)
+                  if op.key == key)
+        cfg = CheckConfig(julia_samples=20_000, seed=seed)
+        ctx = build_context(parse_polynomial(op.poly).polynomial, cfg)
+        expected = _round_by_round_convexity(ctx)
+        solves = []
+        original = checks.solve_fibers
+
+        def counting(p, targets, *args, **kwargs):
+            solves.append(np.size(targets))
+            return original(p, targets, *args, **kwargs)
+
+        monkeypatch.setattr(checks, "solve_fibers", counting)
+        report = check_preimage_convexity(ctx)
+        assert report.to_dict() == expected.to_dict()
+        assert report.note == expected.note
+        assert sum(solves) <= checks._ROUNDS * checks._ROUND_SIZE
+        assert len(solves) <= 3
+
+
+def _round_by_round_convexity(ctx: HullContext):
+    """check_preimage_convexity with one fiber solve per rejection round.
+
+    The oracle for the batched rounds: up to 60 rounds of 128 targets drawn
+    from the check's generator, stopping after the round that brings the
+    admissible count to 200.
+    """
+    p, cfg = ctx.polynomial, ctx.config
+    rng = checks._rng(cfg, 2)
+    tol = cfg.tol_rel * ctx.diameter
+    v = ctx.hull.vertices
+    lo_x, hi_x = v.real.min(), v.real.max()
+    lo_y, hi_y = v.imag.min(), v.imag.max()
+    admissible: list = []
+    for _ in range(60):
+        w = (rng.uniform(lo_x, hi_x, 128)
+             + 1j * rng.uniform(lo_y, hi_y, 128))
+        roots, _, ok = solve_fibers(p, w, cfg.residual_tol)
+        sd = signed_distance(ctx.hull_query, roots.ravel()).reshape(roots.shape)
+        good = ok & (sd.max(axis=1) <= tol)
+        admissible.extend(w[good].tolist())
+        if len(admissible) >= 200:
+            break
+    pairs = len(admissible) // 2
+    assert pairs >= 10
+    pairs = min(pairs, 100)
+    w1 = np.array(admissible[0:2 * pairs:2])
+    w2 = np.array(admissible[1:2 * pairs:2])
+    ts = np.linspace(0.1, 0.9, 9)
+    mixed = (ts[:, None] * w1[None, :] + (1.0 - ts)[:, None] * w2[None, :]).ravel()
+    points = preimage_fibers(p, mixed, cfg.residual_tol).ravel()
+    return _report(ctx, PREIMAGE_CONVEXITY, points,
+                   signed_distance(ctx.hull_query, points),
+                   note=f"{pairs} admissible pairs tested")
 
 
 class TestHalfPlaneSurjectivity:

@@ -29,6 +29,32 @@ def test_scripts_import(script):
     assert callable(namespace["main"])
 
 
+def test_output_digest_compares_with_a_saved_run(tmp_path, capsys):
+    namespace = runpy.run_path(str(ROOT / "scripts" / "output_digest.py"),
+                               run_name="script_under_test")
+    parse, differences = namespace["parse_digest"], namespace["differences"]
+    saved_text = "0 w/a 0 s1 f1 g1\n0 w/b 1 s2 f2 g2\n31 w/a 0 s3 f3 g3\n"
+    saved = parse(saved_text)
+    assert differences(parse("0 w/a 0 s1 f1 g1\n0 w/b 1 s2 f2 g2\n"), saved) == []
+    assert differences(parse("0 w/a 3 s1 f1 h1\n0 w/c 0 s4 f4 g4\n"), saved) == [
+        "0 w/a: exit, pgm differ", "0 w/c: not in the saved run",
+        "0 w/b: only in the saved run"]
+
+    # main runs the saved run's seeds and exits 1 when any op differs
+    runs = {0: ["0 w/a 0 s1 f1 g1", "0 w/b 1 s2 f2 g2"],
+            31: ["31 w/a 0 s3 f3 g3"]}
+    main = namespace["main"]
+    main.__globals__["digest_lines"] = lambda seed, workdir: iter(runs[seed])
+    saved_file = tmp_path / "saved.txt"
+    saved_file.write_text(saved_text, encoding="utf-8")
+    assert main(["--against", str(saved_file)]) == 0
+    assert capsys.readouterr().out == saved_text
+    runs[31] = ["31 w/a 0 s3 f3 g0"]
+    assert main(["--against", str(saved_file), "--seed", "31"]) == 1
+    err = capsys.readouterr().err
+    assert "differs: 31 w/a: pgm differ" in err and "0 w/b" not in err
+
+
 def test_render_gallery_writes_every_scene(tmp_path):
     namespace = runpy.run_path(str(ROOT / "scripts" / "render_gallery.py"),
                                run_name="script_under_test")

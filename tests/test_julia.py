@@ -135,7 +135,12 @@ class TestSampleJulia:
         sample_julia(basilica, n, seed=0)
         burn = 11 + julia_mod._SPREAD_STEPS  # 2**11 = 2048 orbits
         assert len(calls) == burn + math.ceil(n / (m * d))
-        assert set(calls) == {m}
+        # burn-in solves each distinct target once: the seed alone, then at
+        # most d times as many targets per step, until all m are distinct
+        assert calls[:5] == [1, 2, 4, 8, 16]
+        assert all(b <= min(d * a, m) for a, b in zip(calls, calls[1:burn]))
+        assert sum(calls[:burn]) < burn * m / 2
+        assert set(calls[burn:]) == {m}
 
     def test_one_more_pullback_is_stationary(self, basilica):
         cloud = sample_julia(basilica, 100_000, seed=6)
@@ -180,7 +185,7 @@ class TestSampleJulia:
         assert len(cloud) == n
 
     def test_quadratic_sample_takes_no_solver_step(self, monkeypatch, basilica):
-        # every fiber starts exact, so _iterate returns its start untouched
+        # every fiber starts exact, so _iterate leaves its start untouched
         # and the Durand-Kerner fallback never runs
         runs = []
         original = roots_mod._iterate
@@ -188,7 +193,7 @@ class TestSampleJulia:
         def watched(coeffs, dcoeffs, targets, z, bounds_of, max_iter, method):
             start = z.copy()
             out = original(coeffs, dcoeffs, targets, z, bounds_of, max_iter, method)
-            runs.append((method, np.array_equal(out, start)))
+            runs.append((method, np.array_equal(z, start)))
             return out
 
         monkeypatch.setattr(roots_mod, "_iterate", watched)
@@ -204,6 +209,64 @@ class TestSampleJulia:
         monkeypatch.setattr(julia_mod, "escape_radius", lambda p: 1.0)
         with pytest.raises(SamplingError, match="escaped"):
             sample_julia(basilica, 1_000, seed=0)
+
+
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+class TestDeduplicatedBurnIn:
+    """Burn-in solves each distinct target once, and no sample bit changes."""
+
+    def test_distinct_keeps_every_bit_pattern_apart(self):
+        # z, -z and conj(z), and the two signed zeros, are different targets
+        z = np.array([1 + 1j, -1 - 1j, 1 - 1j, complex(0.0, 0.5),
+                      complex(-0.0, 0.5), 1 + 1j, -1 - 1j, complex(0.0, 0.5)])
+        first, inverse = julia_mod._distinct(z)
+        assert first.size == 5
+        assert np.array_equal(_bits(z[first][inverse]), _bits(z))
+        assert len({tuple(b) for b in _bits(z[first]).reshape(-1, 2).tolist()}) == 5
+
+    @pytest.mark.parametrize("p", [
+        Polynomial([-1, 0, 1]),
+        monomial(1, 2),
+        monomial(0.6 + 0.8j, 3),
+        chebyshev(4),
+        Polynomial([0.3 - 0.2j, 0.1j, -0.5, 0.2 + 0.1j, 1]),
+    ], ids=["basilica", "z^2", "rotated-z^3", "T4", "quartic"])
+    def test_sample_equals_the_undeduplicated_one(self, monkeypatch, p):
+        deduplicated = sample_julia(p, 20_000, seed=3).points
+        monkeypatch.setattr(julia_mod, "_distinct",
+                            lambda z: (np.arange(z.size), np.arange(z.size)))
+        calls = _count_solves(monkeypatch)
+        plain = sample_julia(p, 20_000, seed=3).points
+        assert calls[0] == 2048  # every burn-in target solved
+        assert np.array_equal(_bits(deduplicated), _bits(plain))
+
+    def test_retries_follow_a_shared_solve(self, monkeypatch):
+        # targets whose real part's bits are 0 mod 7 fail their first two
+        # solves, so their orbits retry, longer and then on a swapped branch
+        p = Polynomial([0.3 - 0.2j, 0.1j, -0.5, 1])
+        original = julia_mod.solve_fibers
+        retries = []
+
+        def flaky(p, targets, tol, max_iter=roots_mod.MAX_ITERATIONS):
+            roots, res, ok = original(p, targets, tol, max_iter=max_iter)
+            if max_iter <= 2 * roots_mod.MAX_ITERATIONS:
+                ok &= _bits(targets.real) % 7 != 0
+            if max_iter > roots_mod.MAX_ITERATIONS:
+                retries.append((max_iter, targets.size))
+            return roots, res, ok
+
+        monkeypatch.setattr(julia_mod, "solve_fibers", flaky)
+        deduplicated = sample_julia(p, 20_000, seed=5).points
+        first_run = list(retries)
+        monkeypatch.setattr(julia_mod, "_distinct",
+                            lambda z: (np.arange(z.size), np.arange(z.size)))
+        plain = sample_julia(p, 20_000, seed=5).points
+        assert 3 * roots_mod.MAX_ITERATIONS in dict(first_run)  # a swap
+        assert retries == 2 * first_run
+        assert np.array_equal(_bits(deduplicated), _bits(plain))
 
 
 class TestEscapeGrid:

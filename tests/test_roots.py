@@ -17,6 +17,8 @@ from juliahull import (
     repelling_fixed_point,
     signed_distance,
 )
+from juliahull.polynomial import _horner, derivative
+from juliahull.roots import DEFAULT_TOL, MAX_ITERATIONS
 
 
 def match_multisets(found, expected, tol):
@@ -112,14 +114,29 @@ def _fiber(p, w):
     return preimage_fibers(p, np.array([w], dtype=np.complex128))[0]
 
 
-def _assert_chunking_is_bitwise(monkeypatch, p, targets):
-    whole = roots_mod.solve_fibers(p, targets)
+def _assert_batch_independent(monkeypatch, p, targets, max_iter=MAX_ITERATIONS,
+                              alone=False):
+    """Every member gets the same roots, residuals and ok bit in any batch.
+
+    The batch is solved whole, in chunks of three members, with its targets
+    repeated and reordered, and (with ``alone``) one target at a time.
+    """
+    whole = roots_mod.solve_fibers(p, targets, max_iter=max_iter)
+    rng = np.random.default_rng(targets.size)
+    mixed = rng.permutation(np.r_[np.arange(targets.size),
+                                  np.arange(targets.size)[::3]])
+    batches = [(mixed, roots_mod.solve_fibers(p, targets[mixed], max_iter=max_iter))]
+    if alone:
+        batches += [([i], roots_mod.solve_fibers(p, targets[i:i + 1], max_iter=max_iter))
+                    for i in range(targets.size)]
     # three members per chunk: the last chunk is short unless 3 divides m
     monkeypatch.setattr(roots_mod, "_CHUNK_BUDGET", 3 * p.degree ** 2)
-    chunked = roots_mod.solve_fibers(p, targets)
-    assert whole[2].all()
-    for a, b in zip(whole, chunked):
-        assert np.array_equal(a, b)
+    batches.append((np.arange(targets.size),
+                    roots_mod.solve_fibers(p, targets, max_iter=max_iter)))
+    for members, solved in batches:
+        for a, b in zip(whole, solved):
+            assert np.array_equal(a[members], b)
+    return whole
 
 
 class TestPreimages:
@@ -153,7 +170,43 @@ class TestPreimages:
         rng = np.random.default_rng(7)
         p = Polynomial(rng.normal(size=8) + 1j * rng.normal(size=8))
         targets = rng.normal(size=40) + 1j * rng.normal(size=40)
-        _assert_chunking_is_bitwise(monkeypatch, p, targets)  # 14 chunks
+        _, _, ok = _assert_batch_independent(monkeypatch, p, targets)  # 14 chunks
+        assert ok.all()
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_members_solve_as_alone(self, monkeypatch, d):
+        # the sampler's deduplicated burn-in and the preimage-convexity
+        # check's batched rounds both rest on this
+        rng = np.random.default_rng(d)
+        p = Polynomial(rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1))
+        crit = critical_points(p).roots[0]
+        targets = np.r_[rng.normal(size=14) + 1j * rng.normal(size=14),
+                        evaluate(p, crit)]  # a critical value: a double root
+        roots, _, ok = _assert_batch_independent(monkeypatch, p, targets,
+                                                 alone=True)
+        assert ok.all()
+        # two roots of the last fiber meet near the critical point, at the
+        # square root of the residual tolerance
+        assert np.sort(np.abs(roots[-1] - crit))[1] <= 1e-4
+
+    @pytest.mark.parametrize("d", range(3, 7))
+    def test_members_solve_as_alone_through_the_fallback(self, monkeypatch, d):
+        methods = []
+        original = roots_mod._iterate
+
+        def watched(*args):
+            methods.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(roots_mod, "_iterate", watched)
+        rng = np.random.default_rng(d)
+        p = Polynomial(rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1))
+        targets = rng.normal(size=15) + 1j * rng.normal(size=15)
+        # two Aberth steps leave members short of the bound, and
+        # Durand-Kerner gets two more for them
+        _, _, ok = _assert_batch_independent(monkeypatch, p, targets,
+                                             max_iter=2, alone=True)
+        assert "dk" in methods and not ok.all()
 
 
 # Quadratics whose naive roots s +- r lose digits to cancellation (the first
@@ -189,7 +242,8 @@ class TestQuadraticStart:
 
     def test_chunked_quadratic_solve_is_bitwise_identical(self, monkeypatch, basilica):
         targets = _mixed_targets(basilica, 40, seed=7)
-        _assert_chunking_is_bitwise(monkeypatch, basilica, targets)
+        _, _, ok = _assert_batch_independent(monkeypatch, basilica, targets)
+        assert ok.all()
 
     def test_perturbed_start_converges_through_the_iteration(self, monkeypatch):
         p = Polynomial([-0.12 + 0.74j, 0.3, 1])
@@ -215,6 +269,128 @@ class TestQuadraticStart:
         straight = np.abs(roots - exact).max(axis=1)
         crossed = np.abs(roots - exact[:, ::-1]).max(axis=1)
         assert np.minimum(straight, crossed).max() <= 1e-8 * np.abs(exact).max()
+
+
+def _reference_iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter, method):
+    """The plain solver loop, the oracle for ``roots._iterate``.
+
+    It gathers z[active] and scatters it back every step, masks the
+    diagonal with a boolean eye and allocates every temporary anew.
+    """
+    m, d = z.shape
+    lead = coeffs[-1]
+    eye = np.eye(d, dtype=bool)
+    active = np.arange(m)
+    for _ in range(max_iter):
+        za = z[active]
+        pv = _horner(coeffs, za) - targets[active, None]
+        done = (np.abs(pv) <= bounds_of(za, active)).all(axis=1)
+        if done.any():
+            keep = ~done
+            active = active[keep]
+            if active.size == 0:
+                break
+            za, pv = za[keep], pv[keep]
+        diff = za[:, :, None] - za[:, None, :]
+        diff[:, eye] = 1.0
+        collided = diff == 0
+        if collided.any():
+            diff = np.where(collided, 1e-12 * (1.0 + np.abs(za))[:, :, None], diff)
+        if method == "aberth":
+            dv = _horner(dcoeffs, za)
+            dv = np.where(dv == 0, 1e-300, dv)
+            newton = pv / dv
+            inv = 1.0 / diff
+            inv[:, eye] = 0.0
+            denom = 1.0 - newton * inv.sum(axis=2)
+            denom = np.where(denom == 0, 1.0, denom)
+            step = newton / denom
+        else:
+            denom = lead * diff.prod(axis=2)
+            denom = np.where(denom == 0, 1e-300, denom)
+            step = pv / denom
+        z[active] = za - step
+    return z
+
+
+def _reference_solve(p, targets, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
+    """One batch of ``solve_fibers`` through ``_reference_iterate``.
+
+    Residuals and ``ok`` are computed afresh at the final iterates, and the
+    bound's evaluation scale in complex arithmetic.
+    """
+    coeffs = p.coeffs
+    floor = np.maximum(np.abs(coeffs[1:]).max(), np.abs(coeffs[0] - targets))
+    abs_coeffs = np.abs(coeffs).astype(np.complex128)
+    abs_coeffs[0] = 0.0
+    const_shift = np.abs(coeffs[0] - targets)
+    dcoeffs = derivative(p).coeffs
+
+    def bounds_of(z, members):
+        scale = _horner(abs_coeffs, np.abs(z)).real + const_shift[members, None]
+        return tol * np.maximum(scale, floor[members, None])
+
+    z = roots_mod._initial_points(coeffs, targets, p.degree)
+    z = _reference_iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter, "aberth")
+    everyone = np.arange(targets.size)
+    res = np.abs(_horner(coeffs, z) - targets[:, None])
+    ok = (res <= bounds_of(z, everyone)).all(axis=1)
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        zb = _reference_iterate(coeffs, dcoeffs, targets[bad], z[bad].copy(),
+                                lambda w, members: bounds_of(w, bad[members]),
+                                max_iter, "dk")
+        z[bad] = zb
+        res[bad] = np.abs(_horner(coeffs, zb) - targets[bad, None])
+        ok = (res <= bounds_of(z, everyone)).all(axis=1)
+    return z, res, ok
+
+
+def _seeded_fibers(d, monic):
+    """A seeded degree-d polynomial and 300 targets in its escape square."""
+    rng = np.random.default_rng(100 + d)
+    coeffs = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+    if monic:
+        coeffs[-1] = 1.0
+    p = Polynomial(coeffs)
+    return p, escape_radius(p) * (rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300))
+
+
+class TestReferenceSolver:
+    """``solve_fibers`` gives the reference loop's results bit for bit."""
+
+    @pytest.mark.parametrize("monic", [False, True], ids=["general", "monic"])
+    @pytest.mark.parametrize("d", range(3, 9))
+    @pytest.mark.parametrize("max_iter", [MAX_ITERATIONS, 3])
+    def test_bitwise_equal_to_reference(self, d, monic, max_iter):
+        p, targets = _seeded_fibers(d, monic)
+        expected = _reference_solve(p, targets, max_iter=max_iter)
+        for a, b in zip(roots_mod.solve_fibers(p, targets, max_iter=max_iter),
+                        expected):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_colliding_start_points(self, monkeypatch, d):
+        original = roots_mod._initial_points
+
+        def colliding(coeffs, targets, degree):
+            z = original(coeffs, targets, degree)
+            z[:, 1] = z[:, 0]  # two starts of every member coincide exactly
+            return z
+
+        monkeypatch.setattr(roots_mod, "_initial_points", colliding)
+        p, targets = _seeded_fibers(d, monic=False)
+        start = colliding(p.coeffs, targets, d)
+        # no member starts converged, so the first step nudges every pair;
+        # a nudged pair's first steps can fly far enough to overflow p(z)
+        assert not (np.abs(evaluate(p, start) - targets[:, None])
+                    <= 1e-10 * np.abs(p.coeffs).max()).all(axis=1).any()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = roots_mod.solve_fibers(p, targets)
+            expected = _reference_solve(p, targets)
+        assert got[2].all()
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
 
 
 class TestCriticalPoints:
