@@ -35,12 +35,8 @@ from .julia import (
     to_pgm,
 )
 from .geometry import (
-    CircleShape,
     ConvexPolygon,
-    GenericShape,
-    SegmentShape,
     boundary_points,
-    classify_shape,
     convex_hull,
     polygon_hausdorff,
     signed_distance,

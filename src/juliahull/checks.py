@@ -7,7 +7,9 @@ polynomial and the config are read from it, so a report cannot mix two
 polynomials.  A check measures how badly an expected inclusion fails, in
 plain Euclidean distance, and passes when the worst violation stays below
 tol_rel times the hull diameter.  A root solver failure inside a check
-reads Inconclusive, with the solver's message as the note.
+reads Inconclusive, with the solver's message as the note.  The
+classifier takes the equality kind from the coefficients alone, by an
+affine normal form, and checks it against the measured hull gap.
 """
 from __future__ import annotations
 
@@ -19,11 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
-    CircleShape,
     ConvexPolygon,
-    SegmentShape,
     boundary_points,
-    classify_shape,
     convex_hull,
     decimate,
     signed_distance,
@@ -31,7 +30,6 @@ from .geometry import (
 from .julia import (
     EscapeGrid,
     PointCloud,
-    _bounded,
     boundary_cells,
     escape_grid,
     sample_julia,
@@ -82,7 +80,7 @@ _PLANE_TARGETS = 50
 
 
 class EqualityUnresolvedError(RuntimeError):
-    """Hull equality detected but the sample looks neither segment nor circle."""
+    """The normal form and the measured hull gap disagree on hull equality."""
 
 
 @dataclass
@@ -147,7 +145,10 @@ class Classification:
     On an equality kind, g = ``conjugation`` turns p into the normal form
     ``sign_or_c`` T_d (sign +-1) or c z^d (|c| = 1).  ``hull_gap`` is the
     largest distance from p(boundary of H) to that boundary, in the image
-    plane; ``match_residual`` belongs to a rejected shape candidate.
+    plane.  ``coefficient_residual`` is the largest coefficient error of
+    g o p o g^-1 against that form, relative to the form's largest
+    coefficient; ``match_residual`` is the same residual for the nearest
+    normal-form candidate, matched or not.
     """
 
     kind: str
@@ -155,7 +156,7 @@ class Classification:
     sign_or_c: Optional[complex]
     coefficient_residual: Optional[float]
     hull_gap: float
-    match_residual: Optional[float] = None
+    match_residual: float
 
     def to_dict(self) -> dict:
         return {
@@ -390,79 +391,80 @@ def _boundary_image_gap(p: Polynomial, hull: ConvexPolygon,
     return float(np.abs(signed_distance(query, images)).max())
 
 
-def _chebyshev_match(p: Polynomial, u: complex, v: complex):
-    """Best (residual, sign, map) of g o p o g^-1 against +-T_d for both orientations."""
-    target = chebyshev(p.degree).coeffs
-    scale = float(np.abs(target).max())
-    combos = []
-    for a, b in ((u, v), (v, u)):
-        g = AffineMap(2.0 / (b - a), -(b + a) / (b - a))
-        coeffs = conjugate(p, g).coeffs
-        for sign in (1.0, -1.0):
-            resid = float(np.abs(coeffs - sign * target).max())
-            combos.append((resid, sign, g))
-    accepted = [c for c in combos if c[0] <= _MATCH_TOL * scale]
-    if accepted:
-        # canonical pick: positive sign first, then the map closest to identity
-        accepted.sort(key=lambda c: (c[1] != 1.0,
-                                     abs(c[2].a - 1.0) + abs(c[2].b), c[0]))
-        return accepted[0], scale
-    combos.sort(key=lambda c: c[0])
-    return combos[0], scale
+def _normal_form(p: Polynomial):
+    """Canonical match of p against +-T_d and z^d, and the nearest residual.
+
+    Each candidate map g(z) = alpha (z + s), s = a_{d-1} / (d a_d), removes
+    the z^{d-1} term of g o p o g^-1, which the three normal forms lack,
+    and alpha^{d-1} = a_d / lead(F) gives it the leading coefficient of the
+    form F: d - 1 maps for each sign of T_d.  For c z^d the one real
+    alpha = |a_d|^{1/(d-1)} > 0 maps J_p to the unit circle, with
+    c = a_d / |a_d|.  A candidate's residual is the largest coefficient
+    error of g o p o g^-1 relative to the largest coefficient of F.
+    Returns (kind, sign_or_c, g, residual) of the canonical match (positive
+    sign first, then the map closest to the identity), or None, and the
+    smallest residual of any candidate.
+    """
+    d, lead = p.degree, complex(p.coeffs[-1])
+    s = complex(p.coeffs[-2]) / (d * lead)
+    forms = []
+    for sign in (1.0, -1.0):
+        target = sign * chebyshev(d).coeffs
+        ratio = lead / complex(target[-1])
+        turns = (np.angle(ratio) + 2.0 * np.pi * np.arange(d - 1)) / (d - 1)
+        for alpha in abs(ratio) ** (1.0 / (d - 1)) * np.exp(1j * turns):
+            forms.append((CHEBYSHEV_CONJUGATE, complex(sign), alpha, target))
+    unit = lead / abs(lead)
+    forms.append((MONOMIAL_CONJUGATE, unit, abs(lead) ** (1.0 / (d - 1)),
+                  monomial(unit, d).coeffs))
+    candidates = []
+    for kind, sign_or_c, alpha, target in forms:
+        g = AffineMap(alpha, alpha * s)
+        resid = float(np.abs(conjugate(p, g).coeffs - target).max()
+                      / np.abs(target).max())
+        candidates.append((kind, sign_or_c, g, resid))
+    nearest = min(c[3] for c in candidates)
+    matches = [c for c in candidates if c[3] <= _MATCH_TOL]
+    if not matches:
+        return None, nearest
+    return min(matches, key=lambda c: (c[1] != 1.0,
+                                       abs(c[2].a - 1.0) + abs(c[2].b),
+                                       c[3])), nearest
 
 
 def classify_equality(ctx: HullContext) -> Classification:
     """Decide between strict preimage inclusion and the two equality families.
 
-    p^-1(H) = H holds only for conjugates of +-T_d and of c z^d, |c| = 1.
-    Step 1 tests it forward: the hull gap, the largest distance from
-    p(boundary of H) to that boundary, vanishes exactly on equality, and a
-    gap above tol_rel * diam reads StrictInclusion.  No anchor or branch
-    order enters, so the answer does not depend on how the hull is turned.
-    Only a gap within tolerance reaches step 2, which fits the Julia sample
-    as a segment (Chebyshev normal form, either sign) or a circle
-    (unimodular monomial normal form, after checking that hull-interior
-    samples stay bounded) and verifies the conjugated coefficients.  A
-    sample that fits neither raises EqualityUnresolvedError.
+    p^-1(H) = H holds only for affine conjugates of +-T_d and of c z^d.
+    The kind comes from algebra: the normal form of p (``_normal_form``)
+    matches one of those or none.  The hull gap, the largest distance from
+    p(boundary of H) to that boundary, is the measurement: it vanishes
+    exactly on equality.  A match with the gap within tol_rel * diam gives
+    the equality kind, no match with the gap above it StrictInclusion, and
+    a disagreement raises EqualityUnresolvedError with both numbers.
     """
     p, cfg = ctx.polynomial, ctx.config
-    d = p.degree
     gap = _boundary_image_gap(p, ctx.hull, ctx.hull_query, cfg.boundary_samples)
-    if gap > cfg.tol_rel * ctx.diameter:
-        return Classification(STRICT_INCLUSION, None, None, None, hull_gap=gap)
-    shape = classify_shape(ctx.cloud.points, cfg.tol_rel)
-    if isinstance(shape, SegmentShape):
-        (resid, sign, g), scale = _chebyshev_match(p, shape.end_a, shape.end_b)
-        if resid <= _MATCH_TOL * scale:
-            return Classification(CHEBYSHEV_CONJUGATE, g, complex(sign),
-                                  resid, hull_gap=gap)
-        return Classification(STRICT_INCLUSION, None, None, None,
-                              hull_gap=gap, match_residual=resid)
-    if isinstance(shape, CircleShape):
-        # Hull equality forces the hull inside the bounded-orbit set, so
-        # escaping hull-interior samples expose a false candidate.  Only
-        # circle candidates are tested: a segment-type set has measure zero,
-        # where any sampling noise escapes eventually.
-        pts = _interior_points(ctx.hull_query, cfg.interior_samples, _rng(cfg, 4))
-        if not _bounded(p, pts, cfg.grid_max_iter).all():
-            return Classification(STRICT_INCLUSION, None, None, None,
-                                  hull_gap=gap)
-        g = AffineMap(1.0 / shape.radius, -shape.center / shape.radius)
-        coeffs = conjugate(p, g).coeffs
-        lead = complex(coeffs[-1])
-        c = lead / abs(lead)
-        target = monomial(c, d).coeffs
-        resid = float(np.abs(coeffs - target).max())
-        scale = max(1.0, abs(lead))
-        if resid <= _MATCH_TOL * scale and abs(abs(lead) - 1.0) <= _MATCH_TOL:
-            return Classification(MONOMIAL_CONJUGATE, g, c, resid, hull_gap=gap)
-        return Classification(STRICT_INCLUSION, None, None, None,
-                              hull_gap=gap, match_residual=resid)
+    within = gap <= cfg.tol_rel * ctx.diameter
+    match, nearest = _normal_form(p)
+    if match is not None and within:
+        kind, sign_or_c, g, resid = match
+        return Classification(kind, g, sign_or_c, resid, hull_gap=gap,
+                              match_residual=nearest)
+    if match is None and not within:
+        return Classification(STRICT_INCLUSION, None, None, None, hull_gap=gap,
+                              match_residual=nearest)
+    gap_text = f"hull gap {gap / ctx.diameter:.3g} x diameter"
+    if match is None:
+        raise EqualityUnresolvedError(
+            f"{gap_text} is within tol_rel {cfg.tol_rel:g}, but the normal form "
+            f"matches neither +-T_d nor z^d (residual {nearest:.3g}); lower "
+            "--tol to test for strict inclusion, or increase n (--n) to "
+            "sharpen the sample")
     raise EqualityUnresolvedError(
-        f"hull gap {gap / ctx.diameter:.3g} x diameter is within tol_rel "
-        f"{cfg.tol_rel:g}, but the Julia sample fits neither a segment nor a "
-        "circle; lower --tol to test for strict inclusion, or increase n "
-        "(--n) to sharpen the fit")
+        f"the normal form reads {match[0]} (residual {match[3]:.3g}), but the "
+        f"{gap_text} exceeds tol_rel {cfg.tol_rel:g}; the Julia sample is not "
+        "accurate enough to show the hull equality: raise --tol to accept the gap")
 
 
 def run_checks(ctx: HullContext) -> list[CheckReport]:

@@ -9,7 +9,8 @@ and hands it to the checks, the classifier or the scene.
 
 Exit codes: 0 all passed, 1 some check failed, 2 usage error, an
 unwritable output path or out of memory, 3 inconclusive outcome
-(including a root solver or sampler failure).
+(including a root solver or sampler failure, and a classification whose
+algebraic answer and measured hull gap disagree).
 """
 from __future__ import annotations
 

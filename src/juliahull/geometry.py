@@ -14,12 +14,11 @@ through the other.  Tolerance contract: the vertices are input points in
 strictly convex ccw order, and every input point lies within 1e-12 *
 scale of the hull; a cluster inside ``_DUP_EPS * scale`` keeps one
 representative, and a point dropped as collinear lies within about
-``_TURN_EPS * scale`` of it.  Distances, the polygon Hausdorff distance
-and the degenerate-shape fits (line and circle) all live here.
+``_TURN_EPS * scale`` of it.  Distances and the polygon Hausdorff
+distance live here too.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,11 +48,6 @@ def _points_of(obj) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("points must be finite")
     return arr
-
-
-def _inner(z, n):
-    """Real inner product on R^2 of complex operands."""
-    return (z * np.conj(n)).real
 
 
 @dataclass(eq=False)
@@ -439,90 +433,3 @@ def polygon_hausdorff(first: ConvexPolygon, second: ConvexPolygon,
     d_ab = np.abs(signed_distance(qb, _boundary_queries(first, samples))).max()
     d_ba = np.abs(signed_distance(qa, _boundary_queries(second, samples))).max()
     return float(max(d_ab, d_ba))
-
-
-@dataclass(frozen=True)
-class SegmentShape:
-    end_a: complex
-    end_b: complex
-
-
-@dataclass(frozen=True)
-class CircleShape:
-    center: complex
-    radius: float
-
-
-@dataclass(frozen=True)
-class GenericShape:
-    pass
-
-
-def fit_line(points):
-    """Total-least-squares line; returns (centroid, unit direction, max deviation)."""
-    pts = _points_of(points)
-    c = pts.mean()
-    rel = pts - c
-    cov = np.array([[np.mean(rel.real ** 2), np.mean(rel.real * rel.imag)],
-                    [np.mean(rel.real * rel.imag), np.mean(rel.imag ** 2)]])
-    _, vecs = np.linalg.eigh(cov)
-    u = complex(vecs[0, 1], vecs[1, 1])  # eigenvector of the largest eigenvalue
-    normal = u * 1j
-    dev = np.abs(_inner(rel, normal))
-    return complex(c), u, float(dev.max())
-
-
-def fit_circle(points):
-    """Algebraic (Kasa) circle fit plus one Gauss-Newton refinement.
-
-    Returns (center, radius, max radial residual).
-    """
-    pts = _points_of(points)
-    x, y = pts.real, pts.imag
-    a_mat = np.column_stack([2.0 * x, 2.0 * y, np.ones_like(x)])
-    rhs = x * x + y * y
-    (cx, cy, t), *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-    arg = t + cx * cx + cy * cy
-    if arg <= 0.0:
-        return 0j, 0.0, math.inf
-    r = math.sqrt(arg)
-    # one Gauss-Newton step on the geometric residuals
-    ri = np.abs(pts - complex(cx, cy))
-    ri = np.maximum(ri, 1e-300)
-    jac = np.column_stack([-(x - cx) / ri, -(y - cy) / ri, -np.ones_like(ri)])
-    delta, *_ = np.linalg.lstsq(jac, -(ri - r), rcond=None)
-    cx, cy, r = cx + delta[0], cy + delta[1], r + delta[2]
-    if r <= 0.0 or not np.isfinite(r):
-        return 0j, 0.0, math.inf
-    resid = np.abs(np.abs(pts - complex(cx, cy)) - r)
-    return complex(cx, cy), float(r), float(resid.max())
-
-
-def classify_shape(points, tol_rel: float = 1e-3):
-    """Segment, circle or generic shape of a planar sample.
-
-    The segment test runs first so a near-degenerate circle (huge radius)
-    still classifies as a segment.  It accepts a total-least-squares line
-    whose largest deviation is at most ``tol_rel`` times the fitted length,
-    the extent of the sample's projection onto that line.  Near the
-    threshold this length equals the sample's diameter to within a
-    relative ``2 tol_rel**2``.  The circle test bounds the largest radial
-    residual by ``tol_rel`` times the fitted radius.
-    """
-    pts = _points_of(points)
-    if pts.size < 10:
-        raise ValueError("shape classification needs at least 10 points")
-    if not 0.0 < tol_rel < 0.1:
-        raise ValueError("tol_rel must lie in (0, 0.1)")
-    c, u, dev = fit_line(pts)
-    t = _inner(pts - c, u)
-    length = t.max() - t.min()
-    if length == 0.0:
-        p = complex(pts[0])
-        return SegmentShape(p, p)
-    if dev <= tol_rel * length:
-        return SegmentShape(complex(c + t.min() * u), complex(c + t.max() * u))
-    center, radius, rad_dev = fit_circle(pts)
-    if radius > 0.0 and rad_dev <= tol_rel * radius:
-        return CircleShape(center, radius)
-    return GenericShape()

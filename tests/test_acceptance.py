@@ -12,6 +12,7 @@ import pytest
 from juliahull import (
     AffineMap,
     CheckConfig,
+    EqualityUnresolvedError,
     Polynomial,
     all_roots,
     boundary_cells,
@@ -92,10 +93,23 @@ def test_criterion_2_known_equality_cases():
         cls = classify_equality(build_context(moved, CheckConfig(seed=100 + i)))
         if cls.kind != expected:
             failures.append((f"conjugate #{i}", cls.kind, None))
+    # From degree 16 up the sample's hull gap may exceed tol_rel * diam
+    # (ROADMAP item 1), so the classifier may report the disagreement, but
+    # it must never read StrictInclusion.
+    for d in (8, 12, 16, 20):
+        for name, p, expected in [(f"cheb:{d}", chebyshev(d), CHEBYSHEV_CONJUGATE),
+                                  (f"monomial:1,{d}", monomial(1, d),
+                                   MONOMIAL_CONJUGATE)]:
+            try:
+                kind = classify_equality(build_context(p, CheckConfig(seed=21))).kind
+            except EqualityUnresolvedError:
+                kind = None if d >= 16 else "EqualityUnresolved"
+            if kind not in (expected, None):
+                failures.append((name, kind, None))
     elapsed = time.perf_counter() - start
     _line(2, not failures and elapsed <= 120.0,
-          f"12 normal forms + 10 conjugates classified, failures={failures}, "
-          f"{elapsed:.0f}s (budget 120s)")
+          f"12 normal forms + 10 conjugates + 8 of degree 8-20 classified, "
+          f"failures={failures}, {elapsed:.0f}s (budget 120s)")
 
 
 def test_criterion_3_known_strict_cases():

@@ -1,5 +1,6 @@
 import json
 import runpy
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from juliahull import (
     parse_polynomial,
     preimage_fibers,
     run_checks,
-    sample_julia,
     signed_distance,
 )
 from juliahull import checks
@@ -46,6 +46,7 @@ from juliahull.checks import (
     STRICT_INCLUSION,
     HullContext,
     _boundary_image_gap,
+    _normal_form,
     _report,
 )
 from juliahull.geometry import PROPER
@@ -474,29 +475,18 @@ class TestClassifyEquality:
             moved = classify_equality(build_context(moved_p, cfg))
             assert moved.kind == expected
 
-    def test_equality_without_shape_raises(self, basilica, squaring):
-        # doctored context: hull equality holds for z^2 but the cloud is
-        # replaced by a generic blob, which the classifier must refuse
+    def test_disagreement_raises_with_gap_and_residual(self, monkeypatch):
+        # doctored context: the normal form of T_3 matches, but the measured
+        # gap is forced above tol_rel * diam
         cfg = CheckConfig(julia_samples=20_000, seed=5)
-        ctx = build_context(squaring, cfg)
-        blob = sample_julia(basilica, 20_000, seed=5)
-        ctx.cloud = blob
-        with pytest.raises(EqualityUnresolvedError, match="increase n"):
+        ctx = build_context(chebyshev(3), cfg)
+        gap = 2 * cfg.tol_rel * ctx.diameter
+        monkeypatch.setattr(checks, "_boundary_image_gap", lambda *args: gap)
+        with pytest.raises(EqualityUnresolvedError) as info:
             classify_equality(ctx)
-
-    def test_escaping_interior_exposes_false_circle_candidate(self, squaring,
-                                                               monkeypatch):
-        # doctored context: the cloud still fits the unit circle and the
-        # boundary gap is forced to vanish, but the query hull is moved off
-        # J_p, so its interior samples escape
-        cfg = CheckConfig(julia_samples=20_000, seed=5)
-        ctx = build_context(squaring, cfg)
-        assert classify_equality(ctx).kind == MONOMIAL_CONJUGATE
-        monkeypatch.setattr(checks, "_boundary_image_gap", lambda *args: 0.0)
-        ctx.hull_query = convex_hull(ctx.cloud.points + 1.5)
-        cls = classify_equality(ctx)
-        assert cls.kind == STRICT_INCLUSION
-        assert cls.conjugation is None and cls.match_residual is None
+        message = str(info.value)
+        assert f"hull gap {gap / ctx.diameter:.3g} x diameter exceeds" in message
+        assert "ChebyshevConjugate (residual 0)" in message
 
     def test_classification_json_shape(self):
         cfg = CheckConfig(julia_samples=20_000, seed=7)
@@ -505,3 +495,68 @@ class TestClassifyEquality:
                              "sign_or_c", "coefficient_residual"]
         assert doc["kind"] == CHEBYSHEV_CONJUGATE
         assert doc["sign_or_c"] == [1.0, 0.0]
+
+
+# Highest degree up to which affine conjugates of +-T_d, rounded to double
+# precision, are tested to match their normal form (README, Classifier).
+CONJUGATE_DEGREE_BOUND = 12
+
+
+class TestNormalForm:
+    """The algebraic half of the classifier, on coefficients alone."""
+
+    @pytest.mark.parametrize("spec, kind, sign_or_c", [
+        *((f"cheb:{d}", CHEBYSHEV_CONJUGATE, 1.0) for d in range(2, 33)),
+        ("negcheb:3", CHEBYSHEV_CONJUGATE, -1.0),
+        ("0,3,0,1", CHEBYSHEV_CONJUGATE, -1.0),
+        ("quad:-2+0i", CHEBYSHEV_CONJUGATE, 1.0),
+        ("monomial:0.6+0.8i,3", MONOMIAL_CONJUGATE, 0.6 + 0.8j),
+        # every c z^d with c != 0 is conjugate to a unimodular monomial
+        ("monomial:2,5", MONOMIAL_CONJUGATE, 1.0),
+        ("0,0,0,1e-60", MONOMIAL_CONJUGATE, 1.0),
+    ])
+    def test_exact_presets_match(self, spec, kind, sign_or_c):
+        p = parse_polynomial(spec).polynomial
+        match, nearest = _normal_form(p)
+        assert match is not None
+        assert match[:2] == (kind, sign_or_c)
+        assert match[3] <= 4.5e-16 and nearest <= match[3]
+        form = (monomial(sign_or_c, p.degree) if kind == MONOMIAL_CONJUGATE
+                else Polynomial(sign_or_c * chebyshev(p.degree).coeffs))
+        back = conjugate(form, match[2].inverse())
+        assert np.abs(back.coeffs - p.coeffs).max() <= 1e-12 * np.abs(p.coeffs).max()
+
+    def test_plain_chebyshev_map_is_the_identity(self):
+        # for even d, -z conjugates T_d to -T_d: the positive sign is kept
+        for d in (4, 5):
+            match, _ = _normal_form(chebyshev(d))
+            assert match[1] == 1.0
+            assert (match[2].a, match[2].b) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("spec, residual", [("quad:-1+0i", 0.25),
+                                                ("quad:0.01+0i", 0.01)])
+    def test_strict_quadratics_miss(self, spec, residual):
+        match, nearest = _normal_form(parse_polynomial(spec).polynomial)
+        assert match is None
+        assert nearest == pytest.approx(residual, rel=1e-12)
+
+    @pytest.mark.parametrize("d", range(2, CONJUGATE_DEGREE_BOUND + 1))
+    def test_random_conjugates_match(self, d):
+        rng = np.random.default_rng(d)
+        for sign in (1.0, -1.0):
+            for _ in range(10):
+                a = rng.uniform(0.5, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                b = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                p = conjugate(Polynomial(sign * chebyshev(d).coeffs), AffineMap(a, b))
+                match, _ = _normal_form(p)
+                assert match is not None and match[0] == CHEBYSHEV_CONJUGATE
+                # for odd d, T_d and -T_d are not conjugate
+                assert d % 2 == 0 or match[1] == sign
+
+    @pytest.mark.parametrize("spec", ["0,1e140,1", "0,0,1.5e102,1"])
+    def test_coefficients_at_the_cli_bounds_stay_finite(self, spec):
+        # near the escape-radius (1e150) and start-circle (1e308) bounds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            match, nearest = _normal_form(parse_polynomial(spec).polynomial)
+        assert match is None and np.isfinite(nearest)

@@ -225,6 +225,16 @@ class TestCommands:
         assert main(argv + ["--tol", "1e-5"]) == 0
         assert json.loads(capsys.readouterr().out)["kind"] == "StrictInclusion"
 
+    def test_equality_with_gap_above_tolerance_exits_3(self, capsys, monkeypatch):
+        # doctored gap: the normal form of T_3 matches, the measurement does not
+        monkeypatch.setattr(checks, "_boundary_image_gap", lambda *args: 1.0)
+        assert main(["classify", "--poly", "cheb:3", "--n", "2000", "--res", "64",
+                     "--max-iter", "50"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(r"residual \S+\), but the hull gap \S+ x diameter "
+                         r"exceeds tol_rel 0\.001", captured.err)
+
     def test_deterministic_bytes(self, tmp_path):
         paths = [tmp_path / f"run{i}.json" for i in range(2)]
         for path in paths:

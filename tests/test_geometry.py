@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from juliahull import (
-    CircleShape,
-    GenericShape,
-    Polynomial,
-    SegmentShape,
     boundary_points,
-    classify_shape,
     convex_hull,
     polygon_hausdorff,
     sample_julia,
@@ -23,8 +18,6 @@ from juliahull.geometry import (
     _TURN_EPS,
     decimate,
     distance_to_segments,
-    fit_circle,
-    fit_line,
 )
 
 planar_points = st.lists(
@@ -480,47 +473,6 @@ class TestDecimate:
         for i, j in zip(anchors, anchors[1:] + [anchors[0] + n]):
             split(i, j, kept)
         assert decimate(hull, eps).vertices.tolist() == [v[k] for k in sorted(kept)]
-
-
-class TestClassifyShape:
-    def test_chebyshev_segment(self, t2):
-        cloud = sample_julia(t2, 100_000, seed=2)
-        shape = classify_shape(cloud.points, 1e-3)
-        assert isinstance(shape, SegmentShape)
-        ends = sorted([shape.end_a, shape.end_b], key=lambda z: z.real)
-        assert abs(ends[0] - (-1)) <= 1e-3 and abs(ends[1] - 1) <= 1e-3
-
-    def test_cubing_circle(self):
-        cloud = sample_julia(Polynomial([0, 0, 0, 1]), 100_000, seed=2)
-        shape = classify_shape(cloud.points, 1e-3)
-        assert isinstance(shape, CircleShape)
-        assert abs(shape.center) <= 1e-3
-        assert shape.radius == pytest.approx(1.0, abs=1e-3)
-
-    def test_basilica_generic(self, basilica):
-        cloud = sample_julia(basilica, 50_000, seed=2)
-        tol_rel = 1e-3
-        shape = classify_shape(cloud.points, tol_rel)
-        assert isinstance(shape, GenericShape)
-        # oracle: both fits leave residual far above the acceptance level
-        hull = convex_hull(cloud)
-        _, _, line_dev = fit_line(cloud.points)
-        _, radius, circle_dev = fit_circle(cloud.points)
-        assert line_dev > 10 * tol_rel * hull.diameter
-        assert circle_dev > 10 * tol_rel * radius
-
-    def test_huge_radius_circle_reads_as_segment(self):
-        # near-degenerate arc of a giant circle must classify as a segment
-        t = np.linspace(-1e-4, 1e-4, 400)
-        arc = 1e4 * np.exp(1j * t) - 1e4
-        shape = classify_shape(arc, 1e-3)
-        assert isinstance(shape, SegmentShape)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            classify_shape(np.zeros(5, dtype=complex), 1e-3)
-        with pytest.raises(ValueError):
-            classify_shape(np.zeros(20, dtype=complex), 0.5)
 
 
 class TestPolygonHausdorff:

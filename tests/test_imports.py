@@ -77,9 +77,10 @@ def test_cli_module_runs_under_warnings_as_errors():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-W", "error", "-m", "juliahull.cli", "classify",
-            "--poly", "quad:-1+0i", "--n", "2000", "--res", "64",
-            "--max-iter", "50"]
-    out = subprocess.run(argv, capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout)["kind"] == "StrictInclusion"
+    for poly, kind in [("quad:-1+0i", "StrictInclusion"),
+                       ("cheb:3", "ChebyshevConjugate")]:
+        argv = [sys.executable, "-W", "error", "-m", "juliahull.cli", "classify",
+                "--poly", poly, "--n", "2000", "--res", "64", "--max-iter", "50"]
+        out = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["kind"] == kind
