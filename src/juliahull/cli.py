@@ -149,18 +149,18 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--poly", required=True,
                          help="coefficients 'a0,a1,...' or preset cheb:d, "
                               "negcheb:d, monomial:c,d, quad:c")
-        cmd.add_argument("--n", type=int, default=100_000,
+        cmd.add_argument("--n", type=int, default=CheckConfig.julia_samples,
                          help="Julia sample count")
-        cmd.add_argument("--m", type=int, default=512,
+        cmd.add_argument("--m", type=int, default=CheckConfig.boundary_samples,
                          help="hull boundary samples")
-        cmd.add_argument("--k", type=int, default=256,
+        cmd.add_argument("--k", type=int, default=CheckConfig.interior_samples,
                          help="hull interior samples")
-        cmd.add_argument("--tol", type=float, default=1e-3,
+        cmd.add_argument("--tol", type=float, default=CheckConfig.tol_rel,
                          help="relative tolerance (fraction of hull diameter)")
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--res", type=int, default=512,
+        cmd.add_argument("--seed", type=int, default=CheckConfig.seed)
+        cmd.add_argument("--res", type=int, default=CheckConfig.grid_resolution,
                          help="escape grid resolution")
-        cmd.add_argument("--max-iter", type=int, default=200,
+        cmd.add_argument("--max-iter", type=int, default=CheckConfig.grid_max_iter,
                          help="escape grid iteration cap")
         cmd.add_argument("--out", default=None, help="output path (default stdout)")
         if name in ("check", "suite"):

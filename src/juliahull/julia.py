@@ -201,7 +201,7 @@ def _orbit_seed(p: Polynomial, m: int):
     return z0, depth + _SPREAD_STEPS
 
 
-def _run_orbits(p: Polynomial, n: int, seed: int, tol: float, capture_pairs: bool):
+def _run_orbits(p: Polynomial, n: int, seed: int, tol: float) -> np.ndarray:
     d = p.degree
     m = min(_ORBIT_BATCH, n)
     z0, burn = _orbit_seed(p, m)
@@ -209,7 +209,6 @@ def _run_orbits(p: Polynomial, n: int, seed: int, tol: float, capture_pairs: boo
     rng = np.random.Generator(np.random.Philox(seed))
     z = np.full(m, z0, dtype=np.complex128)
     kept = np.empty(n, dtype=np.complex128)
-    pairs = [] if capture_pairs else None
     fiber = branch = None
     shared = True  # burn-in orbits share targets until every target is distinct
     for step in range(burn + per):
@@ -218,14 +217,11 @@ def _run_orbits(p: Polynomial, n: int, seed: int, tol: float, capture_pairs: boo
         shared = share is not None and share[0].size < m
         children, fiber = _pullback(p, z, fiber, branch, next_branch, tol, share)
         branch = next_branch
-        if capture_pairs:
-            # _pullback may have swapped stubborn parents in place; z is current
-            pairs.append((z.copy(), fiber.copy()))
         if step >= burn:
             lo = (step - burn) * m * d
             kept[lo:lo + m * d] = fiber.ravel()[:n - lo]
         z = children
-    return kept, pairs
+    return kept
 
 
 def sample_julia(p: Polynomial, n: int, seed: int,
@@ -239,7 +235,7 @@ def sample_julia(p: Polynomial, n: int, seed: int,
         raise ValueError("julia sampling requires degree >= 2")
     if n < 100:
         raise ValueError("at least 100 sample points required")
-    points, _ = _run_orbits(p, n, seed, tol, capture_pairs=False)
+    points = _run_orbits(p, n, seed, tol)
     radius = escape_radius(p)
     worst = float(np.abs(points).max())
     if worst > radius + 1e-9:

@@ -1,8 +1,8 @@
 """Simultaneous polynomial root finding.
 
 The solver is Aberth-Ehrlich iteration started from points equidistributed
-on a Cauchy-bound circle, with a Durand-Kerner pass as fallback when the
-main iteration stalls.  A whole family p(z) = t_m can be solved in one
+on a Cauchy-bound circle; it is the only update rule, and it gets the
+whole iteration budget.  A whole family p(z) = t_m can be solved in one
 vectorized batch, which is what the inverse-iteration sampler leans on.
 
 A quadratic fiber starts from its exact roots instead, in Vieta form
@@ -25,7 +25,12 @@ import numpy as np
 from .polynomial import Polynomial, _horner, derivative
 
 DEFAULT_TOL = 1e-10
-MAX_ITERATIONS = 200
+# Aberth steps per solve.  Nearly every fiber converges within 200 steps;
+# tiny leading coefficients and coefficients spread over many decades need
+# more (the fibers of 1e-60 z**3 take up to 280).  A member is frozen at
+# the step it passes the bound, so raising the cap leaves every member
+# that converged under the lower one bit for bit unchanged.
+MAX_ITERATIONS = 400
 
 # Fixed rotation of the initial circle, breaks the symmetry of z**d - c
 # style fibers that would otherwise trap the iteration on invariant rays.
@@ -98,21 +103,19 @@ def _residual_bounds(abs_coeffs, const_shift, z, tol, floor):
     return tol * np.maximum(scale, floor[:, None])
 
 
-def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter, method):
-    """Run one solver family on z in place; returns (residuals, ok).
+def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
+    """Run Aberth's iteration on z in place; returns (residuals, ok).
 
-    ``method`` is "aberth" or "dk".  ``bounds_of(w, members)`` gives the
-    thresholds of iterates w of the members with those row numbers.  A
-    member whose residuals all pass is frozen: its row of z, its residuals
-    and its ``ok`` are written out, and it leaves the working set, which
-    is compacted then and not gathered and scattered every step.  Members
-    still working after ``max_iter`` steps are judged at their last
-    iterate.  The per-step temporaries are reused in place, and each
-    complex product keeps its operand order (``newton * sum``, ``lead *
-    prod``): numpy's complex multiply is not bitwise commutative.
+    ``bounds_of(w, members)`` gives the thresholds of iterates w of the
+    members with those row numbers.  A member whose residuals all pass is
+    frozen: its row of z, its residuals and its ``ok`` are written out, and
+    it leaves the working set, which is compacted then and not gathered and
+    scattered every step.  Members still working after ``max_iter`` steps
+    are judged at their last iterate.  The per-step temporaries are reused
+    in place, and each complex product keeps its operand order (``newton *
+    sum``): numpy's complex multiply is not bitwise commutative.
     """
     m, d = z.shape
-    lead = coeffs[-1]
     res = np.empty((m, d))
     ok = np.zeros(m, dtype=bool)
     members = np.arange(m)
@@ -145,25 +148,21 @@ def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter, method):
         diag[...] = 1.0
         collided = diff == 0
         if collided.any():
-            # exact off-diagonal collisions are broken by a deterministic nudge
-            np.copyto(diff, 1e-12 * (1.0 + np.abs(w))[:, :, None], where=collided)
-        if method == "aberth":
-            dv = _horner(dcoeffs, w)
-            dv[dv == 0] = 1e-300
-            newton = np.divide(pv, dv, out=pv)
-            inv = np.divide(1.0, diff, out=diff)
-            diag[...] = 0.0
-            denom = inv.sum(axis=2)
-            np.multiply(newton, denom, out=denom)
-            np.subtract(1.0, denom, out=denom)
-            denom[denom == 0] = 1.0
-            step = np.divide(newton, denom, out=newton)
-        else:
-            denom = diff.prod(axis=2)
-            np.multiply(lead, denom, out=denom)
-            denom[denom == 0] = 1e-300
-            step = np.divide(pv, denom, out=pv)
-        w -= step
+            # an exact off-diagonal collision gets a deterministic nudge,
+            # antisymmetric as diff is, so the pair moves apart
+            nudge = 1e-12 * (1.0 + np.abs(w))[:, :, None]
+            upper = np.triu(np.ones((d, d), dtype=bool), 1)
+            np.copyto(diff, np.where(upper, nudge, -nudge), where=collided)
+        dv = _horner(dcoeffs, w)
+        dv[dv == 0] = 1e-300
+        newton = np.divide(pv, dv, out=pv)
+        inv = np.divide(1.0, diff, out=diff)
+        diag[...] = 0.0
+        denom = inv.sum(axis=2)
+        np.multiply(newton, denom, out=denom)
+        np.subtract(1.0, denom, out=denom)
+        denom[denom == 0] = 1.0
+        w -= np.divide(newton, denom, out=newton)
     return res, ok
 
 
@@ -218,18 +217,7 @@ def _solve_batch(p: Polynomial, targets: np.ndarray, tol: float, max_iter: int):
 
     z = (_quadratic_roots(coeffs, targets) if d == 2
          else _initial_points(coeffs, targets, d))
-    res, ok = _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter, "aberth")
-    if not ok.all():
-        # stalled members get a Durand-Kerner pass from their current iterates
-        bad = np.flatnonzero(~ok)
-
-        def bounds_bad(z_local, members):
-            return bounds_of(z_local, bad[members])
-
-        zb = z[bad]
-        res[bad], ok[bad] = _iterate(coeffs, dcoeffs, targets[bad], zb,
-                                     bounds_bad, max_iter, "dk")
-        z[bad] = zb
+    res, ok = _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter)
     return z, res, ok
 
 

@@ -24,7 +24,7 @@ from juliahull import (
     to_pgm,
 )
 from juliahull.geometry import SEGMENT
-from juliahull.julia import BURN_IN, JULIA_SAMPLE, SamplingError, _run_orbits
+from juliahull.julia import BURN_IN, JULIA_SAMPLE, SamplingError
 
 
 def _hausdorff(a, b):
@@ -110,9 +110,18 @@ class TestSampleJulia:
         grid_diam = convex_hull(boundary_cells(grid)).diameter
         assert cloud_diam == pytest.approx(grid_diam, rel=0.01)
 
-    def test_consecutive_pairs_are_preimages(self, basilica):
-        _, pairs = _run_orbits(basilica, 2_000, seed=2, tol=1e-10,
-                               capture_pairs=True)
+    def test_consecutive_pairs_are_preimages(self, monkeypatch, basilica):
+        pairs = []
+        original = julia_mod._pullback
+
+        def recorded(p, z, *args):
+            out = original(p, z, *args)
+            # after the call: _pullback may have swapped stubborn parents in place
+            pairs.append((z.copy(), out[1].copy()))
+            return out
+
+        monkeypatch.setattr(julia_mod, "_pullback", recorded)
+        sample_julia(basilica, 2_000, seed=2)
         for parents, fiber in pairs:
             # every root of every solved fiber, not only the followed branch
             assert fiber.shape == (parents.size, basilica.degree)
@@ -186,19 +195,18 @@ class TestSampleJulia:
 
     def test_quadratic_sample_takes_no_solver_step(self, monkeypatch, basilica):
         # every fiber starts exact, so _iterate leaves its start untouched
-        # and the Durand-Kerner fallback never runs
         runs = []
         original = roots_mod._iterate
 
-        def watched(coeffs, dcoeffs, targets, z, bounds_of, max_iter, method):
+        def watched(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
             start = z.copy()
-            out = original(coeffs, dcoeffs, targets, z, bounds_of, max_iter, method)
-            runs.append((method, np.array_equal(z, start)))
+            out = original(coeffs, dcoeffs, targets, z, bounds_of, max_iter)
+            runs.append(np.array_equal(z, start))
             return out
 
         monkeypatch.setattr(roots_mod, "_iterate", watched)
         sample_julia(basilica, 100_000, seed=0)
-        assert runs and set(runs) == {("aberth", True)}
+        assert runs and all(runs)
 
     def test_unconverged_solves_raise_sampling_error(self, unsolvable_fibers,
                                                      basilica):
