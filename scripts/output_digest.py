@@ -16,6 +16,12 @@ A suite op writes no files; its file digests are those of empty input.
 Two trees whose lines are identical give byte-identical reports, scenes,
 rasters and exit codes on the whole benchmark.
 
+Every benchmark polynomial has degree 6 or less, so one more line per
+polynomial of ``SAMPLED`` digests ``sample_julia(p, 20_000, seed)`` at a
+higher degree, in the same fields:
+
+    seed sample/name 0 sha256(points) sha256(b"") sha256(b"")
+
 ``--against FILE`` compares the lines with a saved run: it runs the saved
 run's seeds unless ``--seed`` is given, names on stderr each op whose line
 differs (and which of its fields), or that only one of the runs has, and
@@ -32,10 +38,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
+
+from juliahull import Polynomial, chebyshev, sample_julia  # noqa: E402
 from juliahull.cli import main as cli_main  # noqa: E402
 from workloads import WORKLOADS, make_workload  # noqa: E402
 
 FIELDS = ("exit", "stdout", "svg", "pgm")
+SAMPLE_POINTS = 20_000
+
+
+def _random_polynomial(d: int, seed: int) -> Polynomial:
+    """Coefficients uniform in [0, 1) + [0, 1)i, seeded by (seed, d)."""
+    rng = np.random.default_rng([seed, d])
+    return Polynomial(rng.uniform(0, 1, d + 1) + 1j * rng.uniform(0, 1, d + 1))
+
+
+# Sampled polynomials of degree above 6, each built from the seed.
+SAMPLED = {
+    "cheb:8": lambda seed: chebyshev(8),
+    "cheb:16": lambda seed: chebyshev(16),
+    "random-d12": lambda seed: _random_polynomial(12, seed),
+    "random-d24": lambda seed: _random_polynomial(24, seed),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -43,7 +68,7 @@ def _sha(data: bytes) -> str:
 
 
 def digest_lines(seed: int, workdir: Path):
-    """One digest line per op of every workload at ``seed``."""
+    """One digest line per op of every workload at ``seed``, then the samples."""
     for name in WORKLOADS:
         for op in make_workload(name, seed, workdir):
             stdout = io.StringIO()
@@ -54,6 +79,10 @@ def digest_lines(seed: int, workdir: Path):
             yield " ".join([str(seed), f"{name}/{op.key}", str(code),
                             _sha(stdout.getvalue().encode("utf-8")),
                             *(_sha(f) for f in files)])
+    for name, make in SAMPLED.items():
+        points = sample_julia(make(seed), SAMPLE_POINTS, seed).points
+        yield " ".join([str(seed), f"sample/{name}", "0", _sha(points.tobytes()),
+                        _sha(b""), _sha(b"")])
 
 
 def parse_digest(text: str) -> dict:

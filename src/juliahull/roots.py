@@ -10,11 +10,13 @@ A quadratic fiber starts from its exact roots instead, in Vieta form
 
 Everything here is deterministic: no randomness enters the initial
 configuration or the iteration, so identical inputs give identical outputs.
-Every operation acts on each member's own row, so a member's roots,
-residuals and ``ok`` do not depend on the batch it is solved in: not on
-the other members, their order or number, nor on the chunking.  The
-sampler's deduplicated burn-in and the preimage-convexity check's batched
-rejection rounds rest on this.
+The iteration holds a batch as (d, members), so each numpy call runs along
+the long member axis, and it adds each root's Aberth sum in a fixed order
+written out in ``_sum_plan``.  Every operation acts on each member's own
+roots, so a member's roots, residuals and ``ok`` do not depend on the
+batch it is solved in: not on the other members, their order or number,
+nor on the chunking.  The sampler's deduplicated burn-in and the
+preimage-convexity check's batched rejection rounds rest on this.
 """
 from __future__ import annotations
 
@@ -38,9 +40,10 @@ _INIT_ROTATION = 0.4
 
 _REPELLING_MARGIN = 1e-9
 
-# Fiber members per solve times d**2.  The solver holds several (m, d, d)
-# complex temporaries; 2**20 elements keeps each near 16 MiB at any degree
-# and splits no batch of 2048 fibers below degree 23.
+# Fiber members per solve times d**2.  Each step holds the d(d-1)/2 pair
+# reciprocals of every member twice, in two (pairs, m) complex buffers;
+# 2**20 keeps the two together near 16 MiB at any degree and splits no
+# batch of 2048 fibers below degree 23.
 _CHUNK_BUDGET = 2 ** 20
 
 
@@ -95,75 +98,172 @@ def _quadratic_roots(coeffs: np.ndarray, targets: np.ndarray) -> np.ndarray:
 def _residual_bounds(abs_coeffs, const_shift, z, tol, floor):
     """Per-root residual thresholds: tol * max(floor, sum_j |a_j| |z|^j).
 
-    The evaluation-scale term is the smallest residual double precision can
-    certify at a root of that modulus; the floor keeps the bound at least
-    as strict as tol times the largest coefficient modulus.
+    z is laid out as (d, members), and ``const_shift`` and ``floor`` hold
+    one value per member.  The evaluation-scale term is the smallest
+    residual double precision can certify at a root of that modulus; the
+    floor keeps the bound at least as strict as tol times the largest
+    coefficient modulus.
     """
-    scale = _horner(abs_coeffs, np.abs(z)) + const_shift[:, None]
-    return tol * np.maximum(scale, floor[:, None])
+    scale = _horner(abs_coeffs, np.abs(z)) + const_shift
+    return tol * np.maximum(scale, floor)
+
+
+def _sum_plan(d):
+    """The order in which ``_iterate`` adds up the Aberth sums of d roots.
+
+    Root i's sum is S_i = sum over j != i of 1/(w_i - w_j); column j holds
+    the terms 1/(w_i - w_j) of every i != j.  Returns ``(count, steps)``:
+    a step ``(a, j)`` with j < d adds column j to accumulator a, and a step
+    ``(a, d + b)`` adds accumulator b to accumulator a.  The ``count``
+    accumulators start at zero, and the sums end in accumulator 0.
+
+    The order is numpy 2.4.6's pairwise summation of one contiguous complex
+    row (``pairwise_sum``), so S_i has the bits that ``.sum(axis=-1)``
+    gives row i of the d x d matrix with a zero diagonal; skipping that
+    zero, like starting from zero, can change only the sign of a zero sum.
+    Over a run of n columns:
+    - n < 4: the columns are added in sequence;
+    - 4 <= n <= 64: column j < 4 floor(n/4) goes to lane j mod 4, the lanes
+      are added as ((0 + 1) + (2 + 3)), and the other columns follow in
+      sequence;
+    - n > 64: the run is split after its first h = (n - n mod 8) / 2
+      columns, and the sums of the two halves are added.
+    """
+    steps = []
+
+    def add(lo, hi, acc):
+        # columns lo..hi-1 into accumulator acc; returns the first one unused
+        n = hi - lo
+        if n < 4:
+            steps.extend((acc, j) for j in range(lo, hi))
+            return acc + 1
+        if n <= 64:
+            body = hi - n % 4
+            steps.extend((acc + (j - lo) % 4, j) for j in range(lo, body))
+            steps.extend([(acc, d + acc + 1), (acc + 2, d + acc + 3),
+                          (acc, d + acc + 2)])
+            steps.extend((acc, j) for j in range(body, hi))
+            return acc + 4
+        mid = lo + (n - n % 8) // 2
+        right = add(lo, mid, acc)
+        unused = add(mid, hi, right)
+        steps.append((acc, d + right))
+        return unused
+
+    return add(0, d, 0), steps
+
+
+def _row_sums(steps, by_row, by_col, acc):
+    """The Aberth sums S_i of every root, added in the order of ``_sum_plan``.
+
+    ``by_row`` holds 1/(w_i - w_j) for each pair i < j, ordered by i, and
+    ``by_col`` the same values ordered by j; both are (pairs, members).
+    Column j takes its entries i < j from ``by_col`` and its entries i > j,
+    1/(w_i - w_j) = -1/(w_j - w_i), from ``by_row``.  That negation is exact
+    up to the sign of a zero part: IEEE subtraction is sign-symmetric, and
+    so is numpy's complex division (Smith's algorithm), because a negated
+    divisor leaves the ratio unchanged and negates the scale.  ``acc`` is
+    the (count, d, members) accumulator buffer; returns the (d, members) sums.
+    """
+    d = acc.shape[1]
+    acc.fill(0.0)
+    for a, b in steps:
+        out = acc[a]
+        if b >= d:
+            np.add(out, acc[b - d], out=out)
+            continue
+        if b > 0:  # pairs (i, b), i < b, lie together in by_col
+            top = b * (b - 1) // 2
+            np.add(out[:b], by_col[top:top + b], out=out[:b])
+        if b < d - 1:  # pairs (b, i), i > b, lie together in by_row
+            top = b * (2 * d - b - 1) // 2
+            np.subtract(out[b + 1:], by_row[top:top + d - 1 - b],
+                        out=out[b + 1:])
+    return acc[0]
 
 
 def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
     """Run Aberth's iteration on z in place; returns (residuals, ok).
 
-    ``bounds_of(w, members)`` gives the thresholds of iterates w of the
-    members with those row numbers.  A member whose residuals all pass is
-    frozen: its row of z, its residuals and its ``ok`` are written out, and
-    it leaves the working set, which is compacted then and not gathered and
-    scattered every step.  Members still working after ``max_iter`` steps
-    are judged at their last iterate.  The per-step temporaries are reused
-    in place, and each complex product keeps its operand order (``newton *
+    The working set w is laid out as (d, members), so every numpy call runs
+    along the long, contiguous member axis.  ``bounds_of(w, members)``
+    gives the thresholds of the iterates w of the members with those row
+    numbers in z.  Step 0 tests the starts through the transposed view of
+    z, so a batch whose starts all pass (every quadratic one) returns
+    before anything is copied or any pair buffer is built.
+
+    A member whose residuals all pass is frozen: its row of z, its
+    residuals and its ``ok`` are written out, and it leaves the working
+    set, which is compacted then and not gathered and scattered every step.
+    Members still working after ``max_iter`` steps are judged at their last
+    iterate.
+
+    Each step computes the reciprocal 1/(w_i - w_j) of each pair i < j
+    once, into a reused (pairs, members) buffer, and adds each root's sum
+    in the order that ``_sum_plan`` writes out.  That order is the one in
+    which numpy's ``.sum(axis=2)`` once added the rows of a (members, d, d)
+    pair tensor; every other operation is elementwise, so the iterates
+    keep that solver's bits, which no longer depend on numpy's reduction
+    internals.  Each complex product keeps its operand order (``newton *
     sum``): numpy's complex multiply is not bitwise commutative.
     """
     m, d = z.shape
-    res = np.empty((m, d))
-    ok = np.zeros(m, dtype=bool)
     members = np.arange(m)
-    w = z  # the working set; a compacted copy after the first freeze
-    pair_buf = np.empty((m, d, d), dtype=np.complex128)
+    w = z.T
     for it in range(max_iter + 1):
         pv = _horner(coeffs, w)
-        pv -= targets[:, None]
+        pv -= targets
         err = np.abs(pv)
-        done = (err <= bounds_of(w, members)).all(axis=1)
+        done = (err <= bounds_of(w, members)).all(axis=0)
         if it == max_iter or done.all():
-            if w is z:  # nothing frozen yet: every row is still in place
-                return err, done
-            z[members] = w
-            res[members] = err
+            if it == 0:  # no step taken: z still holds every start
+                return err.T, done
+            z[members] = w.T
+            res[members] = err.T
             ok[members] = done
-            break
+            return res, ok
+        if it == 0:
+            res = np.empty((m, d))
+            ok = np.zeros(m, dtype=bool)
+            w, pv = w.copy(), pv.copy()  # C order: members along each row
+            count, steps = _sum_plan(d)
+            pairs = d * (d - 1) // 2
+            first, second = np.triu_indices(d, 1)  # the pairs in by_row order
+            col_order = np.lexsort((first, second))  # the same, ordered by j
+            row_buf = np.empty(pairs * m, dtype=np.complex128)
+            col_buf = np.empty(pairs * m, dtype=np.complex128)
+            acc_buf = np.empty(count * d * m, dtype=np.complex128)
         if done.any():
             frozen = members[done]
-            z[frozen] = w[done]
-            res[frozen] = err[done]
+            z[frozen] = w[:, done].T
+            res[frozen] = err[:, done].T
             ok[frozen] = True
             keep = ~done
-            members, w, pv, targets = members[keep], w[keep], pv[keep], targets[keep]
+            members, w, pv, targets = (members[keep], w[:, keep], pv[:, keep],
+                                       targets[keep])
         k = members.size
-        # (k, d, d) views of the first k rows stay contiguous, and the
-        # diagonal of each d x d block is every (d + 1)-th element of its row
-        diff = np.subtract(w[:, :, None], w[:, None, :], out=pair_buf[:k])
-        diag = diff.reshape(k, d * d)[:, ::d + 1]
-        diag[...] = 1.0
-        collided = diff == 0
-        if collided.any():
-            # an exact off-diagonal collision gets a deterministic nudge,
-            # antisymmetric as diff is, so the pair moves apart
-            nudge = 1e-12 * (1.0 + np.abs(w))[:, :, None]
-            upper = np.triu(np.ones((d, d), dtype=bool), 1)
-            np.copyto(diff, np.where(upper, nudge, -nudge), where=collided)
+        by_row = row_buf[:pairs * k].reshape(pairs, k)
+        for i in range(d - 1):
+            top = i * (2 * d - i - 1) // 2
+            np.subtract(w[i], w[i + 1:], out=by_row[top:top + d - 1 - i])
+        if not by_row.all():
+            # an exact collision w_i == w_j, so |w_i| == |w_j|, gets a
+            # deterministic nudge; its two terms have opposite signs, so
+            # the pair moves apart
+            np.copyto(by_row, 1e-12 * (1.0 + np.abs(w))[first], where=by_row == 0)
+        np.divide(1.0, by_row, out=by_row)
+        # every index is in range; "clip" only skips the buffered bounds check
+        by_col = np.take(by_row, col_order, axis=0, mode="clip",
+                         out=col_buf[:pairs * k].reshape(pairs, k))
+        denom = _row_sums(steps, by_row, by_col,
+                          acc_buf[:count * d * k].reshape(count, d, k))
         dv = _horner(dcoeffs, w)
         dv[dv == 0] = 1e-300
         newton = np.divide(pv, dv, out=pv)
-        inv = np.divide(1.0, diff, out=diff)
-        diag[...] = 0.0
-        denom = inv.sum(axis=2)
         np.multiply(newton, denom, out=denom)
         np.subtract(1.0, denom, out=denom)
         denom[denom == 0] = 1.0
         w -= np.divide(newton, denom, out=newton)
-    return res, ok
 
 
 def solve_fibers(p: Polynomial, targets, tol: float = DEFAULT_TOL,
@@ -172,7 +272,7 @@ def solve_fibers(p: Polynomial, targets, tol: float = DEFAULT_TOL,
 
     Returns ``(roots, residuals, ok)`` with shapes (m, d), (m, d), (m,).
     Members are solved in chunks of at most _CHUNK_BUDGET // d**2, which
-    bounds memory at high degree.  ``ok[i]`` is True when every residual
+    bounds the pair buffers of ``_iterate`` at high degree.  ``ok[i]`` is True when every residual
     |p(root) - t| of member i meets the backward-stable bound
     tol * max(largest coefficient modulus, per-root evaluation scale).
     No exception is raised here;

@@ -219,7 +219,9 @@ class TestQuadraticStart:
 
     @pytest.mark.parametrize("coeffs", _CANCELLATION_CASES.values(),
                              ids=_CANCELLATION_CASES.keys())
-    def test_exact_start_takes_no_step(self, coeffs):
+    def test_exact_start_takes_no_step(self, monkeypatch, coeffs):
+        # the starts pass at step 0, before any pair buffer is planned
+        monkeypatch.setattr(roots_mod, "_sum_plan", None)
         p = Polynomial(coeffs)
         targets = _mixed_targets(p, 4096, seed=3)
         roots, _, ok = roots_mod.solve_fibers(p, targets)
@@ -261,7 +263,9 @@ def _reference_iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
     """The plain solver loop, the oracle for ``roots._iterate``.
 
     It gathers z[active] and scatters it back every step, masks the
-    diagonal with a boolean eye and allocates every temporary anew.
+    diagonal with a boolean eye and allocates every temporary anew.  Its
+    ``inv.sum(axis=2)`` fixes the summation order that ``roots._sum_plan``
+    writes out.
     """
     m, d = z.shape
     eye = np.eye(d, dtype=bool)
@@ -318,21 +322,23 @@ def _reference_solve(p, targets, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
     return z, res, ok
 
 
-def _seeded_fibers(d, monic):
-    """A seeded degree-d polynomial and 300 targets in its escape square."""
+def _seeded_fibers(d, monic, m=300):
+    """A seeded degree-d polynomial and m targets in its escape square."""
     rng = np.random.default_rng(100 + d)
     coeffs = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
     if monic:
         coeffs[-1] = 1.0
     p = Polynomial(coeffs)
-    return p, escape_radius(p) * (rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300))
+    return p, escape_radius(p) * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
 
 
 class TestReferenceSolver:
     """``solve_fibers`` gives the reference loop's results bit for bit."""
 
     @pytest.mark.parametrize("monic", [False, True], ids=["general", "monic"])
-    @pytest.mark.parametrize("d", range(3, 9))
+    # d = 3 adds its sums in sequence; from d = 4 on they go round four
+    # lanes, with 0 to 3 columns left over; d = 66 below splits them in two
+    @pytest.mark.parametrize("d", [*range(3, 10), 12, 16])
     # every member here converges within 200 steps, so 200 gives the bits of
     # the full budget, and 3 steps converge none; the two tests below run
     # the full budget, the second on members that need more than 200
@@ -343,6 +349,31 @@ class TestReferenceSolver:
         for a, b in zip(roots_mod.solve_fibers(p, targets, max_iter=max_iter),
                         expected):
             assert np.array_equal(a, b)
+
+    def test_bitwise_equal_to_reference_above_degree_64(self):
+        p, targets = _seeded_fibers(66, monic=False, m=20)
+        expected = _reference_solve(p, targets, max_iter=3)
+        for a, b in zip(roots_mod.solve_fibers(p, targets, max_iter=3), expected):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d", [*range(2, 81), 129, 257])
+    def test_planned_sums_equal_numpy_sum(self, d):
+        # rows of an antisymmetric matrix with a zero diagonal, the shape of
+        # the Aberth terms 1/(w_i - w_j); numpy sums each contiguous row
+        rng = np.random.default_rng(d)
+        members = 5
+        shape = (d * (d - 1) // 2, members)
+        pairs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        i, j = np.triu_indices(d, 1)  # ordered by i, as the solver's by_row
+        matrix = np.zeros((members, d, d), dtype=np.complex128)
+        matrix[:, i, j] = pairs.T
+        matrix[:, j, i] = -pairs.T
+        by_col = pairs[np.lexsort((i, j))]
+        count, steps = roots_mod._sum_plan(d)
+        acc = np.empty((count, d, members), dtype=np.complex128)
+        sums = roots_mod._row_sums(steps, pairs, by_col, acc)
+        expected = np.ascontiguousarray(matrix.sum(axis=-1).T)
+        assert np.array_equal(sums.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("d", range(3, 13))
     def test_colliding_start_points(self, monkeypatch, d):
