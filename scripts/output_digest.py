@@ -16,11 +16,12 @@ A suite op writes no files; its file digests are those of empty input.
 Two trees whose lines are identical give byte-identical reports, scenes,
 rasters and exit codes on the whole benchmark.
 
-Every benchmark polynomial has degree 6 or less, so one more line per
-polynomial of ``SAMPLED`` digests ``sample_julia(p, 20_000, seed)`` at a
-higher degree, in the same fields:
+Every benchmark polynomial has degree 6 or less, so two more lines per
+polynomial of ``SAMPLED`` digest ``sample_julia(p, 20_000, seed)`` at a
+higher degree and its ``convex_hull``, in the same fields:
 
     seed sample/name 0 sha256(points) sha256(b"") sha256(b"")
+    seed hull/name 0 sha256(vertices) sha256(b"") sha256(b"")
 
 ``--against FILE`` compares the lines with a saved run: it runs the saved
 run's seeds unless ``--seed`` is given, names on stderr each op whose line
@@ -40,7 +41,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from juliahull import Polynomial, chebyshev, sample_julia  # noqa: E402
+from juliahull import Polynomial, chebyshev, convex_hull, sample_julia  # noqa: E402
 from juliahull.cli import main as cli_main  # noqa: E402
 from workloads import WORKLOADS, make_workload  # noqa: E402
 
@@ -68,7 +69,7 @@ def _sha(data: bytes) -> str:
 
 
 def digest_lines(seed: int, workdir: Path):
-    """One digest line per op of every workload at ``seed``, then the samples."""
+    """One digest line per op of every workload at ``seed``, then the samples and hulls."""
     for name in WORKLOADS:
         for op in make_workload(name, seed, workdir):
             stdout = io.StringIO()
@@ -81,8 +82,10 @@ def digest_lines(seed: int, workdir: Path):
                             *(_sha(f) for f in files)])
     for name, make in SAMPLED.items():
         points = sample_julia(make(seed), SAMPLE_POINTS, seed).points
-        yield " ".join([str(seed), f"sample/{name}", "0", _sha(points.tobytes()),
-                        _sha(b""), _sha(b"")])
+        vertices = convex_hull(points).vertices
+        for kind, data in (("sample", points), ("hull", vertices)):
+            yield " ".join([str(seed), f"{kind}/{name}", "0", _sha(data.tobytes()),
+                            _sha(b""), _sha(b"")])
 
 
 def parse_digest(text: str) -> dict:

@@ -8,7 +8,8 @@ batch, which is equivalent to many independent seeded orbits.  All
 orbits start at one point, so burn-in solves each distinct target once,
 until every target of a step is distinct, and hands its fiber to every
 orbit at it: a fiber does not depend on the batch it is solved in, so no
-sample bit changes.
+sample bit changes.  For the same reason the last step solves only the
+first ceil(rest / d) orbits, whose fibers fill the rest of the sample.
 
 ``escape_grid`` rasters the bounded-orbit set by iterating cell centers
 until they leave the escape disk; ``_bounded`` is that iteration, and the
@@ -215,10 +216,14 @@ def _run_orbits(p: Polynomial, n: int, seed: int, tol: float) -> np.ndarray:
         next_branch = rng.integers(0, d, size=m)
         share = _distinct(z) if shared and step < burn else None
         shared = share is not None and share[0].size < m
+        lo = (step - burn) * m * d
+        if step == burn + per - 1:
+            # the last step solves only the members whose fibers it keeps
+            w = -(-(n - lo) // d)
+            z, fiber, branch, next_branch = z[:w], fiber[:w], branch[:w], next_branch[:w]
         children, fiber = _pullback(p, z, fiber, branch, next_branch, tol, share)
         branch = next_branch
         if step >= burn:
-            lo = (step - burn) * m * d
             kept[lo:lo + m * d] = fiber.ravel()[:n - lo]
         z = children
     return kept

@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from juliahull import (
+    AffineMap,
+    Polynomial,
     boundary_points,
+    chebyshev,
+    conjugate,
     convex_hull,
+    monomial,
     polygon_hausdorff,
     sample_julia,
     signed_distance,
@@ -343,6 +348,114 @@ class TestHullReference:
         calls = _count_pop_masks(monkeypatch)
         assert np.array_equal(geometry._reduce_chain(pts, eps_len), np.array(expected))
         assert len(calls) <= 64
+
+
+def _count_sorted_points(monkeypatch):
+    """Wrap the hull's prefilter; returns the list of survivor counts.
+
+    The survivors are exactly the points that reach the sort.
+    """
+    counts = []
+    original = geometry._candidates
+
+    def counted(pts, scale):
+        keep = original(pts, scale)
+        counts.append(keep.size)
+        return keep
+
+    monkeypatch.setattr(geometry, "_candidates", counted)
+    return counts
+
+
+@st.composite
+def _hard_clouds(draw):
+    """Clouds whose hull sits at the chain's tolerances."""
+    kind = draw(st.sampled_from(["clusters", "sliver", "tilted", "circle"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "clusters":
+        # near-duplicates of random points, in clusters narrower than
+        # _DUP_EPS * scale; the stack chain keeps the lexicographically
+        # first of each, which may lie inside the others' hull, but by less
+        pts = np.array(draw(planar_points))
+        scale = max(np.ptp(pts.real), np.ptp(pts.imag))
+        shape = (pts.size, draw(st.integers(1, 5)))
+        jitter = (0.4 * _DUP_EPS * scale * np.sqrt(rng.uniform(size=shape))
+                  * np.exp(2j * np.pi * rng.uniform(size=shape)))
+        return np.concatenate([pts, (pts[:, None] + jitter).ravel()])
+    if kind == "sliver":
+        x = rng.uniform(-1, 1, draw(st.integers(3, 400)))
+        return x + 1e-12j * x * x
+    if kind == "tilted":
+        # a thin segment at an angle, thinner than the turn tolerance in places
+        t = rng.uniform(-2, 2, draw(st.integers(3, 400)))
+        width = draw(st.sampled_from([0.0, 1e-16, 1e-13, 1e-9]))
+        return (0.6 - 0.8j) * (t + 1j * width * rng.normal(size=t.size)) + 0.25
+    count = draw(st.integers(3, 5000))
+    turn = draw(st.floats(0, 1))
+    return 3.0 * np.exp(2j * np.pi * (np.arange(count) / count + turn)) + 1 - 2j
+
+
+class TestPrefilter:
+    """The prefilter drops no vertex, and leaves few points to sort."""
+
+    @staticmethod
+    def _assert_keeps_vertices(pts):
+        scale = max(np.ptp(pts.real), np.ptp(pts.imag))
+        if scale == 0.0:
+            return
+        kept = pts[geometry._candidates(pts, scale)]
+        assert np.isin(np.array(_scalar_hull_vertices(pts)), kept).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(planar_points)
+    def test_keeps_every_vertex_of_random_clouds(self, pts):
+        self._assert_keeps_vertices(np.array(pts))
+
+    @settings(max_examples=120, deadline=None)
+    @given(_hard_clouds())
+    def test_keeps_every_vertex_of_hard_clouds(self, pts):
+        self._assert_keeps_vertices(pts)
+
+    @pytest.mark.parametrize("name", sorted(_fixed_clouds()))
+    def test_keeps_every_vertex_of_fixed_clouds(self, name):
+        self._assert_keeps_vertices(_fixed_clouds()[name])
+
+    @pytest.mark.parametrize("p", [
+        Polynomial([-1, 0, 1]),
+        Polynomial([0.3 - 0.2j, 0.1j, -0.5, 1]),
+        chebyshev(4),
+        conjugate(chebyshev(5), AffineMap(0.7 - 1.1j, 0.3 + 0.2j)),
+        monomial(1, 2),
+    ], ids=["basilica", "cubic", "T4", "T5-conjugate", "z^2"])
+    def test_julia_samples_match_the_stack_chain(self, p):
+        pts = sample_julia(p, 20_000, seed=0).points
+        TestHullReference._assert_matches(pts)
+
+    def test_dropped_point_splitting_a_run_keeps_its_representative(self):
+        # -1j and its near-duplicate are split, in the sort of the whole
+        # cloud, by the interior point before it, so the stack chain keeps
+        # both and then the first of them around the cycle
+        tiny = -4.966197415073449e-84
+        pts = np.array([1j, -1j, 1, -1, tiny, tiny - 1j])
+        TestHullReference._assert_matches(pts)
+        hull = convex_hull(pts)
+        assert -1j in hull.vertices and tiny - 1j not in hull.vertices
+
+    def test_basilica_sorts_few_points(self, monkeypatch):
+        # the octagon alone leaves about a third of a basilica sample
+        counts = _count_sorted_points(monkeypatch)
+        n = 100_000
+        convex_hull(sample_julia(Polynomial([-1, 0, 1]), n, seed=0))
+        assert len(counts) == 1 and counts[0] <= 0.05 * n
+
+    @pytest.mark.parametrize("cloud", [
+        np.exp(2j * np.pi * np.arange(20_000) / 20_000),
+        (0.6 - 0.8j) * np.linspace(-1, 1, 20_000),
+    ], ids=["circle", "segment"])
+    def test_convex_position_keeps_every_point(self, monkeypatch, cloud):
+        counts = _count_sorted_points(monkeypatch)
+        convex_hull(cloud)
+        assert counts == [cloud.size]
 
 
 class TestSignedDistance:

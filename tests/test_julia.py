@@ -127,8 +127,9 @@ class TestSampleJulia:
             assert fiber.shape == (parents.size, basilica.degree)
             assert np.abs(evaluate(basilica, fiber) - parents[:, None]).max() <= 1e-8
         for (_, fiber), (children, _) in zip(pairs, pairs[1:]):
-            # each orbit goes on from one root of its previous fiber
-            assert np.all((fiber == children[:, None]).any(axis=1))
+            # each orbit goes on from one root of its previous fiber; the
+            # last step solves only the first orbits
+            assert np.all((fiber[:children.size] == children[:, None]).any(axis=1))
 
     def test_sample_is_made_of_whole_fibers(self, basilica):
         # n = 2 kept steps of 2048 orbits times d = 2 roots
@@ -149,7 +150,41 @@ class TestSampleJulia:
         assert calls[:5] == [1, 2, 4, 8, 16]
         assert all(b <= min(d * a, m) for a, b in zip(calls, calls[1:burn]))
         assert sum(calls[:burn]) < burn * m / 2
-        assert set(calls[burn:]) == {m}
+        kept_steps = calls[burn:]
+        assert set(kept_steps[:-1]) == {m}
+        # the last step solves only the 1696 / 2 members it keeps
+        assert kept_steps[-1] == (n - (len(kept_steps) - 1) * m * d) // d == 848
+
+    @pytest.mark.parametrize("p, n", [
+        (Polynomial([-1, 0, 1]), 100_000),
+        (monomial(0.6 + 0.8j, 3), 100_000),
+        (chebyshev(4), 100_000),
+        (Polynomial([0.3 - 0.2j, 0.1j, -0.5, 0.2 + 0.1j, 0.4, 1]), 100_000),
+        (Polynomial([0.3 - 0.2j, 0.1j, -0.5, 0.2 + 0.1j, 1]), 2_048 * 4 * 3),
+        (Polynomial([-1, 0, 1]), 999),
+    ], ids=["d2", "d3", "d4", "d5", "d4-exact-multiple", "small-batch"])
+    def test_last_step_solves_only_kept_members(self, monkeypatch, p, n):
+        calls = _count_solves(monkeypatch)
+        cloud = sample_julia(p, n, seed=0)
+        d, m = p.degree, min(2048, n)
+        per = math.ceil(n / (m * d))
+        lo = (per - 1) * m * d
+        assert calls[-1] == math.ceil((n - lo) / d)
+        assert calls[-per:-1] == [m] * (per - 1)
+        assert len(cloud) == n
+        if n % (m * d) == 0:
+            assert calls[-1] == m  # an exact multiple keeps the full width
+
+    def test_trim_changes_no_sample_bit(self, monkeypatch):
+        # the last step of a 20_001-point sample solves 905 of 2048 members;
+        # its points are the prefix of a sample that solves them all
+        p = Polynomial([0.3 - 0.2j, 0.1j, -0.5, 0.2 + 0.1j, 1])
+        calls = _count_solves(monkeypatch)
+        trimmed = sample_julia(p, 20_001, seed=3).points
+        assert calls[-1] == 905
+        full = sample_julia(p, 3 * 2048 * 4, seed=3).points
+        assert calls[-1] == 2048
+        assert np.array_equal(_bits(trimmed), _bits(full[:20_001]))
 
     def test_one_more_pullback_is_stationary(self, basilica):
         cloud = sample_julia(basilica, 100_000, seed=6)
