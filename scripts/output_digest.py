@@ -16,12 +16,14 @@ A suite op writes no files; its file digests are those of empty input.
 Two trees whose lines are identical give byte-identical reports, scenes,
 rasters and exit codes on the whole benchmark.
 
-Every benchmark polynomial has degree 6 or less, so two more lines per
+Every benchmark polynomial has degree 6 or less, so three more lines per
 polynomial of ``SAMPLED`` digest ``sample_julia(p, 20_000, seed)`` at a
-higher degree and its ``convex_hull``, in the same fields:
+higher degree, its ``convex_hull`` and the cells of
+``escape_grid(p, 512, 200)``, in the same fields:
 
     seed sample/name 0 sha256(points) sha256(b"") sha256(b"")
     seed hull/name 0 sha256(vertices) sha256(b"") sha256(b"")
+    seed grid/name 0 sha256(cells) sha256(b"") sha256(b"")
 
 ``--against FILE`` compares the lines with a saved run: it runs the saved
 run's seeds unless ``--seed`` is given, names on stderr each op whose line
@@ -41,12 +43,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from juliahull import Polynomial, chebyshev, convex_hull, sample_julia  # noqa: E402
+from juliahull import Polynomial, chebyshev, convex_hull, escape_grid, sample_julia  # noqa: E402
 from juliahull.cli import main as cli_main  # noqa: E402
 from workloads import WORKLOADS, make_workload  # noqa: E402
 
 FIELDS = ("exit", "stdout", "svg", "pgm")
 SAMPLE_POINTS = 20_000
+GRID_RESOLUTION, GRID_MAX_ITER = 512, 200
 
 
 def _random_polynomial(d: int, seed: int) -> Polynomial:
@@ -69,7 +72,7 @@ def _sha(data: bytes) -> str:
 
 
 def digest_lines(seed: int, workdir: Path):
-    """One digest line per op of every workload at ``seed``, then the samples and hulls."""
+    """One digest line per op of every workload at ``seed``, then the samples, hulls and grids."""
     for name in WORKLOADS:
         for op in make_workload(name, seed, workdir):
             stdout = io.StringIO()
@@ -81,9 +84,11 @@ def digest_lines(seed: int, workdir: Path):
                             _sha(stdout.getvalue().encode("utf-8")),
                             *(_sha(f) for f in files)])
     for name, make in SAMPLED.items():
-        points = sample_julia(make(seed), SAMPLE_POINTS, seed).points
+        p = make(seed)
+        points = sample_julia(p, SAMPLE_POINTS, seed).points
         vertices = convex_hull(points).vertices
-        for kind, data in (("sample", points), ("hull", vertices)):
+        cells = escape_grid(p, GRID_RESOLUTION, GRID_MAX_ITER).cells
+        for kind, data in (("sample", points), ("hull", vertices), ("grid", cells)):
             yield " ".join([str(seed), f"{kind}/{name}", "0", _sha(data.tobytes()),
                             _sha(b""), _sha(b"")])
 

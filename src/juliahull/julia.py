@@ -12,14 +12,30 @@ sample bit changes.  For the same reason the last step solves only the
 first ceil(rest / d) orbits, whose fibers fill the rest of the sample.
 
 ``escape_grid`` rasters the bounded-orbit set by iterating cell centers
-until they leave the escape disk; ``_bounded`` is that iteration, and the
-classifier runs it on hull-interior samples too.  The disk test runs once
-per block of a few steps: once |z| >= R, |p(z)| >= 2|z|, so an orbit that
-ends a block inside the disk stayed inside for all of it.  An orbit that
-returns exactly, in floating point, to its value at the last power-of-two
-step (from step 4 on: Brent's cycle detection) is periodic and never
-escapes; it is marked bounded and stops early.  The result is exactly that
-of a test after every step up to ``max_iter``.
+until they leave the escape disk; ``_bounded`` is that iteration.  The
+disk test runs once per block of a few steps: once |z| >= R,
+|p(z)| >= 2|z|, so an orbit that ends a block inside the disk stayed
+inside for all of it.  An orbit that returns exactly, in floating point,
+to its value at the last power-of-two step (from step 4 on: Brent's cycle
+detection) is periodic and never escapes; it is marked bounded and stops
+early.  The result is exactly that of a test after every step up to
+``max_iter``.
+
+Most centers of the disk escape within the first block, so ``_bounded``
+drops them before any step.  ``_inner_radius`` certifies a radius
+r_B <= R beyond which every computed orbit leaves the disk within the
+B steps of the first block.  With S(r) = sum |a_j| r^j and
+L(r) = |a_d| r^d - sum_{j<d} |a_j| r^j, |p(z)| >= L(|z|), and Horner's rule
+in floating point is within gamma_2d S(|z|) of p(z) (Higham, Accuracy and
+Stability, section 5.1).  So t_0 = R and t_k = the least r, rounded up by
+bisection, with L(r) - mu S(r) > t_{k-1} give r_B = t_B: a point beyond
+t_k lands beyond t_{k-1} in one computed step.  L - mu S increases where
+it is positive, so each t_k bounds a half-line.  ``_INNER_SLACK`` (mu) is
+far above gamma_2d at DEGREE_CAP, the rounding of |z| and that of
+evaluating L and S.  A step that overflows, or that finds no room below
+t_{k-1}, keeps t_{k-1}, which is weaker but still sound.  The grid builds
+only the centers of the index box |x|, |y| <= r_B, and _bounded's first
+disk test reads r_B for R; neither changes a cell.
 
 An even or odd p (p(-z) = +-p(z): every coefficient whose index parity
 differs from the degree's is zero) has a raster symmetric under z -> -z,
@@ -68,6 +84,15 @@ _GRID_SPAN = 1.05  # half-width of the raster square in units of R (5% margin)
 # Escape-grid steps between disk tests.  Escape is permanent, so a test at
 # the end of a block decides every step of it; a constant, not an option.
 _BLOCK_STEPS = 4
+
+# Slack mu of the inner-radius certificate, relative to S(|z|) (module
+# docstring): Higham's gamma_2d for complex Horner at DEGREE_CAP is below
+# 1e-11, and the other roundings are smaller still.
+_INNER_SLACK = 2.0 ** -30
+
+# Bisection steps per inner-radius step: t_k is found to 2^-30 of t_{k-1},
+# well below a cell at any practical resolution.
+_INNER_BISECTIONS = 30
 
 
 @dataclass(eq=False)
@@ -118,12 +143,11 @@ class EscapeGrid:
         self.cells = cells
 
     def true_centers(self) -> np.ndarray:
-        return _centers(self, self.cells)
+        return _centers(self, *np.nonzero(self.cells))
 
 
-def _centers(grid: EscapeGrid, mask: np.ndarray) -> np.ndarray:
-    """Centers of the cells of ``grid`` where ``mask`` is true."""
-    iy, ix = np.nonzero(mask)
+def _centers(grid: EscapeGrid, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
+    """Centers of the cells [iy, ix] of ``grid``."""
     return (grid.origin_real + grid.cell_size * ix
             + 1j * (grid.origin_imag + grid.cell_size * iy))
 
@@ -250,14 +274,46 @@ def sample_julia(p: Polynomial, n: int, seed: int,
     return PointCloud(points, label=JULIA_SAMPLE)
 
 
-def _bounded(p: Polynomial, z: np.ndarray, max_iter: int) -> np.ndarray:
+def _inner_radius(p: Polynomial, radius: float, steps: int) -> float:
+    """Radius r_B <= R beyond which every computed orbit leaves |z| <= R within ``steps`` steps.
+
+    ``radius`` is the escape radius R; the chain t_0 = R >= t_1 >= ... and
+    its certificate are in the module docstring.  Each bisection step is
+    one vectorized evaluation of L - mu S.
+    """
+    a = np.abs(p.coeffs)
+    powers = np.arange(a.size)
+
+    def margin(r: float) -> float:  # L(r) - mu S(r); nan on overflow
+        terms = a * r ** powers
+        return 2.0 * terms[-1] - (1.0 + _INNER_SLACK) * terms.sum()
+
+    t = radius
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            if not margin(t) > t:
+                break
+            lo, hi = 0.0, t
+            for _ in range(_INNER_BISECTIONS):
+                mid = 0.5 * (lo + hi)
+                if margin(mid) > t:
+                    hi = mid
+                else:
+                    lo = mid
+            t = hi
+    return t
+
+
+def _bounded(p: Polynomial, z: np.ndarray, max_iter: int, inner: float) -> np.ndarray:
     """Mask of the points of z whose orbits stay in the escape disk for max_iter steps.
 
+    ``inner`` is ``_inner_radius`` for the first block's steps: the first
+    disk test drops every point beyond it, which that block would drop.
     Callers may pass z as a temporary: its only use is the first disk test,
     after which the loop holds just the points inside.
     """
     radius = escape_radius(p)
-    alive = np.flatnonzero(np.abs(z) <= radius)
+    alive = np.flatnonzero(np.abs(z) <= inner)
     w, size = z[alive], z.size
     del z
     bounded = np.zeros(size, dtype=bool)
@@ -284,13 +340,14 @@ def _bounded(p: Polynomial, z: np.ndarray, max_iter: int) -> np.ndarray:
     return bounded
 
 
-def _grid_rows(p: Polynomial, xs: np.ndarray, ys: np.ndarray, max_iter: int) -> np.ndarray:
+def _grid_rows(p: Polynomial, xs: np.ndarray, ys: np.ndarray, max_iter: int,
+               inner: float) -> np.ndarray:
     """Bounded mask of the centers xs[ix] + 1j*ys[iy], laid out [iy, ix].
 
     The centers go in as a temporary, which _bounded drops after its disk test.
     """
-    return _bounded(p, (xs[None, :] + 1j * ys[:, None]).ravel(), max_iter).reshape(
-        ys.size, xs.size)
+    return _bounded(p, (xs[None, :] + 1j * ys[:, None]).ravel(), max_iter,
+                    inner).reshape(ys.size, xs.size)
 
 
 def escape_grid(p: Polynomial, resolution: int = 512, max_iter: int = 200) -> EscapeGrid:
@@ -298,29 +355,31 @@ def escape_grid(p: Polynomial, resolution: int = 512, max_iter: int = 200) -> Es
 
     Cell centers are laid out so the real and imaginary axes are hit
     exactly; segment Julia sets on an axis keep a row of bounded centers
-    at any iteration budget instead of draining to an empty raster.  For
-    an even or odd p only rows 0..half are iterated, and the rest are the
-    mirror image of those (module docstring).
+    at any iteration budget instead of draining to an empty raster.  Only
+    the centers of the box |x|, |y| <= r_B are iterated; for an even or
+    odd p only its rows up to the real axis, and the rest are the mirror
+    image of those (module docstring).
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
     if max_iter < 50:
         raise ValueError("max_iter must be at least 50")
     radius = escape_radius(p)
+    inner = _inner_radius(p, radius, min(max_iter, _BLOCK_STEPS))
     cell = 2.0 * _GRID_SPAN * radius / resolution
     half = resolution // 2
     axis = (np.arange(resolution) - half) * cell
+    # |axis[0]| >= 1.03 R > R >= inner, so the box is symmetric about index half
+    m = int(np.count_nonzero(np.abs(axis[:half]) <= inner))
+    box = slice(half - m, half + m + 1)
+    cells = np.zeros((resolution, resolution), dtype=bool)
     if np.any(p.coeffs[(p.degree + 1) % 2::2]):
-        cells = _grid_rows(p, axis, axis, max_iter)
+        cells[box, box] = _grid_rows(p, axis[box], axis[box], max_iter, inner)
     else:
-        # cell [iy, ix] mirrors cell [2 half - iy, 2 half - ix]; for even
-        # resolution, column 0 of the upper rows has none and is iterated
-        cells = np.empty((resolution, resolution), dtype=bool)
-        cells[:half + 1] = _grid_rows(p, axis, axis[:half + 1], max_iter)
-        lo = 2 * half + 1 - resolution
-        cells[half + 1:, lo:] = cells[lo:half, lo:][::-1, ::-1]
-        if lo:
-            cells[half + 1:, :1] = _grid_rows(p, axis[:1], axis[half + 1:], max_iter)
+        # cell [iy, ix] mirrors cell [2 half - iy, 2 half - ix]
+        cells[box.start:half + 1, box] = _grid_rows(
+            p, axis[box], axis[box.start:half + 1], max_iter, inner)
+        cells[half + 1:box.stop, box] = cells[box.start:half, box][::-1, ::-1]
     return EscapeGrid(
         origin_real=float(axis[0]), origin_imag=float(axis[0]),
         cell_size=float(cell), width=resolution, height=resolution,
@@ -332,11 +391,18 @@ def escape_grid(p: Polynomial, resolution: int = 512, max_iter: int = 200) -> Es
 
 def boundary_cells(grid: EscapeGrid) -> np.ndarray:
     """Centers of true cells that touch an empty cell or the image rim."""
-    c = grid.cells
+    # on the bounding box of the true cells, whose outside is all empty
+    rows = np.flatnonzero(grid.cells.any(axis=1))
+    if not rows.size:
+        return _centers(grid, rows, rows)
+    c = grid.cells[rows[0]:rows[-1] + 1]
+    cols = np.flatnonzero(c.any(axis=0))
+    c = c[:, cols[0]:cols[-1] + 1]
     padded = np.pad(c, 1, constant_values=False)
     surrounded = (padded[:-2, 1:-1] & padded[2:, 1:-1]
                   & padded[1:-1, :-2] & padded[1:-1, 2:])
-    return _centers(grid, c & ~surrounded)
+    iy, ix = np.nonzero(c & ~surrounded)
+    return _centers(grid, iy + rows[0], ix + cols[0])
 
 
 def to_pgm(grid: EscapeGrid) -> bytes:

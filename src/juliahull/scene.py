@@ -109,7 +109,7 @@ def render_scene(ctx: HullContext, label: str):
         f'<rect width="{_VIEW:.0f}" height="{_VIEW:.0f}" fill="#ffffff"/>',
     ]
 
-    img = np.where(np.flipud(grid.cells), 176, 255).astype(np.uint8)
+    img = np.where(np.flipud(grid.cells), np.uint8(176), np.uint8(255))
     payload = base64.b64encode(_png_gray(img)).decode("ascii")
     half_cell = 0.5 * grid.cell_size
     left = cam.x(grid.origin_real - half_cell)

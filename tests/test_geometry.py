@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from juliahull import (
     AffineMap,
@@ -278,8 +278,16 @@ class TestHullReference:
 
     @settings(max_examples=200, deadline=None)
     @given(planar_points)
+    # the sort splits 0 and -9.4e-249 by -1j: the two keep different members
+    @example([0j, -1j, 1 + 0j, 2 + 0j, -1 - 1j, -9.386184325654943e-249 + 0j])
     def test_random_clouds(self, pts):
-        self._assert_matches(np.array(pts))
+        pts = np.array(pts)
+        scale = max(np.ptp(pts.real), np.ptp(pts.imag))
+        gaps = np.abs(pts[:, None] - pts[None, :])
+        if ((gaps > 0) & (gaps <= _DUP_EPS * scale)).any() and len(_scalar_hull_vertices(pts)) > 2:
+            self._assert_contract(pts)
+        else:
+            self._assert_matches(pts)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)),

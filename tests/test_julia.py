@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
@@ -24,7 +25,7 @@ from juliahull import (
     to_pgm,
 )
 from juliahull.geometry import SEGMENT
-from juliahull.julia import BURN_IN, JULIA_SAMPLE, SamplingError
+from juliahull.julia import BURN_IN, JULIA_SAMPLE, EscapeGrid, SamplingError
 
 
 def _hausdorff(a, b):
@@ -368,10 +369,11 @@ def _reference_cells(p, resolution, max_iter):
     centers = (axis[None, :] + 1j * axis[:, None]).ravel()
     alive = np.flatnonzero(np.abs(centers) <= grid.radius)
     w = centers[alive]
-    for _ in range(max_iter):
-        w = evaluate(p, w)
-        inside = np.abs(w) <= grid.radius
-        alive, w = alive[inside], w[inside]
+    with np.errstate(over="ignore", invalid="ignore"):  # escapers may overflow
+        for _ in range(max_iter):
+            w = evaluate(p, w)
+            inside = np.abs(w) <= grid.radius
+            alive, w = alive[inside], w[inside]
     cells = np.zeros(centers.size, dtype=bool)
     cells[alive] = True
     return grid.cells, cells.reshape(grid.cells.shape)
@@ -394,9 +396,23 @@ class TestEscapeGridEarlyExit:
         (chebyshev(3), 128, 200),
         (monomial(np.exp(0.7j), 3), 100, 77),
         *[(_random_polynomial(d, seed=d), 96, 51 + 70 * d) for d in range(2, 7)],
+        # unimodular: r_B is 1.0011, so the box hugs the bounded unit disk
+        (monomial(np.exp(1j), 5), 128, 300),
     ])
     def test_cells_equal_per_step_reference(self, p, resolution, max_iter):
         cells, reference = _reference_cells(p, resolution, max_iter)
+        assert np.array_equal(cells, reference)
+
+    @pytest.mark.parametrize("p", [
+        Polynomial([0, 1e150, 0, 1]),                      # odd: the mirror path
+        Polynomial([0, 1e150, 1e-3, 1]),
+    ])
+    def test_overflowing_bisection_keeps_the_escape_radius(self, p):
+        # L(R) overflows, so r_B = R; the fixed point 0 keeps its cell bounded
+        radius = escape_radius(p)
+        assert julia_mod._inner_radius(p, radius, julia_mod._BLOCK_STEPS) == radius
+        cells, reference = _reference_cells(p, 64, 50)
+        assert cells.sum() == 1
         assert np.array_equal(cells, reference)
 
     @pytest.mark.parametrize("c", [-1.0, -0.12 + 0.74j])
@@ -417,21 +433,77 @@ class TestEscapeGridEarlyExit:
         assert grid.cells.any()
 
 
+# zero, or modulus in [0.5, 1] * 10^k, |k| <= 150, at any angle
+_coefficient = st.one_of(
+    st.just(0j),
+    st.builds(lambda mag, angle, k: mag * 10.0 ** k * complex(math.cos(angle), math.sin(angle)),
+              st.floats(0.5, 1), st.floats(0, 2 * math.pi), st.integers(-150, 150)),
+)
+
+
+class TestInnerRadius:
+    """r_B: centers beyond it leave the escape disk within the first block."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda d: st.lists(_coefficient, min_size=d + 1,
+                                                        max_size=d + 1)),
+           st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_points_beyond_leave_within_the_block(self, coeffs, steps, seed):
+        if coeffs[-1] == 0:
+            coeffs[-1] = 1.0
+        p = Polynomial(coeffs)
+        radius = escape_radius(p)
+        radii = [julia_mod._inner_radius(p, radius, b) for b in range(steps + 1)]
+        assert radii[0] == radius
+        assert all(b <= a for a, b in zip(radii, radii[1:]))
+        inner = radii[-1]
+        rng = np.random.default_rng(seed)
+        r = np.concatenate([inner + (radius - inner) * rng.uniform(size=500),
+                            np.nextafter(np.full(100, inner), np.inf), [radius]])
+        z = r * np.exp(2j * np.pi * rng.uniform(size=r.size))
+        z = z[(np.abs(z) > inner) & (np.abs(z) <= radius)]
+        # the plain per-step loop: a point is dropped at its first step outside
+        left = np.zeros(z.size, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(steps):
+                z = julia_mod._horner(p.coeffs, z)
+                left |= ~(np.abs(z) <= radius)
+        assert left.all()
+
+    def test_unimodular_monomial_hugs_the_unit_disk(self):
+        # K_p is the closed unit disk, and t_k is about 2^(5^-k), which tends to 1
+        p = monomial(np.exp(1j), 5)
+        assert 1.0 < julia_mod._inner_radius(p, escape_radius(p), 4) < 1.002
+
+
 def _count_bounded(monkeypatch):
     """Wrap the grid's _bounded; returns the list of point counts passed."""
     calls = []
     original = julia_mod._bounded
 
-    def counting(p, z, max_iter):
+    def counting(p, z, max_iter, inner):
         calls.append(z.size)
-        return original(p, z, max_iter)
+        return original(p, z, max_iter, inner)
 
     monkeypatch.setattr(julia_mod, "_bounded", counting)
     return calls
 
 
+def _box_side(p, resolution, max_iter):
+    """Width of the centered index box |axis| <= r_B that escape_grid iterates."""
+    grid = escape_grid(p, resolution, max_iter)
+    inner = julia_mod._inner_radius(p, grid.radius,
+                                    min(max_iter, julia_mod._BLOCK_STEPS))
+    axis = (np.arange(resolution) - resolution // 2) * grid.cell_size
+    inside = np.flatnonzero(np.abs(axis) <= inner)
+    half = resolution // 2
+    assert np.array_equal(inside, np.arange(2 * half - inside[-1], inside[-1] + 1))
+    assert not grid.cells[:, :inside[0]].any() and not grid.cells[:, inside[-1] + 1:].any()
+    return inside.size
+
+
 class TestEscapeGridSymmetry:
-    """Even and odd p iterate half the raster and mirror the rest."""
+    """Even and odd p iterate half the box and mirror the rest."""
 
     @pytest.mark.parametrize("p", [
         Polynomial([-1, 0, 1]),                             # basilica
@@ -449,7 +521,8 @@ class TestEscapeGridSymmetry:
     def test_cells_equal_full_grid(self, p, resolution):
         grid = escape_grid(p, resolution, max_iter=120)
         axis = (np.arange(resolution) - resolution // 2) * grid.cell_size
-        full = julia_mod._bounded(p, (axis[None, :] + 1j * axis[:, None]).ravel(), 120)
+        full = julia_mod._bounded(p, (axis[None, :] + 1j * axis[:, None]).ravel(), 120,
+                                  grid.radius)
         assert grid.cells.any()
         assert np.array_equal(grid.cells, full.reshape(resolution, resolution))
 
@@ -461,18 +534,21 @@ class TestEscapeGridSymmetry:
     ])
     @pytest.mark.parametrize("resolution", [64, 65])
     def test_parity_free_iterates_every_cell(self, monkeypatch, p, resolution):
+        # every cell of the box, in one call
+        side = _box_side(p, resolution, 60)
         calls = _count_bounded(monkeypatch)
         escape_grid(p, resolution, max_iter=60)
-        assert calls == [resolution ** 2]
+        assert calls == [side ** 2]
+        assert side < resolution
 
     @pytest.mark.parametrize("resolution", [64, 65, 128, 129])
     def test_quadratic_iterates_about_half(self, monkeypatch, basilica, resolution):
+        # the box rows up to the real axis; r_B = 1.629 of R = 3
+        side = _box_side(basilica, resolution, 60)
         calls = _count_bounded(monkeypatch)
         escape_grid(basilica, resolution, max_iter=60)
-        half = resolution // 2
-        rows = (half + 1) * resolution
-        assert calls == ([rows, half - 1] if resolution % 2 == 0 else [rows])
-        assert sum(calls) < resolution * (half + 2)
+        assert calls == [(side // 2 + 1) * side]
+        assert side < 0.55 * resolution
 
 
 class TestHoloHullFill:
@@ -498,6 +574,33 @@ class TestHoloHullFill:
         cell2 = raster.cell_size ** 2
         excess = (filled.cells & ~grid.cells).sum() * cell2
         assert excess <= raster.cells.sum() * cell2
+
+
+class TestBoundaryCells:
+    @pytest.mark.parametrize("name", ["empty", "full", "one", "rim", "blobs"])
+    def test_equal_full_raster_reference(self, name):
+        # the same centers, in the same order, as the test on the whole raster
+        cells = np.zeros((40, 50), dtype=bool)
+        if name == "full":
+            cells[:] = True
+        elif name == "one":
+            cells[7, 9] = True
+        elif name == "rim":
+            cells[0, 3:20] = cells[5:39, -1] = True
+        elif name == "blobs":
+            cells = np.random.default_rng(0).uniform(size=cells.shape) < 0.3
+            cells[:, :4] = cells[-2:] = False
+        grid = EscapeGrid(origin_real=-1.3, origin_imag=-0.7, cell_size=0.037,
+                          width=50, height=40, cells=cells, radius=2.0, max_iter=50)
+        padded = np.pad(cells, 1)
+        surrounded = (padded[:-2, 1:-1] & padded[2:, 1:-1]
+                      & padded[1:-1, :-2] & padded[1:-1, 2:])
+        iy, ix = np.nonzero(cells & ~surrounded)
+        expected = grid.origin_real + grid.cell_size * ix + 1j * (
+            grid.origin_imag + grid.cell_size * iy)
+        got = boundary_cells(grid)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestPgm:
