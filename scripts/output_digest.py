@@ -10,7 +10,13 @@ Each op of the three benchmark workloads (``perfbench/workloads.py``) runs
 through ``juliahull.cli.main`` in this process, with stdout captured and
 its files written to a temporary directory.  One line per op:
 
-    seed workload/key exit sha256(stdout) sha256(svg) sha256(pgm)
+    seed workload/key exit sha256(stdout) sha256(svg) scene sha256(pgm)
+
+``scene`` digests the SVG with its base64 PNG payload replaced by
+sha256(IHDR data + decompressed IDAT data), the image header and its
+filtered rows.  So a change of the PNG encoder alone (its deflate
+settings) shows as a differing ``svg`` with ``scene`` equal, and a
+change of a pixel or of any other SVG byte changes ``scene`` too.
 
 A suite op writes no files; its file digests are those of empty input.
 Two trees whose lines are identical give byte-identical reports, scenes,
@@ -21,9 +27,9 @@ polynomial of ``SAMPLED`` digest ``sample_julia(p, 20_000, seed)`` at a
 higher degree, its ``convex_hull`` and the cells of
 ``escape_grid(p, 512, 200)``, in the same fields:
 
-    seed sample/name 0 sha256(points) sha256(b"") sha256(b"")
-    seed hull/name 0 sha256(vertices) sha256(b"") sha256(b"")
-    seed grid/name 0 sha256(cells) sha256(b"") sha256(b"")
+    seed sample/name 0 sha256(points) sha256(b"") sha256(b"") sha256(b"")
+    seed hull/name 0 sha256(vertices) sha256(b"") sha256(b"") sha256(b"")
+    seed grid/name 0 sha256(cells) sha256(b"") sha256(b"") sha256(b"")
 
 ``--against FILE`` compares the lines with a saved run: it runs the saved
 run's seeds unless ``--seed`` is given, names on stderr each op whose line
@@ -31,11 +37,15 @@ differs (and which of its fields), or that only one of the runs has, and
 exits 1 if any op differs.
 """
 import argparse
+import base64
 import contextlib
 import hashlib
 import io
+import re
+import struct
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,7 +57,7 @@ from juliahull import Polynomial, chebyshev, convex_hull, escape_grid, sample_ju
 from juliahull.cli import main as cli_main  # noqa: E402
 from workloads import WORKLOADS, make_workload  # noqa: E402
 
-FIELDS = ("exit", "stdout", "svg", "pgm")
+FIELDS = ("exit", "stdout", "svg", "scene", "pgm")
 SAMPLE_POINTS = 20_000
 GRID_RESOLUTION, GRID_MAX_ITER = 512, 200
 
@@ -71,6 +81,30 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+_PNG_PAYLOAD = re.compile(rb"data:image/png;base64,([A-Za-z0-9+/=]*)")
+
+
+def _png_pixels(png: bytes) -> bytes:
+    """IHDR data + decompressed IDAT data: what a PNG shows, not how it deflates."""
+    header, idat, at = b"", [], 8  # past the 8-byte signature
+    while at < len(png):
+        (size,) = struct.unpack(">I", png[at:at + 4])
+        tag, data = png[at + 4:at + 8], png[at + 8:at + 8 + size]
+        if tag == b"IHDR":
+            header = data
+        elif tag == b"IDAT":
+            idat.append(data)
+        at += 12 + size
+    return header + zlib.decompress(b"".join(idat))
+
+
+def scene_digest(svg: bytes) -> str:
+    """sha256 of ``svg`` with each PNG payload replaced by sha256 of its pixels."""
+    return _sha(_PNG_PAYLOAD.sub(
+        lambda m: b"png-pixels:" + _sha(_png_pixels(base64.b64decode(m[1]))).encode("ascii"),
+        svg))
+
+
 def digest_lines(seed: int, workdir: Path):
     """One digest line per op of every workload at ``seed``, then the samples, hulls and grids."""
     for name in WORKLOADS:
@@ -79,10 +113,10 @@ def digest_lines(seed: int, workdir: Path):
             with contextlib.redirect_stdout(stdout):
                 code = cli_main(op.argv)
             files = [p.read_bytes() if p.exists() else b"" for p in op.out_files]
-            files += [b""] * (2 - len(files))
+            svg, pgm = files + [b""] * (2 - len(files))
             yield " ".join([str(seed), f"{name}/{op.key}", str(code),
                             _sha(stdout.getvalue().encode("utf-8")),
-                            *(_sha(f) for f in files)])
+                            _sha(svg), scene_digest(svg), _sha(pgm)])
     for name, make in SAMPLED.items():
         p = make(seed)
         points = sample_julia(p, SAMPLE_POINTS, seed).points
@@ -90,11 +124,11 @@ def digest_lines(seed: int, workdir: Path):
         cells = escape_grid(p, GRID_RESOLUTION, GRID_MAX_ITER).cells
         for kind, data in (("sample", points), ("hull", vertices), ("grid", cells)):
             yield " ".join([str(seed), f"{kind}/{name}", "0", _sha(data.tobytes()),
-                            _sha(b""), _sha(b"")])
+                            _sha(b""), _sha(b""), _sha(b"")])
 
 
 def parse_digest(text: str) -> dict:
-    """Digest lines keyed by "seed workload/key", each to its four fields."""
+    """Digest lines keyed by "seed workload/key", each to its five fields."""
     ops = {}
     for line in text.splitlines():
         parts = line.split()

@@ -26,7 +26,12 @@ splits a run of near-duplicates.  So when the survivors hold a run of
 distinct near-duplicates, the whole cloud is sorted and stripped first,
 and the prefilter runs on what is left.
 
-Distances and the polygon Hausdorff distance live here too.
+Distances and the polygon Hausdorff distance live here too.  A signed
+distance to a proper polygon measures each point's distance to every
+edge line once, then the segment distance and the inside test only on
+the window of three edges around the nearest line
+(``_polygon_distance_kernel``, which says why that is exact).
+``_clamp_offsets`` is the one segment-distance primitive.
 """
 from __future__ import annotations
 
@@ -332,20 +337,44 @@ def _clamp_offsets(rx, ry, ex, ey, inv_len2):
 
 
 def _polygon_distance_kernel(vertices: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Signed distances of ``pts`` to a proper ccw polygon, real arithmetic."""
+    """Signed distances of ``pts`` to a proper ccw polygon, real arithmetic.
+
+    One pass over the edges finds, per point q, the edge k* whose line q
+    lies least inside of (or most outside of): q - v_k turned by
+    conj(e_k)/|e_k| has q's signed distance to that line as its imaginary
+    part.  The segment distance and the inside test then run on the window
+    of edges k* - 1, k*, k* + 1 alone.  Inside, the distance to the
+    boundary is the least line distance, and its foot lies on edge k*.
+    Outside, the nearest boundary point x has q - x in the normal cone at
+    x, which is spanned by the normals of the one or two edges through x;
+    the most violated line is one of those, so x lies in the window.
+    """
     vx, vy = vertices.real, vertices.imag
     ex = np.roll(vx, -1) - vx
     ey = np.roll(vy, -1) - vy
     inv_len2 = _inverse_len2(ex, ey)
+    length = np.hypot(ex, ey)
+    ux, uy = ex / length, ey / length
+    window = np.arange(-1, 2)
     out = np.empty(pts.size)
     chunk = max(1, _CHUNK_BUDGET // vertices.size)
+    line_buf = np.empty((min(chunk, pts.size), vertices.size))
+    across_buf = np.empty_like(line_buf)
     for lo in range(0, pts.size, chunk):
         hi = min(lo + chunk, pts.size)
-        rx = pts[lo:hi].real[:, None] - vx[None, :]
-        ry = pts[lo:hi].imag[:, None] - vy[None, :]
-        dx, dy = _clamp_offsets(rx, ry, ex, ey, inv_len2)
+        qx = pts[lo:hi].real[:, None]
+        qy = pts[lo:hi].imag[:, None]
+        line = np.subtract(qy, vy, out=line_buf[:hi - lo])
+        line *= ux
+        across = np.subtract(qx, vx, out=across_buf[:hi - lo])
+        across *= uy
+        line -= across
+        k = (line.argmin(axis=1)[:, None] + window) % vertices.size
+        rx, ry = qx - vx[k], qy - vy[k]
+        wx, wy = ex[k], ey[k]
+        dx, dy = _clamp_offsets(rx, ry, wx, wy, inv_len2[k])
         dist = np.sqrt((dx * dx + dy * dy).min(axis=1))
-        inside = ((ex * ry - ey * rx) >= 0.0).all(axis=1)
+        inside = ((wx * ry - wy * rx) >= 0.0).all(axis=1)
         out[lo:hi] = np.where(inside, -dist, dist)
     return out
 

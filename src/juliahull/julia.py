@@ -13,13 +13,22 @@ first ceil(rest / d) orbits, whose fibers fill the rest of the sample.
 
 ``escape_grid`` rasters the bounded-orbit set by iterating cell centers
 until they leave the escape disk; ``_bounded`` is that iteration.  The
-disk test runs once per block of a few steps: once |z| >= R,
-|p(z)| >= 2|z|, so an orbit that ends a block inside the disk stayed
-inside for all of it.  An orbit that returns exactly, in floating point,
-to its value at the last power-of-two step (from step 4 on: Brent's cycle
-detection) is periodic and never escapes; it is marked bounded and stops
-early.  The result is exactly that of a test after every step up to
-``max_iter``.
+disk test runs once per block of steps: once |z| >= R, |p(z)| >= 2|z|, so
+an orbit that ends a block inside the disk stayed inside for all of it.
+An orbit that returns exactly, in floating point, to its value at the
+last power-of-two step (from step 4 on: Brent's cycle detection) is
+periodic and never escapes; it is marked bounded and stops early.  The
+result is exactly that of a test after every step up to ``max_iter``.
+
+The first block runs ``_BLOCK_STEPS`` = 4 steps; each later one runs as
+many steps as are done so far, capped at ``_MAX_BLOCK_STEPS`` = 16, so
+the blocks are 4, 4, 8, 16, 16, ...  Every block then ends on each power
+of two from 4 on, where Brent's snapshot is taken, and the tests run
+less often as the live orbits thin out to the slow and periodic ones.
+Neither test can change a cell by running less often: escape is
+permanent, and the cycle test compares only with a snapshot taken inside
+the disk, so a cycle found later is still a cycle.  A block length that
+skips a power of two would silently never re-anchor the snapshot.
 
 Most centers of the disk escape within the first block, so ``_bounded``
 drops them before any step.  ``_inner_radius`` certifies a radius
@@ -81,9 +90,13 @@ _ORBIT_BATCH = 2048
 
 _GRID_SPAN = 1.05  # half-width of the raster square in units of R (5% margin)
 
-# Escape-grid steps between disk tests.  Escape is permanent, so a test at
-# the end of a block decides every step of it; a constant, not an option.
+# Escape-grid steps between disk tests: the first block, then at most
+# _MAX_BLOCK_STEPS (module docstring).  Escape is permanent, so a test at
+# the end of a block decides every step of it; constants, not options.
+# The prefilter of the first block (_inner_radius) is certified for
+# _BLOCK_STEPS steps.
 _BLOCK_STEPS = 4
+_MAX_BLOCK_STEPS = 16
 
 # Slack mu of the inner-radius certificate, relative to S(|z|) (module
 # docstring): Higham's gamma_2d for complex Horner at DEGREE_CAP is below
@@ -323,7 +336,8 @@ def _bounded(p: Polynomial, z: np.ndarray, max_iter: int, inner: float) -> np.nd
     # neither passes the disk test.
     with np.errstate(over="ignore", invalid="ignore"):
         while done < max_iter and alive.size:
-            steps = min(_BLOCK_STEPS, max_iter - done)
+            # 4, 4, 8, 16, 16, ...: every power of two from 4 on ends a block
+            steps = min(max(_BLOCK_STEPS, min(done, _MAX_BLOCK_STEPS)), max_iter - done)
             for _ in range(steps):
                 w = _horner(p.coeffs, w)
             done += steps

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from juliahull import (
     AffineMap,
     Polynomial,
     boundary_points,
+    build_context,
     chebyshev,
+    classify_equality,
     conjugate,
     convex_hull,
     monomial,
     polygon_hausdorff,
+    run_checks,
     sample_julia,
     signed_distance,
 )
+from juliahull import checks
 import juliahull.geometry as geometry
 from juliahull.geometry import (
     PROPER,
@@ -545,6 +549,136 @@ class TestDistanceReference:
         assert seg.kind == SEGMENT
         got = signed_distance(seg, np.array([0j, tip, 1 + 0j]))
         assert np.abs(got - [0.0, 0.0, 1.0]).max() <= 2 * abs(tip)
+
+
+def _all_edges_kernel(vertices: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Signed distances measured on every edge: the window kernel's reference."""
+    vx, vy = vertices.real, vertices.imag
+    ex = np.roll(vx, -1) - vx
+    ey = np.roll(vy, -1) - vy
+    inv_len2 = geometry._inverse_len2(ex, ey)
+    rx = pts.real[:, None] - vx[None, :]
+    ry = pts.imag[:, None] - vy[None, :]
+    dx, dy = geometry._clamp_offsets(rx, ry, ex, ey, inv_len2)
+    dist = np.sqrt((dx * dx + dy * dy).min(axis=1))
+    inside = ((ex * ry - ey * rx) >= 0.0).all(axis=1)
+    return np.where(inside, -dist, dist)
+
+
+@st.composite
+def _window_cases(draw):
+    """(vertices, queries): polygons at the kernel's tolerances, hard queries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count = draw(st.integers(3, 600))
+    if draw(st.booleans()):
+        theta = 2 * np.pi * (np.arange(count) + rng.uniform()) / count
+    else:
+        theta = np.sort(rng.uniform(0, 2 * np.pi, count))
+    if draw(st.booleans()):
+        # micro-edges: a second vertex 1e-11 further along the curve
+        theta = np.sort(np.concatenate([theta, theta[:rng.integers(1, 8)] + 1e-11]))
+    thin = draw(st.sampled_from([1.0, 0.3, 1e-6]))
+    scale = 10.0 ** draw(st.floats(-5, 5))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e3])) * scale * np.exp(2j * np.pi * rng.uniform())
+    pts = scale * np.exp(2j * np.pi * rng.uniform()) * (np.cos(theta) + 1j * thin * np.sin(theta))
+    hull = convex_hull(pts + offset)
+    assume(hull.kind == PROPER)
+    v = hull.vertices
+    n = v.size
+    pick = rng.integers(0, n, (64, 4))
+    weights = rng.dirichlet(np.ones(4), 64)
+    lo, hi = v.real.min() + 1j * v.imag.min(), v.real.max() + 1j * v.imag.max()
+    box = 1.5 * (hi - lo)
+    near = rng.integers(0, n, 64)
+    queries = np.concatenate([
+        (v[pick] * weights).sum(axis=1),                          # Dirichlet interior
+        lo - 0.25 * (hi - lo) + box.real * rng.uniform(size=64)
+        + 1j * box.imag * rng.uniform(size=64),                   # uniform box
+        v,                                                        # vertices
+        0.5 * (v + np.roll(v, -1)),                               # edge midpoints
+        v[near] + scale * 10.0 ** rng.uniform(-15, -3, 64)
+        * np.exp(2j * np.pi * rng.uniform(size=64)),              # near-vertex jitter
+        v.mean() + scale * 10.0 ** rng.uniform(1, 4, 16)
+        * np.exp(2j * np.pi * rng.uniform(size=16)),              # far away
+    ])
+    return v, queries
+
+
+class TestWindowKernel:
+    """The three-edge window kernel against the all-edges reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_window_cases())
+    def test_matches_all_edges_reference(self, case):
+        v, queries = case
+        got = geometry._polygon_distance_kernel(v, queries)
+        ref = _all_edges_kernel(v, queries)
+        scale = max(np.ptp(v.real), np.ptp(v.imag))
+        near = np.abs(queries[:, None] - v[None, :]).min(axis=1)
+        bound = 8 * np.finfo(float).eps * np.maximum(scale, near)
+        assert (np.abs(got - ref) <= bound).all()
+        beyond = np.abs(ref) > bound
+        assert np.array_equal(np.sign(got[beyond]), np.sign(ref[beyond]))
+
+    @staticmethod
+    def _check_queries(monkeypatch, p, cfg):
+        """Every (polygon, points) that the checks and the classifier measure."""
+        calls = []
+
+        def recording(polygon, z):
+            calls.append((polygon, np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()))
+            return signed_distance(polygon, z)
+
+        monkeypatch.setattr(checks, "signed_distance", recording)
+        ctx = build_context(p, cfg)
+        run_checks(ctx)
+        classify_equality(ctx)
+        return calls
+
+    @staticmethod
+    def _assert_bit_equal_but_ties(v, pts):
+        """Bit-equal to the reference, except where edges outside one window tie.
+
+        At such a point (the center of a symmetric hull) the window may
+        measure another of the equal distances than the reference's least.
+        """
+        got = geometry._polygon_distance_kernel(v, pts)
+        ref = _all_edges_kernel(v, pts)
+        bound = 8 * np.finfo(float).eps * max(np.ptp(v.real), np.ptp(v.imag), np.abs(pts).max())
+        assert np.abs(got - ref).max() <= bound
+        differs = np.flatnonzero(got.view(np.uint64) != ref.view(np.uint64))
+        vx, vy = v.real, v.imag
+        ex, ey = np.roll(vx, -1) - vx, np.roll(vy, -1) - vy
+        for i in differs:
+            dx, dy = geometry._clamp_offsets(pts[i].real - vx, pts[i].imag - vy, ex, ey,
+                                             geometry._inverse_len2(ex, ey))
+            tied = np.flatnonzero(np.sqrt(dx * dx + dy * dy) <= abs(ref[i]) + bound)
+            # the tied edges span more than three consecutive ones
+            span = v.size - np.diff(np.concatenate([tied, tied[:1] + v.size])).max()
+            assert span > 2, f"no tie at {pts[i]!r}"
+        return differs.size
+
+    @pytest.mark.parametrize("p", [
+        Polynomial([-1, 0, 1]),
+        Polynomial([-0.12 + 0.74j, 0, 1]),
+        Polynomial([0.3 - 0.2j, 0.1j, -0.5, 1]),
+        chebyshev(4),
+        conjugate(chebyshev(5), AffineMap(0.7 - 1.1j, 0.3 + 0.2j)),
+        monomial(1, 2),
+    ], ids=["basilica", "rabbit", "cubic", "T4", "T5-conjugate", "z^2"])
+    def test_bit_equal_on_check_queries(self, monkeypatch, fast_cfg, p):
+        calls = self._check_queries(monkeypatch, p, fast_cfg)
+        assert calls
+        for polygon, pts in calls:
+            if polygon.kind == PROPER:
+                assert self._assert_bit_equal_but_ties(polygon.vertices, pts) <= 1
+
+    def test_bit_equal_on_a_512_vertex_circle(self, monkeypatch, fast_cfg, squaring):
+        # the queries of the squaring map's checks, on a regular 512-gon
+        circle = convex_hull(np.exp(2j * np.pi * np.arange(512) / 512))
+        assert circle.kind == PROPER and circle.vertices.size == 512
+        pts = np.concatenate([z for _, z in self._check_queries(monkeypatch, squaring, fast_cfg)])
+        assert self._assert_bit_equal_but_ties(circle.vertices, pts) <= 1
 
 
 class TestBoundaryPoints:

@@ -1,11 +1,15 @@
 """The package starts without scipy or the CLI, and the scripts load against its names."""
+import base64
 import json
 import os
 import runpy
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,26 +37,57 @@ def test_output_digest_compares_with_a_saved_run(tmp_path, capsys):
     namespace = runpy.run_path(str(ROOT / "scripts" / "output_digest.py"),
                                run_name="script_under_test")
     parse, differences = namespace["parse_digest"], namespace["differences"]
-    saved_text = "0 w/a 0 s1 f1 g1\n0 w/b 1 s2 f2 g2\n31 w/a 0 s3 f3 g3\n"
+    saved_text = "0 w/a 0 s1 f1 c1 g1\n0 w/b 1 s2 f2 c2 g2\n31 w/a 0 s3 f3 c3 g3\n"
     saved = parse(saved_text)
-    assert differences(parse("0 w/a 0 s1 f1 g1\n0 w/b 1 s2 f2 g2\n"), saved) == []
-    assert differences(parse("0 w/a 3 s1 f1 h1\n0 w/c 0 s4 f4 g4\n"), saved) == [
+    assert differences(parse("0 w/a 0 s1 f1 c1 g1\n0 w/b 1 s2 f2 c2 g2\n"), saved) == []
+    assert differences(parse("0 w/a 3 s1 f1 c1 h1\n0 w/c 0 s4 f4 c4 g4\n"), saved) == [
         "0 w/a: exit, pgm differ", "0 w/c: not in the saved run",
         "0 w/b: only in the saved run"]
+    assert differences(parse("0 w/b 1 s2 f0 c2 g2\n"), saved) == [
+        "0 w/b: svg differ", "0 w/a: only in the saved run"]
 
     # main runs the saved run's seeds and exits 1 when any op differs
-    runs = {0: ["0 w/a 0 s1 f1 g1", "0 w/b 1 s2 f2 g2"],
-            31: ["31 w/a 0 s3 f3 g3"]}
+    runs = {0: ["0 w/a 0 s1 f1 c1 g1", "0 w/b 1 s2 f2 c2 g2"],
+            31: ["31 w/a 0 s3 f3 c3 g3"]}
     main = namespace["main"]
     main.__globals__["digest_lines"] = lambda seed, workdir: iter(runs[seed])
     saved_file = tmp_path / "saved.txt"
     saved_file.write_text(saved_text, encoding="utf-8")
     assert main(["--against", str(saved_file)]) == 0
     assert capsys.readouterr().out == saved_text
-    runs[31] = ["31 w/a 0 s3 f3 g0"]
+    runs[31] = ["31 w/a 0 s3 f3 c3 g0"]
     assert main(["--against", str(saved_file), "--seed", "31"]) == 1
     err = capsys.readouterr().err
     assert "differs: 31 w/a: pgm differ" in err and "0 w/b" not in err
+
+
+def _png(img: np.ndarray, level: int) -> bytes:
+    """A grayscale PNG of img, deflated at ``level``."""
+    def chunk(tag, data):
+        return (struct.pack(">I", len(data)) + tag + data
+                + struct.pack(">I", zlib.crc32(tag + data) & 0xFFFFFFFF))
+
+    raw = np.hstack([np.zeros((img.shape[0], 1), dtype=np.uint8), img]).tobytes()
+    header = struct.pack(">IIBBBBB", img.shape[1], img.shape[0], 8, 0, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", header)
+            + chunk(b"IDAT", zlib.compress(raw, level)) + chunk(b"IEND", b""))
+
+
+def test_output_digest_scene_ignores_how_the_png_deflates():
+    scene_digest = runpy.run_path(str(ROOT / "scripts" / "output_digest.py"),
+                                  run_name="script_under_test")["scene_digest"]
+
+    def svg(img, level):
+        payload = base64.b64encode(_png(img, level)).decode("ascii")
+        return f'<svg>\n<image href="data:image/png;base64,{payload}"/>\n</svg>\n'.encode()
+
+    img = np.where(np.arange(64 * 64).reshape(64, 64) % 7 < 3, 176, 255).astype(np.uint8)
+    fast, small = svg(img, 1), svg(img, 9)
+    assert fast != small and scene_digest(fast) == scene_digest(small)
+    changed = img.copy()
+    changed[5, 7] = 0
+    assert scene_digest(svg(changed, 9)) != scene_digest(small)
+    assert scene_digest(small.replace(b"<svg>", b"<svg >")) != scene_digest(small)
 
 
 def test_render_gallery_writes_every_scene(tmp_path):

@@ -424,6 +424,25 @@ class TestEscapeGridEarlyExit:
         assert short.cells.any()
         assert np.array_equal(huge.cells, short.cells)
 
+    def test_block_schedule_keeps_cycle_detection(self, monkeypatch, basilica):
+        # The block lengths 4, 4, 8, 16, 16, ... end on every power of two,
+        # where Brent's snapshot is taken.  A schedule that skips one (a
+        # fixed block of 6) never finds a cycle and would step 10**6 times,
+        # so the count aborts the grid as soon as it passes the limit.
+        calls = []
+
+        def counting(coeffs, w):
+            calls.append(w.size)
+            if len(calls) > 300:
+                raise AssertionError("the escape loop missed every cycle")
+            return horner(coeffs, w)
+
+        horner = julia_mod._horner
+        monkeypatch.setattr(julia_mod, "_horner", counting)
+        grid = escape_grid(basilica, resolution=64, max_iter=10 ** 6)
+        assert grid.cells.any()
+        assert len(calls) <= 300
+
     def test_overflow_within_a_block_is_silent(self, recwarn):
         # escaping orbits of a large-coefficient sextic pass 1e308 in one block
         p = Polynomial([0, 0, 0, 0, 0, 0, 1e6])
