@@ -53,7 +53,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from juliahull import Polynomial, chebyshev, convex_hull, escape_grid, sample_julia  # noqa: E402
+from juliahull import (  # noqa: E402
+    AffineMap,
+    Polynomial,
+    chebyshev,
+    conjugate,
+    convex_hull,
+    escape_grid,
+    sample_julia,
+)
 from juliahull.cli import main as cli_main  # noqa: E402
 from workloads import WORKLOADS, make_workload  # noqa: E402
 
@@ -68,9 +76,13 @@ def _random_polynomial(d: int, seed: int) -> Polynomial:
     return Polynomial(rng.uniform(0, 1, d + 1) + 1j * rng.uniform(0, 1, d + 1))
 
 
-# Sampled polynomials of degree above 6, each built from the seed.
+# Sampled polynomials of degree above 6, each built from the seed.  The
+# fixed conjugate g o T_8 o g^-1 has a thin, tilted and shifted Julia set,
+# the segment g([-1, 1]), so its sample and hull lines cover that path.
 SAMPLED = {
     "cheb:8": lambda seed: chebyshev(8),
+    "cheb8-conjugate": lambda seed: conjugate(chebyshev(8),
+                                              AffineMap(0.7 - 1.1j, 0.3 + 0.2j)),
     "cheb:16": lambda seed: chebyshev(16),
     "random-d12": lambda seed: _random_polynomial(12, seed),
     "random-d24": lambda seed: _random_polynomial(24, seed),

@@ -22,6 +22,7 @@ import numpy as np
 
 from .geometry import (
     ConvexPolygon,
+    _min_area_rectangle,
     boundary_points,
     convex_hull,
     decimate,
@@ -298,31 +299,31 @@ def check_filled_in_hull(ctx: HullContext) -> CheckReport:
 def check_preimage_convexity(ctx: HullContext) -> CheckReport:
     """Targets whose full fiber sits in the hull form a convex set.
 
-    Admissible targets are found by rejection sampling over the hull's
-    bounding box, round after round, until a round brings the count to
-    2 * _PAIR_TARGET or _ROUNDS rounds are spent; every interior convex
-    combination (t = 0.1 .. 0.9) of up to _PAIR_TARGET admissible pairs
-    must be admissible again.  The rounds are drawn in order but solved in
-    batches: the first holds _FIRST_ROUNDS rounds, and each later one as
-    many as the admissible rate so far says are still needed.  A fiber
-    does not depend on the batch it is solved in, and admissible targets
-    are listed in the order drawn, of which the pairs use only the first
-    2 * _PAIR_TARGET, so the result is that of solving one round at a time.
+    Admissible targets are found by rejection sampling over the least-area
+    rectangle enclosing the decimated hull (for a thin, turned hull it is
+    far smaller than the axis-parallel box), round after round, until a
+    round brings the count to 2 * _PAIR_TARGET or _ROUNDS rounds are
+    spent; every interior convex combination (t = 0.1 .. 0.9) of up to
+    _PAIR_TARGET admissible pairs must be admissible again.  The rounds are
+    drawn in order but solved in batches: the first holds _FIRST_ROUNDS
+    rounds, and each later one as many as the admissible rate so far says
+    are still needed.  A fiber does not depend on the batch it is solved
+    in, and admissible targets are listed in the order drawn, of which the
+    pairs use only the first 2 * _PAIR_TARGET, so the result is that of
+    solving one round at a time.
     """
     p, cfg = ctx.polynomial, ctx.config
     rng = _rng(cfg, 2)
     tol = cfg.tol_rel * ctx.diameter
-    v = ctx.hull.vertices
-    lo_x, hi_x = v.real.min(), v.real.max()
-    lo_y, hi_y = v.imag.min(), v.imag.max()
+    corner, axis, width, height = _min_area_rectangle(ctx.hull_query)
     need = 2 * _PAIR_TARGET
     admissible: list = []
     drawn, batch = 0, _FIRST_ROUNDS
     while drawn < _ROUNDS and len(admissible) < need:
         rounds = min(batch, _ROUNDS - drawn)
-        w = np.concatenate([rng.uniform(lo_x, hi_x, _ROUND_SIZE)
-                            + 1j * rng.uniform(lo_y, hi_y, _ROUND_SIZE)
-                            for _ in range(rounds)])
+        w = corner + axis * np.concatenate([rng.uniform(0.0, width, _ROUND_SIZE)
+                                            + 1j * rng.uniform(0.0, height, _ROUND_SIZE)
+                                            for _ in range(rounds)])
         drawn += rounds
         roots, _, ok = solve_fibers(p, w, cfg.residual_tol)
         sd = signed_distance(ctx.hull_query, roots.ravel()).reshape(roots.shape)

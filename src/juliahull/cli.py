@@ -75,9 +75,11 @@ run_check_set = run_checks
 def _start_circle_log10(p: Polynomial, radius: float) -> float:
     """log10 of |a_d| rho^d for the fiber solves of the half-plane check.
 
-    That check solves p(z) = y for |y| up to 2R, and roots._initial_points
-    starts Aberth on the circle of radius
-    rho = 1 + max(max_{0<j<d} |a_j|, |a_0| + 2R) / |a_d|.
+    That check solves p(z) = y for |y| up to 2R, and every circle that
+    roots._initial_points starts Aberth on lies inside the Cauchy circle
+    of radius rho = 1 + max(max_{0<j<d} |a_j|, |a_0| + 2R) / |a_d|: an
+    edge of the Newton polygon ending at d has radius x^(1/(d-i)) <= 1 + x
+    for x = |a_i| / |a_d|, and the other edges have smaller radii.
     """
     mods = [abs(complex(c)) for c in p.coeffs]
     lead = mods[-1]

@@ -2,9 +2,14 @@
 
 A hull is built in three steps.  A prefilter first drops the points
 strictly inside a polygon of extreme input points.  The polygon starts as
-the Akl-Toussaint octagon and, as in quickhull, gains the farthest point
-beyond each edge while a pass still drops at least half the points it
-tests; of a generic Julia cloud of 1e5 points well under 1% survive.
+the Akl-Toussaint octagon plus quickhull's first split, the farthest
+point on each side of the octagon's longest chord, and, as in quickhull,
+gains the farthest point beyond each edge while a pass still drops at
+least half the points it tests; of a generic Julia cloud of 1e5 points
+well under 1% survive.  Each point is measured against every edge line,
+not against a fan from a center, so a thin cloud (the Julia set of a
+Chebyshev conjugate, a segment blurred by 1e-10 of its length) loses its
+interior as a round one does.
 Only the survivors are then sorted lexicographically and stripped of
 near-duplicates.  Last, a monotone chain over the sorted survivors: the
 chord from the first to the last point splits them into a lower and an
@@ -22,9 +27,9 @@ The prefilter changes no vertex.  A point it drops lies at least
 ``2 * _DUP_EPS * scale`` inside the hull of the other input points, so
 neither it nor a point within ``_DUP_EPS * scale`` of it is a vertex.
 Sorting only the survivors changes one thing: a dropped point no longer
-splits a run of near-duplicates.  So when the survivors hold a run of
-distinct near-duplicates, the whole cloud is sorted and stripped first,
-and the prefilter runs on what is left.
+splits a run of near-duplicates.  So when a dropped point may sort inside
+a run of distinct near-duplicates of the survivors, the whole cloud is
+sorted and stripped first, and the prefilter runs on what is left.
 
 Distances and the polygon Hausdorff distance live here too.  A signed
 distance to a proper polygon measures each point's distance to every
@@ -111,6 +116,13 @@ class ConvexPolygon:
         return _antipodal_diameter(self.vertices)
 
 
+def _edge_angles(v: np.ndarray) -> np.ndarray:
+    """Directions of the edges v_k -> v_k+1 of a proper ccw polygon, unwrapped to increase."""
+    angle = np.arctan2(np.roll(v.imag, -1) - v.imag, np.roll(v.real, -1) - v.real)
+    # every turn lies in (0, pi), so a drop below -pi/2 is a wrap past pi
+    return angle + 2.0 * np.pi * np.concatenate(([0], np.cumsum(np.diff(angle) < -0.5 * np.pi)))
+
+
 def _antipodal_diameter(v: np.ndarray) -> float:
     """Rotating calipers on a proper ccw polygon, all edges at once.
 
@@ -122,9 +134,7 @@ def _antipodal_diameter(v: np.ndarray) -> float:
     """
     x, y = v.real, v.imag
     n = v.size
-    angle = np.arctan2(np.roll(y, -1) - y, np.roll(x, -1) - x)
-    # every turn lies in (0, pi), so a drop below -pi/2 is a wrap past pi
-    angle += 2.0 * np.pi * np.concatenate(([0], np.cumsum(np.diff(angle) < -0.5 * np.pi)))
+    angle = _edge_angles(v)
     j = np.searchsorted(np.concatenate([angle, angle + 2.0 * np.pi]), angle + np.pi)
     i = np.arange(n)
     best = 0.0
@@ -134,57 +144,85 @@ def _antipodal_diameter(v: np.ndarray) -> float:
     return best
 
 
+def _convex_corners(c: np.ndarray) -> np.ndarray:
+    """The ccw vertices, strict turns only, of the hull of a few points.
+
+    Andrew's monotone chain, one Python step per point.
+    """
+    seq = np.unique(c).tolist()  # complex values sort by real, then imaginary part
+
+    def chain(points):
+        out: list = []
+        for q in points:
+            while len(out) >= 2 and ((out[-1] - out[-2]).conjugate() * (q - out[-2])).imag <= 0:
+                out.pop()
+            out.append(q)
+        return out[:-1]
+
+    return np.array(chain(seq) + chain(seq[::-1]))
+
+
 def _candidates(pts: np.ndarray, scale: float) -> np.ndarray:
     """Indices, ascending, of the points that may be hull vertices.
 
-    A convex polygon P of extreme input points, at first the
-    Akl-Toussaint octagon, rules out every point that lies at least
-    ``2 * _DUP_EPS * scale`` inside each edge line of P.  One test per
-    point decides that.  Let c, the mean of the octagon's corners, lie at
-    least rho inside each edge line.  A point of the fan triangle (c, a, b)
-    whose depth inside ab is the fraction t of c's lies at least t * rho
-    inside each edge line; the triangle is found by the point's angle
-    about c.  While a pass drops at least half the points it tests, the
-    survivor farthest beyond each edge becomes a corner, as in quickhull,
-    and the survivors are tested again.  So the tested points halve from
-    pass to pass, and a cloud in convex position (a circle) or on a line
-    costs one pass.
+    A convex polygon P of extreme input points rules out every point that
+    lies at least ``2 * _DUP_EPS * scale`` inside each edge line of P.  P
+    starts as the Akl-Toussaint octagon plus quickhull's first split: the
+    farthest point on each side of the chord between the two octagon
+    corners farthest apart.  On a thin, turned cloud the octagon's corners
+    gather at the cloud's two ends, and that split gives P its width.  A
+    pass measures each tested point's depth inside every edge line of P,
+    so the test is exact however thin P is.  While a pass drops at least
+    half the points it tests, the point farthest beyond each edge becomes
+    a corner, as in quickhull, and the survivors are tested again.  So the
+    tested points halve from pass to pass, and a cloud in convex position
+    (a circle) or on a line costs one pass.
+
+    Points are measured from an octagon corner, so a depth is rounded by
+    some 1e-16 * scale.  Should rounding leave a corner of P slightly
+    reflex, a point inside every edge line still lies inside P, which lies
+    inside the hull of its corners.
     """
     x, y = pts.real, pts.imag
     s, t = x + y, x - y
-    corners = np.unique([np.argmin(x), np.argmax(x), np.argmin(y), np.argmax(y),
+    octagon = np.unique([np.argmin(x), np.argmax(x), np.argmin(y), np.argmax(y),
                          np.argmin(s), np.argmax(s), np.argmin(t), np.argmax(t)])
-    center = pts[corners].mean()
+    ends = pts[octagon]
+    far = np.argmax(np.abs(ends[:, None] - ends[None, :]))
+    first, last = ends[far // ends.size], ends[far % ends.size]
+    x, y = pts.real - first.real, pts.imag - first.imag
+    chord = last - first
+    inside, term = np.empty_like(x), np.empty_like(x)
+    np.multiply(y, chord.real, out=inside)
+    inside -= np.multiply(x, chord.imag, out=term)  # the side of the chord
+    split = np.concatenate([octagon, [np.argmin(inside), np.argmax(inside)]])
+    corners = x[split] + 1j * y[split]
     depth = 2.0 * _DUP_EPS * scale
-    keep, d = np.arange(pts.size), pts - center
+    keep = np.arange(pts.size)
     while True:
-        u = np.unique(pts[corners] - center)
-        if u.size < 3:
+        v = _convex_corners(corners)
+        if v.size < 3:
             return keep
-        angle = np.arctan2(u.imag, u.real)
-        order = np.argsort(angle)
-        u, angle = u[order], angle[order]
-        e = np.roll(u, -1) - u
-        inner = u.real * e.imag - u.imag * e.real  # |e| times c's depth
-        rho = (inner / np.abs(e)).min()
-        if not rho > depth:  # c on or near an edge line: a flat polygon
-            return keep
-        # edge k runs from corner k to k + 1; index -1 is the closing edge.
-        # A point p goes when e x (p - a) = e x d + inner[k], which is |e|
-        # times its depth inside edge k, exceeds inner[k] * depth / rho.
-        k = np.searchsorted(angle, np.arctan2(d.imag, d.real)) - 1
-        cross = e.real[k] * d.imag - e.imag[k] * d.real
-        out = np.flatnonzero(cross <= (inner * (depth / rho - 1.0))[k])
-        keep, d = keep[out], d[out]
-        if 2 * out.size > k.size:
-            return keep
-        xy = d.view(np.float64).reshape(-1, 2)
-        far = np.array([np.argmax(xy @ (n.imag, -n.real)) for n in e])
-        beyond = e.real * d.imag[far] - e.imag * d.real[far] < -inner
-        new = np.setdiff1d(keep[far[beyond]], corners)
-        if new.size == 0:
-            return keep
-        corners = np.concatenate([corners, new])
+        e = np.roll(v, -1) - v
+        normal = 1j * e / np.abs(e)  # inward, for ccw corners
+        nx, ny = normal.real, normal.imag
+        offset = nx * v.real + ny * v.imag
+        near, below = np.zeros(keep.size, dtype=bool), np.empty(keep.size, dtype=bool)
+        inside, term = inside[:keep.size], term[:keep.size]
+        new = []
+        for k in range(v.size):
+            np.multiply(x, nx[k], out=inside)
+            inside += np.multiply(y, ny[k], out=term)
+            inside -= offset[k]
+            i = np.argmin(inside)
+            if inside[i] < 0.0:  # the point farthest beyond edge k
+                new.append(i)
+            near |= np.less(inside, depth, out=below)
+        out = np.flatnonzero(near)
+        if 2 * out.size > keep.size or not new:
+            return keep[out]
+        corners = np.concatenate([v, x[new] + 1j * y[new]])
+        keep, x, y = keep[out], x[out], y[out]
 
 
 def _pop_mask(o, a, q, eps_len: float) -> np.ndarray:
@@ -265,15 +303,31 @@ def _reduce_cycle(v: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _sort_distinct(pts: np.ndarray, dup: float):
-    """(points, merged): lexicographically sorted, each run cut to its first.
+    """(points, near): lexicographically sorted, each run cut to its first.
 
     A run is a chain of neighbours at most ``dup`` apart in the sort;
-    ``merged`` tells whether some run held two distinct points.
+    ``near`` holds the first of each pair of distinct such neighbours.
     """
     pts = pts[np.lexsort((pts.imag, pts.real))]
     gap = np.abs(np.diff(pts))
     near = gap <= dup
-    return pts[np.concatenate([[True], ~near])], bool((near & (gap > 0.0)).any())
+    return pts[np.concatenate([[True], ~near])], pts[:-1][near & (gap > 0.0)]
+
+
+def _splits_a_run(pts: np.ndarray, keep: np.ndarray, near: np.ndarray,
+                  dup: float) -> bool:
+    """Whether a point not in ``keep`` may sort between two near neighbours.
+
+    Such a point would split their run in the sort of the whole cloud.  It
+    would sort between the first of a pair, ``near``, and the second,
+    whose real part is at most ``dup`` above it; the test asks only for a
+    real part at most ``2 * dup`` above, which is looser and rounding-safe.
+    """
+    dropped = np.ones(pts.size, dtype=bool)
+    dropped[keep] = False
+    x = pts.real[dropped]
+    at = np.searchsorted(near.real, x, side="right") - 1
+    return bool(((at >= 0) & (x <= near.real[at] + 2.0 * dup)).any())
 
 
 def convex_hull(points) -> ConvexPolygon:
@@ -287,10 +341,9 @@ def convex_hull(points) -> ConvexPolygon:
     if scale == 0.0:
         return ConvexPolygon(pts[:1].copy(), POINT)
     keep = _candidates(pts, scale)
-    cand, merged = _sort_distinct(pts[keep], _DUP_EPS * scale)
-    if merged and keep.size < pts.size:
-        # a dropped point may have split that run in the sort of the whole
-        # cloud, which would keep more of it: sort the whole cloud first
+    cand, near = _sort_distinct(pts[keep], _DUP_EPS * scale)
+    if near.size and _splits_a_run(pts, keep, near, _DUP_EPS * scale):
+        # the sort of the whole cloud would keep more of that run: sort it first
         cand = _sort_distinct(pts, _DUP_EPS * scale)[0]
         cand = cand[_candidates(cand, scale)]
     pts = cand
@@ -312,6 +365,47 @@ def convex_hull(points) -> ConvexPolygon:
         ends = sorted([e1, e2], key=lambda z: (z.real, z.imag))
         return ConvexPolygon(np.array(ends), SEGMENT)
     return ConvexPolygon(hull, PROPER)
+
+
+def _min_area_rectangle(polygon: ConvexPolygon):
+    """``(corner, axis, width, height)`` of a least-area rectangle holding the polygon.
+
+    The rectangle is corner + axis * (x + iy) for 0 <= x <= width and
+    0 <= y <= height, with |axis| = 1.  A least-area enclosing rectangle
+    of a convex polygon has a side along one of its edges (Freeman and
+    Shapira, CACM 18, 1975), so trying each edge direction finds it, and
+    its area is at most that of the axis-parallel box.  For edge k the
+    other three sides touch the vertices where the edges have turned by
+    pi/2, pi and 3 pi/2 from edge k; as in ``_antipodal_diameter``,
+    ``searchsorted`` finds them up to rounding, and each is measured with
+    its two neighbours and the two ends of edge k.  A segment gives height
+    0, a point a rectangle of size 0.
+    """
+    v = polygon.vertices
+    if polygon.kind == POINT:
+        return complex(v[0]), 1.0 + 0j, 0.0, 0.0
+    if polygon.kind == SEGMENT:
+        e = v[1] - v[0]
+        return complex(v[0]), complex(e / abs(e)), float(abs(e)), 0.0
+    n = v.size
+    e = np.roll(v, -1) - v
+    axes = e / np.abs(e)
+    angle = _edge_angles(v)
+    ring = np.concatenate([angle, angle + 2.0 * np.pi, angle + 4.0 * np.pi])
+    i = np.arange(n)
+    ends = np.stack([i, (i + 1) % n])
+    extent = []
+    for turn in (0.5, 1.0, 1.5):
+        j = np.searchsorted(ring, angle + turn * np.pi)
+        near = np.concatenate([ends, [(j - 1) % n, j % n, (j + 1) % n]])
+        # vertex coordinates in the frame of edge k, from vertex k
+        extent.append((v[near] - v) * np.conj(axes))
+    width = extent[0].real.max(axis=0) - extent[2].real.min(axis=0)
+    height = extent[1].imag.max(axis=0)
+    k = int(np.argmin(width * height))
+    low = extent[2].real[:, k].min()
+    return complex(v[k] + axes[k] * low), complex(axes[k]), float(width[k]), float(height[k])
+
 
 def _inverse_len2(ex, ey):
     """1 / (ex^2 + ey^2) per segment, 0 for a zero-length one.

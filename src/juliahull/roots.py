@@ -1,12 +1,19 @@
 """Simultaneous polynomial root finding.
 
-The solver is Aberth-Ehrlich iteration started from points equidistributed
-on a Cauchy-bound circle; it is the only update rule, and it gets the
-whole iteration budget.  A whole family p(z) = t_m can be solved in one
+The solver is Aberth-Ehrlich iteration started from the circles of the
+Newton polygon of p - t (Bini's rule, ``_initial_points``), which follow
+the moduli of the roots, so an affine conjugate of p starts as close to
+its roots as p does; it is the only update rule, and it gets the whole
+iteration budget.  A whole family p(z) = t_m can be solved in one
 vectorized batch, which is what the inverse-iteration sampler leans on.
 
 A quadratic fiber starts from its exact roots instead, in Vieta form
 (``_quadratic_roots``), and the same iteration only confirms them.
+
+A member converges when every residual |p(z) - t| meets its bound and
+that bound is finite.  Where sum |a_j| |z|^j overflows, the bound is inf
+and certifies nothing; such a member, like one whose residual overflows,
+reads unconverged, and numpy is not left to warn of the overflow.
 
 Everything here is deterministic: no randomness enters the initial
 configuration or the iteration, so identical inputs give identical outputs.
@@ -72,11 +79,56 @@ class NoRepellingFixedPointError(RuntimeError):
 
 
 def _initial_points(coeffs: np.ndarray, targets: np.ndarray, d: int) -> np.ndarray:
-    lead = abs(coeffs[-1])
-    mid = np.abs(coeffs[1:-1]).max() if d >= 2 else 0.0
-    radius = 1.0 + np.maximum(mid, np.abs(coeffs[0] - targets)) / lead
-    angles = 2.0 * np.pi * np.arange(d) / d + _INIT_ROTATION
-    return radius[:, None] * np.exp(1j * angles)[None, :]
+    """Aberth starts for p(z) = t, one row of d per target (Bini's rule).
+
+    The upper convex hull of the points (j, log|a_j|), with a_0 - t for
+    a_0, is the Newton polygon.  An edge from i to k puts k - i starts on
+    the circle of radius (|a_i| / |a_k|)^(1/(k - i)), equally spaced and
+    turned by 2 pi i / d + _INIT_ROTATION; when the edge is steep, k - i
+    roots of p - t lie near that modulus.  Only a_0 - t differs between
+    targets, and it enters only the first edge, from 0 to the vertex j* of
+    the hull of j >= 1 that maximizes (log|a_j*| - log|a_0 - t|) / j*.  As
+    log|a_0 - t| grows, j* steps right past each vertex where the line
+    from (0, log|a_0 - t|) runs along the next hull edge, so one
+    ``searchsorted`` finds it.  The circles right of j* are built once per
+    batch.  A target equal to a_0 counts as |a_0 - t| = the smallest
+    normal float.
+    """
+    logs = np.full(d + 1, -np.inf)
+    nonzero = np.flatnonzero(coeffs[1:]) + 1
+    logs[nonzero] = np.log(np.abs(coeffs[nonzero]))
+    hull: list = []  # upper hull of (j, logs[j]) over the nonzero a_j, j >= 1
+    for j in nonzero.tolist():
+        while len(hull) >= 2 and ((logs[hull[-1]] - logs[hull[-2]]) * (j - hull[-2])
+                                  <= (logs[j] - logs[hull[-2]]) * (hull[-1] - hull[-2])):
+            hull.pop()
+        hull.append(j)
+    vertex = np.array(hull)
+    slope = np.diff(logs[vertex]) / np.diff(vertex)
+    # where log|a_0 - t| reaches these, j* steps right past a vertex
+    steps = logs[vertex[1:]] - slope * vertex[1:]
+    shift = np.log(np.maximum(np.abs(coeffs[0] - targets), np.finfo(np.float64).tiny))
+    star = np.searchsorted(steps, shift, side="right")
+    radius = np.exp((shift - logs[vertex[star]]) / vertex[star])
+    # one table row per vertex that some target takes as j*: its unit
+    # circle in the first j* slots, the fixed circles right of them
+    used = np.bincount(star, minlength=vertex.size) > 0
+    row = (np.cumsum(used) - 1)[star]
+    slot = np.arange(d)
+    inner = slot < vertex[used][:, None]
+    turn = 2.0 * np.pi * slot / vertex[used][:, None] + _INIT_ROTATION
+    z = np.take(np.where(inner, np.exp(1j * turn), 0.0), row, axis=0)
+    z *= radius[:, None]
+    if slope.size:
+        # slot j of the edge from a to b lies at start j - a on its circle
+        right = slot[vertex[0]:]
+        edge = np.searchsorted(vertex, right, side="right") - 1
+        a = vertex[edge]
+        turn = 2.0 * np.pi * ((right - a) / (vertex[edge + 1] - a) + a / d) + _INIT_ROTATION
+        fixed = np.zeros(d, dtype=np.complex128)
+        fixed[vertex[0]:] = np.exp(-slope[edge] + 1j * turn)
+        z += np.take(np.where(inner, 0.0, fixed), row, axis=0)
+    return z
 
 
 def _quadratic_roots(coeffs: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -192,9 +244,10 @@ def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
     z, so a batch whose starts all pass (every quadratic one) returns
     before anything is copied or any pair buffer is built.
 
-    A member whose residuals all pass is frozen: its row of z, its
-    residuals and its ``ok`` are written out, and it leaves the working
-    set, which is compacted then and not gathered and scattered every step.
+    A member whose residuals all pass a finite bound is frozen: its row of
+    z, its residuals and its ``ok`` are written out, and it leaves the
+    working set, which is compacted then and not gathered and scattered
+    every step.
     Members still working after ``max_iter`` steps are judged at their last
     iterate.
 
@@ -214,7 +267,9 @@ def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
         pv = _horner(coeffs, w)
         pv -= targets
         err = np.abs(pv)
-        done = (err <= bounds_of(w, members)).all(axis=0)
+        bound = bounds_of(w, members)
+        # an overflowed bound certifies nothing: inf <= inf holds
+        done = ((err <= bound) & (bound < np.inf)).all(axis=0)
         if it == max_iter or done.all():
             if it == 0:  # no step taken: z still holds every start
                 return err.T, done
@@ -272,11 +327,11 @@ def solve_fibers(p: Polynomial, targets, tol: float = DEFAULT_TOL,
 
     Returns ``(roots, residuals, ok)`` with shapes (m, d), (m, d), (m,).
     Members are solved in chunks of at most _CHUNK_BUDGET // d**2, which
-    bounds the pair buffers of ``_iterate`` at high degree.  ``ok[i]`` is True when every residual
-    |p(root) - t| of member i meets the backward-stable bound
-    tol * max(largest coefficient modulus, per-root evaluation scale).
-    No exception is raised here;
-    ``preimage_fibers`` wraps this with the raising behavior.
+    bounds the pair buffers of ``_iterate`` at high degree.  ``ok[i]`` is
+    True when every residual |p(root) - t| of member i meets the
+    backward-stable bound tol * max(largest coefficient modulus, per-root
+    evaluation scale), and that bound is finite.  No exception is raised
+    here; ``preimage_fibers`` wraps this with the raising behavior.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=np.complex128))
     coeffs = p.coeffs
@@ -315,9 +370,12 @@ def _solve_batch(p: Polynomial, targets: np.ndarray, tol: float, max_iter: int):
         return _residual_bounds(abs_coeffs, const_shift[members], z, tol,
                                 floor[members])
 
-    z = (_quadratic_roots(coeffs, targets) if d == 2
-         else _initial_points(coeffs, targets, d))
-    res, ok = _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter)
+    # an overflow leaves its member unconverged, with a non-finite residual
+    # or bound, and numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (_quadratic_roots(coeffs, targets) if d == 2
+             else _initial_points(coeffs, targets, d))
+        res, ok = _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter)
     return z, res, ok
 
 

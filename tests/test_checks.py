@@ -49,7 +49,7 @@ from juliahull.checks import (
     _normal_form,
     _report,
 )
-from juliahull.geometry import PROPER
+from juliahull.geometry import PROPER, _min_area_rectangle
 from juliahull.roots import solve_fibers
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -292,7 +292,9 @@ class TestPreimageConvexity:
         assert "100 admissible pairs" in report.note
 
     @pytest.mark.parametrize("workload, key, seed, first_rounds", [
-        ("equality-suite", "cheb5-conjugate", 1, 2),  # spends all 60 rounds
+        ("equality-suite", "cheb5-conjugate", 1, 2),
+        # a first batch of one round, then one sized by the admissible rate
+        ("generic-suite", "random-d3", 0, 1),
         ("generic-suite", "random-d4", 0, 2),
         ("generic-suite", "random-d6", 31, 2),
         # one batch of every round: it finds admissible targets past the
@@ -323,24 +325,44 @@ class TestPreimageConvexity:
         assert sum(solves) <= checks._ROUNDS * checks._ROUND_SIZE
         assert len(solves) <= 3
 
+    @pytest.mark.parametrize("seed", [0, 1, 31])
+    def test_turned_segment_needs_one_batch(self, monkeypatch, tmp_path, seed):
+        # the axis-parallel box of the benchmark's g o T_5 o g^-1 admitted
+        # about 2% of its targets: all 60 rounds gave 58 to 90 pairs
+        workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+        op = next(op for op in workloads["make_workload"]("equality-suite", seed, tmp_path)
+                  if op.key == "cheb5-conjugate")
+        ctx = build_context(parse_polynomial(op.poly).polynomial, CheckConfig(seed=seed))
+        solves = []
+        original = checks.solve_fibers
+
+        def counting(p, targets, *args, **kwargs):
+            solves.append(np.size(targets))
+            return original(p, targets, *args, **kwargs)
+
+        monkeypatch.setattr(checks, "solve_fibers", counting)
+        report = check_preimage_convexity(ctx)
+        assert report.verdict == PASS
+        assert report.note == "100 admissible pairs tested"
+        assert solves == [checks._FIRST_ROUNDS * checks._ROUND_SIZE]
+
 
 def _round_by_round_convexity(ctx: HullContext):
     """check_preimage_convexity with one fiber solve per rejection round.
 
     The oracle for the batched rounds: up to 60 rounds of 128 targets drawn
-    from the check's generator, stopping after the round that brings the
-    admissible count to 200.
+    from the check's generator over the least-area rectangle around the
+    decimated hull, stopping after the round that brings the admissible
+    count to 200.
     """
     p, cfg = ctx.polynomial, ctx.config
     rng = checks._rng(cfg, 2)
     tol = cfg.tol_rel * ctx.diameter
-    v = ctx.hull.vertices
-    lo_x, hi_x = v.real.min(), v.real.max()
-    lo_y, hi_y = v.imag.min(), v.imag.max()
+    corner, axis, width, height = _min_area_rectangle(ctx.hull_query)
     admissible: list = []
     for _ in range(60):
-        w = (rng.uniform(lo_x, hi_x, 128)
-             + 1j * rng.uniform(lo_y, hi_y, 128))
+        w = corner + axis * (rng.uniform(0.0, width, 128)
+                             + 1j * rng.uniform(0.0, height, 128))
         roots, _, ok = solve_fibers(p, w, cfg.residual_tol)
         sd = signed_distance(ctx.hull_query, roots.ravel()).reshape(roots.shape)
         good = ok & (sd.max(axis=1) <= tol)

@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -12,6 +15,7 @@ from juliahull import (
     conjugate,
     convex_hull,
     monomial,
+    parse_polynomial,
     polygon_hausdorff,
     run_checks,
     sample_julia,
@@ -468,6 +472,93 @@ class TestPrefilter:
         counts = _count_sorted_points(monkeypatch)
         convex_hull(cloud)
         assert counts == [cloud.size]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.floats(0, 2 * np.pi), st.floats(-12, -6), st.floats(-3, 3),
+           st.floats(0, 1), st.integers(3, 2000), st.integers(0, 2 ** 32 - 1))
+    def test_tilted_slivers_match_the_stack_chain(self, angle, log_width, log_offset,
+                                                  turn, count, seed):
+        # a segment blurred across by 1e-12 to 1e-6 of its length, turned
+        # and shifted by up to 1e3: the Julia set of a Chebyshev conjugate
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(-1, 1, count)
+        across = 10.0 ** log_width * rng.normal(size=count)
+        shift = 10.0 ** log_offset * np.exp(2j * np.pi * turn)
+        pts = np.exp(1j * angle) * (t + 1j * across) + shift
+        TestPrefilter._assert_keeps_vertices(pts)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_candidates", lambda p, scale: np.arange(p.size))
+            unfiltered = convex_hull(pts)
+        hull = convex_hull(pts)
+        assert hull.kind == unfiltered.kind
+        assert np.array_equal(hull.vertices, unfiltered.vertices)
+        if log_width >= -11:
+            # thinner slivers come within the turn tolerance, where the
+            # rounds and the stack chain may keep different vertices
+            TestHullReference._assert_matches(pts)
+
+    @pytest.mark.parametrize("key", ["cheb4", "cheb5-conjugate"])
+    def test_thin_julia_samples_sort_few_points(self, monkeypatch, tmp_path, key):
+        # the prefilter keeps at most 1000 points beyond those it may not
+        # drop: the ones within 2 * _DUP_EPS * scale of the hull's boundary
+        # (about 12,700 of the T4 sample, all near the segment's ends, where
+        # the sample is thinner than that)
+        sizes = []
+        original = geometry._sort_distinct
+
+        def counted(pts, dup):
+            sizes.append(pts.size)
+            return original(pts, dup)
+
+        monkeypatch.setattr(geometry, "_sort_distinct", counted)
+        workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent
+                                       / "perfbench" / "workloads.py"))
+        op = next(op for op in workloads["make_workload"]("equality-suite", 0, tmp_path)
+                  if op.key == key)
+        pts = sample_julia(parse_polynomial(op.poly).polynomial, 100_000, seed=0).points
+        hull = convex_hull(pts)
+        scale = max(np.ptp(pts.real), np.ptp(pts.imag))
+        bound = (signed_distance(hull, pts) > -2 * _DUP_EPS * scale).sum()
+        assert len(sizes) == 1
+        assert sizes[0] <= bound + 1000
+
+
+class TestMinAreaRectangle:
+    """The preimage-convexity check draws its targets from this rectangle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(planar_points, st.floats(0, 2 * np.pi), st.floats(0.01, 1))
+    def test_holds_every_vertex_in_no_more_area_than_the_box(self, pts, angle, squash):
+        pts = np.exp(1j * angle) * (np.array(pts).real + 1j * squash * np.array(pts).imag)
+        hull = convex_hull(pts)
+        v = hull.vertices
+        corner, axis, width, height = geometry._min_area_rectangle(hull)
+        assert abs(abs(axis) - 1.0) <= 1e-15 and width >= 0.0 and height >= 0.0
+        scale = max(np.ptp(v.real), np.ptp(v.imag), 1e-300)
+        local = (v - corner) * np.conj(axis)
+        slack = 1e-12 * scale
+        assert local.real.min() >= -slack and local.real.max() <= width + slack
+        assert local.imag.min() >= -slack and local.imag.max() <= height + slack
+        # areas are rounded by some 1e-16 * scale**2, which matters for thin hulls
+        area_slack = 1e-12 * scale * scale
+        assert width * height <= np.ptp(v.real) * np.ptp(v.imag) + area_slack
+        if hull.kind == PROPER:
+            # the least area over all edge directions, one edge at a time
+            areas = []
+            for k in range(v.size):
+                u = v[(k + 1) % v.size] - v[k]
+                frame = (v - v[k]) * np.conj(u / abs(u))
+                areas.append(np.ptp(frame.real) * np.ptp(frame.imag))
+            assert width * height == pytest.approx(min(areas), rel=1e-9, abs=area_slack)
+
+    def test_turned_segment_hull(self):
+        # a thin hull at 55 degrees: the axis-parallel box is 1e5 times larger
+        t = np.linspace(-1, 1, 50)
+        pts = np.exp(0.96j) * (t + 1e-6j * (1 - t * t))
+        corner, axis, width, height = geometry._min_area_rectangle(convex_hull(pts))
+        box = np.ptp(pts.real) * np.ptp(pts.imag)
+        assert width * height <= 1e-5 * box
+        assert width == pytest.approx(2.0, rel=1e-9)
 
 
 class TestSignedDistance:

@@ -3,11 +3,13 @@ import pytest
 
 import juliahull.roots as roots_mod
 from juliahull import (
+    AffineMap,
     NoRepellingFixedPointError,
     Polynomial,
     RootSolveError,
     all_roots,
     chebyshev,
+    conjugate,
     convex_hull,
     critical_points,
     escape_radius,
@@ -397,8 +399,8 @@ class TestReferenceSolver:
             assert np.array_equal(a, b)
 
     def test_tiny_leading_coefficient_converges(self):
-        # 1e-60 z**3: every member needs more than 200 steps, and the
-        # single pass converges all of them
+        # 1e-60 z**3: from the Cauchy circle every member took more than
+        # 200 steps; the Newton-polygon circle has the roots' modulus
         p = Polynomial([0, 0, 0, 1e-60])
         rng = np.random.default_rng(60)
         targets = escape_radius(p) * np.sqrt(rng.uniform(0, 1, 500)) * np.exp(
@@ -407,6 +409,76 @@ class TestReferenceSolver:
         assert got[2].all()
         for a, b in zip(got, _reference_solve(p, targets)):
             assert np.array_equal(a, b)
+
+
+class TestNewtonPolygonStart:
+    """Aberth starts on the circles of the Newton polygon of p - t."""
+
+    @pytest.mark.parametrize("c, d", [(1.0, 3), (0.6 + 0.8j, 5), (1e-60, 3), (3e4j, 7)])
+    def test_monomial_fiber_starts_on_one_circle(self, c, d):
+        # c z^d - t: one edge from 0 to d, the circle of radius |t/c|^(1/d)
+        coeffs = np.zeros(d + 1, dtype=np.complex128)
+        coeffs[-1] = c
+        targets = np.array([1.0, 0.5j, -2e-3 + 7j, 3e5])
+        z = roots_mod._initial_points(coeffs, targets, d)
+        expected = np.abs(targets / c) ** (1.0 / d)
+        assert np.allclose(np.abs(z), expected[:, None], rtol=1e-12, atol=0)
+        # equally spaced, turned by the fixed rotation
+        angles = 2.0 * np.pi * np.arange(d) / d + roots_mod._INIT_ROTATION
+        assert np.allclose(z / np.abs(z), np.exp(1j * angles), atol=1e-12)
+
+    @pytest.mark.parametrize("t", [1.0 - 1e-6, 1.0 + 1e-3j, 0.9, 1.2])
+    def test_chebyshev_fiber_near_its_critical_value(self, t):
+        # T_4 - t = 8 z^4 - 8 z^2 + (1 - t): the first edge, from 0 to 2,
+        # puts two starts at radius sqrt(|1 - t| / 8), the edge from 2 to 4
+        # two on the unit circle
+        z = roots_mod._initial_points(chebyshev(4).coeffs, np.array([t]), 4)[0]
+        assert np.allclose(np.abs(z[:2]), np.sqrt(abs(1.0 - t) / 8.0), rtol=1e-12)
+        assert np.allclose(np.abs(z[2:]), 1.0, rtol=1e-12)
+
+    def test_target_equal_to_constant_term(self):
+        # a_0 - t = 0: the roots at 0 start at a tiny radius, and every
+        # member converges
+        p = chebyshev(5)  # odd: a_0 = 0, a simple root at 0
+        z = roots_mod._initial_points(p.coeffs, np.zeros(1, dtype=np.complex128), 5)
+        assert np.abs(z[0, 0]) < 1e-300
+        roots, _, ok = roots_mod.solve_fibers(p, [0.0])
+        assert ok.all()
+        assert np.min(np.abs(roots)) < 1e-300
+
+    def test_starts_follow_an_affine_conjugate(self):
+        # the fibers of g o T_5 o g^-1 over its Julia set lie within 1.4 of
+        # the origin, and the Cauchy circle has radius 4.4
+        g = AffineMap(0.7 - 1.1j, 0.3 + 0.2j)
+        p = conjugate(chebyshev(5), g)
+        targets = g(np.linspace(-1, 1, 64))
+        z = roots_mod._initial_points(p.coeffs, targets, 5)
+        roots, _, ok = roots_mod.solve_fibers(p, targets)
+        assert ok.all()
+        assert np.abs(z).max() <= 1.5 * np.abs(roots).max()
+
+
+class TestNonFiniteResidual:
+    def test_overflowed_bound_is_not_convergence(self):
+        # sum |a_j| |z|^j overflows at the root near -8e45: the bound is inf,
+        # and inf <= inf once read as converged; numpy does not warn
+        p = Polynomial([1, 2, 3, 4, 5, 6, 7, 8, 1e-45])
+        roots, res, ok = roots_mod.solve_fibers(p, [0.5])
+        assert not ok.any()
+        with pytest.raises(RootSolveError, match="did not converge"):
+            preimage_fibers(p, [0.5])
+
+    def test_converged_members_have_finite_residuals(self):
+        # tiny leading coefficients at degree 8: every member reported as
+        # converged has finite residuals
+        rng = np.random.default_rng(8)
+        for _ in range(4):
+            coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
+            coeffs[-1] *= 10.0 ** rng.uniform(-60, -5)
+            p = Polynomial(coeffs)
+            targets = rng.normal(size=64) + 1j * rng.normal(size=64)
+            _, res, ok = roots_mod.solve_fibers(p, targets)
+            assert np.isfinite(res[ok]).all()
 
 
 class TestCriticalPoints:
