@@ -14,7 +14,7 @@ affine normal form, and checks it against the measured hull gap.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, wraps
 from typing import Optional
 
@@ -44,7 +44,8 @@ from .polynomial import (
     format_polynomial,
     monomial,
 )
-from .roots import RootSolveError, critical_points, preimage_fibers, solve_fibers
+from .roots import (RESIDUAL_TOL, RootSolveError, critical_points, preimage_fibers,
+                    solve_fibers)
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -93,7 +94,8 @@ class CheckConfig:
     interior_samples: int = 256
     tol_rel: float = 1e-3
     seed: int = 0
-    residual_tol: float = 1e-10
+    # the root solver's constant, shown in reports; not a setting
+    residual_tol: float = field(default=RESIDUAL_TOL, init=False)
     grid_resolution: int = 512
     grid_max_iter: int = 200
 
@@ -106,8 +108,6 @@ class CheckConfig:
             raise ValueError("tol_rel must lie in (0, 0.05)")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.residual_tol <= 0.0:
-            raise ValueError("residual_tol must be positive")
         if self.grid_resolution < 64:
             raise ValueError("grid_resolution must be at least 64")
         if self.grid_max_iter < 50:
@@ -193,7 +193,7 @@ class HullContext:
 def build_context(p: Polynomial, cfg: CheckConfig) -> HullContext:
     if p.degree < 2:
         raise ValueError("checks require degree >= 2")
-    cloud = sample_julia(p, cfg.julia_samples, cfg.seed, tol=cfg.residual_tol)
+    cloud = sample_julia(p, cfg.julia_samples, cfg.seed)
     hull = convex_hull(cloud)
     diam = hull.diameter
     # distance queries run against a hull decimated to 1% of the tolerance
@@ -260,7 +260,7 @@ def check_backward_inclusion(ctx: HullContext) -> CheckReport:
         boundary_points(ctx.hull, cfg.boundary_samples),
         _interior_points(ctx.hull_query, cfg.interior_samples, _rng(cfg, 1)),
     ])
-    points = preimage_fibers(ctx.polynomial, targets, cfg.residual_tol).ravel()
+    points = preimage_fibers(ctx.polynomial, targets).ravel()
     return _report(ctx, BACKWARD_INCLUSION, points,
                    signed_distance(ctx.hull_query, points))
 
@@ -268,7 +268,7 @@ def check_backward_inclusion(ctx: HullContext) -> CheckReport:
 @_solver_guarded
 def check_critical_in_hull(ctx: HullContext) -> CheckReport:
     """Every zero of p' must lie inside the hull."""
-    crit = critical_points(ctx.polynomial, ctx.config.residual_tol)
+    crit = critical_points(ctx.polynomial)
     return _report(ctx, CRITICAL_IN_HULL, crit.roots,
                    signed_distance(ctx.hull_query, crit.roots))
 
@@ -325,7 +325,7 @@ def check_preimage_convexity(ctx: HullContext) -> CheckReport:
                                             + 1j * rng.uniform(0.0, height, _ROUND_SIZE)
                                             for _ in range(rounds)])
         drawn += rounds
-        roots, _, ok = solve_fibers(p, w, cfg.residual_tol)
+        roots, _, ok = solve_fibers(p, w)
         sd = signed_distance(ctx.hull_query, roots.ravel()).reshape(roots.shape)
         good = ok & (sd.max(axis=1) <= tol)
         admissible.extend(w[good].tolist())
@@ -340,7 +340,7 @@ def check_preimage_convexity(ctx: HullContext) -> CheckReport:
     w2 = np.array(admissible[1:2 * pairs:2])
     ts = np.linspace(0.1, 0.9, 9)
     mixed = (ts[:, None] * w1[None, :] + (1.0 - ts)[:, None] * w2[None, :]).ravel()
-    points = preimage_fibers(p, mixed, cfg.residual_tol).ravel()
+    points = preimage_fibers(p, mixed).ravel()
     return _report(ctx, PREIMAGE_CONVEXITY, points,
                    signed_distance(ctx.hull_query, points),
                    note=f"{pairs} admissible pairs tested")
@@ -356,7 +356,7 @@ def check_half_plane_surjectivity(ctx: HullContext) -> CheckReport:
     """
     p, cfg = ctx.polynomial, ctx.config
     rng = _rng(cfg, 3)
-    crit_hull = convex_hull(critical_points(p, cfg.residual_tol).roots)
+    crit_hull = convex_hull(critical_points(p).roots)
     pivots = _interior_points(crit_hull, _PLANES, rng)
     angles = rng.uniform(0.0, 2.0 * np.pi, _PLANES)
     normals = np.exp(1j * angles)
@@ -364,7 +364,7 @@ def check_half_plane_surjectivity(ctx: HullContext) -> CheckReport:
     u = rng.uniform(0.0, 1.0, _PLANE_TARGETS)
     phase = rng.uniform(0.0, 2.0 * np.pi, _PLANE_TARGETS)
     ys = radius * np.sqrt(u) * np.exp(1j * phase)
-    fibers = preimage_fibers(p, ys, cfg.residual_tol)
+    fibers = preimage_fibers(p, ys)
     # margin of the best fiber point relative to each half-plane boundary
     proj = (fibers[None, :, :] * np.conj(normals)[:, None, None]).real
     offsets = (pivots * np.conj(normals)).real

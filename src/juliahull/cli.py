@@ -224,12 +224,12 @@ def main(argv=None) -> int:
             return 0
         if args.command == "render":
             from .scene import render_scene
-            svg, grid = render_scene(ctx, spec.source)
+            svg, reports = render_scene(ctx, spec.source)
             _output(svg, args.out)
             if args.raster_out:
                 from .julia import to_pgm
-                Path(args.raster_out).write_bytes(to_pgm(grid))
-            return 0
+                Path(args.raster_out).write_bytes(to_pgm(ctx.grid))
+            return _exit_code(reports)
         reports = run_checks(ctx)
         docs = [r.to_dict() for r in reports]
         if args.command == "suite":

@@ -64,17 +64,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomial import Polynomial, _horner, escape_radius, format_polynomial
+from .polynomial import Polynomial, _horner, escape_radius, format_complex, format_polynomial
 from .roots import (
     MAX_ITERATIONS,
-    DEFAULT_TOL,
     NoRepellingFixedPointError,
     repelling_fixed_point,
     solve_fibers,
 )
-
-JULIA_SAMPLE = "JuliaSample"
-GENERIC = "Generic"
 
 # Pullback steps discarded before points are kept.  A repelling fixed point
 # lies on the Julia set, and so does every iterated preimage of it: there
@@ -110,10 +106,9 @@ _INNER_BISECTIONS = 30
 
 @dataclass(eq=False)
 class PointCloud:
-    """A finite planar sample; label records how it was produced."""
+    """A finite planar sample."""
 
     points: np.ndarray
-    label: str = GENERIC
 
     def __post_init__(self):
         pts = np.atleast_1d(np.asarray(self.points, dtype=np.complex128))
@@ -191,7 +186,7 @@ def _distinct(z: np.ndarray):
 
 
 def _pullback(p: Polynomial, z: np.ndarray, prev_fiber, prev_branch,
-              branch: np.ndarray, tol: float, share=None):
+              branch: np.ndarray, share=None):
     """One backward step for all orbits; retries stubborn members.
 
     Returns (children, fiber) where children = fiber[i, branch[i]].
@@ -202,11 +197,11 @@ def _pullback(p: Polynomial, z: np.ndarray, prev_fiber, prev_branch,
     branch of the previous fiber; five failed retries abort the sampler.
     """
     if share is None:
-        roots, res, ok = solve_fibers(p, z, tol)
+        roots, res, ok = solve_fibers(p, z)
     else:
         first, inverse = share
         roots, res, ok = (np.take(a, inverse, axis=0)
-                          for a in solve_fibers(p, z[first], tol))
+                          for a in solve_fibers(p, z[first]))
     attempt = 0
     while not ok.all():
         attempt += 1
@@ -214,15 +209,14 @@ def _pullback(p: Polynomial, z: np.ndarray, prev_fiber, prev_branch,
             i = int(np.flatnonzero(~ok)[0])
             raise SamplingError(
                 "inverse iteration aborted: fiber solve kept failing at "
-                f"z={z[i]!r} (worst residual {res[i].max():.3e})"
+                f"z={format_complex(z[i])} (worst residual {res[i].max():.3e})"
             )
         bad = np.flatnonzero(~ok)
         if prev_fiber is not None and attempt > 1:
             d = p.degree
             swapped = (prev_branch[bad] + attempt) % d
             z[bad] = prev_fiber[bad, swapped]
-        r2, s2, ok2 = solve_fibers(p, z[bad], tol,
-                                   max_iter=MAX_ITERATIONS * (attempt + 1))
+        r2, s2, ok2 = solve_fibers(p, z[bad], max_iter=MAX_ITERATIONS * (attempt + 1))
         roots[bad], res[bad], ok[bad] = r2, s2, ok2
     return roots[np.arange(z.size), branch], roots
 
@@ -239,7 +233,7 @@ def _orbit_seed(p: Polynomial, m: int):
     return z0, depth + _SPREAD_STEPS
 
 
-def _run_orbits(p: Polynomial, n: int, seed: int, tol: float) -> np.ndarray:
+def _run_orbits(p: Polynomial, n: int, seed: int) -> np.ndarray:
     d = p.degree
     m = min(_ORBIT_BATCH, n)
     z0, burn = _orbit_seed(p, m)
@@ -258,7 +252,7 @@ def _run_orbits(p: Polynomial, n: int, seed: int, tol: float) -> np.ndarray:
             # the last step solves only the members whose fibers it keeps
             w = -(-(n - lo) // d)
             z, fiber, branch, next_branch = z[:w], fiber[:w], branch[:w], next_branch[:w]
-        children, fiber = _pullback(p, z, fiber, branch, next_branch, tol, share)
+        children, fiber = _pullback(p, z, fiber, branch, next_branch, share)
         branch = next_branch
         if step >= burn:
             kept[lo:lo + m * d] = fiber.ravel()[:n - lo]
@@ -266,8 +260,7 @@ def _run_orbits(p: Polynomial, n: int, seed: int, tol: float) -> np.ndarray:
     return kept
 
 
-def sample_julia(p: Polynomial, n: int, seed: int,
-                 tol: float = DEFAULT_TOL) -> PointCloud:
+def sample_julia(p: Polynomial, n: int, seed: int) -> PointCloud:
     """n-point inverse-iteration sample of the Julia set, reproducible per seed.
 
     Raises SamplingError when the fiber solves keep failing or a sample
@@ -277,14 +270,14 @@ def sample_julia(p: Polynomial, n: int, seed: int,
         raise ValueError("julia sampling requires degree >= 2")
     if n < 100:
         raise ValueError("at least 100 sample points required")
-    points = _run_orbits(p, n, seed, tol)
+    points = _run_orbits(p, n, seed)
     radius = escape_radius(p)
     worst = float(np.abs(points).max())
     if worst > radius + 1e-9:
         raise SamplingError(
             f"sampled point escaped the invariant disk ({worst} > {radius})"
         )
-    return PointCloud(points, label=JULIA_SAMPLE)
+    return PointCloud(points)
 
 
 def _inner_radius(p: Polynomial, radius: float, steps: int) -> float:

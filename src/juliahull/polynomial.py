@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -73,10 +72,6 @@ class AffineMap:
 
     def inverse(self) -> "AffineMap":
         return AffineMap(1.0 / self.a, -self.b / self.a)
-
-    @staticmethod
-    def identity() -> "AffineMap":
-        return AffineMap(1.0, 0.0)
 
 
 def _horner(coeffs: np.ndarray, z):
@@ -224,11 +219,10 @@ class ParseError(ValueError):
 
 @dataclass(eq=False)
 class PolySpec:
-    """Parsed CLI polynomial: original text, coefficients, optional preset tag."""
+    """Parsed CLI polynomial: original text and coefficients."""
 
     source: str
     polynomial: Polynomial
-    preset: Optional[str] = None
 
 
 def parse_complex(token: str, column: int = 1) -> complex:
@@ -244,7 +238,7 @@ def _parse_preset(text: str) -> PolySpec:
     head, _, rest = text.partition(":")
     if head == "quad":
         c = parse_complex(rest, column=len(head) + 2)
-        return PolySpec(text, Polynomial([c, 0.0, 1.0]), preset=text)
+        return PolySpec(text, Polynomial([c, 0.0, 1.0]))
     if head in ("cheb", "negcheb"):
         if not rest.isdigit():
             raise ParseError(f"preset degree must be an integer, got {rest!r}",
@@ -255,7 +249,7 @@ def _parse_preset(text: str) -> PolySpec:
         p = chebyshev(d)
         if head == "negcheb":
             p = Polynomial(-p.coeffs)
-        return PolySpec(text, p, preset=text)
+        return PolySpec(text, p)
     # monomial:c,d
     c_text, comma, d_text = rest.rpartition(",")
     if not comma or not d_text.isdigit():
@@ -266,7 +260,7 @@ def _parse_preset(text: str) -> PolySpec:
     if d < 1 or abs(c) == 0.0:
         raise ParseError("monomial preset needs d >= 1 and c != 0",
                          len(head) + 2)
-    return PolySpec(text, monomial(c, d), preset=text)
+    return PolySpec(text, monomial(c, d))
 
 
 def parse_polynomial(text: str) -> PolySpec:

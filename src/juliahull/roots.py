@@ -10,16 +10,18 @@ vectorized batch, which is what the inverse-iteration sampler leans on.
 A quadratic fiber starts from its exact roots instead, in Vieta form
 (``_quadratic_roots``), and the same iteration only confirms them.
 
-A member converges when every residual |p(z) - t| meets its bound and
-that bound is finite.  Where sum |a_j| |z|^j overflows, the bound is inf
-and certifies nothing; such a member, like one whose residual overflows,
-reads unconverged, and numpy is not left to warn of the overflow.
+A member converges when every residual |p(z) - t| meets its bound,
+RESIDUAL_TOL times the evaluation scale, and that bound is finite.  Where
+sum |a_j| |z|^j overflows, the bound is inf and certifies nothing; such a
+member, like one whose residual overflows, reads unconverged, and numpy
+is not left to warn of the overflow.  RESIDUAL_TOL is a constant of this
+module, not a parameter: the reports show it as config.residual_tol.
 
 Everything here is deterministic: no randomness enters the initial
 configuration or the iteration, so identical inputs give identical outputs.
 The iteration holds a batch as (d, members), so each numpy call runs along
-the long member axis, and it adds each root's Aberth sum in a fixed order
-written out in ``_sum_plan``.  Every operation acts on each member's own
+the long member axis, and it adds each root's Aberth sum column by column
+(``_row_sums``).  Every operation acts on each member's own
 roots, so a member's roots, residuals and ``ok`` do not depend on the
 batch it is solved in: not on the other members, their order or number,
 nor on the chunking.  The sampler's deduplicated burn-in and the
@@ -31,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomial import Polynomial, _horner, derivative
+from .polynomial import Polynomial, _horner, derivative, format_complex
 
-DEFAULT_TOL = 1e-10
+# Relative residual bound of a converged member (``_residual_bounds``).
+RESIDUAL_TOL = 1e-10
 # Aberth steps per solve.  Nearly every fiber converges within 200 steps;
 # tiny leading coefficients and coefficients spread over many decades need
 # more (the fibers of 1e-60 z**3 take up to 280).  A member is frozen at
@@ -147,91 +150,44 @@ def _quadratic_roots(coeffs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.stack([big, small], axis=1)
 
 
-def _residual_bounds(abs_coeffs, const_shift, z, tol, floor):
-    """Per-root residual thresholds: tol * max(floor, sum_j |a_j| |z|^j).
+def _residual_bounds(abs_coeffs, const_shift, z, floor):
+    """Per-root residual thresholds: RESIDUAL_TOL * max(floor, sum_j |a_j| |z|^j).
 
     z is laid out as (d, members), and ``const_shift`` and ``floor`` hold
     one value per member.  The evaluation-scale term is the smallest
     residual double precision can certify at a root of that modulus; the
-    floor keeps the bound at least as strict as tol times the largest
-    coefficient modulus.
+    floor keeps the bound at least as strict as RESIDUAL_TOL times the
+    largest coefficient modulus.
     """
     scale = _horner(abs_coeffs, np.abs(z)) + const_shift
-    return tol * np.maximum(scale, floor)
+    return RESIDUAL_TOL * np.maximum(scale, floor)
 
 
-def _sum_plan(d):
-    """The order in which ``_iterate`` adds up the Aberth sums of d roots.
+def _row_sums(by_row, by_col, out):
+    """The Aberth sums S_i of every root, added column by column.
 
     Root i's sum is S_i = sum over j != i of 1/(w_i - w_j); column j holds
-    the terms 1/(w_i - w_j) of every i != j.  Returns ``(count, steps)``:
-    a step ``(a, j)`` with j < d adds column j to accumulator a, and a step
-    ``(a, d + b)`` adds accumulator b to accumulator a.  The ``count``
-    accumulators start at zero, and the sums end in accumulator 0.
-
-    The order is numpy 2.4.6's pairwise summation of one contiguous complex
-    row (``pairwise_sum``), so S_i has the bits that ``.sum(axis=-1)``
-    gives row i of the d x d matrix with a zero diagonal; skipping that
-    zero, like starting from zero, can change only the sign of a zero sum.
-    Over a run of n columns:
-    - n < 4: the columns are added in sequence;
-    - 4 <= n <= 64: column j < 4 floor(n/4) goes to lane j mod 4, the lanes
-      are added as ((0 + 1) + (2 + 3)), and the other columns follow in
-      sequence;
-    - n > 64: the run is split after its first h = (n - n mod 8) / 2
-      columns, and the sums of the two halves are added.
+    the terms 1/(w_i - w_j) of every i != j, and columns 0..d-1 are added
+    in turn into ``out``, the (d, members) accumulator, which starts at
+    zero.  ``by_row`` holds 1/(w_i - w_j) for each pair i < j, ordered by
+    i, and ``by_col`` the same values ordered by j; both are (pairs,
+    members).  Column j takes its entries i < j from ``by_col`` and its
+    entries i > j, 1/(w_i - w_j) = -1/(w_j - w_i), from ``by_row``.  That
+    negation is exact up to the sign of a zero part: IEEE subtraction is
+    sign-symmetric, and so is numpy's complex division (Smith's algorithm),
+    because a negated divisor leaves the ratio unchanged and negates the
+    scale.  Returns ``out``.
     """
-    steps = []
-
-    def add(lo, hi, acc):
-        # columns lo..hi-1 into accumulator acc; returns the first one unused
-        n = hi - lo
-        if n < 4:
-            steps.extend((acc, j) for j in range(lo, hi))
-            return acc + 1
-        if n <= 64:
-            body = hi - n % 4
-            steps.extend((acc + (j - lo) % 4, j) for j in range(lo, body))
-            steps.extend([(acc, d + acc + 1), (acc + 2, d + acc + 3),
-                          (acc, d + acc + 2)])
-            steps.extend((acc, j) for j in range(body, hi))
-            return acc + 4
-        mid = lo + (n - n % 8) // 2
-        right = add(lo, mid, acc)
-        unused = add(mid, hi, right)
-        steps.append((acc, d + right))
-        return unused
-
-    return add(0, d, 0), steps
-
-
-def _row_sums(steps, by_row, by_col, acc):
-    """The Aberth sums S_i of every root, added in the order of ``_sum_plan``.
-
-    ``by_row`` holds 1/(w_i - w_j) for each pair i < j, ordered by i, and
-    ``by_col`` the same values ordered by j; both are (pairs, members).
-    Column j takes its entries i < j from ``by_col`` and its entries i > j,
-    1/(w_i - w_j) = -1/(w_j - w_i), from ``by_row``.  That negation is exact
-    up to the sign of a zero part: IEEE subtraction is sign-symmetric, and
-    so is numpy's complex division (Smith's algorithm), because a negated
-    divisor leaves the ratio unchanged and negates the scale.  ``acc`` is
-    the (count, d, members) accumulator buffer; returns the (d, members) sums.
-    """
-    d = acc.shape[1]
-    acc.fill(0.0)
-    for a, b in steps:
-        out = acc[a]
-        if b >= d:
-            np.add(out, acc[b - d], out=out)
-            continue
-        if b > 0:  # pairs (i, b), i < b, lie together in by_col
-            top = b * (b - 1) // 2
-            np.add(out[:b], by_col[top:top + b], out=out[:b])
-        if b < d - 1:  # pairs (b, i), i > b, lie together in by_row
-            top = b * (2 * d - b - 1) // 2
-            np.subtract(out[b + 1:], by_row[top:top + d - 1 - b],
-                        out=out[b + 1:])
-    return acc[0]
+    d = out.shape[0]
+    out.fill(0.0)
+    for j in range(d):
+        if j > 0:  # pairs (i, j), i < j, lie together in by_col
+            top = j * (j - 1) // 2
+            np.add(out[:j], by_col[top:top + j], out=out[:j])
+        if j < d - 1:  # pairs (j, i), i > j, lie together in by_row
+            top = j * (2 * d - j - 1) // 2
+            np.subtract(out[j + 1:], by_row[top:top + d - 1 - j], out=out[j + 1:])
+    return out
 
 
 def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
@@ -252,13 +208,12 @@ def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
     iterate.
 
     Each step computes the reciprocal 1/(w_i - w_j) of each pair i < j
-    once, into a reused (pairs, members) buffer, and adds each root's sum
-    in the order that ``_sum_plan`` writes out.  That order is the one in
-    which numpy's ``.sum(axis=2)`` once added the rows of a (members, d, d)
-    pair tensor; every other operation is elementwise, so the iterates
-    keep that solver's bits, which no longer depend on numpy's reduction
-    internals.  Each complex product keeps its operand order (``newton *
-    sum``): numpy's complex multiply is not bitwise commutative.
+    once, into a reused (pairs, members) buffer, and ``_row_sums`` adds
+    each root's sum over j in increasing order into one reused (d,
+    members) buffer.  Every operation is elementwise along the member
+    axis, so no bit depends on numpy's reduction internals.  Each complex
+    product keeps its operand order (``newton * sum``): numpy's complex
+    multiply is not bitwise commutative.
     """
     m, d = z.shape
     members = np.arange(m)
@@ -281,13 +236,12 @@ def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
             res = np.empty((m, d))
             ok = np.zeros(m, dtype=bool)
             w, pv = w.copy(), pv.copy()  # C order: members along each row
-            count, steps = _sum_plan(d)
             pairs = d * (d - 1) // 2
             first, second = np.triu_indices(d, 1)  # the pairs in by_row order
             col_order = np.lexsort((first, second))  # the same, ordered by j
             row_buf = np.empty(pairs * m, dtype=np.complex128)
             col_buf = np.empty(pairs * m, dtype=np.complex128)
-            acc_buf = np.empty(count * d * m, dtype=np.complex128)
+            sum_buf = np.empty(d * m, dtype=np.complex128)
         if done.any():
             frozen = members[done]
             z[frozen] = w[:, done].T
@@ -310,8 +264,7 @@ def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
         # every index is in range; "clip" only skips the buffered bounds check
         by_col = np.take(by_row, col_order, axis=0, mode="clip",
                          out=col_buf[:pairs * k].reshape(pairs, k))
-        denom = _row_sums(steps, by_row, by_col,
-                          acc_buf[:count * d * k].reshape(count, d, k))
+        denom = _row_sums(by_row, by_col, sum_buf[:d * k].reshape(d, k))
         dv = _horner(dcoeffs, w)
         dv[dv == 0] = 1e-300
         newton = np.divide(pv, dv, out=pv)
@@ -321,38 +274,35 @@ def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
         w -= np.divide(newton, denom, out=newton)
 
 
-def solve_fibers(p: Polynomial, targets, tol: float = DEFAULT_TOL,
-                 max_iter: int = MAX_ITERATIONS):
+def solve_fibers(p: Polynomial, targets, max_iter: int = MAX_ITERATIONS):
     """Roots of p(z) = t for every t in ``targets``, in vectorized batches.
 
     Returns ``(roots, residuals, ok)`` with shapes (m, d), (m, d), (m,).
     Members are solved in chunks of at most _CHUNK_BUDGET // d**2, which
     bounds the pair buffers of ``_iterate`` at high degree.  ``ok[i]`` is
     True when every residual |p(root) - t| of member i meets the
-    backward-stable bound tol * max(largest coefficient modulus, per-root
-    evaluation scale), and that bound is finite.  No exception is raised
-    here; ``preimage_fibers`` wraps this with the raising behavior.
+    backward-stable bound RESIDUAL_TOL * max(largest coefficient modulus,
+    per-root evaluation scale), and that bound is finite.  No exception is
+    raised here; ``preimage_fibers`` wraps this with the raising behavior.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=np.complex128))
     coeffs = p.coeffs
     d = p.degree
     if d < 1:
         raise ValueError("root solving requires degree >= 1")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     if d == 1:
         roots = ((targets - coeffs[0]) / coeffs[1])[:, None]
         return roots, np.zeros_like(targets.real)[:, None], np.ones(targets.size, bool)
     # members are solved independently, so chunking leaves every bit unchanged
     chunk = max(1, _CHUNK_BUDGET // (d * d))
     if targets.size <= chunk:
-        return _solve_batch(p, targets, tol, max_iter)
-    parts = [_solve_batch(p, targets[lo:lo + chunk], tol, max_iter)
+        return _solve_batch(p, targets, max_iter)
+    parts = [_solve_batch(p, targets[lo:lo + chunk], max_iter)
              for lo in range(0, targets.size, chunk)]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _solve_batch(p: Polynomial, targets: np.ndarray, tol: float, max_iter: int):
+def _solve_batch(p: Polynomial, targets: np.ndarray, max_iter: int):
     """``solve_fibers`` on one chunk of members, for degree >= 2.
 
     Degree 2 starts from the exact roots, in Vieta form; they meet the
@@ -367,8 +317,7 @@ def _solve_batch(p: Polynomial, targets: np.ndarray, tol: float, max_iter: int):
     dcoeffs = derivative(p).coeffs
 
     def bounds_of(z, members):
-        return _residual_bounds(abs_coeffs, const_shift[members], z, tol,
-                                floor[members])
+        return _residual_bounds(abs_coeffs, const_shift[members], z, floor[members])
 
     # an overflow leaves its member unconverged, with a non-finite residual
     # or bound, and numpy need not warn of it
@@ -379,46 +328,45 @@ def _solve_batch(p: Polynomial, targets: np.ndarray, tol: float, max_iter: int):
     return z, res, ok
 
 
-def _solved(p: Polynomial, targets, tol: float, max_iter: int):
+def _solved(p: Polynomial, targets):
     """``solve_fibers`` as (roots, residuals); raises RootSolveError on failure."""
-    roots, res, ok = solve_fibers(p, targets, tol, max_iter)
+    roots, res, ok = solve_fibers(p, targets)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
+        target = format_complex(np.atleast_1d(targets)[i])  # targets may be a scalar
         raise RootSolveError(
-            f"root iteration did not converge for target {targets[i]!r} "
+            f"root iteration did not converge for target {target} "
             f"(worst residual {res[i].max():.3e})",
             best_roots=roots[i], residuals=res[i],
         )
     return roots, res
 
 
-def preimage_fibers(p: Polynomial, targets, tol: float = DEFAULT_TOL,
-                    max_iter: int = MAX_ITERATIONS) -> np.ndarray:
+def preimage_fibers(p: Polynomial, targets) -> np.ndarray:
     """Batched preimages p^{-1}(t) for an array of targets; raises on failure."""
-    return _solved(p, targets, tol, max_iter)[0]
+    return _solved(p, targets)[0]
 
 
-def all_roots(p: Polynomial, tol: float = DEFAULT_TOL,
-              max_iter: int = MAX_ITERATIONS) -> RootSet:
-    """All d roots of p, multiplicity repeated, residuals |p(root)| <= tol*scale."""
-    roots, res = _solved(p, np.zeros(1, dtype=np.complex128), tol, max_iter)
+def all_roots(p: Polynomial) -> RootSet:
+    """All d roots of p, multiplicity repeated, |p(root)| <= RESIDUAL_TOL * scale."""
+    roots, res = _solved(p, np.zeros(1, dtype=np.complex128))
     return RootSet(roots[0], res[0])
 
 
-def critical_points(p: Polynomial, tol: float = DEFAULT_TOL) -> RootSet:
+def critical_points(p: Polynomial) -> RootSet:
     """The d-1 zeros of p'."""
     if p.degree < 2:
         raise ValueError("critical points require degree >= 2")
-    return all_roots(derivative(p), tol)
+    return all_roots(derivative(p))
 
 
-def repelling_fixed_point(p: Polynomial, tol: float = DEFAULT_TOL) -> complex:
+def repelling_fixed_point(p: Polynomial) -> complex:
     """A fixed point z* with |p'(z*)| > 1, of largest multiplier modulus."""
     if p.degree < 2:
         raise ValueError("repelling fixed point requires degree >= 2")
     shifted = p.coeffs.copy()
     shifted[1] -= 1.0
-    fixed = all_roots(Polynomial(shifted), tol)
+    fixed = all_roots(Polynomial(shifted))
     multipliers = np.abs(_horner(derivative(p).coeffs, fixed.roots))
     repelling = multipliers > 1.0 + _REPELLING_MARGIN
     if not repelling.any():

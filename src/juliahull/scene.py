@@ -98,7 +98,7 @@ def _hull_path(cam: _Camera, hull) -> str:
 
 
 def render_scene(ctx: HullContext, label: str):
-    """Compose the SVG scene for one context; returns (svg text, escape grid).
+    """Compose the SVG scene for one context; returns (svg text, check reports).
 
     Layers: bounded-set raster underlay, Julia sample cloud, hull outline,
     preimages of hull boundary samples, critical points, and a legend with
@@ -135,10 +135,9 @@ def render_scene(ctx: HullContext, label: str):
     parts.append(_hull_path(cam, ctx.hull))
 
     targets = boundary_points(ctx.hull, min(_PREIMAGE_TARGETS, cfg.boundary_samples))
-    fibers = preimage_fibers(p, targets, cfg.residual_tol).ravel()
+    fibers = preimage_fibers(p, targets).ravel()
     parts.extend(_circle_marks(cam, fibers, 2.2, "#e08214"))
-    parts.extend(_cross_marks(cam, critical_points(p, cfg.residual_tol).roots,
-                              6.0, "#c03030"))
+    parts.extend(_cross_marks(cam, critical_points(p).roots, 6.0, "#c03030"))
 
     legend = [f"poly: {label}"]
     legend.extend(f"{r.check}: {r.verdict}"
@@ -150,4 +149,4 @@ def render_scene(ctx: HullContext, label: str):
         parts.append(f'<text x="12" y="{22 + 18 * i}" font-family="monospace" '
                      f'font-size="14" fill="#101010">{line}</text>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n", grid
+    return "\n".join(parts) + "\n", reports

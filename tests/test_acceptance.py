@@ -93,9 +93,10 @@ def test_criterion_2_known_equality_cases():
         cls = classify_equality(build_context(moved, CheckConfig(seed=100 + i)))
         if cls.kind != expected:
             failures.append((f"conjugate #{i}", cls.kind, None))
-    # From degree 16 up the sample's hull gap may exceed tol_rel * diam
-    # (ROADMAP item 1), so the classifier may report the disagreement, but
-    # it must never read StrictInclusion.
+    # From degree 16 up the sample's hull gap may exceed tol_rel * diam,
+    # because of the solver's residual tolerance (ROADMAP item 2), so the
+    # classifier may report the disagreement, but it must never read
+    # StrictInclusion.
     for d in (8, 12, 16, 20):
         for name, p, expected in [(f"cheb:{d}", chebyshev(d), CHEBYSHEV_CONJUGATE),
                                   (f"monomial:1,{d}", monomial(1, d),

@@ -1,6 +1,7 @@
 import json
 import runpy
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,7 @@ from juliahull.checks import (
     _report,
 )
 from juliahull.geometry import PROPER, _min_area_rectangle
-from juliahull.roots import solve_fibers
+from juliahull.roots import RESIDUAL_TOL, solve_fibers
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -75,13 +76,23 @@ class TestCheckConfig:
         dict(tol_rel=0.2),
         dict(tol_rel=0.0),
         dict(seed=-1),
-        dict(residual_tol=0.0),
+        dict(tol_rel=0.05),
         dict(grid_resolution=32),
         dict(grid_max_iter=10),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             CheckConfig(**kwargs)
+
+    def test_residual_tol_is_not_a_setting(self):
+        # the root solver's tolerance is a constant of roots; the config
+        # only shows it
+        with pytest.raises(TypeError):
+            CheckConfig(residual_tol=1e-12)
+        assert [f.name for f in fields(CheckConfig) if f.init] == [
+            "julia_samples", "boundary_samples", "interior_samples", "tol_rel",
+            "seed", "grid_resolution", "grid_max_iter"]
+        assert CheckConfig().residual_tol == RESIDUAL_TOL
 
 
 def test_query_hull_decimation_follows_tolerance():
@@ -363,7 +374,7 @@ def _round_by_round_convexity(ctx: HullContext):
     for _ in range(60):
         w = corner + axis * (rng.uniform(0.0, width, 128)
                              + 1j * rng.uniform(0.0, height, 128))
-        roots, _, ok = solve_fibers(p, w, cfg.residual_tol)
+        roots, _, ok = solve_fibers(p, w)
         sd = signed_distance(ctx.hull_query, roots.ravel()).reshape(roots.shape)
         good = ok & (sd.max(axis=1) <= tol)
         admissible.extend(w[good].tolist())
@@ -376,7 +387,7 @@ def _round_by_round_convexity(ctx: HullContext):
     w2 = np.array(admissible[1:2 * pairs:2])
     ts = np.linspace(0.1, 0.9, 9)
     mixed = (ts[:, None] * w1[None, :] + (1.0 - ts)[:, None] * w2[None, :]).ravel()
-    points = preimage_fibers(p, mixed, cfg.residual_tol).ravel()
+    points = preimage_fibers(p, mixed).ravel()
     return _report(ctx, PREIMAGE_CONVEXITY, points,
                    signed_distance(ctx.hull_query, points),
                    note=f"{pairs} admissible pairs tested")

@@ -16,12 +16,10 @@ class TestParse:
     def test_coefficient_list(self):
         spec = parse_polynomial("-1,0,2")
         assert np.allclose(spec.polynomial.coeffs, [-1, 0, 2])
-        assert spec.preset is None
 
     def test_chebyshev_preset(self):
         spec = parse_polynomial("cheb:2")
         assert np.allclose(spec.polynomial.coeffs, [-1, 0, 2])
-        assert spec.preset == "cheb:2"
 
     def test_negated_chebyshev_preset(self):
         spec = parse_polynomial("negcheb:3")
@@ -183,6 +181,18 @@ class TestCommands:
         assert [d["verdict"] for d in docs[:5]] == [
             "Inconclusive", "Pass", "Pass", "Inconclusive", "Inconclusive"]
 
+    def test_report_config_shows_the_solver_tolerance(self, capsys):
+        assert main(["suite", "--poly", "quad:-1+0i"] + SMALL) == 0
+        docs = json.loads(capsys.readouterr().out,
+                          object_pairs_hook=lambda pairs: pairs)
+        for doc in docs[:5]:
+            config = dict(doc)["config"]
+            assert [k for k, _ in config] == [
+                "julia_samples", "boundary_samples", "interior_samples",
+                "tol_rel", "seed", "residual_tol", "grid_resolution",
+                "grid_max_iter"]
+            assert dict(config)["residual_tol"] == 1e-10
+
     def test_suite_appends_classification(self, tmp_path):
         out = tmp_path / "suite.json"
         code = main(["suite", "--poly", "cheb:3", "--out", str(out),
@@ -316,6 +326,16 @@ class TestRender:
                 assert lo[1] - 1 <= cy <= hi[1] + 1
         header = raster.read_bytes()[:80]
         assert header.startswith(b"P5\n# R=")
+
+    def test_failed_check_sets_the_exit_code(self, tmp_path):
+        # the same exit codes as check: a Fail in the legend exits 1
+        argv = ["--poly", "quad:-0.12+0.74i", "--n", "1000", "--m", "64",
+                "--k", "16", "--res", "64", "--max-iter", "50", "--tol", "1e-6"]
+        out = tmp_path / "scene.svg"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["check"] + argv) == 1
+        assert main(["render", "--out", str(out)] + argv) == 1
+        assert "backward_inclusion: Fail" in out.read_text()
 
     def test_render_deterministic(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

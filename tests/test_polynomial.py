@@ -173,7 +173,7 @@ class TestCompose:
 
 class TestConjugate:
     def test_identity_map(self, squaring):
-        out = conjugate(squaring, AffineMap.identity())
+        out = conjugate(squaring, AffineMap(1.0))
         assert np.allclose(out.coeffs, squaring.coeffs)
 
     def test_t2_is_even(self, t2):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from juliahull import (
     signed_distance,
 )
 from juliahull.polynomial import _horner, derivative
-from juliahull.roots import DEFAULT_TOL, MAX_ITERATIONS
+from juliahull.roots import MAX_ITERATIONS, RESIDUAL_TOL
 
 
 def match_multisets(found, expected, tol):
@@ -51,19 +53,18 @@ class TestAllRoots:
     def test_residual_bound_simple_roots(self):
         # O(1) simple roots satisfy the plain coefficient-scale bound
         p = Polynomial([-6, 11, -6, 1])  # (z-1)(z-2)(z-3)
-        rs = all_roots(p, tol=1e-12)
-        assert rs.residuals.max() <= 1e-12 * np.abs(p.coeffs).max()
+        rs = all_roots(p)
+        assert rs.residuals.max() <= RESIDUAL_TOL * np.abs(p.coeffs).max()
         assert len(rs) == 3
 
     def test_residual_bound_with_multiplicity(self):
         # (z-1)^2 (z+2): the double root is certified against the
-        # backward-stable bound tol * max(coeff scale, evaluation scale)
+        # backward-stable bound RESIDUAL_TOL * max(coeff scale, evaluation scale)
         p = Polynomial([2, -3, 0, 1])
-        tol = 1e-12
-        rs = all_roots(p, tol=tol)
+        rs = all_roots(p)
         eval_scale = np.array([np.abs(p.coeffs) @ np.abs(r) ** np.arange(4)
                                for r in rs.roots])
-        bound = tol * np.maximum(np.abs(p.coeffs).max(), eval_scale)
+        bound = RESIDUAL_TOL * np.maximum(np.abs(p.coeffs).max(), eval_scale)
         assert np.all(rs.residuals <= bound)
         assert len(rs) == 3
 
@@ -73,10 +74,16 @@ class TestAllRoots:
         b = all_roots(p).roots
         assert np.array_equal(a, b)
 
-    def test_nonconvergence_carries_best_iterate(self):
+    def test_nonconvergence_carries_best_iterate(self, monkeypatch):
+        # one Aberth step leaves the degree-7 roots short of the bound
+        monkeypatch.setattr(roots_mod, "solve_fibers",
+                            partial(roots_mod.solve_fibers, max_iter=1))
         p = Polynomial(np.arange(1, 9, dtype=complex))
         with pytest.raises(RootSolveError) as info:
-            all_roots(p, tol=1e-14, max_iter=1)
+            all_roots(p)
+        # the target in the CLI's grammar, not a numpy repr
+        assert str(info.value).startswith(
+            "root iteration did not converge for target 0.0 (worst residual ")
         assert info.value.best_roots is not None
         assert info.value.residuals is not None
 
@@ -222,8 +229,8 @@ class TestQuadraticStart:
     @pytest.mark.parametrize("coeffs", _CANCELLATION_CASES.values(),
                              ids=_CANCELLATION_CASES.keys())
     def test_exact_start_takes_no_step(self, monkeypatch, coeffs):
-        # the starts pass at step 0, before any pair buffer is planned
-        monkeypatch.setattr(roots_mod, "_sum_plan", None)
+        # the starts pass at step 0, before any Aberth sum is taken
+        monkeypatch.setattr(roots_mod, "_row_sums", None)
         p = Polynomial(coeffs)
         targets = _mixed_targets(p, 4096, seed=3)
         roots, _, ok = roots_mod.solve_fibers(p, targets)
@@ -237,7 +244,6 @@ class TestQuadraticStart:
 
     def test_perturbed_start_converges_through_the_iteration(self, monkeypatch):
         p = Polynomial([-0.12 + 0.74j, 0.3, 1])
-        tol = 1e-10
         targets = _mixed_targets(p, 512, seed=5)
         exact = roots_mod._quadratic_roots(p.coeffs, targets)
         start = exact + 1e-3 * np.abs(exact) * np.exp(1j * np.arange(2))
@@ -248,13 +254,13 @@ class TestQuadraticStart:
             return start.copy()
 
         monkeypatch.setattr(roots_mod, "_quadratic_roots", perturbed)
-        roots, res, ok = roots_mod.solve_fibers(p, targets, tol)
+        roots, res, ok = roots_mod.solve_fibers(p, targets)
         assert starts == [targets.size]
         assert ok.all()
         # the backward-stable bound of p(z) - t, whose constant term is a_0 - t
         shifted = np.abs(p.coeffs - np.eye(3)[0] * targets[:, None])
         scale = np.einsum("mrj,mj->mr", np.abs(roots)[..., None] ** np.arange(3), shifted)
-        assert np.all(res <= tol * np.maximum(shifted.max(axis=1)[:, None], scale))
+        assert np.all(res <= RESIDUAL_TOL * np.maximum(shifted.max(axis=1)[:, None], scale))
         # each member's pair is the exact pair, in either order
         straight = np.abs(roots - exact).max(axis=1)
         crossed = np.abs(roots - exact[:, ::-1]).max(axis=1)
@@ -265,9 +271,11 @@ def _reference_iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
     """The plain solver loop, the oracle for ``roots._iterate``.
 
     It gathers z[active] and scatters it back every step, masks the
-    diagonal with a boolean eye and allocates every temporary anew.  Its
-    ``inv.sum(axis=2)`` fixes the summation order that ``roots._sum_plan``
-    writes out.
+    diagonal with a boolean eye and allocates every temporary anew.  It
+    adds the columns of the (active, d, d) reciprocal tensor one by one,
+    j = 0..d-1, the order of ``roots._row_sums``; the zero on the diagonal
+    that it adds and the solver skips cannot change a bit, since a sum
+    that starts at +0 never reads -0.
     """
     m, d = z.shape
     eye = np.eye(d, dtype=bool)
@@ -294,13 +302,16 @@ def _reference_iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
         newton = pv / dv
         inv = 1.0 / diff
         inv[:, eye] = 0.0
-        denom = 1.0 - newton * inv.sum(axis=2)
+        sums = np.zeros_like(newton)
+        for j in range(d):
+            sums += inv[:, :, j]
+        denom = 1.0 - newton * sums
         denom = np.where(denom == 0, 1.0, denom)
         z[active] = za - newton / denom
     return z
 
 
-def _reference_solve(p, targets, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
+def _reference_solve(p, targets, max_iter=MAX_ITERATIONS):
     """One batch of ``solve_fibers`` through ``_reference_iterate``.
 
     Residuals and ``ok`` are computed afresh at the final iterates, and the
@@ -315,7 +326,7 @@ def _reference_solve(p, targets, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
 
     def bounds_of(z, members):
         scale = _horner(abs_coeffs, np.abs(z)).real + const_shift[members, None]
-        return tol * np.maximum(scale, floor[members, None])
+        return RESIDUAL_TOL * np.maximum(scale, floor[members, None])
 
     z = roots_mod._initial_points(coeffs, targets, p.degree)
     z = _reference_iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter)
@@ -338,8 +349,6 @@ class TestReferenceSolver:
     """``solve_fibers`` gives the reference loop's results bit for bit."""
 
     @pytest.mark.parametrize("monic", [False, True], ids=["general", "monic"])
-    # d = 3 adds its sums in sequence; from d = 4 on they go round four
-    # lanes, with 0 to 3 columns left over; d = 66 below splits them in two
     @pytest.mark.parametrize("d", [*range(3, 10), 12, 16])
     # every member here converges within 200 steps, so 200 gives the bits of
     # the full budget, and 3 steps converge none; the two tests below run
@@ -361,7 +370,7 @@ class TestReferenceSolver:
     @pytest.mark.parametrize("d", [*range(2, 81), 129, 257])
     def test_planned_sums_equal_numpy_sum(self, d):
         # rows of an antisymmetric matrix with a zero diagonal, the shape of
-        # the Aberth terms 1/(w_i - w_j); numpy sums each contiguous row
+        # the Aberth terms 1/(w_i - w_j); _row_sums adds the columns in turn
         rng = np.random.default_rng(d)
         members = 5
         shape = (d * (d - 1) // 2, members)
@@ -371,11 +380,21 @@ class TestReferenceSolver:
         matrix[:, i, j] = pairs.T
         matrix[:, j, i] = -pairs.T
         by_col = pairs[np.lexsort((i, j))]
-        count, steps = roots_mod._sum_plan(d)
-        acc = np.empty((count, d, members), dtype=np.complex128)
-        sums = roots_mod._row_sums(steps, pairs, by_col, acc)
-        expected = np.ascontiguousarray(matrix.sum(axis=-1).T)
-        assert np.array_equal(sums.view(np.uint64), expected.view(np.uint64))
+        sums = roots_mod._row_sums(pairs, by_col,
+                                   np.empty((d, members), dtype=np.complex128))
+        # bit for bit the sum of the columns in order, diagonal included
+        columns = np.zeros((members, d), dtype=np.complex128)
+        for k in range(d):
+            columns += matrix[:, :, k]
+        assert np.array_equal(sums.view(np.uint64),
+                              np.ascontiguousarray(columns.T).view(np.uint64))
+        # numpy's pairwise row sum agrees to rounding, and bit for bit below
+        # d = 4, where it too adds in sequence
+        expected = matrix.sum(axis=-1).T
+        bound = 2 * d * np.finfo(float).eps * np.abs(matrix).sum(axis=-1).T
+        assert np.all(np.abs(sums - expected) <= bound)
+        if d < 4:
+            assert np.array_equal(sums, expected)
 
     @pytest.mark.parametrize("d", range(3, 13))
     def test_colliding_start_points(self, monkeypatch, d):
@@ -465,8 +484,9 @@ class TestNonFiniteResidual:
         p = Polynomial([1, 2, 3, 4, 5, 6, 7, 8, 1e-45])
         roots, res, ok = roots_mod.solve_fibers(p, [0.5])
         assert not ok.any()
-        with pytest.raises(RootSolveError, match="did not converge"):
-            preimage_fibers(p, [0.5])
+        for targets in ([0.5], 0.5):
+            with pytest.raises(RootSolveError, match="did not converge for target 0.5 "):
+                preimage_fibers(p, targets)
 
     def test_converged_members_have_finite_residuals(self):
         # tiny leading coefficients at degree 8: every member reported as
