@@ -23,9 +23,10 @@ Two trees whose lines are identical give byte-identical reports, scenes,
 rasters and exit codes on the whole benchmark.
 
 Every benchmark polynomial has degree 6 or less, so three more lines per
-polynomial of ``SAMPLED`` digest ``sample_julia(p, 20_000, seed)`` at a
-higher degree, its ``convex_hull`` and the cells of
-``escape_grid(p, 512, 200)``, in the same fields:
+polynomial of ``SAMPLED`` (a real one and a unimodular monomial among
+them) digest ``sample_julia(p, 20_000, seed)`` at a higher degree, its
+``convex_hull`` and the cells of ``escape_grid(p, 512, 200)``, in the
+same fields:
 
     seed sample/name 0 sha256(points) sha256(b"") sha256(b"") sha256(b"")
     seed hull/name 0 sha256(vertices) sha256(b"") sha256(b"") sha256(b"")
@@ -60,6 +61,7 @@ from juliahull import (  # noqa: E402
     conjugate,
     convex_hull,
     escape_grid,
+    monomial,
     sample_julia,
 )
 from juliahull.cli import main as cli_main  # noqa: E402
@@ -76,9 +78,19 @@ def _random_polynomial(d: int, seed: int) -> Polynomial:
     return Polynomial(rng.uniform(0, 1, d + 1) + 1j * rng.uniform(0, 1, d + 1))
 
 
+def _real_polynomial(d: int, seed: int) -> Polynomial:
+    """Real coefficients uniform in [-1, 1), seeded by (seed, d, 1)."""
+    rng = np.random.default_rng([seed, d, 1])
+    return Polynomial(rng.uniform(-1, 1, d + 1))
+
+
 # Sampled polynomials of degree above 6, each built from the seed.  The
 # fixed conjugate g o T_8 o g^-1 has a thin, tilted and shifted Julia set,
 # the segment g([-1, 1]), so its sample and hull lines cover that path.
+# The real polynomial's Julia set is symmetric about the real axis, and
+# its fibers near that axis mix real roots and conjugate pairs, where a
+# conjugation-symmetric start can stall; the monomial's fibers are
+# binomials, whose starts lie next to their roots.
 SAMPLED = {
     "cheb:8": lambda seed: chebyshev(8),
     "cheb8-conjugate": lambda seed: conjugate(chebyshev(8),
@@ -86,6 +98,8 @@ SAMPLED = {
     "cheb:16": lambda seed: chebyshev(16),
     "random-d12": lambda seed: _random_polynomial(12, seed),
     "random-d24": lambda seed: _random_polynomial(24, seed),
+    "real-d8": lambda seed: _real_polynomial(8, seed),
+    "monomial-c7": lambda seed: monomial(0.6 + 0.8j, 7),
 }
 
 

@@ -418,8 +418,9 @@ class TestReferenceSolver:
             assert np.array_equal(a, b)
 
     def test_tiny_leading_coefficient_converges(self):
-        # 1e-60 z**3: from the Cauchy circle every member took more than
-        # 200 steps; the Newton-polygon circle has the roots' modulus
+        # 1e-60 z**3: from the Cauchy circle these members took up to 275
+        # steps; the Newton-polygon start, at the roots of its one edge
+        # binomial turned by _START_TURN, takes 2
         p = Polynomial([0, 0, 0, 1e-60])
         rng = np.random.default_rng(60)
         targets = escape_radius(p) * np.sqrt(rng.uniform(0, 1, 500)) * np.exp(
@@ -434,7 +435,7 @@ class TestNewtonPolygonStart:
     """Aberth starts on the circles of the Newton polygon of p - t."""
 
     @pytest.mark.parametrize("c, d", [(1.0, 3), (0.6 + 0.8j, 5), (1e-60, 3), (3e4j, 7)])
-    def test_monomial_fiber_starts_on_one_circle(self, c, d):
+    def test_monomial_fiber_starts_on_one_circle(self, monkeypatch, c, d):
         # c z^d - t: one edge from 0 to d, the circle of radius |t/c|^(1/d)
         coeffs = np.zeros(d + 1, dtype=np.complex128)
         coeffs[-1] = c
@@ -442,9 +443,18 @@ class TestNewtonPolygonStart:
         z = roots_mod._initial_points(coeffs, targets, d)
         expected = np.abs(targets / c) ** (1.0 / d)
         assert np.allclose(np.abs(z), expected[:, None], rtol=1e-12, atol=0)
-        # equally spaced, turned by the fixed rotation
-        angles = 2.0 * np.pi * np.arange(d) / d + roots_mod._INIT_ROTATION
-        assert np.allclose(z / np.abs(z), np.exp(1j * angles), atol=1e-12)
+        # at the d-th roots of t/c, turned by _START_TURN of their spacing
+        turned = np.exp(1j * np.angle(targets / c)[:, None] / d + 2j * np.pi
+                        * (np.arange(d) + roots_mod._START_TURN) / d)
+        gaps = np.abs((z / np.abs(z))[:, :, None] - turned[:, None, :])
+        assert np.all(gaps.min(axis=1) <= 1e-12)  # one start per turned root
+        # a small turn off the exact roots: Aberth takes two steps at most
+        steps = []
+        row_sums = roots_mod._row_sums
+        monkeypatch.setattr(roots_mod, "_row_sums",
+                            lambda *args: steps.append(1) or row_sums(*args))
+        assert roots_mod.solve_fibers(Polynomial(coeffs), targets)[2].all()
+        assert len(steps) <= 2
 
     @pytest.mark.parametrize("t", [1.0 - 1e-6, 1.0 + 1e-3j, 0.9, 1.2])
     def test_chebyshev_fiber_near_its_critical_value(self, t):
@@ -464,6 +474,27 @@ class TestNewtonPolygonStart:
         roots, _, ok = roots_mod.solve_fibers(p, [0.0])
         assert ok.all()
         assert np.min(np.abs(roots)) < 1e-300
+
+    def test_real_fibers_leave_the_real_axis(self):
+        # A real polynomial at a real target has conjugation-symmetric edge
+        # binomials, and Aberth keeps a symmetric start symmetric up to
+        # rounding, so starts on the binomials' own roots can be held on
+        # the real axis.  With _START_TURN = 0, 7 of these 11,060 members
+        # stay unconverged; with the turn, every member converges (0.3 to
+        # 0.5 s on a 2-vCPU machine).
+        rng = np.random.default_rng(0)
+        for d in range(3, 13):
+            fibers = []
+            for _ in range(12):
+                a = rng.uniform(-1, 1, d + 1)
+                fibers.append((a, rng.uniform(-2, 2, 41)))
+                # real coefficients spread over 10^-6..10^6
+                a = rng.choice([-1.0, 1.0], d + 1) * 10.0 ** rng.uniform(-6, 6, d + 1)
+                fibers.append((a, a[0] * rng.uniform(-2, 2, 41)))
+            for sign in (1.0, -1.0):
+                fibers.append((sign * chebyshev(d).coeffs, rng.uniform(-1.5, 1.5, 61)))
+            for a, targets in fibers:
+                assert roots_mod.solve_fibers(Polynomial(a), targets)[2].all()
 
     def test_starts_follow_an_affine_conjugate(self):
         # the fibers of g o T_5 o g^-1 over its Julia set lie within 1.4 of
