@@ -85,6 +85,10 @@ class EqualityUnresolvedError(RuntimeError):
     """The normal form and the measured hull gap disagree on hull equality."""
 
 
+# Every accepted tol_rel lies below this bound (``CheckConfig``).
+_TOL_REL_LIMIT = 0.05
+
+
 @dataclass
 class CheckConfig:
     """Sampling and tolerance knobs shared by all checks."""
@@ -104,8 +108,8 @@ class CheckConfig:
             raise ValueError("julia_samples must be at least 1000")
         if self.boundary_samples < 16 or self.interior_samples < 16:
             raise ValueError("boundary and interior sample counts must be >= 16")
-        if not 0.0 < self.tol_rel < 0.05:
-            raise ValueError("tol_rel must lie in (0, 0.05)")
+        if not 0.0 < self.tol_rel < _TOL_REL_LIMIT:
+            raise ValueError(f"tol_rel must lie in (0, {_TOL_REL_LIMIT:g})")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.grid_resolution < 64:
@@ -462,10 +466,14 @@ def classify_equality(ctx: HullContext) -> Classification:
             f"matches neither +-T_d nor z^d (residual {nearest:.3g}); lower "
             "--tol to test for strict inclusion, or increase n (--n) to "
             "sharpen the sample")
+    if gap < _TOL_REL_LIMIT * ctx.diameter:
+        advice = "raise --tol to accept the gap"
+    else:
+        advice = f"no accepted --tol covers the gap, as --tol must lie below {_TOL_REL_LIMIT:g}"
     raise EqualityUnresolvedError(
         f"the normal form reads {match[0]} (residual {match[3]:.3g}), but the "
         f"{gap_text} exceeds tol_rel {cfg.tol_rel:g}; the Julia sample is not "
-        "accurate enough to show the hull equality: raise --tol to accept the gap")
+        f"accurate enough to show the hull equality: {advice}")
 
 
 def run_checks(ctx: HullContext) -> list[CheckReport]:

@@ -305,10 +305,12 @@ def _reduce_cycle(v: np.ndarray, scale: float) -> np.ndarray:
 def _sort_distinct(pts: np.ndarray, dup: float):
     """(points, near): lexicographically sorted, each run cut to its first.
 
+    numpy orders complex values by real part, then imaginary part; the
+    stable sort keeps exact ties, such as 0.0 and -0.0, in input order.
     A run is a chain of neighbours at most ``dup`` apart in the sort;
     ``near`` holds the first of each pair of distinct such neighbours.
     """
-    pts = pts[np.lexsort((pts.imag, pts.real))]
+    pts = np.sort(pts, kind="stable")
     gap = np.abs(np.diff(pts))
     near = gap <= dup
     return pts[np.concatenate([[True], ~near])], pts[:-1][near & (gap > 0.0)]

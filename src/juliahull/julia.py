@@ -4,12 +4,24 @@
 iteration: every step solves the whole fiber p(.) = z of each orbit's
 current point, keeps all d preimages as sample points, and moves the orbit
 on along one randomly chosen branch.  Orbits are run as one vectorized
-batch, which is equivalent to many independent seeded orbits.  All
-orbits start at one point, so burn-in solves each distinct target once,
-until every target of a step is distinct, and hands its fiber to every
-orbit at it: a fiber does not depend on the batch it is solved in, so no
-sample bit changes.  For the same reason the last step solves only the
-first ceil(rest / d) orbits, whose fibers fill the rest of the sample.
+batch, which is equivalent to many independent seeded orbits.
+
+The orbits start at a repelling fixed point z0, which lies on J_p, as
+does every iterated preimage of it, so points are kept from the first
+step on.  That step solves z0's fiber alone, keeps it, and sends the
+orbits along its other d - 1 roots: under z0's own root, the root
+nearest z0 (simple, as p'(z0) != 0), the preimage tree repeats the
+points kept one level up.  While orbits share targets, a step solves
+each distinct target once, hands its fiber to every orbit at it, and
+keeps it once, in the order of the targets' first orbits; once every
+target is distinct, it keeps every fiber.  Each kept fiber is thus that
+of z0 or of an earlier kept point, and no point is kept twice.  The last
+step solves only the targets whose fibers fill the rest of the sample,
+held by a prefix of the orbits, so a sample is the prefix of any larger
+one at the same seed.  A fiber does not depend on the batch it is solved
+in, so sharing and trimming change no sample bit.  When no fixed point
+repels, the orbits start at 1+0i, off J_p, and the first 2 * BURN_IN
+steps are discarded.
 
 ``escape_grid`` rasters the bounded-orbit set by iterating cell centers
 until they leave the escape disk; ``_bounded`` is that iteration.  The
@@ -59,7 +71,6 @@ cycle test ``==``, and neither sees a sign.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,14 +83,11 @@ from .roots import (
     solve_fibers,
 )
 
-# Pullback steps discarded before points are kept.  A repelling fixed point
-# lies on the Julia set, and so does every iterated preimage of it: there
-# burn-in only spreads the batch over distinct branches of the preimage
-# tree, which takes ceil(log_d(batch)) steps plus _SPREAD_STEPS.  The
-# generic seed 1+0i (used when no fixed point repels) is not on the Julia
-# set, so its orbits need 2 * BURN_IN steps of geometric convergence.
+# Half the pullback steps discarded from orbits seeded at 1+0i, used when
+# no fixed point repels: that seed is not on the Julia set, so its orbits
+# need 2 * BURN_IN steps of geometric convergence.  Orbits seeded at a
+# repelling fixed point discard none.
 BURN_IN = 64
-_SPREAD_STEPS = 4
 
 # Orbits advanced in lockstep per batch; a throughput knob, not semantics.
 _ORBIT_BATCH = 2048
@@ -167,11 +175,12 @@ class SamplingError(RuntimeError):
 def _distinct(z: np.ndarray):
     """(first, inverse) with z[first] holding each bit pattern of z once.
 
-    z is z[first][inverse] bit for bit.  Targets are sorted by one 64-bit
-    key, the real part's bits xor the imaginary part's with their halves
-    swapped, so the two sign bits stay apart and z, -z and conj(z) get
-    different keys.  A run of bit-identical neighbours is one target: a key
-    shared by two patterns can only split a pattern, never merge two.
+    z is z[first][inverse] bit for bit, and ``first`` holds the least index
+    of each pattern.  Targets are sorted by one 64-bit key, the real part's
+    bits xor the imaginary part's with their halves swapped, so the two
+    sign bits stay apart and z, -z and conj(z) get different keys.  A run
+    of bit-identical neighbours is one target: a key shared by two patterns
+    can only split a pattern, never merge two.
     """
     re, im = z.view(np.uint64).reshape(z.size, 2).T
     order = np.argsort(re ^ ((im << 32) | (im >> 32)))
@@ -182,7 +191,7 @@ def _distinct(z: np.ndarray):
     starts[1:] |= im[1:] != im[:-1]
     inverse = np.empty(z.size, dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
+    return np.minimum.reduceat(order, np.flatnonzero(starts)), inverse
 
 
 def _pullback(p: Polynomial, z: np.ndarray, prev_fiber, prev_branch,
@@ -195,6 +204,8 @@ def _pullback(p: Polynomial, z: np.ndarray, prev_fiber, prev_branch,
     orbit alone gives.  A member whose fiber solve fails is retried, first
     with a longer iteration budget, then by backing up to a different
     branch of the previous fiber; five failed retries abort the sampler.
+    ``prev_fiber`` holds the roots each orbit may back up to: its previous
+    fiber, or after the fixed point's step that fiber without z0's root.
     """
     if share is None:
         roots, res, ok = solve_fibers(p, z)
@@ -213,50 +224,68 @@ def _pullback(p: Polynomial, z: np.ndarray, prev_fiber, prev_branch,
             )
         bad = np.flatnonzero(~ok)
         if prev_fiber is not None and attempt > 1:
-            d = p.degree
-            swapped = (prev_branch[bad] + attempt) % d
+            swapped = (prev_branch[bad] + attempt) % prev_fiber.shape[1]
             z[bad] = prev_fiber[bad, swapped]
         r2, s2, ok2 = solve_fibers(p, z[bad], max_iter=MAX_ITERATIONS * (attempt + 1))
         roots[bad], res[bad], ok[bad] = r2, s2, ok2
     return roots[np.arange(z.size), branch], roots
 
 
-def _orbit_seed(p: Polynomial, m: int):
-    """Start point and burn-in length for a batch of m orbits."""
+def _orbit_seed(p: Polynomial):
+    """Start point of the orbits and the number of their steps discarded."""
     try:
-        z0 = repelling_fixed_point(p)
+        return repelling_fixed_point(p), 0
     except NoRepellingFixedPointError:
         return 1.0 + 0j, 2 * BURN_IN
-    depth = 0  # ceil(log_d m), in exact integer arithmetic
-    while p.degree ** depth < m:
-        depth += 1
-    return z0, depth + _SPREAD_STEPS
 
 
 def _run_orbits(p: Polynomial, n: int, seed: int) -> np.ndarray:
     d = p.degree
     m = min(_ORBIT_BATCH, n)
-    z0, burn = _orbit_seed(p, m)
-    per = math.ceil(n / (m * d))
+    z0, burn = _orbit_seed(p)
     rng = np.random.Generator(np.random.Philox(seed))
-    z = np.full(m, z0, dtype=np.complex128)
     kept = np.empty(n, dtype=np.complex128)
-    fiber = branch = None
-    shared = True  # burn-in orbits share targets until every target is distinct
-    for step in range(burn + per):
-        next_branch = rng.integers(0, d, size=m)
-        share = _distinct(z) if shared and step < burn else None
-        shared = share is not None and share[0].size < m
-        lo = (step - burn) * m * d
-        if step == burn + per - 1:
-            # the last step solves only the members whose fibers it keeps
+    lo = 0  # points kept so far
+    if burn:
+        z = np.full(m, z0, dtype=np.complex128)
+        fiber = branch = None
+    else:
+        # keep z0's fiber, and leave z0 along its other d - 1 roots
+        _, fiber = _pullback(p, np.array([z0]), None, None, np.zeros(1, dtype=np.intp))
+        kept[:d] = fiber[0, :n]
+        lo = min(d, n)
+        fiber = np.delete(fiber, np.argmin(np.abs(fiber[0] - z0)), axis=1)
+        branch = rng.integers(0, d - 1, size=m)
+        z = fiber[0, branch]
+        fiber = np.broadcast_to(fiber, (m, d - 1))
+    shared = True  # orbits share targets until every target of a step is distinct
+    step = 0
+    while lo < n:
+        next_branch = rng.integers(0, d, size=z.size)
+        share = _distinct(z) if shared else None
+        shared = share is not None and share[0].size < z.size
+        keep = step >= burn
+        if keep and (z.size if share is None else share[0].size) * d >= n - lo:
+            # the last step solves only the members whose fibers it keeps:
+            # the first w distinct targets, held by the first k orbits
             w = -(-(n - lo) // d)
-            z, fiber, branch, next_branch = z[:w], fiber[:w], branch[:w], next_branch[:w]
+            k = w if share is None else np.sort(share[0])[w - 1] + 1
+            z, fiber, branch, next_branch = z[:k], fiber[:k], branch[:k], next_branch[:k]
+            if share is not None:
+                share = _distinct(z)
+        targets = None if share is None else z.copy()
         children, fiber = _pullback(p, z, fiber, branch, next_branch, share)
-        branch = next_branch
-        if step >= burn:
-            kept[lo:lo + m * d] = fiber.ravel()[:n - lo]
-        z = children
+        if share is not None and not np.array_equal(z, targets):
+            # a retry backed orbits up to a sibling, which other orbits may
+            # hold: find the distinct targets again, to keep each fiber once
+            share, shared = _distinct(z), True
+        if keep:
+            # the fibers of distinct targets, in the order of their first orbits
+            rows = (fiber if share is None else fiber[np.sort(share[0])]).ravel()[:n - lo]
+            kept[lo:lo + rows.size] = rows
+            lo += rows.size
+        z, branch = children, next_branch
+        step += 1
     return kept
 
 

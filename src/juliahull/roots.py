@@ -28,8 +28,8 @@ the long member axis, and it adds each root's Aberth sum column by column
 (``_row_sums``).  Every operation acts on each member's own
 roots, so a member's roots, residuals and ``ok`` do not depend on the
 batch it is solved in: not on the other members, their order or number,
-nor on the chunking.  The sampler's deduplicated burn-in and the
-preimage-convexity check's batched rejection rounds rest on this.
+nor on the chunking.  The sampler's shared solves of repeated targets
+and the preimage-convexity check's batched rejection rounds rest on this.
 """
 from __future__ import annotations
 

@@ -96,8 +96,10 @@ class TestCheckConfig:
 
 
 def test_query_hull_decimation_follows_tolerance():
-    # the decimated query hull stays within 1% of the tolerance of the hull
-    cfg = CheckConfig(julia_samples=5_000, tol_rel=1e-5, seed=3,
+    # the decimated query hull stays within 1% of the tolerance of the hull;
+    # 20_000 points put some vertices within that budget of their neighbours'
+    # chord (5_000 make a near-regular 5000-gon, whose sagitta exceeds it)
+    cfg = CheckConfig(julia_samples=20_000, tol_rel=1e-5, seed=3,
                       grid_resolution=64, grid_max_iter=50)
     ctx = build_context(monomial(1, 2), cfg)
     assert ctx.hull_query.vertices.size < ctx.hull.vertices.size
@@ -520,6 +522,20 @@ class TestClassifyEquality:
         message = str(info.value)
         assert f"hull gap {gap / ctx.diameter:.3g} x diameter exceeds" in message
         assert "ChebyshevConjugate (residual 0)" in message
+
+    @pytest.mark.parametrize("share, advice", [
+        (0.0499, "raise --tol to accept the gap"),
+        (0.05, "no accepted --tol covers the gap, as --tol must lie below 0.05"),
+    ])
+    def test_advice_on_a_gap_names_an_accepted_tolerance(self, monkeypatch, share, advice):
+        # CheckConfig rejects tol_rel >= 0.05, so no --tol accepts a gap of
+        # 0.05 diameters or more: only the sample's accuracy can close it
+        ctx = build_context(chebyshev(3), CheckConfig(julia_samples=20_000, seed=5))
+        monkeypatch.setattr(checks, "_boundary_image_gap", lambda *args: share * ctx.diameter)
+        with pytest.raises(EqualityUnresolvedError) as info:
+            classify_equality(ctx)
+        assert str(info.value).endswith(f"the Julia sample is not accurate enough to "
+                                        f"show the hull equality: {advice}")
 
     def test_classification_json_shape(self):
         cfg = CheckConfig(julia_samples=20_000, seed=7)

@@ -245,6 +245,17 @@ class TestCommands:
         assert re.search(r"residual \S+\), but the hull gap \S+ x diameter "
                          r"exceeds tol_rel 0\.001", captured.err)
 
+    def test_gap_beyond_every_accepted_tolerance_exits_3(self, capsys):
+        # the T_40 sample at n = 2000 is too coarse: its gap exceeds any --tol
+        argv = ["classify", "--poly", "cheb:40", "--n", "2000", "--res", "64",
+                "--max-iter", "50"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "the Julia sample is not accurate enough" in err
+        assert "no accepted --tol covers the gap" in err
+        assert "raise --tol" not in err
+        assert main(argv + ["--tol", "0.0499"]) == 3
+
     def test_deterministic_bytes(self, tmp_path):
         paths = [tmp_path / f"run{i}.json" for i in range(2)]
         for path in paths:

@@ -191,6 +191,20 @@ class TestConvexHull:
         assert hull.kind == SEGMENT
         assert np.allclose(np.sort_complex(hull.vertices), [-1, 1])
 
+    def test_sort_orders_like_lexsort(self):
+        # exact ties in the real part, duplicates and both signed zeros keep
+        # the order of a stable lexicographic sort, bit for bit
+        rng = np.random.default_rng(5)
+        grid = rng.integers(-3, 4, size=(2, 400)) / 4.0
+        grid[grid == 0.0] = rng.choice([0.0, -0.0], size=(grid == 0.0).sum())
+        for pts in (grid[0] + 1j * grid[1],
+                    np.concatenate([rng.normal(size=300) + 1j * rng.normal(size=300)] * 2),
+                    np.array([complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+                              complex(0.0, 0.0), 1j, complex(-0.0, 1.0)])):
+            got, _ = geometry._sort_distinct(pts, -1.0)  # no neighbour is near
+            reference = pts[np.lexsort((pts.imag, pts.real))]
+            assert np.array_equal(got.view(np.uint64), reference.view(np.uint64))
+
     def test_identical_points_become_point(self):
         hull = convex_hull(np.full(5, 0.3 + 0.4j))
         assert hull.kind == POINT
@@ -501,7 +515,7 @@ class TestPrefilter:
     def test_thin_julia_samples_sort_few_points(self, monkeypatch, tmp_path, key):
         # the prefilter keeps at most 1000 points beyond those it may not
         # drop: the ones within 2 * _DUP_EPS * scale of the hull's boundary
-        # (about 12,700 of the T4 sample, all near the segment's ends, where
+        # (958 of the seed-0 T4 sample, all near the segment's ends, where
         # the sample is thinner than that)
         sizes = []
         original = geometry._sort_distinct
@@ -760,9 +774,11 @@ class TestWindowKernel:
     def test_bit_equal_on_check_queries(self, monkeypatch, fast_cfg, p):
         calls = self._check_queries(monkeypatch, p, fast_cfg)
         assert calls
+        # a conjugation-symmetric hull (the basilica's) holds two real-axis
+        # queries equidistant, to one ulp, from a pair of mirror-image edges
         for polygon, pts in calls:
             if polygon.kind == PROPER:
-                assert self._assert_bit_equal_but_ties(polygon.vertices, pts) <= 1
+                assert self._assert_bit_equal_but_ties(polygon.vertices, pts) <= 2
 
     def test_bit_equal_on_a_512_vertex_circle(self, monkeypatch, fast_cfg, squaring):
         # the queries of the squaring map's checks, on a regular 512-gon

@@ -132,7 +132,7 @@ class TestSampleJulia:
             assert np.all((fiber[:children.size] == children[:, None]).any(axis=1))
 
     def test_sample_is_made_of_whole_fibers(self, basilica):
-        # n = 2 kept steps of 2048 orbits times d = 2 roots
+        # every fiber is kept whole, and n is a multiple of d = 2
         points = sample_julia(basilica, 8192, seed=4).points
         pairs = points.reshape(-1, basilica.degree)
         images = evaluate(basilica, pairs)
@@ -143,17 +143,15 @@ class TestSampleJulia:
         calls = _count_solves(monkeypatch)
         n, m, d = 100_000, 2048, basilica.degree
         sample_julia(basilica, n, seed=0)
-        burn = 11 + julia_mod._SPREAD_STEPS  # 2**11 = 2048 orbits
-        assert len(calls) == burn + math.ceil(n / (m * d))
-        # burn-in solves each distinct target once: the seed alone, then at
-        # most d times as many targets per step, until all m are distinct
-        assert calls[:5] == [1, 2, 4, 8, 16]
-        assert all(b <= min(d * a, m) for a, b in zip(calls, calls[1:burn]))
-        assert sum(calls[:burn]) < burn * m / 2
-        kept_steps = calls[burn:]
-        assert set(kept_steps[:-1]) == {m}
-        # the last step solves only the 1696 / 2 members it keeps
-        assert kept_steps[-1] == (n - (len(kept_steps) - 1) * m * d) // d == 848
+        # the fixed point's fiber, then its other root, where every orbit
+        # goes; then each step solves its distinct targets, at most d times
+        # as many as the step before, until all m are distinct
+        assert calls[:6] == [1, 1, 2, 4, 8, 16]
+        assert all(b <= min(d * a, m) for a, b in zip(calls[1:], calls[2:]))
+        assert calls.index(m) == 23 and set(calls[23:-1]) == {m}
+        # every solved fiber is kept: the last step solves only the 583 it needs
+        assert sum(calls) == n // d
+        assert len(calls) == 37 and calls[-1] == 583
 
     @pytest.mark.parametrize("p, n", [
         (Polynomial([-1, 0, 1]), 100_000),
@@ -166,25 +164,22 @@ class TestSampleJulia:
     def test_last_step_solves_only_kept_members(self, monkeypatch, p, n):
         calls = _count_solves(monkeypatch)
         cloud = sample_julia(p, n, seed=0)
-        d, m = p.degree, min(2048, n)
-        per = math.ceil(n / (m * d))
-        lo = (per - 1) * m * d
-        assert calls[-1] == math.ceil((n - lo) / d)
-        assert calls[-per:-1] == [m] * (per - 1)
+        # each solved fiber is kept, the last one in part when d does not divide n
+        assert sum(calls) == math.ceil(n / p.degree)
+        assert max(calls) <= min(2048, n)
         assert len(cloud) == n
-        if n % (m * d) == 0:
-            assert calls[-1] == m  # an exact multiple keeps the full width
 
     def test_trim_changes_no_sample_bit(self, monkeypatch):
-        # the last step of a 20_001-point sample solves 905 of 2048 members;
-        # its points are the prefix of a sample that solves them all
+        # a sample is the prefix of any larger one at the same seed, whether
+        # its last step falls while orbits share targets (3_001) or after
         p = Polynomial([0.3 - 0.2j, 0.1j, -0.5, 0.2 + 0.1j, 1])
-        calls = _count_solves(monkeypatch)
-        trimmed = sample_julia(p, 20_001, seed=3).points
-        assert calls[-1] == 905
-        full = sample_julia(p, 3 * 2048 * 4, seed=3).points
-        assert calls[-1] == 2048
-        assert np.array_equal(_bits(trimmed), _bits(full[:20_001]))
+        full = sample_julia(p, 100_000, seed=3).points
+        for n, shared in ((3_001, True), (90_001, False)):
+            calls = _count_solves(monkeypatch)
+            trimmed = sample_julia(p, n, seed=3).points
+            assert sum(calls) == math.ceil(n / 4)
+            assert (max(calls) < 2048) == shared
+            assert np.array_equal(_bits(trimmed), _bits(full[:n]))
 
     def test_one_more_pullback_is_stationary(self, basilica):
         cloud = sample_julia(basilica, 100_000, seed=6)
@@ -203,9 +198,12 @@ class TestSampleJulia:
         q = conjugate(basilica, g)
         base = sample_julia(basilica, 50_000, seed=8)
         moved = sample_julia(q, 50_000, seed=8)
-        dist = _hausdorff(g.a * base.points + g.b, moved.points)
-        diam = convex_hull(moved).diameter
-        assert dist <= 1e-2 * diam
+        hull = convex_hull(moved)
+        image = g.a * base.points + g.b
+        assert polygon_hausdorff(convex_hull(image), hull) <= 1e-5 * hull.diameter
+        # the clouds agree up to their sampling noise: two 50_000-point basilica
+        # clouds lie up to 1.4e-2 diameters apart (Hausdorff, seeds 0..11)
+        assert _hausdorff(image, moved.points) <= 2e-2 * hull.diameter
 
     def test_fallback_seed_doubles_burn_in(self, monkeypatch, squaring):
         from juliahull import roots as roots_mod
@@ -258,8 +256,46 @@ def _bits(z):
     return np.ascontiguousarray(z).view(np.uint64)
 
 
+def _fibers_without_repeats(points, d):
+    """The whole fibers of a sample, in order, each bit pattern of one kept once."""
+    fibers = points[:points.size // d * d].reshape(-1, d)
+    _, first = np.unique(_bits(fibers).reshape(len(fibers), -1), axis=0,
+                         return_index=True)
+    return fibers[np.sort(first)].ravel()
+
+
+def _undeduplicated_sample(monkeypatch, p, steps, seed):
+    """A sample of ``steps`` full steps in which every orbit is solved and kept."""
+    monkeypatch.setattr(julia_mod, "_distinct",
+                        lambda z: (np.arange(z.size), np.arange(z.size)))
+    d = p.degree
+    return sample_julia(p, d + 2048 * d * (steps - 1), seed=seed).points
+
+
+def _count_steps(monkeypatch):
+    """Wrap the sampler's _pullback; returns the list of target counts."""
+    steps = []
+    original = julia_mod._pullback
+
+    def counting(p, z, *args):
+        steps.append(z.size)
+        return original(p, z, *args)
+
+    monkeypatch.setattr(julia_mod, "_pullback", counting)
+    return steps
+
+
+_FIXED_POINT_SEEDED = pytest.mark.parametrize("p", [
+    Polynomial([-1, 0, 1]),
+    monomial(1, 2),
+    monomial(0.6 + 0.8j, 3),
+    chebyshev(4),
+    Polynomial([0.3 - 0.2j, 0.1j, -0.5, 0.2 + 0.1j, 1]),
+], ids=["basilica", "z^2", "rotated-z^3", "T4", "quartic"])
+
+
 class TestDeduplicatedBurnIn:
-    """Burn-in solves each distinct target once, and no sample bit changes."""
+    """Shared targets are solved once and their fibers kept once."""
 
     def test_distinct_keeps_every_bit_pattern_apart(self):
         # z, -z and conj(z), and the two signed zeros, are different targets
@@ -270,25 +306,41 @@ class TestDeduplicatedBurnIn:
         assert np.array_equal(_bits(z[first][inverse]), _bits(z))
         assert len({tuple(b) for b in _bits(z[first]).reshape(-1, 2).tolist()}) == 5
 
-    @pytest.mark.parametrize("p", [
-        Polynomial([-1, 0, 1]),
-        monomial(1, 2),
-        monomial(0.6 + 0.8j, 3),
-        chebyshev(4),
-        Polynomial([0.3 - 0.2j, 0.1j, -0.5, 0.2 + 0.1j, 1]),
-    ], ids=["basilica", "z^2", "rotated-z^3", "T4", "quartic"])
+    def test_distinct_lists_each_pattern_at_its_first_index(self):
+        z = np.array([2j, 1.0, 2j, 3.0, 1.0, -0.0, 0.0, 3.0, 2j])
+        first, inverse = julia_mod._distinct(z)
+        assert sorted(first.tolist()) == [0, 1, 3, 5, 6]
+        assert np.array_equal(first[inverse], [0, 1, 0, 3, 1, 5, 6, 3, 0])
+
+    @_FIXED_POINT_SEEDED
     def test_sample_equals_the_undeduplicated_one(self, monkeypatch, p):
+        # solving and keeping every orbit's fiber gives the same fibers, with
+        # those of orbits at a shared target repeated
+        steps = _count_steps(monkeypatch)
         deduplicated = sample_julia(p, 20_000, seed=3).points
-        monkeypatch.setattr(julia_mod, "_distinct",
-                            lambda z: (np.arange(z.size), np.arange(z.size)))
         calls = _count_solves(monkeypatch)
-        plain = sample_julia(p, 20_000, seed=3).points
-        assert calls[0] == 2048  # every burn-in target solved
-        assert np.array_equal(_bits(deduplicated), _bits(plain))
+        plain = _undeduplicated_sample(monkeypatch, p, len(steps), seed=3)
+        assert calls[:2] == [1, 2048]  # the fixed point, then every orbit
+        kept = _fibers_without_repeats(plain, p.degree)
+        assert np.array_equal(_bits(deduplicated), _bits(kept[:20_000]))
+
+    @_FIXED_POINT_SEEDED
+    def test_fixed_point_sample_repeats_no_point(self, p):
+        # T_2 would not do: the fiber of -1 holds its critical point 0 twice
+        points = sample_julia(p, 100_000, seed=0).points
+        assert np.unique(_bits(points).reshape(-1, 2), axis=0).shape[0] == points.size
+
+    @_FIXED_POINT_SEEDED
+    def test_each_fiber_hangs_from_the_seed_or_a_kept_point(self, monkeypatch, p):
+        # so every sample point is an iterated preimage of the fixed point z0
+        target_of = _record_targets(monkeypatch)
+        points = sample_julia(p, 20_000 // p.degree * p.degree, seed=1).points
+        _assert_fibers_hang_from_kept_points(p, points, target_of)
 
     def test_retries_follow_a_shared_solve(self, monkeypatch):
         # targets whose real part's bits are 0 mod 7 fail their first two
-        # solves, so their orbits retry, longer and then on a swapped branch
+        # solves, so their orbits retry, longer and then on a swapped branch,
+        # which another orbit's target may be
         p = Polynomial([0.3 - 0.2j, 0.1j, -0.5, 1])
         original = julia_mod.solve_fibers
         retries = []
@@ -302,14 +354,36 @@ class TestDeduplicatedBurnIn:
             return roots, res, ok
 
         monkeypatch.setattr(julia_mod, "solve_fibers", flaky)
-        deduplicated = sample_julia(p, 20_000, seed=5).points
-        first_run = list(retries)
-        monkeypatch.setattr(julia_mod, "_distinct",
-                            lambda z: (np.arange(z.size), np.arange(z.size)))
-        plain = sample_julia(p, 20_000, seed=5).points
-        assert 3 * roots_mod.MAX_ITERATIONS in dict(first_run)  # a swap
-        assert retries == 2 * first_run
-        assert np.array_equal(_bits(deduplicated), _bits(plain))
+        target_of = _record_targets(monkeypatch)
+        points = sample_julia(p, 20_001, seed=5).points
+        assert 3 * roots_mod.MAX_ITERATIONS in dict(retries)  # a swap
+        assert np.unique(_bits(points).reshape(-1, 2), axis=0).shape[0] == points.size
+        _assert_fibers_hang_from_kept_points(p, points, target_of)
+
+
+def _record_targets(monkeypatch):
+    """Wrap the sampler's solve_fibers; returns {fiber bits: target bits}."""
+    target_of = {}
+    original = julia_mod.solve_fibers
+
+    def recording(p, targets, *args, **kwargs):
+        roots, res, ok = original(p, targets, *args, **kwargs)
+        for t, fiber in zip(_bits(targets).reshape(-1, 2),
+                            _bits(roots).reshape(len(roots), -1)):
+            target_of[fiber.tobytes()] = t.tobytes()
+        return roots, res, ok
+
+    monkeypatch.setattr(julia_mod, "solve_fibers", recording)
+    return target_of
+
+
+def _assert_fibers_hang_from_kept_points(p, points, target_of):
+    """Each whole fiber of ``points`` is that of the fixed point or of a point before it."""
+    d = p.degree
+    seen = {_bits(np.array([roots_mod.repelling_fixed_point(p)])).tobytes()}
+    for fiber in _bits(points).reshape(-1, 2 * d):
+        assert target_of[fiber.tobytes()] in seen
+        seen.update(pair.tobytes() for pair in fiber.reshape(d, 2))
 
 
 class TestEscapeGrid:

@@ -189,8 +189,8 @@ class TestPreimages:
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_members_solve_as_alone(self, monkeypatch, d):
-        # the sampler's deduplicated burn-in and the preimage-convexity
-        # check's batched rounds both rest on this
+        # the sampler's shared solves of repeated targets and the
+        # preimage-convexity check's batched rounds both rest on this
         rng = np.random.default_rng(d)
         p = Polynomial(rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1))
         crit = critical_points(p).roots[0]
