@@ -17,7 +17,8 @@ upper chain.  Each chain, and then the closed cycle across its two seams,
 is reduced in rounds of one vectorized turn test over every consecutive
 triple.  A round drops every other member of each run of failing
 vertices, never two neighbours, since each of two neighbours can be
-collinear only through the other.
+collinear only through the other.  The turn tolerance is read only in a
+round where every triple turns left (``_pop_mask``).
 
 Tolerance contract: the vertices are input points in strictly convex ccw
 order, and every input point lies within 1e-12 * scale of the hull; a
@@ -25,7 +26,9 @@ cluster inside ``_DUP_EPS * scale`` keeps one representative, and a
 point dropped as collinear lies within about ``_TURN_EPS * scale`` of it.
 The prefilter changes no vertex.  A point it drops lies at least
 ``2 * _DUP_EPS * scale`` inside the hull of the other input points, so
-neither it nor a point within ``_DUP_EPS * scale`` of it is a vertex.
+neither it nor a point within ``_DUP_EPS * scale`` of it is a vertex;
+and as the tolerance reads only chains that turn left throughout, which
+hold no such point, it drops the same vertices with or without it.
 Sorting only the survivors changes one thing: a dropped point no longer
 splits a run of near-duplicates.  So when a dropped point may sort inside
 a run of distinct near-duplicates of the survivors, the whole cloud is
@@ -228,14 +231,21 @@ def _candidates(pts: np.ndarray, scale: float) -> np.ndarray:
 def _pop_mask(o, a, q, eps_len: float) -> np.ndarray:
     """Mask of middle vertices a dropped from the triples o -> a -> q.
 
-    True on a non-left turn (exact cross test) or when a lies within
-    ``eps_len`` of the chord segment [o, q]; distance is measured to the
-    segment, not the line, so far-away vertices over micro-chords survive.
-    Distances use hypot, as ``abs`` of a Python complex does.
+    True on a non-left turn (exact cross test); only when every triple
+    turns left, True where a lies within ``eps_len`` of the chord segment
+    [o, q].  Distance is measured to the segment, not the line, so
+    far-away vertices over micro-chords survive.  Distances use hypot, as
+    ``abs`` of a Python complex does.  The tolerance thus only ever reads
+    a convex chain, which points strictly inside the hull do not change;
+    a tolerance test against a chord to such a point could drop a vertex
+    that the chain without it keeps, and the prefilter would change it.
     """
     rx, ry = a.real - o.real, a.imag - o.imag
     ex, ey = q.real - o.real, q.imag - o.imag
     cross = rx * ey - ry * ex
+    turned = cross <= 0.0
+    if turned.any():
+        return turned
     len2 = ex * ex + ey * ey
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = np.divide(rx * ex + ry * ey, len2, out=np.zeros_like(len2),
@@ -243,7 +253,7 @@ def _pop_mask(o, a, q, eps_len: float) -> np.ndarray:
         inner = cross / np.sqrt(len2)
     dist = np.where(t <= 0.0, np.hypot(rx, ry),
                     np.where(t >= 1.0, np.hypot(a.real - q.real, a.imag - q.imag), inner))
-    return (cross <= 0.0) | (dist <= eps_len)
+    return dist <= eps_len
 
 
 def _every_other(mask: np.ndarray) -> np.ndarray:

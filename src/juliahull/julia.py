@@ -4,7 +4,14 @@
 iteration: every step solves the whole fiber p(.) = z of each orbit's
 current point, keeps all d preimages as sample points, and moves the orbit
 on along one randomly chosen branch.  Orbits are run as one vectorized
-batch, which is equivalent to many independent seeded orbits.
+batch, which is equivalent to many independent seeded orbits.  An orbit
+draws the rank of its branch, not a column of the solver's output: the
+roots rank by their offsets from the fibers' centroid, measured along a
+direction turned a fixed angle from the target's (``_branch_of_rank``).
+Ranks survive an affine change of coordinates, so with one seed the
+sample of g p g^-1 is the image under g of that of p, up to the solver's
+accuracy, when p has one fixed point of largest multiplier modulus and d
+divides n (a partial last fiber keeps its roots in the solver's order).
 
 The orbits start at a repelling fixed point z0, which lies on J_p, as
 does every iterated preimage of it, so points are kept from the first
@@ -15,7 +22,10 @@ points kept one level up.  While orbits share targets, a step solves
 each distinct target once, hands its fiber to every orbit at it, and
 keeps it once, in the order of the targets' first orbits; once every
 target is distinct, it keeps every fiber.  Each kept fiber is thus that
-of z0 or of an earlier kept point, and no point is kept twice.  The last
+of z0 or of an earlier kept point, and no target's fiber is kept twice.
+A multiple root is the one exception to no point being kept twice: its
+copies are distinct targets whose subtrees may round to the same bits
+(z0 = 1 of T_4 is a critical value, so its fiber holds 0 twice).  The last
 step solves only the targets whose fibers fill the rest of the sample,
 held by a prefix of the orbits, so a sample is the prefix of any larger
 one at the same seed.  A fiber does not depend on the batch it is solved
@@ -91,6 +101,11 @@ BURN_IN = 64
 
 # Orbits advanced in lockstep per batch; a throughput knob, not semantics.
 _ORBIT_BATCH = 2048
+
+# e^{-i}: the roots of a fiber rank along a direction turned one radian
+# off its target's (``_branch_of_rank``), so mirror-symmetric fibers do
+# not tie.
+_KEY_TURN = np.exp(-1j)
 
 _GRID_SPAN = 1.05  # half-width of the raster square in units of R (5% margin)
 
@@ -194,11 +209,36 @@ def _distinct(z: np.ndarray):
     return np.minimum.reduceat(order, np.flatnonzero(starts)), inverse
 
 
+def _branch_of_rank(p: Polynomial, fiber: np.ndarray, targets: np.ndarray,
+                    rank: np.ndarray) -> np.ndarray:
+    """Column of each row of ``fiber`` that holds its root of rank ``rank``.
+
+    The roots w over a target t rank by the key Re((w - c) conj(u)): their
+    offsets from c = -a_{d-1} / (d a_d), the centroid of every fiber,
+    projected on u = e^i (t - c).  An affine map g(z) = az + b takes the
+    fibers of p to those of g p g^-1, and c and t with them, so it
+    multiplies every key by |a|^2 and keeps each rank.  The branch a
+    seeded orbit takes thus does not depend on the coordinates.  Two roots
+    tie only when their difference is perpendicular to u.  Turning u one
+    radian off t - c keeps that off the real roots and mirror pairs of a
+    real polynomial over a real target, which differ along or across
+    t - c.  Ties, and t = c, keep the solver's order.
+    """
+    c = -p.coeffs[-2] / (p.degree * p.coeffs[-1])
+    conj_u = np.conj(targets - c) * _KEY_TURN
+    if fiber.shape[1] == 2:  # c drops out of the difference of the two keys
+        return rank ^ (((fiber[:, 0] - fiber[:, 1]) * conj_u).real > 0)
+    order = np.argsort(((fiber - c) * conj_u[:, None]).real, axis=1, kind="stable")
+    return np.take_along_axis(order, rank[:, None], axis=1)[:, 0]
+
+
 def _pullback(p: Polynomial, z: np.ndarray, prev_fiber, prev_branch,
-              branch: np.ndarray, share=None):
+              rank: np.ndarray, share=None):
     """One backward step for all orbits; retries stubborn members.
 
-    Returns (children, fiber) where children = fiber[i, branch[i]].
+    Returns (children, fiber, branch) where branch[i] is the column of
+    fiber row i that holds its root of rank ``rank[i]`` (``_branch_of_rank``)
+    and children = fiber[i, branch[i]].
     ``share`` = ``_distinct(z)`` solves each distinct target once and hands
     every orbit its target's fiber, which is the fiber a solve of that
     orbit alone gives.  A member whose fiber solve fails is retried, first
@@ -228,7 +268,8 @@ def _pullback(p: Polynomial, z: np.ndarray, prev_fiber, prev_branch,
             z[bad] = prev_fiber[bad, swapped]
         r2, s2, ok2 = solve_fibers(p, z[bad], max_iter=MAX_ITERATIONS * (attempt + 1))
         roots[bad], res[bad], ok[bad] = r2, s2, ok2
-    return roots[np.arange(z.size), branch], roots
+    branch = _branch_of_rank(p, roots, z, rank)
+    return roots[np.arange(z.size), branch], roots, branch
 
 
 def _orbit_seed(p: Polynomial):
@@ -251,17 +292,17 @@ def _run_orbits(p: Polynomial, n: int, seed: int) -> np.ndarray:
         fiber = branch = None
     else:
         # keep z0's fiber, and leave z0 along its other d - 1 roots
-        _, fiber = _pullback(p, np.array([z0]), None, None, np.zeros(1, dtype=np.intp))
+        _, fiber, _ = _pullback(p, np.array([z0]), None, None, np.zeros(1, dtype=np.intp))
         kept[:d] = fiber[0, :n]
         lo = min(d, n)
         fiber = np.delete(fiber, np.argmin(np.abs(fiber[0] - z0)), axis=1)
-        branch = rng.integers(0, d - 1, size=m)
-        z = fiber[0, branch]
         fiber = np.broadcast_to(fiber, (m, d - 1))
+        branch = _branch_of_rank(p, fiber, np.full(m, z0), rng.integers(0, d - 1, size=m))
+        z = fiber[0, branch]
     shared = True  # orbits share targets until every target of a step is distinct
     step = 0
     while lo < n:
-        next_branch = rng.integers(0, d, size=z.size)
+        rank = rng.integers(0, d, size=z.size)
         share = _distinct(z) if shared else None
         shared = share is not None and share[0].size < z.size
         keep = step >= burn
@@ -270,11 +311,11 @@ def _run_orbits(p: Polynomial, n: int, seed: int) -> np.ndarray:
             # the first w distinct targets, held by the first k orbits
             w = -(-(n - lo) // d)
             k = w if share is None else np.sort(share[0])[w - 1] + 1
-            z, fiber, branch, next_branch = z[:k], fiber[:k], branch[:k], next_branch[:k]
+            z, fiber, branch, rank = z[:k], fiber[:k], branch[:k], rank[:k]
             if share is not None:
                 share = _distinct(z)
         targets = None if share is None else z.copy()
-        children, fiber = _pullback(p, z, fiber, branch, next_branch, share)
+        children, fiber, branch = _pullback(p, z, fiber, branch, rank, share)
         if share is not None and not np.array_equal(z, targets):
             # a retry backed orbits up to a sibling, which other orbits may
             # hold: find the distinct targets again, to keep each fiber once
@@ -284,7 +325,7 @@ def _run_orbits(p: Polynomial, n: int, seed: int) -> np.ndarray:
             rows = (fiber if share is None else fiber[np.sort(share[0])]).ravel()[:n - lo]
             kept[lo:lo + rows.size] = rows
             lo += rows.size
-        z, branch = children, next_branch
+        z = children
         step += 1
     return kept
 

@@ -201,9 +201,36 @@ class TestSampleJulia:
         hull = convex_hull(moved)
         image = g.a * base.points + g.b
         assert polygon_hausdorff(convex_hull(image), hull) <= 1e-5 * hull.diameter
-        # the clouds agree up to their sampling noise: two 50_000-point basilica
-        # clouds lie up to 1.4e-2 diameters apart (Hausdorff, seeds 0..11)
-        assert _hausdorff(image, moved.points) <= 2e-2 * hull.diameter
+        assert _hausdorff(image, moved.points) <= 1e-2 * hull.diameter
+
+    @pytest.mark.parametrize("p", [Polynomial([-1, 0, 1]), Polynomial([0.3 - 0.2j, 0.1j, -0.5, 1])],
+                             ids=["d2", "d3"])
+    def test_branch_of_rank_follows_the_key_order(self, p):
+        # rank r is the root with the r-th least Re((w - c) conj(e^i (t - c)))
+        rng = np.random.default_rng(0)
+        d, m = p.degree, 200
+        targets = rng.normal(size=m) + 1j * rng.normal(size=m)
+        fiber, _, ok = roots_mod.solve_fibers(p, targets)
+        assert ok.all()
+        rank = rng.integers(0, d, m)
+        c = -p.coeffs[-2] / (d * p.coeffs[-1])
+        key = ((fiber - c) * np.conj(np.exp(1j) * (targets - c))[:, None]).real
+        expected = [sorted(range(d), key=lambda j: key[i, j])[rank[i]] for i in range(m)]
+        assert julia_mod._branch_of_rank(p, fiber, targets, rank).tolist() == expected
+
+    @pytest.mark.parametrize("p, g", [
+        (Polynomial([-0.12 + 0.74j, 0, 1]), AffineMap(0.3 - 1.1j, 0.5 - 2j)),
+        (Polynomial([0.3 - 0.2j, 0.1j, -0.5, 1]), AffineMap(-1.0, 0.25j)),
+        (Polynomial([0.3 - 0.2j, 0.1j, -0.5, 1]), AffineMap(0.3 - 1.1j, 0.5 - 2j)),
+    ], ids=["rabbit", "cubic-turned", "cubic"])
+    def test_conjugate_sample_is_the_image(self, p, g):
+        # orbits draw ranks, not solver columns, so one seed gives the image
+        # sample fiber by fiber, up to the solver's accuracy (1.6e-9 here)
+        n = 3_000 * p.degree
+        base = sample_julia(p, n, seed=1).points.reshape(-1, p.degree)
+        moved = sample_julia(conjugate(p, g), n, seed=1).points.reshape(-1, p.degree)
+        gap = np.abs((g.a * base + g.b)[:, :, None] - moved[:, None, :]).min(axis=2)
+        assert gap.max() <= 1e-6 * convex_hull(moved.ravel()).diameter
 
     def test_fallback_seed_doubles_burn_in(self, monkeypatch, squaring):
         from juliahull import roots as roots_mod
@@ -324,9 +351,16 @@ class TestDeduplicatedBurnIn:
         kept = _fibers_without_repeats(plain, p.degree)
         assert np.array_equal(_bits(deduplicated), _bits(kept[:20_000]))
 
-    @_FIXED_POINT_SEEDED
+    @pytest.mark.parametrize("p", [
+        Polynomial([-1, 0, 1]),
+        monomial(1, 2),
+        monomial(0.6 + 0.8j, 3),
+        Polynomial([0.3 - 0.2j, 0.1j, -0.5, 0.2 + 0.1j, 1]),
+    ], ids=["basilica", "z^2", "rotated-z^3", "quartic"])
     def test_fixed_point_sample_repeats_no_point(self, p):
-        # T_2 would not do: the fiber of -1 holds its critical point 0 twice
+        # T_d would not do: z0 = 1 is a critical value, so its fiber holds
+        # critical points twice (T_4's holds 0 twice), and the subtrees of
+        # the two copies may round to the same bits (T_4 at seeds 0 and 10)
         points = sample_julia(p, 100_000, seed=0).points
         assert np.unique(_bits(points).reshape(-1, 2), axis=0).shape[0] == points.size
 
@@ -378,11 +412,16 @@ def _record_targets(monkeypatch):
 
 
 def _assert_fibers_hang_from_kept_points(p, points, target_of):
-    """Each whole fiber of ``points`` is that of the fixed point or of a point before it."""
+    """Each whole fiber of ``points`` is that of the fixed point or of a point before it.
+
+    No two of the fibers share a target.
+    """
     d = p.degree
     seen = {_bits(np.array([roots_mod.repelling_fixed_point(p)])).tobytes()}
-    for fiber in _bits(points).reshape(-1, 2 * d):
-        assert target_of[fiber.tobytes()] in seen
+    targets = [target_of[fiber.tobytes()] for fiber in _bits(points).reshape(-1, 2 * d)]
+    assert len(set(targets)) == len(targets)
+    for fiber, target in zip(_bits(points).reshape(-1, 2 * d), targets):
+        assert target in seen
         seen.update(pair.tobytes() for pair in fiber.reshape(d, 2))
 
 
