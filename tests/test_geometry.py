@@ -525,7 +525,7 @@ class TestPrefilter:
     def test_thin_julia_samples_sort_few_points(self, monkeypatch, tmp_path, key):
         # the prefilter keeps at most 1000 points beyond those it may not
         # drop: the ones within 2 * _DUP_EPS * scale of the hull's boundary
-        # (958 of the seed-0 T4 sample, all near the segment's ends, where
+        # (926 of the seed-0 T4 sample, all near the segment's ends, where
         # the sample is thinner than that)
         sizes = []
         original = geometry._sort_distinct
