@@ -13,10 +13,12 @@ its files written to a temporary directory.  One line per op:
     seed workload/key exit sha256(stdout) sha256(svg) scene sha256(pgm)
 
 ``scene`` digests the SVG with its base64 PNG payload replaced by
-sha256(IHDR data + decompressed IDAT data), the image header and its
-filtered rows.  So a change of the PNG encoder alone (its deflate
-settings) shows as a differing ``svg`` with ``scene`` equal, and a
-change of a pixel or of any other SVG byte changes ``scene`` too.
+sha256 of the decoded image: its width, height and the RGB colour of
+every pixel.  The decoder reads 8-bit gray and 1- or 8-bit indexed
+images (colour type 0 or 3, filter 0 rows, no interlace).  So a change
+of the PNG encoder alone (its deflate settings, bit depth or colour
+type) shows as a differing ``svg`` with ``scene`` equal, and a change of
+a pixel's colour or of any other SVG byte changes ``scene`` too.
 
 A suite op writes no files; its file digests are those of empty input.
 Two trees whose lines are identical give byte-identical reports, scenes,
@@ -111,17 +113,32 @@ _PNG_PAYLOAD = re.compile(rb"data:image/png;base64,([A-Za-z0-9+/=]*)")
 
 
 def _png_pixels(png: bytes) -> bytes:
-    """IHDR data + decompressed IDAT data: what a PNG shows, not how it deflates."""
-    header, idat, at = b"", [], 8  # past the 8-byte signature
+    """Width, height and the RGB bytes of every pixel: what a PNG shows, not how it is coded."""
+    header, palette, idat, at = b"", b"", [], 8  # past the 8-byte signature
     while at < len(png):
         (size,) = struct.unpack(">I", png[at:at + 4])
         tag, data = png[at + 4:at + 8], png[at + 8:at + 8 + size]
         if tag == b"IHDR":
             header = data
+        elif tag == b"PLTE":
+            palette = data
         elif tag == b"IDAT":
             idat.append(data)
         at += 12 + size
-    return header + zlib.decompress(b"".join(idat))
+    width, height, depth, colour, _, filtering, interlace = struct.unpack(">IIBBBBB", header)
+    if (colour, depth) not in ((0, 8), (3, 1), (3, 8)) or filtering or interlace:
+        raise ValueError(f"unsupported PNG: colour type {colour}, bit depth {depth}, "
+                         f"filter method {filtering}, interlace {interlace}")
+    rows = np.frombuffer(zlib.decompress(b"".join(idat)), dtype=np.uint8).reshape(height, -1)
+    if rows[:, 0].any():
+        raise ValueError("unsupported PNG: a row filter other than 0")
+    samples = rows[:, 1:] if depth == 8 else np.unpackbits(rows[:, 1:], axis=1)
+    samples = samples[:, :width]
+    if colour == 0:
+        rgb = np.repeat(samples[..., None], 3, axis=2)
+    else:
+        rgb = np.frombuffer(palette, dtype=np.uint8).reshape(-1, 3)[samples]
+    return struct.pack(">II", width, height) + rgb.tobytes()
 
 
 def scene_digest(svg: bytes) -> str:

@@ -58,9 +58,9 @@ POINT = "Point"
 _TURN_EPS = 1e-14
 _DUP_EPS = 1e-12
 
-# Point-edge pairs per block of the distance kernels (vertices per batch in
-# Douglas-Peucker).  A block holds about five float temporaries of this
-# length; 2**16 keeps them near cache size and bounds peak memory.
+# Point-edge pairs per block of the distance kernels.  A block holds about
+# five float temporaries of this length; 2**16 keeps them near cache size
+# and bounds peak memory.
 _CHUNK_BUDGET = 65_536
 
 
@@ -542,51 +542,50 @@ def boundary_points(polygon: ConvexPolygon, count: int) -> np.ndarray:
     return v[idx] + frac * e[idx]
 
 
-def _rdp_splits(v: np.ndarray, spans: list, eps: float) -> list:
-    """Douglas-Peucker splits of the index spans (lo, hi) of v.
+def _rdp_splits(v: np.ndarray, angle: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                eps: float) -> np.ndarray:
+    """Douglas-Peucker splits of the index spans (lo, hi) of a convex arc v.
 
-    A span whose farthest interior vertex (the first, on ties) lies more
-    than eps from its chord keeps that vertex and splits there.  Spans are
-    measured in batches of about _CHUNK_BUDGET interior vertices, so short
-    spans share one pass; returns the kept interior indices.
+    ``angle[k]`` is the direction of the edge v_k -> v_k+1, increasing
+    along v, and each span turns by less than pi.  A span whose farthest
+    interior vertex (the first, on ties) lies more than eps from its chord
+    keeps that vertex and splits there.  On such an arc the distance to
+    the chord's line grows while the edges turn towards the chord's
+    direction and shrinks after, so the farthest vertex is where the
+    edge angles pass the chord's (``searchsorted``), up to rounding; that
+    vertex and its two neighbours in the span are measured.  Every span
+    of a level is measured in one pass; returns the kept interior indices.
     """
     vx, vy = v.real, v.imag
-    kept: list = []
-    while spans:
-        batch, size = [], 0
-        while spans and size < _CHUNK_BUDGET:
-            lo, hi = spans.pop()
-            if hi - lo > 1:
-                batch.append((lo, hi))
-                size += hi - lo - 1
-        if not batch:
-            continue
-        lo, hi = np.array(batch).T
-        inner = hi - lo - 1
-        first = np.cumsum(inner) - inner  # where each span starts in the batch
-        idx = np.arange(size) + np.repeat(lo + 1 - first, inner)
+    kept = [lo[:0]]
+    while lo.size:
+        inner = hi - lo > 1
+        lo, hi = lo[inner], hi[inner]
         ex, ey = vx[hi] - vx[lo], vy[hi] - vy[lo]
-        per_point = [np.repeat(a, inner) for a in (vx[lo], vy[lo], ex, ey,
-                                                    _inverse_len2(ex, ey))]
-        dx, dy = _clamp_offsets(vx[idx] - per_point[0], vy[idx] - per_point[1],
-                                *per_point[2:])
+        chord = np.arctan2(ey, ex)
+        # the chord's direction lies within the span's turn of its edges
+        mid = 0.5 * (angle[lo] + angle[hi - 1])
+        chord += 2.0 * np.pi * np.round((mid - chord) / (2.0 * np.pi))
+        k = np.searchsorted(angle, chord)[:, None] + np.arange(-1, 2)
+        k = np.clip(k, (lo + 1)[:, None], (hi - 1)[:, None])
+        dx, dy = _clamp_offsets(vx[k] - vx[lo][:, None], vy[k] - vy[lo][:, None],
+                                ex[:, None], ey[:, None], _inverse_len2(ex, ey)[:, None])
         dev = np.sqrt(dx * dx + dy * dy)
-        peak = np.maximum.reduceat(dev, first)
-        at_peak = np.flatnonzero(dev == np.repeat(peak, inner))
-        owner = np.searchsorted(first, at_peak, side="right") - 1
-        split = idx[at_peak[np.unique(owner, return_index=True)[1]]]
-        far = peak > eps
-        kept.extend(split[far].tolist())
-        spans.extend(zip(lo[far].tolist(), split[far].tolist()))
-        spans.extend(zip(split[far].tolist(), hi[far].tolist()))
-    return kept
+        rows, best = np.arange(lo.size), dev.argmax(axis=1)
+        far = dev[rows, best] > eps
+        split = k[rows, best][far]
+        kept.append(split)
+        lo, hi = np.concatenate([lo[far], split]), np.concatenate([split, hi[far]])
+    return np.concatenate(kept)
 
 
 def decimate(polygon: ConvexPolygon, eps: float) -> ConvexPolygon:
     """Vertex subset whose boundary stays within eps of the original.
 
     Used to keep distance queries against huge (circle-like) hulls cheap;
-    the exact hull is never replaced by this.
+    the exact hull is never replaced by this.  The vertices extreme in x
+    and y are kept, and Douglas-Peucker (``_rdp_splits``) splits each arc
+    between two of them, whose edges turn by at most pi/2.
     """
     if polygon.kind != PROPER or polygon.vertices.size <= 64:
         return polygon
@@ -595,8 +594,11 @@ def decimate(polygon: ConvexPolygon, eps: float) -> ConvexPolygon:
                       int(np.argmin(v.real)), int(np.argmin(v.imag))})
     # the arcs between consecutive anchors, the last one wrapping around
     ring = np.concatenate([v, v[:anchors[0] + 1]])
-    arcs = list(zip(anchors, anchors[1:] + [anchors[0] + v.size]))
-    keep = np.unique(np.array(anchors + _rdp_splits(ring, arcs, eps)) % v.size)
+    angle = _edge_angles(v)
+    angle = np.concatenate([angle, angle[:anchors[0]] + 2.0 * np.pi])
+    lo = np.array(anchors)
+    hi = np.array(anchors[1:] + [anchors[0] + v.size])
+    keep = np.unique(np.concatenate([lo, _rdp_splits(ring, angle, lo, hi, eps)]) % v.size)
     if keep.size < 3:
         return polygon
     return ConvexPolygon(v[keep], PROPER)

@@ -50,7 +50,10 @@ less often as the live orbits thin out to the slow and periodic ones.
 Neither test can change a cell by running less often: escape is
 permanent, and the cycle test compares only with a snapshot taken inside
 the disk, so a cycle found later is still a cycle.  A block length that
-skips a power of two would silently never re-anchor the snapshot.
+skips a power of two would silently never re-anchor the snapshot.  A
+block steps in place, swapping two buffers sized to the live orbits
+(``_horner``'s ``out``), with the ufuncs of an allocating loop in the
+same order, so no cell changes a bit; Brent's snapshot is then a copy.
 
 Most centers of the disk escape within the first block, so ``_bounded``
 drops them before any step.  ``_inner_radius`` certifies a radius
@@ -387,6 +390,12 @@ def _bounded(p: Polynomial, z: np.ndarray, max_iter: int, inner: float) -> np.nd
     disk test drops every point beyond it, which that block would drop.
     Callers may pass z as a temporary: its only use is the first disk test,
     after which the loop holds just the points inside.
+
+    A block steps in place: each step writes into a spare buffer of the
+    live orbits' size, and the two swap.  The spare is dropped before the
+    compaction, which copies the survivors, so the loop never holds more
+    than two arrays of live orbits besides the snapshot.  The snapshot is
+    a copy, since the next block writes over both buffers.
     """
     radius = escape_radius(p)
     alive = np.flatnonzero(np.abs(z) <= inner)
@@ -401,8 +410,10 @@ def _bounded(p: Polynomial, z: np.ndarray, max_iter: int, inner: float) -> np.nd
         while done < max_iter and alive.size:
             # 4, 4, 8, 16, 16, ...: every power of two from 4 on ends a block
             steps = min(max(_BLOCK_STEPS, min(done, _MAX_BLOCK_STEPS)), max_iter - done)
+            spare = np.empty_like(w)
             for _ in range(steps):
-                w = _horner(p.coeffs, w)
+                w, spare = _horner(p.coeffs, w, out=spare), w
+            del spare
             done += steps
             keep = np.abs(w) <= radius
             if snapshot is not None:
@@ -412,7 +423,7 @@ def _bounded(p: Polynomial, z: np.ndarray, max_iter: int, inner: float) -> np.nd
                 snapshot = snapshot[keep]
             alive, w = alive[keep], w[keep]
             if not done & (done - 1):  # Brent: re-anchor at powers of two
-                snapshot = w
+                snapshot = w.copy()
     bounded[alive] = True
     return bounded
 
@@ -488,5 +499,5 @@ def to_pgm(grid: EscapeGrid) -> bytes:
         f"P5\n# R={grid.radius!r} maxIter={grid.max_iter} poly={grid.polynomial}\n"
         f"{grid.width} {grid.height}\n255\n"
     )
-    data = (np.flipud(grid.cells).astype(np.uint8) * 255).tobytes()
-    return header.encode("ascii") + data
+    data = np.multiply(np.flipud(grid.cells), np.uint8(255), dtype=np.uint8)
+    return b"".join([header.encode("ascii"), data])

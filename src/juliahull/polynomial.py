@@ -74,31 +74,35 @@ class AffineMap:
         return AffineMap(1.0 / self.a, -self.b / self.a)
 
 
-def _horner(coeffs: np.ndarray, z):
+def _horner(coeffs: np.ndarray, z, out=None):
     """Evaluate an ascending coefficient vector at z (scalar or array).
 
     The result has the common dtype of the coefficients and z: complex for
     a polynomial, float for real coefficients at real points, where each
     step has the bits of the real part of the same step done in complex
-    arithmetic.  One accumulator is allocated and then updated in place.
+    arithmetic.  One accumulator is allocated, or ``out`` is taken if given
+    (z's shape and that dtype, sharing no memory with z), and it is updated
+    in place and returned.
     A zero coefficient is not added: that can only change the sign of a
     zero result.  For a monic vector the accumulator starts as z itself, since
     1*z is z up to the sign of a zero; that saves the fill and one product.
-    Its first step writes into a new array, so z is never written, and a
-    0-d z stays a 0-d array that numpy's array loops compute, as in the
+    Its first step writes into the accumulator, so z is never written, and
+    a 0-d z stays a 0-d array that numpy's array loops compute, as in the
     filled form.  Any other leading coefficient is filled first and
     multiplied as ``acc *= z``: numpy's vectorized complex multiply need not
     give ``z * a`` the same bits as ``full(a) * z``.
     """
     rest = coeffs[-2::-1]
     dtype = np.result_type(coeffs, z)
+    if out is None:
+        out = np.empty_like(z, dtype=dtype)
     if coeffs[-1] == 1 and rest.size:
         acc, rest = z, rest[1:]
-        out = np.empty_like(z, dtype=dtype)
         if coeffs[-2] != 0:
             acc = np.add(z, coeffs[-2], out=out)
     else:
-        acc = np.full_like(z, coeffs[-1], dtype=dtype)
+        out[...] = coeffs[-1]
+        acc = out
     for c in rest:
         if acc is z:
             acc = np.multiply(z, z, out=out, dtype=dtype)

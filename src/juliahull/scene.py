@@ -1,10 +1,13 @@
 """Deterministic SVG scenes: raster underlay, hull, preimages, critical points.
 
-The escape-grid underlay is embedded as a base64 grayscale PNG written by
-a tiny encoder here, so repeated invocations produce byte-identical files.
-Its rows are all filter 0 and deflated with zlib's run-length strategy
-(Z_RLE), which matches only repeats of the previous byte: a raster is two
-gray levels in long runs, which that strategy codes smaller and several
+The escape-grid underlay is embedded as a base64 PNG written by a tiny
+encoder here, so repeated invocations produce byte-identical files.  A
+raster has two levels, so the PNG is 1-bit indexed: one bit per cell,
+packed eight to a byte, and a palette that shows a bounded cell gray 176
+and an escaping one white, the colours of an 8-bit gray image of the same
+cells.  Its rows are all filter 0 and deflated with zlib's run-length
+strategy (Z_RLE), which matches only repeats of the previous byte: a
+raster comes in long runs, which that strategy codes smaller and several
 times faster than the default one.
 
 Marks are placed by one vectorized camera transform and written with one
@@ -31,19 +34,25 @@ _CLOUD_MARKS = 2000
 _PREIMAGE_TARGETS = 64
 
 
-def _png_gray(img: np.ndarray) -> bytes:
-    """Minimal 8-bit grayscale PNG encoder (filter 0 rows, one IDAT)."""
-    img = np.ascontiguousarray(img, dtype=np.uint8)
-    height, width = img.shape
-    raw = np.hstack([np.zeros((height, 1), dtype=np.uint8), img]).tobytes()
+def _png_mask(mask: np.ndarray) -> bytes:
+    """Minimal 1-bit indexed PNG encoder: True pixels gray 176, False white.
+
+    Row r of the image is mask[r].  Each row is a filter byte 0 and its
+    bits, the first pixel in the high bit, padded with zero bits to a
+    whole byte; one IDAT.
+    """
+    height, width = mask.shape
+    raw = np.zeros((height, 1 + (width + 7) // 8), dtype=np.uint8)
+    raw[:, 1:] = np.packbits(mask, axis=1)
     deflate = zlib.compressobj(6, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
 
     def chunk(tag: bytes, data: bytes) -> bytes:
         return (struct.pack(">I", len(data)) + tag + data
                 + struct.pack(">I", zlib.crc32(tag + data) & 0xFFFFFFFF))
 
-    header = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
-    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", header)
+    header = struct.pack(">IIBBBBB", width, height, 1, 3, 0, 0, 0)
+    palette = bytes([255, 255, 255, 176, 176, 176])  # index 0 white, 1 gray 176
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", header) + chunk(b"PLTE", palette)
             + chunk(b"IDAT", deflate.compress(raw) + deflate.flush())
             + chunk(b"IEND", b""))
 
@@ -117,8 +126,7 @@ def render_scene(ctx: HullContext, label: str):
         f'<rect width="{_VIEW:.0f}" height="{_VIEW:.0f}" fill="#ffffff"/>',
     ]
 
-    img = np.where(np.flipud(grid.cells), np.uint8(176), np.uint8(255))
-    payload = base64.b64encode(_png_gray(img)).decode("ascii")
+    payload = base64.b64encode(_png_mask(np.flipud(grid.cells))).decode("ascii")
     half_cell = 0.5 * grid.cell_size
     left = cam.x(grid.origin_real - half_cell)
     top = cam.y(grid.origin_imag + (grid.height - 1) * grid.cell_size + half_cell)

@@ -810,6 +810,36 @@ class TestBoundaryPoints:
         assert np.abs(pts).max() < 1.0
 
 
+def _scan_decimate(polygon, eps: float) -> np.ndarray:
+    """Reference decimation: Douglas-Peucker measuring every interior vertex of a span.
+
+    The arithmetic per vertex is that of ``geometry._rdp_splits``; the
+    first farthest vertex of a span splits it.
+    """
+    v = polygon.vertices
+    n = v.size
+    anchors = sorted({int(np.argmax(v.real)), int(np.argmax(v.imag)),
+                      int(np.argmin(v.real)), int(np.argmin(v.imag))})
+    ring = np.concatenate([v, v[:anchors[0] + 1]])
+    vx, vy = ring.real, ring.imag
+    kept = set(anchors)
+    spans = list(zip(anchors, anchors[1:] + [anchors[0] + n]))
+    while spans:
+        lo, hi = spans.pop()
+        if hi - lo < 2:
+            continue
+        ex, ey = vx[hi:hi + 1] - vx[lo], vy[hi:hi + 1] - vy[lo]
+        dx, dy = geometry._clamp_offsets(vx[lo + 1:hi] - vx[lo], vy[lo + 1:hi] - vy[lo],
+                                         ex, ey, geometry._inverse_len2(ex, ey))
+        dev = np.sqrt(dx * dx + dy * dy)
+        k = int(np.argmax(dev))
+        if dev[k] > eps:
+            kept.add((lo + 1 + k) % n)
+            spans += [(lo, lo + 1 + k), (lo + 1 + k, hi)]
+    keep = sorted(kept)
+    return v if len(keep) < 3 else v[keep]
+
+
 class TestDecimate:
     def test_stays_within_budget(self):
         rng = np.random.default_rng(5)
@@ -845,6 +875,26 @@ class TestDecimate:
         for i, j in zip(anchors, anchors[1:] + [anchors[0] + n]):
             split(i, j, kept)
         assert decimate(hull, eps).vertices.tolist() == [v[k] for k in sorted(kept)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["circle", "ellipse", "thin"]), st.integers(100, 1500),
+           st.floats(0.0, 1e-2), st.floats(0, 2 * np.pi),
+           st.sampled_from([1e-8, 1e-6, 1e-4, 1e-2]), st.integers(0, 2 ** 32 - 1))
+    def test_tangent_search_matches_the_full_scan(self, shape, n, jitter, turn, eps, seed):
+        # on a convex arc the farthest vertex sits where the edges pass the
+        # chord's direction; the split must be the one a scan of every
+        # interior vertex finds, bit for bit
+        rng = np.random.default_rng(seed)
+        aspect = {"circle": 1.0, "ellipse": rng.uniform(0.05, 0.9),
+                  "thin": 10.0 ** rng.uniform(-9, -4)}[shape]
+        angle = rng.uniform(0, 2 * np.pi, n)
+        radius = 1.0 + jitter * rng.uniform(size=n)
+        pts = (radius * (np.cos(angle) + 1j * aspect * np.sin(angle))
+               * np.exp(1j * turn) + (0.3 - 2.0j))
+        hull = convex_hull(pts)
+        assume(hull.kind == PROPER and len(hull) > 64)
+        budget = eps * hull.diameter
+        assert np.array_equal(decimate(hull, budget).vertices, _scan_decimate(hull, budget))
 
 
 class TestPolygonHausdorff:

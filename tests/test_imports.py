@@ -61,15 +61,18 @@ def test_output_digest_compares_with_a_saved_run(tmp_path, capsys):
     assert "differs: 31 w/a: pgm differ" in err and "0 w/b" not in err
 
 
-def _png(img: np.ndarray, level: int) -> bytes:
-    """A grayscale PNG of img, deflated at ``level``."""
+def _png(img: np.ndarray, level: int, depth: int = 8, palette: bytes = b"") -> bytes:
+    """A PNG of img deflated at ``level``: 8-bit gray, or indexed by ``palette``."""
     def chunk(tag, data):
         return (struct.pack(">I", len(data)) + tag + data
                 + struct.pack(">I", zlib.crc32(tag + data) & 0xFFFFFFFF))
 
-    raw = np.hstack([np.zeros((img.shape[0], 1), dtype=np.uint8), img]).tobytes()
-    header = struct.pack(">IIBBBBB", img.shape[1], img.shape[0], 8, 0, 0, 0, 0)
+    rows = np.packbits(img, axis=1) if depth == 1 else img
+    raw = np.hstack([np.zeros((img.shape[0], 1), dtype=np.uint8), rows]).tobytes()
+    colour = 3 if palette else 0
+    header = struct.pack(">IIBBBBB", img.shape[1], img.shape[0], depth, colour, 0, 0, 0)
     return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", header)
+            + (chunk(b"PLTE", palette) if palette else b"")
             + chunk(b"IDAT", zlib.compress(raw, level)) + chunk(b"IEND", b""))
 
 
@@ -77,16 +80,27 @@ def test_output_digest_scene_ignores_how_the_png_deflates():
     scene_digest = runpy.run_path(str(ROOT / "scripts" / "output_digest.py"),
                                   run_name="script_under_test")["scene_digest"]
 
-    def svg(img, level):
-        payload = base64.b64encode(_png(img, level)).decode("ascii")
+    def svg(png):
+        payload = base64.b64encode(png).decode("ascii")
         return f'<svg>\n<image href="data:image/png;base64,{payload}"/>\n</svg>\n'.encode()
 
-    img = np.where(np.arange(64 * 64).reshape(64, 64) % 7 < 3, 176, 255).astype(np.uint8)
-    fast, small = svg(img, 1), svg(img, 9)
+    # 61 columns: a 1-bit row ends in three padding bits
+    bounded = np.arange(64 * 61).reshape(64, 61) % 7 < 3
+    img = np.where(bounded, 176, 255).astype(np.uint8)
+    fast, small = svg(_png(img, 1)), svg(_png(img, 9))
     assert fast != small and scene_digest(fast) == scene_digest(small)
+    # the same pixels as an indexed image, 1 or 8 bits per index
+    palette = bytes([255] * 3 + [176] * 3)
+    index = bounded.astype(np.uint8)
+    for depth in (1, 8):
+        indexed = svg(_png(index, 6, depth, palette))
+        assert indexed != small and scene_digest(indexed) == scene_digest(small)
+    # a colour changes the scene, in the pixels or in the palette
     changed = img.copy()
     changed[5, 7] = 0
-    assert scene_digest(svg(changed, 9)) != scene_digest(small)
+    assert scene_digest(svg(_png(changed, 9))) != scene_digest(small)
+    recoloured = svg(_png(index, 6, 1, bytes([255] * 3 + [175] * 3)))
+    assert scene_digest(recoloured) != scene_digest(small)
     assert scene_digest(small.replace(b"<svg>", b"<svg >")) != scene_digest(small)
 
 

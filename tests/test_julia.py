@@ -543,11 +543,11 @@ class TestEscapeGridEarlyExit:
         # so the count aborts the grid as soon as it passes the limit.
         calls = []
 
-        def counting(coeffs, w):
+        def counting(coeffs, w, out=None):
             calls.append(w.size)
             if len(calls) > 300:
                 raise AssertionError("the escape loop missed every cycle")
-            return horner(coeffs, w)
+            return horner(coeffs, w, out=out)
 
         horner = julia_mod._horner
         monkeypatch.setattr(julia_mod, "_horner", counting)

@@ -126,6 +126,23 @@ class TestHorner:
         # == ignores the sign of a zero, the only difference allowed
         assert np.all(out == expected)
 
+    @pytest.mark.parametrize("coeffs, z", [
+        ([-1, 0, 1], _Z),                    # monic, zero subleading
+        ([0.3 - 0.2j, 0.5j, 1], _Z),         # monic, nonzero subleading
+        ([0.1, 0, 0.3 + 0.2j, 0, 1.5 - 0.7j], _Z),  # non-monic
+        ([0, 1], _Z),                        # p(z) = z
+        ([0.5, -0.25, 2.0], _Z.real),        # real coefficients at real points
+        ([-1, 0, 1], _Z[0, 0]),              # 0-d
+    ], ids=["monic", "monic-subleading", "non-monic", "identity", "real", "0d"])
+    def test_out_buffer_gives_the_allocated_bits(self, coeffs, z):
+        coeffs = np.array(coeffs, dtype=np.float64 if np.isrealobj(z) else np.complex128)
+        z = _read_only(z)
+        expected = _horner(coeffs, z)
+        buf = np.full_like(expected, np.nan)  # stale contents must not leak in
+        out = _horner(coeffs, z, out=buf)
+        assert out is buf and out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
 
 class TestDerivative:
     def test_quadratic(self, t2):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from juliahull import Polynomial, convex_hull, escape_grid
-from juliahull.scene import _Camera, _circle_marks, _cross_marks, _hull_path, _png_gray
+from juliahull.scene import _Camera, _circle_marks, _cross_marks, _hull_path, _png_mask
 
 
 def _chunks(png: bytes) -> list:
@@ -45,14 +45,24 @@ def _marks_points(cam: _Camera) -> np.ndarray:
 
 
 def test_png_idat_decodes_to_the_filtered_rows(basilica):
-    cells = escape_grid(basilica, resolution=256, max_iter=100).cells
-    img = np.where(np.flipud(cells), np.uint8(176), np.uint8(255))
-    chunks = _chunks(_png_gray(img))
-    assert [tag for tag, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
-    assert chunks[0][1] == struct.pack(">IIBBBBB", 256, 256, 8, 0, 0, 0, 0)
-    rows = np.frombuffer(zlib.decompress(chunks[1][1]), dtype=np.uint8).reshape(256, 257)
-    assert not rows[:, 0].any()  # filter type 0 on every row
-    assert np.array_equal(rows[:, 1:], img)
+    masks = [np.flipud(escape_grid(basilica, resolution=res, max_iter=100).cells)
+             for res in (256, 100)]  # 100 = 12 * 8 + 4: a row ends in padding bits
+    masks += [np.ones((7, 13), dtype=bool), np.zeros((9, 5), dtype=bool)]
+    for mask in masks:
+        height, width = mask.shape
+        chunks = _chunks(_png_mask(mask))
+        assert [tag for tag, _ in chunks] == [b"IHDR", b"PLTE", b"IDAT", b"IEND"]
+        assert chunks[0][1] == struct.pack(">IIBBBBB", width, height, 1, 3, 0, 0, 0)
+        palette = np.frombuffer(chunks[1][1], dtype=np.uint8).reshape(-1, 3)
+        rows = np.frombuffer(zlib.decompress(chunks[2][1]), dtype=np.uint8)
+        rows = rows.reshape(height, 1 + -(-width // 8))
+        assert not rows[:, 0].any()  # filter type 0 on every row
+        bits = np.unpackbits(rows[:, 1:], axis=1)
+        assert np.array_equal(bits[:, :width], mask)
+        assert not bits[:, width:].any()  # zero padding, so the bytes are deterministic
+        # the colours of an 8-bit gray image: bounded 176, escaping 255
+        gray = np.where(mask, 176, 255)
+        assert np.array_equal(palette[bits[:, :width]], np.stack([gray] * 3, axis=2))
 
 
 def test_circle_marks_equal_the_per_point_fstrings():
