@@ -34,6 +34,14 @@ same fields:
     seed hull/name 0 sha256(vertices) sha256(b"") sha256(b"") sha256(b"")
     seed grid/name 0 sha256(cells) sha256(b"") sha256(b"") sha256(b"")
 
+The render ops raster only even quadratics, whose grid iterates the box
+rows up to the real axis.  So one more line per ``generic-suite``
+polynomial digests the cells of ``escape_grid(p, 2048, 200)``: the
+random ones are parity-free, and their grids iterate the whole box in
+several row bands.
+
+    seed grid2048/key 0 sha256(cells) sha256(b"") sha256(b"") sha256(b"")
+
 ``--against FILE`` compares the lines with a saved run: it runs the saved
 run's seeds unless ``--seed`` is given, names on stderr each op whose line
 differs (and which of its fields), or that only one of the runs has, and
@@ -64,6 +72,7 @@ from juliahull import (  # noqa: E402
     convex_hull,
     escape_grid,
     monomial,
+    parse_polynomial,
     sample_julia,
 )
 from juliahull.cli import main as cli_main  # noqa: E402
@@ -72,6 +81,7 @@ from workloads import WORKLOADS, make_workload  # noqa: E402
 FIELDS = ("exit", "stdout", "svg", "scene", "pgm")
 SAMPLE_POINTS = 20_000
 GRID_RESOLUTION, GRID_MAX_ITER = 512, 200
+WIDE_RESOLUTION, WIDE_MAX_ITER = 2048, 200
 
 
 def _random_polynomial(d: int, seed: int) -> Polynomial:
@@ -148,8 +158,16 @@ def scene_digest(svg: bytes) -> str:
         svg))
 
 
+def _data_line(seed: int, name: str, data: np.ndarray) -> str:
+    """A line of an array's digest, with the three file fields of empty input."""
+    return " ".join([str(seed), name, "0", _sha(data.tobytes()), _sha(b""), _sha(b""), _sha(b"")])
+
+
 def digest_lines(seed: int, workdir: Path):
-    """One digest line per op of every workload at ``seed``, then the samples, hulls and grids."""
+    """One digest line per op of every workload at ``seed``, then the samples, hulls and grids.
+
+    The 2048^2 grids of the ``generic-suite`` polynomials come last.
+    """
     for name in WORKLOADS:
         for op in make_workload(name, seed, workdir):
             stdout = io.StringIO()
@@ -166,8 +184,11 @@ def digest_lines(seed: int, workdir: Path):
         vertices = convex_hull(points).vertices
         cells = escape_grid(p, GRID_RESOLUTION, GRID_MAX_ITER).cells
         for kind, data in (("sample", points), ("hull", vertices), ("grid", cells)):
-            yield " ".join([str(seed), f"{kind}/{name}", "0", _sha(data.tobytes()),
-                            _sha(b""), _sha(b""), _sha(b"")])
+            yield _data_line(seed, f"{kind}/{name}", data)
+    for op in make_workload("generic-suite", seed, workdir):
+        p = parse_polynomial(op.poly).polynomial
+        yield _data_line(seed, f"grid2048/{op.key}",
+                         escape_grid(p, WIDE_RESOLUTION, WIDE_MAX_ITER).cells)
 
 
 def parse_digest(text: str) -> dict:

@@ -212,12 +212,17 @@ def _rng(cfg: CheckConfig, stream: int) -> np.random.Generator:
 
 def _interior_points(hull: ConvexPolygon, count: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Dirichlet-weighted convex combinations of hull vertices (exactly inside)."""
+    """Dirichlet-weighted convex combinations of hull vertices (exactly inside).
+
+    Each row of weights times the vertices is summed by numpy's own
+    reduction, not a BLAS product, so the points do not depend on the BLAS
+    build or its threads, and each equals the sum of its row alone.
+    """
     v = hull.vertices
     if v.size == 1:
         return np.full(count, v[0])
     weights = rng.dirichlet(np.ones(v.size), size=count)
-    return weights @ v
+    return (weights * v).sum(axis=1)
 
 
 def _report(ctx: HullContext, check: str, candidates: np.ndarray,

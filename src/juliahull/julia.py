@@ -55,6 +55,19 @@ block steps in place, swapping two buffers sized to the live orbits
 (``_horner``'s ``out``), with the ufuncs of an allocating loop in the
 same order, so no cell changes a bit; Brent's snapshot is then a copy.
 
+``escape_grid`` hands its rows to ``_bounded`` in bands of about
+``_BAND_CENTERS`` = 2^16 centers, at least one row each (``_grid_rows``),
+and writes each band's mask straight into the cells.  A center's orbit,
+its block schedule and its Brent snapshots depend on that center alone,
+so the bands change no cell.  They change where the work runs: a band's
+centers are about 1 MiB of complex128, so its first disk test,
+compactions and live buffers stay near a core's L2 cache instead of
+sweeping the whole box, and the grid holds one band's temporaries at a
+time besides the cells.  Each band runs its own tail of slow orbits to
+max_iter, and each block of a tail costs numpy's per-call overhead, so
+much smaller bands are slower: 2^14 centers lost to one whole-box call on
+a near-Siegel grid.
+
 Most centers of the disk escape within the first block, so ``_bounded``
 drops them before any step.  ``_inner_radius`` certifies a radius
 r_B <= R beyond which every computed orbit leaves the disk within the
@@ -111,6 +124,10 @@ _ORBIT_BATCH = 2048
 _KEY_TURN = np.exp(-1j)
 
 _GRID_SPAN = 1.05  # half-width of the raster square in units of R (5% margin)
+
+# Centers per row band of the escape grid: about 1 MiB of complex128, so a
+# band's live orbits stay near a core's L2 cache (module docstring).
+_BAND_CENTERS = 2 ** 16
 
 # Escape-grid steps between disk tests: the first block, then at most
 # _MAX_BLOCK_STEPS (module docstring).  Escape is permanent, so a test at
@@ -429,13 +446,22 @@ def _bounded(p: Polynomial, z: np.ndarray, max_iter: int, inner: float) -> np.nd
 
 
 def _grid_rows(p: Polynomial, xs: np.ndarray, ys: np.ndarray, max_iter: int,
-               inner: float) -> np.ndarray:
-    """Bounded mask of the centers xs[ix] + 1j*ys[iy], laid out [iy, ix].
+               inner: float, out: np.ndarray) -> None:
+    """Write into out[iy, ix] the bounded mask of the centers xs[ix] + 1j*ys[iy].
 
-    The centers go in as a temporary, which _bounded drops after its disk test.
+    The rows go to ``_bounded`` in bands of about ``_BAND_CENTERS`` centers
+    (at least one row each), and each band's mask straight into ``out``.
+    A center's orbit, block schedule and Brent snapshot do not depend on
+    the other centers, so the bands change no cell (module docstring).
+    Each band's centers go in as a temporary, which _bounded drops after
+    its disk test.
     """
-    return _bounded(p, (xs[None, :] + 1j * ys[:, None]).ravel(), max_iter,
-                    inner).reshape(ys.size, xs.size)
+    rows = max(1, _BAND_CENTERS // xs.size)
+    for lo in range(0, ys.size, rows):
+        band = ys[lo:lo + rows]
+        out[lo:lo + band.size] = _bounded(
+            p, (xs[None, :] + 1j * band[:, None]).ravel(), max_iter,
+            inner).reshape(band.size, xs.size)
 
 
 def escape_grid(p: Polynomial, resolution: int = 512, max_iter: int = 200) -> EscapeGrid:
@@ -446,7 +472,8 @@ def escape_grid(p: Polynomial, resolution: int = 512, max_iter: int = 200) -> Es
     at any iteration budget instead of draining to an empty raster.  Only
     the centers of the box |x|, |y| <= r_B are iterated; for an even or
     odd p only its rows up to the real axis, and the rest are the mirror
-    image of those (module docstring).
+    image of those.  The rows are iterated in bands of about
+    ``_BAND_CENTERS`` centers (module docstring).
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
@@ -462,11 +489,11 @@ def escape_grid(p: Polynomial, resolution: int = 512, max_iter: int = 200) -> Es
     box = slice(half - m, half + m + 1)
     cells = np.zeros((resolution, resolution), dtype=bool)
     if np.any(p.coeffs[(p.degree + 1) % 2::2]):
-        cells[box, box] = _grid_rows(p, axis[box], axis[box], max_iter, inner)
+        _grid_rows(p, axis[box], axis[box], max_iter, inner, cells[box, box])
     else:
         # cell [iy, ix] mirrors cell [2 half - iy, 2 half - ix]
-        cells[box.start:half + 1, box] = _grid_rows(
-            p, axis[box], axis[box.start:half + 1], max_iter, inner)
+        _grid_rows(p, axis[box], axis[box.start:half + 1], max_iter, inner,
+                   cells[box.start:half + 1, box])
         cells[half + 1:box.stop, box] = cells[box.start:half, box][::-1, ::-1]
     return EscapeGrid(
         origin_real=float(axis[0]), origin_imag=float(axis[0]),

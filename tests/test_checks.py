@@ -160,6 +160,27 @@ class TestSolverFailure:
             PASS, PASS]
 
 
+class TestInteriorPoints:
+    """Dirichlet combinations of hull vertices, summed by numpy, not BLAS."""
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (5, 1), (38, 2), (200, 3)])
+    def test_each_point_is_its_row_summed_alone(self, n, seed):
+        rng = np.random.default_rng(seed)
+        hull = convex_hull(rng.normal(size=n) + 1j * rng.normal(size=n))
+        points = checks._interior_points(hull, 256, np.random.default_rng(seed))
+        v = hull.vertices
+        weights = np.random.default_rng(seed).dirichlet(np.ones(v.size), size=256)
+        # a row's sum in numpy's order, free of any batch or BLAS blocking
+        reference = np.array([np.add.reduce(row * v) for row in weights])
+        assert np.array_equal(points, reference)
+        assert np.all(signed_distance(hull, points) <= 1e-12 * hull.diameter)
+
+    def test_a_single_vertex_repeats(self):
+        hull = convex_hull(np.array([0.5 - 2j]))
+        points = checks._interior_points(hull, 7, np.random.default_rng(0))
+        assert np.array_equal(points, np.full(7, 0.5 - 2j))
+
+
 class TestBackwardInclusion:
     def test_chebyshev_segment(self, t2, fast_cfg):
         report = check_backward_inclusion(build_context(t2, fast_cfg))

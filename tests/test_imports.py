@@ -1,4 +1,5 @@
 """The package starts without scipy or the CLI, and the scripts load against its names."""
+import ast
 import base64
 import json
 import os
@@ -22,6 +23,26 @@ def test_no_scipy_at_run_time():
     out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# numpy names that may hand work to BLAS or LAPACK, whose summation order
+# and threads vary between builds
+_BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot", "linalg"}
+
+
+def test_no_blas_calls_in_the_package():
+    # results must not depend on the BLAS build: no `@`, no `.dot` and no
+    # numpy product or linalg name (decorators are not MatMult nodes)
+    found = []
+    for path in sorted((ROOT / "src" / "juliahull").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} @")
+            elif isinstance(node, ast.Attribute) and (node.attr == "dot" or (
+                    isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                    and node.attr in _BLAS_NAMES)):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert found == []
 
 
 @pytest.mark.parametrize("script", ["convergence_study.py", "output_digest.py",

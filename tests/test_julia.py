@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -680,6 +681,56 @@ class TestEscapeGridSymmetry:
         escape_grid(basilica, resolution, max_iter=60)
         assert calls == [(side // 2 + 1) * side]
         assert side < 0.55 * resolution
+
+
+class TestEscapeGridBands:
+    """The iterated rows go to _bounded in bands of about _BAND_CENTERS centers."""
+
+    @pytest.mark.parametrize("p", [
+        Polynomial([-1, 0, 1]),                             # basilica: even
+        Polynomial(-chebyshev(3).coeffs),                   # odd
+        Polynomial([0.2 + 0.1j, 0.3j, 0, 1]),               # parity-free cubic
+    ], ids=["basilica", "negcheb3", "cubic"])
+    @pytest.mark.parametrize("resolution", [64, 65, 129])
+    @pytest.mark.parametrize("band", ["one-row", "three-rows", "partial-last"])
+    def test_bands_give_the_single_band_cells(self, monkeypatch, p, resolution, band):
+        max_iter = 120
+        monkeypatch.setattr(julia_mod, "_BAND_CENTERS", 1 << 40)
+        single = escape_grid(p, resolution, max_iter).cells
+        side = _box_side(p, resolution, max_iter)
+        mirrored = not np.any(p.coeffs[(p.degree + 1) % 2::2])
+        rows = side // 2 + 1 if mirrored else side
+        band_rows = {"one-row": 1, "three-rows": 3, "partial-last": rows // 2 + 1}[band]
+        # a budget between whole rows, or below one row, rounds down to them
+        budget = 1 if band_rows == 1 else band_rows * side + side // 2
+        monkeypatch.setattr(julia_mod, "_BAND_CENTERS", budget)
+        calls = _count_bounded(monkeypatch)
+        cells = escape_grid(p, resolution, max_iter).cells
+        assert single.any() and np.array_equal(cells, single)
+        # the calls partition the iterated rows of the box, in bands of band_rows
+        assert sum(calls) == rows * side
+        assert all(size <= budget or size == side for size in calls)
+        assert calls[:-1] == [band_rows * side] * (len(calls) - 1)
+        assert len(calls) == -(-rows // band_rows)
+        if band == "partial-last":
+            assert 0 < calls[-1] < band_rows * side
+
+    @pytest.mark.parametrize("p", [Polynomial([-0.12 + 0.74j, 0, 1]),   # rabbit
+                                   Polynomial([0.1, 0.2j, 0.3, 1])],     # parity-free
+                             ids=["rabbit", "cubic"])
+    def test_peak_memory_is_the_cells_and_one_band(self, p):
+        # A band of 2^16 centers is 1 MiB of complex128; its moduli, masks,
+        # indices and live orbits read 2.5-3.3 MiB over the cells at 2048^2.
+        # Iterating the whole box at once read 19-31 MiB over.  The margin
+        # of 6 MiB leaves about 2x room for numpy's temporaries.
+        tracemalloc.start()
+        try:
+            grid = escape_grid(p, 2048, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.cells.any()
+        assert peak <= grid.cells.nbytes + 6 * 2 ** 20
 
 
 class TestHoloHullFill:
