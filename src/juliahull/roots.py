@@ -9,7 +9,11 @@ first edge, which carries the target, starts a binomial fiber such as
 c z^d = t two steps from its roots.  Aberth is the only update rule, and
 it gets the whole iteration budget.  A whole family p(z) = t_m can be
 solved in one vectorized batch, which is what the inverse-iteration
-sampler leans on.
+sampler leans on.  What depends on p alone (the Newton polygon of its
+a_j, j >= 1, the starts it fixes, p', the scales of the residual bound
+and the pair tables of the iteration) is built once per coefficient
+vector, into a ``_Plan`` that a cache of _PLAN_CACHE_SIZE entries keeps;
+a sample solves the same p some 26 times.
 
 A quadratic fiber starts from its exact roots instead, in Vieta form
 (``_quadratic_roots``), and the same iteration only confirms them.
@@ -34,6 +38,8 @@ and the preimage-convexity check's batched rejection rounds rest on this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -69,6 +75,10 @@ _REPELLING_MARGIN = 1e-9
 # batch of 2048 fibers below degree 23.
 _CHUNK_BUDGET = 2 ** 20
 
+# Solver plans kept (``_plan``).  A suite solves three coefficient vectors,
+# p, p' and p(z) - z, p itself about 26 times.
+_PLAN_CACHE_SIZE = 8
+
 
 @dataclass(eq=False)
 class RootSet:
@@ -94,7 +104,88 @@ class NoRepellingFixedPointError(RuntimeError):
     """All finite fixed points have multiplier modulus <= 1."""
 
 
-def _initial_points(coeffs: np.ndarray, targets: np.ndarray, d: int) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What the solver needs of one coefficient vector, whatever the targets.
+
+    ``_initial_points`` reads the Newton polygon of the a_j, j >= 1: its
+    vertices, log|a_j| and arg a_j at each, and ``steps``, the values of
+    log|a_0 - t| where j* steps right past a vertex.  Row v of ``unit``
+    holds the turned unit starts of vertex v in its first vertex[v] slots,
+    and row v of ``fixed`` the starts of the edges right of it in the
+    rest; ``fixed`` is None when the polygon has one vertex.
+    ``_residual_bounds`` reads |a_j| with |a_0| zeroed, and its floor
+    max_{j >= 1} |a_j|.  ``_iterate`` reads the coefficients of p and p',
+    and the pair tables: ``first[q]`` is the row i of pair q = (i, j), i
+    < j, in by_row order, and ``col_order`` orders the pairs by j.
+    """
+
+    coeffs: np.ndarray
+    dcoeffs: np.ndarray
+    abs_coeffs: np.ndarray
+    coeff_max: float
+    vertex: np.ndarray
+    logs: np.ndarray
+    args: np.ndarray
+    steps: np.ndarray
+    unit: np.ndarray
+    fixed: Optional[np.ndarray]
+    first: np.ndarray
+    col_order: np.ndarray
+
+
+def _build_plan(coeffs: np.ndarray) -> _Plan:
+    """The ``_Plan`` of a_0..a_d, d >= 2 (Bini's rule, ``_initial_points``)."""
+    d = coeffs.size - 1
+    logs = np.full(d + 1, -np.inf)
+    nonzero = np.flatnonzero(coeffs[1:]) + 1
+    logs[nonzero] = np.log(np.abs(coeffs[nonzero]))
+    hull: list = []  # upper hull of (j, logs[j]) over the nonzero a_j, j >= 1
+    for j in nonzero.tolist():
+        while len(hull) >= 2 and ((logs[hull[-1]] - logs[hull[-2]]) * (j - hull[-2])
+                                  <= (logs[j] - logs[hull[-2]]) * (hull[-1] - hull[-2])):
+            hull.pop()
+        hull.append(j)
+    vertex = np.array(hull)
+    args = np.angle(coeffs[vertex])
+    slope = np.diff(logs[vertex]) / np.diff(vertex)
+    slot = np.arange(d)
+    inner = slot < vertex[:, None]
+    unit = np.exp(2j * np.pi * (slot + _START_TURN) / vertex[:, None])
+    fixed = None
+    if slope.size:
+        # slot s of the edge from a to b is its start s - a
+        right = slot[vertex[0]:]
+        edge = np.searchsorted(vertex, right, side="right") - 1
+        a, b = vertex[edge], vertex[edge + 1]
+        angle = (np.pi + args[edge] - args[edge + 1]
+                 + 2.0 * np.pi * (right - a + _START_TURN)) / (b - a)
+        starts = np.zeros(d, dtype=np.complex128)
+        starts[vertex[0]:] = np.exp(-slope[edge] + 1j * angle)
+        fixed = np.where(inner, 0.0, starts)
+    abs_coeffs = np.abs(coeffs)
+    abs_coeffs[0] = 0.0  # constant term differs per member, added back per solve
+    first, second = np.triu_indices(d, 1)  # the pairs in by_row order
+    return _Plan(
+        coeffs=coeffs, dcoeffs=derivative(Polynomial(coeffs)).coeffs,
+        abs_coeffs=abs_coeffs, coeff_max=abs_coeffs[1:].max(),
+        vertex=vertex, logs=logs[vertex], args=args,
+        steps=logs[vertex[1:]] - slope * vertex[1:],
+        unit=np.where(inner, unit, 0.0), fixed=fixed,
+        first=first, col_order=np.lexsort((first, second)))
+
+
+def _plan(coeffs: np.ndarray) -> _Plan:
+    """The ``_Plan`` of a complex coefficient vector, built on its first solve."""
+    return _cached_plan(coeffs.tobytes())
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _cached_plan(key: bytes) -> _Plan:
+    return _build_plan(np.frombuffer(key, dtype=np.complex128))
+
+
+def _initial_points(plan: _Plan, targets: np.ndarray) -> np.ndarray:
     """Aberth starts for p(z) = t, one row of d per target (Bini's rule).
 
     The upper convex hull of the points (j, log|a_j|), with a_0 - t for
@@ -109,52 +200,24 @@ def _initial_points(coeffs: np.ndarray, targets: np.ndarray, d: int) -> np.ndarr
     (log|a_j*| - log|a_0 - t|) / j*.  As log|a_0 - t| grows, j* steps
     right past each vertex where the line from (0, log|a_0 - t|) runs
     along the next hull edge, so one ``searchsorted`` finds it.  The
-    circles right of j* are built once per batch, and so are the turned
-    unit starts of each first edge; a member's row of those is scaled by
-    its radius and turned by arg(-(a_0 - t) / a_j*) / j*.  A target equal
-    to a_0 counts as |a_0 - t| = the smallest normal float.
+    polygon of j >= 1, the circles right of each vertex and the turned
+    unit starts of each first edge are built once per polynomial, in its
+    ``_Plan``; a member's row of those is scaled by its radius and turned
+    by arg(-(a_0 - t) / a_j*) / j*.  A target equal to a_0 counts as
+    |a_0 - t| = the smallest normal float.
     """
-    logs = np.full(d + 1, -np.inf)
-    nonzero = np.flatnonzero(coeffs[1:]) + 1
-    logs[nonzero] = np.log(np.abs(coeffs[nonzero]))
-    hull: list = []  # upper hull of (j, logs[j]) over the nonzero a_j, j >= 1
-    for j in nonzero.tolist():
-        while len(hull) >= 2 and ((logs[hull[-1]] - logs[hull[-2]]) * (j - hull[-2])
-                                  <= (logs[j] - logs[hull[-2]]) * (hull[-1] - hull[-2])):
-            hull.pop()
-        hull.append(j)
-    vertex = np.array(hull)
-    args = np.angle(coeffs[vertex])
-    slope = np.diff(logs[vertex]) / np.diff(vertex)
-    # where log|a_0 - t| reaches these, j* steps right past a vertex
-    steps = logs[vertex[1:]] - slope * vertex[1:]
-    lift = targets - coeffs[0]  # -(a_0 - t)
+    lift = targets - plan.coeffs[0]  # -(a_0 - t)
     shift = np.log(np.maximum(np.abs(lift), np.finfo(np.float64).tiny))
-    star = np.searchsorted(steps, shift, side="right")
-    j_star = vertex[star]
-    radius = np.exp((shift - logs[j_star]) / j_star)
+    star = np.searchsorted(plan.steps, shift, side="right")
+    j_star = plan.vertex[star]
+    radius = np.exp((shift - plan.logs[star]) / j_star)
     # arg(-(a_0 - t) / a_j*) / j*, up to a multiple of 2 pi / j*, which
     # only permutes the starts of the edge
-    turn = (np.angle(lift) - args[star]) / j_star
-    # one table row per vertex that some target takes as j*: its turned
-    # unit starts in the first j* slots, the fixed edges right of them
-    used = np.bincount(star, minlength=vertex.size) > 0
-    row = (np.cumsum(used) - 1)[star]
-    slot = np.arange(d)
-    inner = slot < vertex[used][:, None]
-    unit = np.exp(2j * np.pi * (slot + _START_TURN) / vertex[used][:, None])
-    z = np.take(np.where(inner, unit, 0.0), row, axis=0)
+    turn = (np.angle(lift) - plan.args[star]) / j_star
+    z = np.take(plan.unit, star, axis=0)
     z *= (radius * np.exp(1j * turn))[:, None]
-    if slope.size:
-        # slot s of the edge from a to b is its start s - a
-        right = slot[vertex[0]:]
-        edge = np.searchsorted(vertex, right, side="right") - 1
-        a, b = vertex[edge], vertex[edge + 1]
-        angle = (np.pi + args[edge] - args[edge + 1]
-                 + 2.0 * np.pi * (right - a + _START_TURN)) / (b - a)
-        fixed = np.zeros(d, dtype=np.complex128)
-        fixed[vertex[0]:] = np.exp(-slope[edge] + 1j * angle)
-        z += np.take(np.where(inner, 0.0, fixed), row, axis=0)
+    if plan.fixed is not None:
+        z += np.take(plan.fixed, star, axis=0)
     return z
 
 
@@ -214,7 +277,7 @@ def _row_sums(by_row, by_col, out):
     return out
 
 
-def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
+def _iterate(plan, targets, z, bounds_of, max_iter):
     """Run Aberth's iteration on z in place; returns (residuals, ok).
 
     The working set w is laid out as (d, members), so every numpy call runs
@@ -232,18 +295,19 @@ def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
     iterate.
 
     Each step computes the reciprocal 1/(w_i - w_j) of each pair i < j
-    once, into a reused (pairs, members) buffer, and ``_row_sums`` adds
-    each root's sum over j in increasing order into one reused (d,
-    members) buffer.  Every operation is elementwise along the member
-    axis, so no bit depends on numpy's reduction internals.  Each complex
-    product keeps its operand order (``newton * sum``): numpy's complex
-    multiply is not bitwise commutative.
+    once, into a reused (pairs, members) buffer, copies it in the order
+    of the plan's ``col_order``, and ``_row_sums`` adds each root's sum
+    over j in increasing order into one reused (d, members) buffer.
+    Every operation is elementwise along the member axis, so no bit
+    depends on numpy's reduction internals.  Each complex product keeps
+    its operand order (``newton * sum``): numpy's complex multiply is not
+    bitwise commutative.
     """
     m, d = z.shape
     members = np.arange(m)
     w = z.T
     for it in range(max_iter + 1):
-        pv = _horner(coeffs, w)
+        pv = _horner(plan.coeffs, w)
         pv -= targets
         err = np.abs(pv)
         bound = bounds_of(w, members)
@@ -261,8 +325,6 @@ def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
             ok = np.zeros(m, dtype=bool)
             w, pv = w.copy(), pv.copy()  # C order: members along each row
             pairs = d * (d - 1) // 2
-            first, second = np.triu_indices(d, 1)  # the pairs in by_row order
-            col_order = np.lexsort((first, second))  # the same, ordered by j
             row_buf = np.empty(pairs * m, dtype=np.complex128)
             col_buf = np.empty(pairs * m, dtype=np.complex128)
             sum_buf = np.empty(d * m, dtype=np.complex128)
@@ -283,13 +345,13 @@ def _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
             # an exact collision w_i == w_j, so |w_i| == |w_j|, gets a
             # deterministic nudge; its two terms have opposite signs, so
             # the pair moves apart
-            np.copyto(by_row, 1e-12 * (1.0 + np.abs(w))[first], where=by_row == 0)
+            np.copyto(by_row, 1e-12 * (1.0 + np.abs(w))[plan.first], where=by_row == 0)
         np.divide(1.0, by_row, out=by_row)
         # every index is in range; "clip" only skips the buffered bounds check
-        by_col = np.take(by_row, col_order, axis=0, mode="clip",
+        by_col = np.take(by_row, plan.col_order, axis=0, mode="clip",
                          out=col_buf[:pairs * k].reshape(pairs, k))
         denom = _row_sums(by_row, by_col, sum_buf[:d * k].reshape(d, k))
-        dv = _horner(dcoeffs, w)
+        dv = _horner(plan.dcoeffs, w)
         dv[dv == 0] = 1e-300
         newton = np.divide(pv, dv, out=pv)
         np.multiply(newton, denom, out=denom)
@@ -332,23 +394,20 @@ def _solve_batch(p: Polynomial, targets: np.ndarray, max_iter: int):
     Degree 2 starts from the exact roots, in Vieta form; they meet the
     residual bound, so ``_iterate`` freezes them before any step.
     """
-    coeffs = p.coeffs
-    d = p.degree
-    const_shift = np.abs(coeffs[0] - targets)
-    floor = np.maximum(np.abs(coeffs[1:]).max(), const_shift)
-    abs_coeffs = np.abs(coeffs)
-    abs_coeffs[0] = 0.0  # constant term differs per member, added back below
-    dcoeffs = derivative(p).coeffs
+    plan = _plan(p.coeffs)
+    const_shift = np.abs(plan.coeffs[0] - targets)
+    floor = np.maximum(plan.coeff_max, const_shift)
 
     def bounds_of(z, members):
-        return _residual_bounds(abs_coeffs, const_shift[members], z, floor[members])
+        return _residual_bounds(plan.abs_coeffs, const_shift[members], z,
+                                floor[members])
 
     # an overflow leaves its member unconverged, with a non-finite residual
     # or bound, and numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        z = (_quadratic_roots(coeffs, targets) if d == 2
-             else _initial_points(coeffs, targets, d))
-        res, ok = _iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter)
+        z = (_quadratic_roots(plan.coeffs, targets) if p.degree == 2
+             else _initial_points(plan, targets))
+        res, ok = _iterate(plan, targets, z, bounds_of, max_iter)
     return z, res, ok
 
 

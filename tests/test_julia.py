@@ -259,9 +259,9 @@ class TestSampleJulia:
         runs = []
         original = roots_mod._iterate
 
-        def watched(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
+        def watched(plan, targets, z, bounds_of, max_iter):
             start = z.copy()
-            out = original(coeffs, dcoeffs, targets, z, bounds_of, max_iter)
+            out = original(plan, targets, z, bounds_of, max_iter)
             runs.append(np.array_equal(z, start))
             return out
 

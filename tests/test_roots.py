@@ -3,6 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import juliahull.julia as julia_mod
 import juliahull.roots as roots_mod
 from juliahull import (
     AffineMap,
@@ -19,10 +20,11 @@ from juliahull import (
     monomial,
     preimage_fibers,
     repelling_fixed_point,
+    sample_julia,
     signed_distance,
 )
 from juliahull.polynomial import _horner, derivative
-from juliahull.roots import MAX_ITERATIONS, RESIDUAL_TOL
+from juliahull.roots import _PLAN_CACHE_SIZE, MAX_ITERATIONS, RESIDUAL_TOL
 
 
 def match_multisets(found, expected, tol):
@@ -267,6 +269,11 @@ class TestQuadraticStart:
         assert np.minimum(straight, crossed).max() <= 1e-8 * np.abs(exact).max()
 
 
+def _starts(coeffs, targets):
+    """The Aberth starts of p(z) = t for the coefficients a_0..a_d of p."""
+    return roots_mod._initial_points(roots_mod._plan(coeffs), targets)
+
+
 def _reference_iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
     """The plain solver loop, the oracle for ``roots._iterate``.
 
@@ -328,7 +335,7 @@ def _reference_solve(p, targets, max_iter=MAX_ITERATIONS):
         scale = _horner(abs_coeffs, np.abs(z)).real + const_shift[members, None]
         return RESIDUAL_TOL * np.maximum(scale, floor[members, None])
 
-    z = roots_mod._initial_points(coeffs, targets, p.degree)
+    z = _starts(coeffs, targets)
     z = _reference_iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter)
     res = np.abs(_horner(coeffs, z) - targets[:, None])
     ok = (res <= bounds_of(z, np.arange(targets.size))).all(axis=1)
@@ -400,14 +407,14 @@ class TestReferenceSolver:
     def test_colliding_start_points(self, monkeypatch, d):
         original = roots_mod._initial_points
 
-        def colliding(coeffs, targets, degree):
-            z = original(coeffs, targets, degree)
+        def colliding(plan, targets):
+            z = original(plan, targets)
             z[:, 1] = z[:, 0]  # two starts of every member coincide exactly
             return z
 
         monkeypatch.setattr(roots_mod, "_initial_points", colliding)
         p, targets = _seeded_fibers(d, monic=False)
-        start = colliding(p.coeffs, targets, d)
+        start = colliding(roots_mod._plan(p.coeffs), targets)
         # no member starts converged, so the first step nudges every pair
         # apart; no step overflows p(z), or the suite's warning filter fails
         assert not (np.abs(evaluate(p, start) - targets[:, None])
@@ -440,7 +447,7 @@ class TestNewtonPolygonStart:
         coeffs = np.zeros(d + 1, dtype=np.complex128)
         coeffs[-1] = c
         targets = np.array([1.0, 0.5j, -2e-3 + 7j, 3e5])
-        z = roots_mod._initial_points(coeffs, targets, d)
+        z = _starts(coeffs, targets)
         expected = np.abs(targets / c) ** (1.0 / d)
         assert np.allclose(np.abs(z), expected[:, None], rtol=1e-12, atol=0)
         # at the d-th roots of t/c, turned by _START_TURN of their spacing
@@ -461,7 +468,7 @@ class TestNewtonPolygonStart:
         # T_4 - t = 8 z^4 - 8 z^2 + (1 - t): the first edge, from 0 to 2,
         # puts two starts at radius sqrt(|1 - t| / 8), the edge from 2 to 4
         # two on the unit circle
-        z = roots_mod._initial_points(chebyshev(4).coeffs, np.array([t]), 4)[0]
+        z = _starts(chebyshev(4).coeffs, np.array([t]))[0]
         assert np.allclose(np.abs(z[:2]), np.sqrt(abs(1.0 - t) / 8.0), rtol=1e-12)
         assert np.allclose(np.abs(z[2:]), 1.0, rtol=1e-12)
 
@@ -469,7 +476,7 @@ class TestNewtonPolygonStart:
         # a_0 - t = 0: the roots at 0 start at a tiny radius, and every
         # member converges
         p = chebyshev(5)  # odd: a_0 = 0, a simple root at 0
-        z = roots_mod._initial_points(p.coeffs, np.zeros(1, dtype=np.complex128), 5)
+        z = _starts(p.coeffs, np.zeros(1, dtype=np.complex128))
         assert np.abs(z[0, 0]) < 1e-300
         roots, _, ok = roots_mod.solve_fibers(p, [0.0])
         assert ok.all()
@@ -502,10 +509,68 @@ class TestNewtonPolygonStart:
         g = AffineMap(0.7 - 1.1j, 0.3 + 0.2j)
         p = conjugate(chebyshev(5), g)
         targets = g(np.linspace(-1, 1, 64))
-        z = roots_mod._initial_points(p.coeffs, targets, 5)
+        z = _starts(p.coeffs, targets)
         roots, _, ok = roots_mod.solve_fibers(p, targets)
         assert ok.all()
         assert np.abs(z).max() <= 1.5 * np.abs(roots).max()
+
+
+def _log_coefficients(monkeypatch, module, name):
+    """Wrap ``module.name`` to log the coefficient bytes it is called with.
+
+    Its first argument is a Polynomial or a coefficient vector.
+    """
+    log = []
+    original = getattr(module, name)
+
+    def logged(first, *args, **kwargs):
+        log.append(getattr(first, "coeffs", first).tobytes())
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, logged)
+    return log
+
+
+class TestSolverPlan:
+    """Each coefficient vector's plan is built once and kept in a small cache."""
+
+    @staticmethod
+    def _random_polynomials(count, d=5, seed=9):
+        rng = np.random.default_rng(seed)
+        return [Polynomial(rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1))
+                for _ in range(count)]
+
+    def test_a_sample_builds_each_plan_once(self, monkeypatch):
+        p = self._random_polynomials(1)[0]
+        roots_mod._cached_plan.cache_clear()
+        built = _log_coefficients(monkeypatch, roots_mod, "_build_plan")
+        solved = _log_coefficients(monkeypatch, julia_mod, "solve_fibers")
+        sample_julia(p, 100_000, seed=0)
+        # p is solved once per sampler step, and its plan built once
+        assert solved.count(p.coeffs.tobytes()) > 10
+        assert p.coeffs.tobytes() in built
+        assert len(built) == len(set(built))
+
+    def test_solve_after_eviction_matches_a_cold_cache(self, monkeypatch):
+        p, targets = _seeded_fibers(5, monic=False)
+        roots_mod._cached_plan.cache_clear()
+        built = _log_coefficients(monkeypatch, roots_mod, "_build_plan")
+        cold = roots_mod.solve_fibers(p, targets)
+        for q in self._random_polynomials(2 * _PLAN_CACHE_SIZE):
+            roots_mod.solve_fibers(q, targets[:4])
+        evicted = roots_mod.solve_fibers(p, targets)  # p's plan is built again
+        cached = roots_mod.solve_fibers(p, targets)
+        assert built.count(p.coeffs.tobytes()) == 2
+        for solved in (evicted, cached):
+            for a, b in zip(cold, solved):
+                assert np.array_equal(a, b)
+
+    def test_cache_holds_at_most_its_size(self):
+        roots_mod._cached_plan.cache_clear()
+        for q in self._random_polynomials(3 * _PLAN_CACHE_SIZE, d=3):
+            roots_mod.solve_fibers(q, [0.5, 2.0j])
+            assert roots_mod._cached_plan.cache_info().currsize <= _PLAN_CACHE_SIZE
+        assert roots_mod._cached_plan.cache_info().currsize == _PLAN_CACHE_SIZE
 
 
 class TestNonFiniteResidual:
