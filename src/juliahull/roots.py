@@ -7,13 +7,18 @@ their spacing.  The circles they lie on follow the moduli of the roots, so
 an affine conjugate of p starts as close to its roots as p does, and the
 first edge, which carries the target, starts a binomial fiber such as
 c z^d = t two steps from its roots.  Aberth is the only update rule, and
-it gets the whole iteration budget.  A whole family p(z) = t_m can be
-solved in one vectorized batch, which is what the inverse-iteration
-sampler leans on.  What depends on p alone (the Newton polygon of its
-a_j, j >= 1, the starts it fixes, p', the scales of the residual bound
-and the pair tables of the iteration) is built once per coefficient
-vector, into a ``_Plan`` that a cache of _PLAN_CACHE_SIZE entries keeps;
-a sample solves the same p some 26 times.
+it gets the whole iteration budget.  Its step is w -= p / (p' - p S),
+with S = sum over j != i of 1/(w_i - w_j): the textbook N / (1 - N S),
+N = p / p', with one complex division.  Where p' - p S vanishes, the
+step is Newton's, p / p'; where p' vanishes too, the divisor is
+max(1e-300, |p| / (1 + |w|)), so the step stays within 1 + |w|.  A
+whole family p(z) = t_m can be solved in one vectorized batch, which is
+what the inverse-iteration sampler leans on.  What depends on p alone
+(the Newton polygon of its a_j, j >= 1, the starts it fixes, p', the
+scales of the residual bound and the pair tables of the iteration) is
+built once per coefficient vector, into a ``_Plan`` that a cache of
+_PLAN_CACHE_SIZE entries keeps; a sample solves the same p some 26
+times.
 
 A quadratic fiber starts from its exact roots instead, in Vieta form
 (``_quadratic_roots``), and the same iteration only confirms them.
@@ -296,11 +301,12 @@ def _iterate(plan, targets, z, bounds_of, max_iter):
 
     Each step computes the reciprocal 1/(w_i - w_j) of each pair i < j
     once, into a reused (pairs, members) buffer, copies it in the order
-    of the plan's ``col_order``, and ``_row_sums`` adds each root's sum
-    over j in increasing order into one reused (d, members) buffer.
+    of the plan's ``col_order``, and ``_row_sums`` adds each root's sum S
+    over j in increasing order into one reused (d, members) buffer.  The
+    step is then w -= p / (p' - p S), one complex division per root.
     Every operation is elementwise along the member axis, so no bit
     depends on numpy's reduction internals.  Each complex product keeps
-    its operand order (``newton * sum``): numpy's complex multiply is not
+    its operand order (``pv * S``): numpy's complex multiply is not
     bitwise commutative.
     """
     m, d = z.shape
@@ -352,12 +358,17 @@ def _iterate(plan, targets, z, bounds_of, max_iter):
                          out=col_buf[:pairs * k].reshape(pairs, k))
         denom = _row_sums(by_row, by_col, sum_buf[:d * k].reshape(d, k))
         dv = _horner(plan.dcoeffs, w)
-        dv[dv == 0] = 1e-300
-        newton = np.divide(pv, dv, out=pv)
-        np.multiply(newton, denom, out=denom)
-        np.subtract(1.0, denom, out=denom)
-        denom[denom == 0] = 1.0
-        w -= np.divide(newton, denom, out=newton)
+        np.multiply(pv, denom, out=denom)
+        np.subtract(dv, denom, out=denom)
+        if not denom.all():
+            # p' - p S == 0: take the Newton step p / p'.  Where p' == 0
+            # too, Aberth's step is unbounded; divide by 1e-300, or by
+            # |p| / (1 + |w|) if that is larger, so the step stays within
+            # 1 + |w| and p of the next iterate does not overflow
+            np.copyto(denom, dv, where=denom == 0)
+            np.copyto(denom, np.maximum(np.abs(pv) / (1.0 + np.abs(w)), 1e-300),
+                      where=denom == 0)
+        w -= np.divide(pv, denom, out=pv)
 
 
 def solve_fibers(p: Polynomial, targets, max_iter: int = MAX_ITERATIONS):

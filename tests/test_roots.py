@@ -282,7 +282,8 @@ def _reference_iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
     adds the columns of the (active, d, d) reciprocal tensor one by one,
     j = 0..d-1, the order of ``roots._row_sums``; the zero on the diagonal
     that it adds and the solver skips cannot change a bit, since a sum
-    that starts at +0 never reads -0.
+    that starts at +0 never reads -0.  Its step is the solver's,
+    w -= p / (p' - p S), with the same two guards for a zero divisor.
     """
     m, d = z.shape
     eye = np.eye(d, dtype=bool)
@@ -305,16 +306,16 @@ def _reference_iterate(coeffs, dcoeffs, targets, z, bounds_of, max_iter):
             nudge = 1e-12 * (1.0 + np.abs(za))[:, :, None]
             diff = np.where(collided, np.where(upper, nudge, -nudge), diff)
         dv = _horner(dcoeffs, za)
-        dv = np.where(dv == 0, 1e-300, dv)
-        newton = pv / dv
         inv = 1.0 / diff
         inv[:, eye] = 0.0
-        sums = np.zeros_like(newton)
+        sums = np.zeros_like(pv)
         for j in range(d):
             sums += inv[:, :, j]
-        denom = 1.0 - newton * sums
-        denom = np.where(denom == 0, 1.0, denom)
-        z[active] = za - newton / denom
+        denom = dv - pv * sums
+        denom = np.where(denom == 0, dv, denom)
+        capped = np.maximum(np.abs(pv) / (1.0 + np.abs(za)), 1e-300)
+        denom = np.where(denom == 0, capped, denom)
+        z[active] = za - pv / denom
     return z
 
 
@@ -423,6 +424,65 @@ class TestReferenceSolver:
         assert got[2].all()
         for a, b in zip(got, _reference_solve(p, targets)):
             assert np.array_equal(a, b)
+
+    @staticmethod
+    def _start_from(monkeypatch, row):
+        """Start every member of a solve from the same row of d points."""
+        row = np.asarray(row, dtype=np.complex128)
+        monkeypatch.setattr(roots_mod, "_initial_points",
+                            lambda plan, targets: np.tile(row, (targets.size, 1)))
+        return row
+
+    @staticmethod
+    def _aberth_sums(w):
+        """S_i = sum over j != i of 1/(w_i - w_j) for one member's iterates."""
+        diff = w[:, None] - w[None, :]
+        np.fill_diagonal(diff, np.inf)
+        return (1.0 / diff).sum(axis=1)
+
+    def _assert_converges_as_reference(self, p, targets):
+        got = roots_mod.solve_fibers(p, targets)
+        assert got[2].all()
+        for a, b in zip(got, _reference_solve(p, targets)):
+            assert np.array_equal(a, b)
+
+    # Non-real targets: a real polynomial at a real target keeps real
+    # starts on the real axis (TestNewtonPolygonStart), whatever the guards.
+    @pytest.mark.parametrize("row", [[1, -1, 0.3 + 0.2j], [-1, 0.5j, 1]])
+    def test_start_on_a_critical_point(self, monkeypatch, row):
+        # p' = 3 z^2 - 3 vanishes at the starts +-1, where the first step
+        # divides by p' - p S alone
+        p = Polynomial([0, -3, 0, 1])
+        row = self._start_from(monkeypatch, row)
+        assert np.count_nonzero(evaluate(derivative(p), row) == 0) == 2
+        rng = np.random.default_rng(33)
+        self._assert_converges_as_reference(p, rng.normal(size=40) + 1j * rng.normal(size=40))
+
+    @pytest.mark.parametrize("a", [0.25, 1.0, 3.0])
+    def test_zero_derivative_and_zero_sum(self, monkeypatch, a):
+        # at the middle start 0 of z^3 - t, p' = 0 and S = 1/a - 1/a = 0:
+        # Aberth's step is unbounded, and the guard steps by 1 + |w| = 1
+        p = monomial(1.0, 3)
+        row = self._start_from(monkeypatch, [-a, 0, a])
+        assert evaluate(derivative(p), row)[1] == 0 and self._aberth_sums(row)[1] == 0
+        rng = np.random.default_rng(34)
+        targets = rng.normal(size=40) + 1j * rng.normal(size=40)
+        first_step = roots_mod.solve_fibers(p, targets, max_iter=1)[0][:, 1]
+        assert np.allclose(np.abs(first_step), 1.0, rtol=1e-15)
+        self._assert_converges_as_reference(p, targets)
+
+    def test_zero_denominator_takes_the_newton_step(self, monkeypatch):
+        # z^3 at t = -0.5 + 1.5i from 1, 0 and 1 + i: at the start 1,
+        # p = 1.5 - 1.5i and S = 1 + i, so p S = 3 = p' exactly, and the
+        # step is p / p' = 0.5 - 0.5i
+        p = monomial(1.0, 3)
+        row = self._start_from(monkeypatch, [1, 0, 1 + 1j])
+        target = np.array([-0.5 + 1.5j])
+        pv = evaluate(p, row) - target
+        assert np.array_equal(pv[0] * self._aberth_sums(row)[0:1],
+                              evaluate(derivative(p), row[0:1]))
+        assert roots_mod.solve_fibers(p, target, max_iter=1)[0][0, 0] == 0.5 + 0.5j
+        self._assert_converges_as_reference(p, target)
 
     def test_tiny_leading_coefficient_converges(self):
         # 1e-60 z**3: from the Cauchy circle these members took up to 275
