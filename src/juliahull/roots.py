@@ -17,8 +17,8 @@ what the inverse-iteration sampler leans on.  What depends on p alone
 (the Newton polygon of its a_j, j >= 1, the starts it fixes, p', the
 scales of the residual bound and the pair tables of the iteration) is
 built once per coefficient vector, into a ``_Plan`` that a cache of
-_PLAN_CACHE_SIZE entries keeps; a sample solves the same p some 26
-times.
+_PLAN_CACHE_SIZE entries keeps up to degree _PLAN_CACHE_MAX_DEGREE; a
+sample solves the same p some 26 times.
 
 A quadratic fiber starts from its exact roots instead, in Vieta form
 (``_quadratic_roots``), and the same iteration only confirms them.
@@ -83,6 +83,11 @@ _CHUNK_BUDGET = 2 ** 20
 # Solver plans kept (``_plan``).  A suite solves three coefficient vectors,
 # p, p' and p(z) - z, p itself about 26 times.
 _PLAN_CACHE_SIZE = 8
+# Degree above which a plan is built per solve and not kept.  A plan holds
+# d (d - 1) pair indices and up to 2 d**2 start slots, up to 40 MiB at
+# degree 1024, while its build costs about 5% of one single-target solve
+# at degree 64, and less above.
+_PLAN_CACHE_MAX_DEGREE = 64
 
 
 @dataclass(eq=False)
@@ -181,7 +186,12 @@ def _build_plan(coeffs: np.ndarray) -> _Plan:
 
 
 def _plan(coeffs: np.ndarray) -> _Plan:
-    """The ``_Plan`` of a complex coefficient vector, built on its first solve."""
+    """The ``_Plan`` of a complex coefficient vector, built on its first solve.
+
+    Above degree _PLAN_CACHE_MAX_DEGREE it is built anew for every solve.
+    """
+    if coeffs.size > _PLAN_CACHE_MAX_DEGREE + 1:
+        return _build_plan(coeffs)
     return _cached_plan(coeffs.tobytes())
 
 
