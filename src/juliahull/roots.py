@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -139,7 +138,7 @@ class _Plan:
     args: np.ndarray
     steps: np.ndarray
     unit: np.ndarray
-    fixed: Optional[np.ndarray]
+    fixed: np.ndarray | None
     first: np.ndarray
     col_order: np.ndarray
 
