@@ -17,8 +17,8 @@ what the inverse-iteration sampler leans on.  What depends on p alone
 (the Newton polygon of its a_j, j >= 1, the starts it fixes, p', the
 scales of the residual bound and the pair tables of the iteration) is
 built once per coefficient vector, into a ``_Plan`` that a cache of
-_PLAN_CACHE_SIZE entries keeps up to degree _PLAN_CACHE_MAX_DEGREE; a
-sample solves the same p some 26 times.
+_PLAN_CACHE_SIZE entries keeps; a sample solves the same p some 26
+times.
 
 A quadratic fiber starts from its exact roots instead, in Vieta form
 (``_quadratic_roots``), and the same iteration only confirms them.
@@ -82,11 +82,6 @@ _CHUNK_BUDGET = 2 ** 20
 # Solver plans kept (``_plan``).  A suite solves three coefficient vectors,
 # p, p' and p(z) - z, p itself about 26 times.
 _PLAN_CACHE_SIZE = 8
-# Degree above which a plan is built per solve and not kept.  A plan holds
-# d (d - 1) pair indices and up to 2 d**2 start slots, up to 40 MiB at
-# degree 1024, while its build costs about 5% of one single-target solve
-# at degree 64, and less above.
-_PLAN_CACHE_MAX_DEGREE = 64
 
 
 @dataclass(eq=False)
@@ -118,11 +113,10 @@ class _Plan:
     """What the solver needs of one coefficient vector, whatever the targets.
 
     ``_initial_points`` reads the Newton polygon of the a_j, j >= 1: its
-    vertices, log|a_j| and arg a_j at each, and ``steps``, the values of
-    log|a_0 - t| where j* steps right past a vertex.  Row v of ``unit``
-    holds the turned unit starts of vertex v in its first vertex[v] slots,
-    and row v of ``fixed`` the starts of the edges right of it in the
-    rest; ``fixed`` is None when the polygon has one vertex.
+    vertices, log|a_j| and arg a_j at each, ``steps``, the values of
+    log|a_0 - t| where j* steps right past a vertex, and ``starts``, the
+    starts of the edges right of vertex 0 in slots vertex[0]..d-1, zero
+    left of it, or None when the polygon has one vertex.
     ``_residual_bounds`` reads |a_j| with |a_0| zeroed, and its floor
     max_{j >= 1} |a_j|.  ``_iterate`` reads the coefficients of p and p',
     and the pair tables: ``first[q]`` is the row i of pair q = (i, j), i
@@ -137,8 +131,7 @@ class _Plan:
     logs: np.ndarray
     args: np.ndarray
     steps: np.ndarray
-    unit: np.ndarray
-    fixed: np.ndarray | None
+    starts: np.ndarray | None
     first: np.ndarray
     col_order: np.ndarray
 
@@ -158,20 +151,16 @@ def _build_plan(coeffs: np.ndarray) -> _Plan:
     vertex = np.array(hull)
     args = np.angle(coeffs[vertex])
     slope = np.diff(logs[vertex]) / np.diff(vertex)
-    slot = np.arange(d)
-    inner = slot < vertex[:, None]
-    unit = np.exp(2j * np.pi * (slot + _START_TURN) / vertex[:, None])
-    fixed = None
+    starts = None
     if slope.size:
         # slot s of the edge from a to b is its start s - a
-        right = slot[vertex[0]:]
+        right = np.arange(vertex[0], d)
         edge = np.searchsorted(vertex, right, side="right") - 1
         a, b = vertex[edge], vertex[edge + 1]
         angle = (np.pi + args[edge] - args[edge + 1]
                  + 2.0 * np.pi * (right - a + _START_TURN)) / (b - a)
         starts = np.zeros(d, dtype=np.complex128)
         starts[vertex[0]:] = np.exp(-slope[edge] + 1j * angle)
-        fixed = np.where(inner, 0.0, starts)
     abs_coeffs = np.abs(coeffs)
     abs_coeffs[0] = 0.0  # constant term differs per member, added back per solve
     first, second = np.triu_indices(d, 1)  # the pairs in by_row order
@@ -179,18 +168,12 @@ def _build_plan(coeffs: np.ndarray) -> _Plan:
         coeffs=coeffs, dcoeffs=derivative(Polynomial(coeffs)).coeffs,
         abs_coeffs=abs_coeffs, coeff_max=abs_coeffs[1:].max(),
         vertex=vertex, logs=logs[vertex], args=args,
-        steps=logs[vertex[1:]] - slope * vertex[1:],
-        unit=np.where(inner, unit, 0.0), fixed=fixed,
+        steps=logs[vertex[1:]] - slope * vertex[1:], starts=starts,
         first=first, col_order=np.lexsort((first, second)))
 
 
 def _plan(coeffs: np.ndarray) -> _Plan:
-    """The ``_Plan`` of a complex coefficient vector, built on its first solve.
-
-    Above degree _PLAN_CACHE_MAX_DEGREE it is built anew for every solve.
-    """
-    if coeffs.size > _PLAN_CACHE_MAX_DEGREE + 1:
-        return _build_plan(coeffs)
+    """The ``_Plan`` of a complex coefficient vector, built on its first solve."""
     return _cached_plan(coeffs.tobytes())
 
 
@@ -214,10 +197,11 @@ def _initial_points(plan: _Plan, targets: np.ndarray) -> np.ndarray:
     (log|a_j*| - log|a_0 - t|) / j*.  As log|a_0 - t| grows, j* steps
     right past each vertex where the line from (0, log|a_0 - t|) runs
     along the next hull edge, so one ``searchsorted`` finds it.  The
-    polygon of j >= 1, the circles right of each vertex and the turned
-    unit starts of each first edge are built once per polynomial, in its
-    ``_Plan``; a member's row of those is scaled by its radius and turned
-    by arg(-(a_0 - t) / a_j*) / j*.  A target equal to a_0 counts as
+    polygon of j >= 1 and the circles right of each vertex are built once
+    per polynomial, in its ``_Plan``, and the turned unit starts of each
+    first edge once per batch, for the vertices some member takes as j*;
+    a member's row of those is scaled by its radius and turned by
+    arg(-(a_0 - t) / a_j*) / j*.  A target equal to a_0 counts as
     |a_0 - t| = the smallest normal float.
     """
     lift = targets - plan.coeffs[0]  # -(a_0 - t)
@@ -228,10 +212,17 @@ def _initial_points(plan: _Plan, targets: np.ndarray) -> np.ndarray:
     # arg(-(a_0 - t) / a_j*) / j*, up to a multiple of 2 pi / j*, which
     # only permutes the starts of the edge
     turn = (np.angle(lift) - plan.args[star]) / j_star
-    z = np.take(plan.unit, star, axis=0)
+    # one table row per vertex that some target takes as j*: its turned
+    # unit starts in the first j* slots, the fixed edges right of them
+    used = np.bincount(star, minlength=plan.vertex.size) > 0
+    row = (np.cumsum(used) - 1)[star]
+    slot = np.arange(plan.coeffs.size - 1)
+    inner = slot < plan.vertex[used][:, None]
+    unit = np.exp(2j * np.pi * (slot + _START_TURN) / plan.vertex[used][:, None])
+    z = np.take(np.where(inner, unit, 0.0), row, axis=0)
     z *= (radius * np.exp(1j * turn))[:, None]
-    if plan.fixed is not None:
-        z += np.take(plan.fixed, star, axis=0)
+    if plan.starts is not None:
+        z += np.take(np.where(inner, 0.0, plan.starts), row, axis=0)
     return z
 
 

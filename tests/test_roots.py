@@ -632,20 +632,6 @@ class TestSolverPlan:
             assert roots_mod._cached_plan.cache_info().currsize <= _PLAN_CACHE_SIZE
         assert roots_mod._cached_plan.cache_info().currsize == _PLAN_CACHE_SIZE
 
-    def test_high_degree_plans_are_not_kept(self, monkeypatch):
-        # a plan holds O(d**2) pair indices; above the degree bound each
-        # solve builds its own, with the same bits
-        roots_mod._cached_plan.cache_clear()
-        built = _log_coefficients(monkeypatch, roots_mod, "_build_plan")
-        d = roots_mod._PLAN_CACHE_MAX_DEGREE
-        for q in (*self._random_polynomials(1, d=d), *self._random_polynomials(1, d=d + 1)):
-            first, second = (roots_mod.solve_fibers(q, [0.5, 2.0j], max_iter=3)
-                             for _ in range(2))
-            for a, b in zip(first, second):
-                assert np.array_equal(a, b)
-        assert [len(key) // 16 - 1 for key in built] == [d, d + 1, d + 1]
-        assert roots_mod._cached_plan.cache_info().currsize == 1
-
 
 class TestNonFiniteResidual:
     def test_overflowed_bound_is_not_convergence(self):
