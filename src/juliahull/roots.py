@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +109,7 @@ class NoRepellingFixedPointError(RuntimeError):
     """All finite fixed points have multiplier modulus <= 1."""
 
 
-@dataclass(frozen=True, eq=False)
-class _Plan:
+class _Plan(NamedTuple):
     """What the solver needs of one coefficient vector, whatever the targets.
 
     ``_initial_points`` reads the Newton polygon of the a_j, j >= 1: its
