@@ -24,15 +24,20 @@ A suite op writes no files; its file digests are those of empty input.
 Two trees whose lines are identical give byte-identical reports, scenes,
 rasters and exit codes on the whole benchmark.
 
-Every benchmark polynomial has degree 6 or less, so three more lines per
+Every benchmark polynomial has degree 6 or less, so four more lines per
 polynomial of ``SAMPLED`` (a real one and a unimodular monomial among
 them) digest ``sample_julia(p, 20_000, seed)`` at a higher degree, its
-``convex_hull`` and the cells of ``escape_grid(p, 512, 200)``, in the
-same fields:
+``convex_hull``, that hull's ``diameter`` with the vertices of
+``decimate(hull, 1e-5 * diameter)``, and the cells of
+``escape_grid(p, 512, 200)``, in the same fields:
 
     seed sample/name 0 sha256(points) sha256(b"") sha256(b"") sha256(b"")
     seed hull/name 0 sha256(vertices) sha256(b"") sha256(b"") sha256(b"")
+    seed diameter/name 0 sha256(diameter, decimated) sha256(b"") ...
     seed grid/name 0 sha256(cells) sha256(b"") sha256(b"") sha256(b"")
+
+So a change of the diameter or of the decimation shows on its own line,
+even where the reports round it away.
 
 The render ops raster only even quadratics, whose grid iterates the box
 rows up to the real axis.  So one more line per ``generic-suite``
@@ -46,6 +51,16 @@ several row bands.
 run's seeds unless ``--seed`` is given, names on stderr each op whose line
 differs (and which of its fields), or that only one of the runs has, and
 exits 1 if any op differs.
+
+A tree whose own copy of this script is older prints fewer lines.  To
+digest such a tree, the "before" of a comparison, copy this script into
+its ``scripts/`` directory and run it there: the script reads ``src/``
+and ``perfbench/`` next to the directory it sits in.
+
+    git archive PARENT | tar -x -C /tmp/parent
+    cp scripts/output_digest.py /tmp/parent/scripts/
+    (cd /tmp/parent && python scripts/output_digest.py --seed 0 --seed 31) > before.txt
+    python scripts/output_digest.py --against before.txt
 """
 import argparse
 import base64
@@ -76,6 +91,7 @@ from juliahull import (  # noqa: E402
     sample_julia,
 )
 from juliahull.cli import main as cli_main  # noqa: E402
+from juliahull.geometry import decimate  # noqa: E402
 from workloads import WORKLOADS, make_workload  # noqa: E402
 
 FIELDS = ("exit", "stdout", "svg", "scene", "pgm")
@@ -164,7 +180,7 @@ def _data_line(seed: int, name: str, data: np.ndarray) -> str:
 
 
 def digest_lines(seed: int, workdir: Path):
-    """One digest line per op of every workload at ``seed``, then the samples, hulls and grids.
+    """One digest line per workload op at ``seed``, then per sample, hull, diameter and grid.
 
     The 2048^2 grids of the ``generic-suite`` polynomials come last.
     """
@@ -181,9 +197,13 @@ def digest_lines(seed: int, workdir: Path):
     for name, make in SAMPLED.items():
         p = make(seed)
         points = sample_julia(p, SAMPLE_POINTS, seed).points
-        vertices = convex_hull(points).vertices
+        hull = convex_hull(points)
+        diameter = np.float64(hull.diameter)
+        decimated = decimate(hull, 1e-5 * diameter).vertices
         cells = escape_grid(p, GRID_RESOLUTION, GRID_MAX_ITER).cells
-        for kind, data in (("sample", points), ("hull", vertices), ("grid", cells)):
+        for kind, data in (("sample", points), ("hull", hull.vertices),
+                           ("diameter", np.concatenate([[diameter], decimated.view(np.float64)])),
+                           ("grid", cells)):
             yield _data_line(seed, f"{kind}/{name}", data)
     for op in make_workload("generic-suite", seed, workdir):
         p = parse_polynomial(op.poly).polynomial

@@ -10,15 +10,24 @@ well under 1% survive.  Each point is measured against every edge line,
 not against a fan from a center, so a thin cloud (the Julia set of a
 Chebyshev conjugate, a segment blurred by 1e-10 of its length) loses its
 interior as a round one does.
-Only the survivors are then sorted lexicographically and stripped of
-near-duplicates.  Last, a monotone chain over the sorted survivors: the
-chord from the first to the last point splits them into a lower and an
-upper chain.  Each chain, and then the closed cycle across its two seams,
-is reduced in rounds of one vectorized turn test over every consecutive
-triple.  A round drops every other member of each run of failing
-vertices, never two neighbours, since each of two neighbours can be
-collinear only through the other.  The turn tolerance is read only in a
-round where every triple turns left (``_pop_mask``).
+Only the survivors are then sorted lexicographically, by an argsort of
+the real parts when no two are equal (``_sort_distinct``), and stripped
+of near-duplicates.  Last, a monotone chain over the sorted survivors:
+the chord from the first to the last point splits them into a lower and
+an upper chain.  Each chain, and then the closed cycle across its two
+seams, is reduced in rounds of one vectorized turn test over every
+consecutive triple.  A round drops every other member of each run of
+failing vertices, never two neighbours, since each of two neighbours can
+be collinear only through the other.  The turn tolerance is read only in
+a round where every triple turns left (``_pop_mask``), and measured only
+on the triples whose line distance, a lower bound, may lie within it.
+
+Where a cheap bound rules a case out, the exact formula is skipped, and
+it still decides every case the bound cannot rule out, so no shortcut
+changes a bit: the sort's tie fallback, the line distance of
+``_pop_mask``, the coordinate gaps before ``hypot`` in ``_within``, and
+the squared distances before ``hypot`` in ``_antipodal_diameter``, each
+with its rounding argument in its docstring.
 
 Tolerance contract: the vertices are input points in strictly convex ccw
 order, and every input point lies within 1e-12 * scale of the hull; a
@@ -58,10 +67,20 @@ POINT = "Point"
 _TURN_EPS = 1e-14
 _DUP_EPS = 1e-12
 
+# Squared distances at least this fraction of the largest may be the
+# largest distance (``_antipodal_diameter``); 2^-49 is 16 units of rounding.
+_SQUARED_MARGIN = 1.0 - 2.0 ** -49
+
 # Point-edge pairs per block of the distance kernels.  A block holds about
 # five float temporaries of this length; 2**16 keeps them near cache size
 # and bounds peak memory.
 _CHUNK_BUDGET = 65_536
+
+# Edges per block of the diameter's squared distances: small enough that
+# the block's few float temporaries stay in cache.
+_DIAMETER_BLOCK = 16_384
+
+_TINY = np.finfo(np.float64).tiny  # the least normal float
 
 
 def _points_of(obj) -> np.ndarray:
@@ -79,7 +98,11 @@ class ConvexPolygon:
     """Convex hull output: vertices in counter-clockwise order.
 
     ``kind`` is Proper (>= 3 vertices, strict turns), Segment (2) or
-    Point (1).
+    Point (1).  A proper polygon computes what its stages share once, on
+    first use: the diameter, the edge angles (read by the diameter,
+    ``decimate`` and ``_min_area_rectangle``) and the cumulative edge
+    lengths (read by ``boundary_points``).  The vertices are not to be
+    changed in place after construction.
     """
 
     vertices: np.ndarray
@@ -96,11 +119,16 @@ class ConvexPolygon:
         elif self.kind == PROPER:
             if v.size < 3:
                 raise ValueError("proper polygon needs >= 3 vertices")
-            e = np.roll(v, -1) - v
+            # ring[k + 1] is the edge v_k -> v_k+1, ring[0] the last one again
+            ring = np.empty(v.size + 1, dtype=np.complex128)
+            np.subtract(v[1:], v[:-1], out=ring[1:-1])
+            ring[-1] = v[0] - v[-1]
+            ring[0] = ring[-1]
+            e = ring[1:]
             scale = max(np.ptp(v.real), np.ptp(v.imag))
             if np.abs(e).min() <= _DUP_EPS * scale:
                 raise ValueError("duplicate vertices")
-            turn = (np.roll(e, 1) * np.conj(e)).imag
+            turn = (ring[:-1] * np.conj(e)).imag
             if not (turn < 0).all():
                 raise ValueError("vertices are not strictly convex in ccw order")
         else:
@@ -116,35 +144,109 @@ class ConvexPolygon:
             return 0.0
         if self.kind == SEGMENT:
             return abs(self.vertices[1] - self.vertices[0])
-        return _antipodal_diameter(self.vertices)
+        return _antipodal_diameter(self.vertices, self._edge_angles)
+
+    @cached_property
+    def _edge_angles(self) -> np.ndarray:
+        """Directions of the edges v_k -> v_k+1 of a proper polygon, unwrapped to increase."""
+        x, y = self.vertices.real, self.vertices.imag
+        angle = np.arctan2(np.roll(y, -1) - y, np.roll(x, -1) - x)
+        # every turn lies in (0, pi), so a drop below -pi/2 is a wrap past pi
+        wraps = np.concatenate(([0], np.cumsum(np.diff(angle) < -0.5 * np.pi)))
+        return angle + 2.0 * np.pi * wraps
+
+    @cached_property
+    def _cumulative_lengths(self) -> np.ndarray:
+        """0, then the boundary length up to each vertex after the first, then the perimeter."""
+        v = self.vertices
+        lengths = np.abs(np.roll(v, -1) - v)
+        return np.concatenate([[0.0], np.cumsum(lengths)])
 
 
-def _edge_angles(v: np.ndarray) -> np.ndarray:
-    """Directions of the edges v_k -> v_k+1 of a proper ccw polygon, unwrapped to increase."""
-    angle = np.arctan2(np.roll(v.imag, -1) - v.imag, np.roll(v.real, -1) - v.real)
-    # every turn lies in (0, pi), so a drop below -pi/2 is a wrap past pi
-    return angle + 2.0 * np.pi * np.concatenate(([0], np.cumsum(np.diff(angle) < -0.5 * np.pi)))
-
-
-def _antipodal_diameter(v: np.ndarray) -> float:
+def _antipodal_diameter(v: np.ndarray, angle: np.ndarray) -> float:
     """Rotating calipers on a proper ccw polygon, all edges at once.
 
-    Edge k runs from vertex k to k + 1.  For edge i the calipers stop at
+    Edge k runs from vertex k to k + 1, and ``angle`` holds the edge
+    directions, unwrapped to increase.  For edge i the calipers stop at
     the first vertex j whose edge has turned by at least pi from edge i;
-    ``searchsorted`` on the unwrapped edge angles finds it up to rounding,
-    so the pairs (i, j - 1 .. j + 1) and (i + 1, j - 1 .. j + 1) are all
-    measured, each with hypot as ``abs`` of a Python complex measures it.
+    ``searchsorted`` finds it up to rounding, so the candidate pairs are
+    (i, j - 1 .. j + 1) and (i + 1, j - 1 .. j + 1) over all i, and the
+    diameter is the largest of their distances, each measured with hypot
+    as ``abs`` of a Python complex measures it.  hypot measures only the
+    pairs ``_diameter_pairs`` keeps.
     """
-    x, y = v.real, v.imag
+    a, b = _diameter_pairs(v, angle)
+    return float(np.hypot(v.real[a] - v.real[b], v.imag[a] - v.imag[b]).max())
+
+
+def _diameter_pairs(v: np.ndarray, angle: np.ndarray):
+    """(a, b): each unordered candidate pair of the calipers that may be the farthest, once.
+
+    Squared distances d2 of all 6n candidate pairs come first, on the
+    vertices scaled by a power of two, which is exact, so that the largest
+    coordinate lies in [1/2, 1): the largest d2 is then at least 2^-110 (a
+    proper polygon has two vertices at least an ulp of that coordinate
+    apart) and at most 8, and no d2 near it over- or underflows.  With
+    u = 2^-53, each d2 is within a factor (1 +- u)^2 of the exact squared
+    length of its pair's rounded difference, and hypot within one ulp,
+    2u, of that length.  So a pair whose hypot is at least that of the
+    pair with the largest d2, M, has d2 >= M (1 - 12u), and the test
+    d2 >= M (1 - 2^-49) = M (1 - 16u), rounded, keeps it; subnormal scaled
+    coordinates add absolute errors near 2^-1074, far inside the slack.
+    d2 is taken a block of edges at a time and tested against the largest
+    d2 so far, which keeps a superset.  Of the kept pairs, (i + 1, b) goes
+    when b is also in the window of edge i + 1, and (a, b) with a > b goes
+    when (b, a) is a candidate too, that is when a is in the window of
+    edge b - 1 or b; hypot of (a, b) and of (b, a) are the same number.
+    """
     n = v.size
-    angle = _edge_angles(v)
     j = np.searchsorted(np.concatenate([angle, angle + 2.0 * np.pi]), angle + np.pi)
-    i = np.arange(n)
-    best = 0.0
-    for a in (i, (i + 1) % n):
-        for b in ((j - 1) % n, j % n, (j + 1) % n):
-            best = max(best, float(np.hypot(x[a] - x[b], y[a] - y[b]).max()))
-    return best
+    j %= n
+    exponent = int(np.frexp(max(np.abs(v.real).max(), np.abs(v.imag).max()))[1])
+    # vertex k of the scaled polygon at x[k], y[k], for k = 0 .. n
+    x, y = np.empty(n + 1), np.empty(n + 1)
+    np.ldexp(v.real, -exponent, out=x[:-1])
+    np.ldexp(v.imag, -exponent, out=y[:-1])
+    x[-1], y[-1] = x[0], y[0]
+    top, kept = 0.0, []
+    for lo in range(0, n, _DIAMETER_BLOCK):  # a block of edges i at a time
+        hi = min(lo + _DIAMETER_BLOCK, n)
+        for shift in (-1, 0, 1):
+            b = j[lo:hi] + shift
+            b[b == n] = 0
+            xb, yb = x[:n][b], y[:n][b]  # index -1 reads vertex n - 1
+            for side in (0, 1):  # d2[i - lo] of the pair (i + side, j_i + shift)
+                d2 = np.subtract(x[lo + side:hi + side], xb)
+                d2 *= d2
+                dy = np.subtract(y[lo + side:hi + side], yb)
+                dy *= dy
+                d2 += dy
+                top = max(top, float(d2.max()))
+                rows = np.flatnonzero(d2 >= top * _SQUARED_MARGIN) + lo
+                if side:  # (i + 1, b) is a pair of edge i + 1 too when b is in its window
+                    nxt = rows + 1
+                    nxt[nxt == n] = 0
+                    rows = rows[~_in_window(j[rows] + shift, j[nxt], n)]
+                kept.append((side, shift, rows))
+    del x, y, xb, yb, d2, dy
+    a = np.concatenate([rows + side for side, _, rows in kept])
+    a[a == n] = 0
+    b = np.concatenate([j[rows] + shift for _, shift, rows in kept])
+    b %= n
+    del kept
+    later = np.flatnonzero(a > b)
+    first, second = a[later], b[later]
+    mirrored = _in_window(first, j[second], n) | _in_window(first, j[second - 1], n)
+    keep = np.ones(a.size, dtype=bool)
+    keep[later[mirrored]] = False
+    return a[keep], b[keep]
+
+
+def _in_window(b: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """Whether vertex b is one of c - 1, c, c + 1 of an n-gon, indices taken mod n."""
+    b = b - c + 1
+    b %= n
+    return b <= 2
 
 
 def _convex_corners(c: np.ndarray) -> np.ndarray:
@@ -239,6 +341,19 @@ def _pop_mask(o, a, q, eps_len: float) -> np.ndarray:
     a convex chain, which points strictly inside the hull do not change;
     a tolerance test against a chord to such a point could drop a vertex
     that the chain without it keeps, and the prefilter would change it.
+
+    The segment distance is at least the line distance cross / |q - o|,
+    so that formula runs only where the line distance is at most
+    2 * eps_len, or where len2 = |q - o|^2 is 0, subnormal or not finite.
+    That skips no drop.  With u = 2^-53 and len2 normal, so that
+    |q - o| >= 1.49e-154, the computed line distance is at most
+    |a - o| (1 + 7u) and at most |a - q| (1 + 9u) + 3.1u |q - o|, up to
+    absolute terms below 2e-169.  Where it exceeds 2 * eps_len, each of
+    the three distances the formula may take thus exceeds eps_len, as
+    long as every chord is at most 2^50 * eps_len long and eps_len is at
+    least 1e-168.  The hull's eps_len = 1e-14 * scale meets both: its
+    chords are at most sqrt(2) * scale long, and len2 is normal only on
+    chords of at least 1.49e-154.
     """
     rx, ry = a.real - o.real, a.imag - o.imag
     ex, ey = q.real - o.real, q.imag - o.imag
@@ -248,12 +363,29 @@ def _pop_mask(o, a, q, eps_len: float) -> np.ndarray:
         return turned
     len2 = ex * ex + ey * ey
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inner = cross / np.sqrt(len2)
+    near = ~((inner > 2.0 * eps_len) & (inner < np.inf) & (len2 >= _TINY))
+    at = np.flatnonzero(near)
+    rx, ry, ex, ey, len2, inner, a, q = (w[at] for w in (rx, ry, ex, ey, len2, inner, a, q))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = np.divide(rx * ex + ry * ey, len2, out=np.zeros_like(len2),
                       where=len2 != 0.0)
-        inner = cross / np.sqrt(len2)
     dist = np.where(t <= 0.0, np.hypot(rx, ry),
                     np.where(t >= 1.0, np.hypot(a.real - q.real, a.imag - q.imag), inner))
-    return dist <= eps_len
+    near[at] = dist <= eps_len
+    return near
+
+
+def _within(dx: np.ndarray, dy: np.ndarray, dist: float) -> np.ndarray:
+    """hypot(dx, dy) <= dist, with hypot taken only where |dx| and |dy| both are.
+
+    hypot is at least the larger of |dx| and |dy|, so no other entry passes.
+    """
+    near = np.abs(dx) <= dist
+    near &= np.abs(dy) <= dist
+    at = np.flatnonzero(near)
+    near[at] = np.hypot(dx[at], dy[at]) <= dist
+    return near
 
 
 def _every_other(mask: np.ndarray) -> np.ndarray:
@@ -299,7 +431,7 @@ def _reduce_cycle(v: np.ndarray, scale: float) -> np.ndarray:
     eps_len = _TURN_EPS * scale
     while v.size > 2:
         prev = np.roll(v, 1)
-        near = np.hypot(v.real - prev.real, v.imag - prev.imag) <= _DUP_EPS * scale
+        near = _within(v.real - prev.real, v.imag - prev.imag, _DUP_EPS * scale)
         if near.any():
             near[-1] |= near[0]
             near[0] = False
@@ -317,10 +449,15 @@ def _sort_distinct(pts: np.ndarray, dup: float):
 
     numpy orders complex values by real part, then imaginary part; the
     stable sort keeps exact ties, such as 0.0 and -0.0, in input order.
+    When no two real parts are equal, an argsort of the real parts alone
+    gives that same order, about five times faster; on a tie the complex
+    sort runs instead.
     A run is a chain of neighbours at most ``dup`` apart in the sort;
     ``near`` holds the first of each pair of distinct such neighbours.
     """
-    pts = np.sort(pts, kind="stable")
+    ordered = pts[np.argsort(pts.real)]
+    x = ordered.real
+    pts = ordered if (x[1:] > x[:-1]).all() else np.sort(pts, kind="stable")
     gap = np.abs(np.diff(pts))
     near = gap <= dup
     return pts[np.concatenate([[True], ~near])], pts[:-1][near & (gap > 0.0)]
@@ -402,7 +539,7 @@ def _min_area_rectangle(polygon: ConvexPolygon):
     n = v.size
     e = np.roll(v, -1) - v
     axes = e / np.abs(e)
-    angle = _edge_angles(v)
+    angle = polygon._edge_angles
     ring = np.concatenate([angle, angle + 2.0 * np.pi, angle + 4.0 * np.pi])
     i = np.arange(n)
     ends = np.stack([i, (i + 1) % n])
@@ -427,7 +564,7 @@ def _inverse_len2(ex, ey):
     """
     len2 = ex * ex + ey * ey
     return np.divide(1.0, len2, out=np.zeros_like(len2),
-                     where=len2 >= np.finfo(np.float64).tiny)
+                     where=len2 >= _TINY)
 
 
 def _clamp_offsets(rx, ry, ex, ey, inv_len2):
@@ -533,13 +670,12 @@ def boundary_points(polygon: ConvexPolygon, count: int) -> np.ndarray:
         a, b = polygon.vertices
         return a + t * (b - a)
     v = polygon.vertices
-    e = np.roll(v, -1) - v
-    lengths = np.abs(e)
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    cum = polygon._cumulative_lengths
     s = t * cum[-1]
     idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, v.size - 1)
-    frac = (s - cum[idx]) / lengths[idx]
-    return v[idx] + frac * e[idx]
+    e = v[(idx + 1) % v.size] - v[idx]
+    frac = (s - cum[idx]) / np.abs(e)
+    return v[idx] + frac * e
 
 
 def _rdp_splits(v: np.ndarray, angle: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -594,7 +730,7 @@ def decimate(polygon: ConvexPolygon, eps: float) -> ConvexPolygon:
                       int(np.argmin(v.real)), int(np.argmin(v.imag))})
     # the arcs between consecutive anchors, the last one wrapping around
     ring = np.concatenate([v, v[:anchors[0] + 1]])
-    angle = _edge_angles(v)
+    angle = polygon._edge_angles
     angle = np.concatenate([angle, angle[:anchors[0]] + 2.0 * np.pi])
     lo = np.array(anchors)
     hi = np.array(anchors[1:] + [anchors[0] + v.size])

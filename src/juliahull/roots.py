@@ -119,8 +119,8 @@ class _Plan(NamedTuple):
     left of it, or None when the polygon has one vertex.
     ``_residual_bounds`` reads |a_j| with |a_0| zeroed, and its floor
     max_{j >= 1} |a_j|.  ``_iterate`` reads the coefficients of p and p',
-    and the pair tables: ``first[q]`` is the row i of pair q = (i, j), i
-    < j, in by_row order, and ``col_order`` orders the pairs by j.
+    and ``col_order``, which orders the pairs q = (i, j), i < j, from
+    by_row order (by i, then j) by j.
     """
 
     coeffs: np.ndarray
@@ -132,7 +132,6 @@ class _Plan(NamedTuple):
     args: np.ndarray
     steps: np.ndarray
     starts: np.ndarray | None
-    first: np.ndarray
     col_order: np.ndarray
 
 
@@ -169,7 +168,7 @@ def _build_plan(coeffs: np.ndarray) -> _Plan:
         abs_coeffs=abs_coeffs, coeff_max=abs_coeffs[1:].max(),
         vertex=vertex, logs=logs[vertex], args=args,
         steps=logs[vertex[1:]] - slope * vertex[1:], starts=starts,
-        first=first, col_order=np.lexsort((first, second)))
+        col_order=np.lexsort((first, second)))
 
 
 def _plan(coeffs: np.ndarray) -> _Plan:
@@ -351,7 +350,8 @@ def _iterate(plan, targets, z, bounds_of, max_iter):
             # an exact collision w_i == w_j, so |w_i| == |w_j|, gets a
             # deterministic nudge; its two terms have opposite signs, so
             # the pair moves apart
-            np.copyto(by_row, 1e-12 * (1.0 + np.abs(w))[plan.first], where=by_row == 0)
+            first = np.triu_indices(d, 1)[0]  # the row i of each pair, in by_row order
+            np.copyto(by_row, 1e-12 * (1.0 + np.abs(w))[first], where=by_row == 0)
         np.divide(1.0, by_row, out=by_row)
         # every index is in range; "clip" only skips the buffered bounds check
         by_col = np.take(by_row, plan.col_order, axis=0, mode="clip",

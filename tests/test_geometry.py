@@ -24,6 +24,7 @@ from juliahull import (
 from juliahull import checks
 import juliahull.geometry as geometry
 from juliahull.geometry import (
+    ConvexPolygon,
     PROPER,
     SEGMENT,
     POINT,
@@ -137,6 +138,85 @@ def _scalar_calipers(pts: list) -> float:
                 break
         best = max(best, abs(pts[i] - pts[j]), abs(pts[ni] - pts[j]))
     return best
+
+
+def _candidate_pairs(polygon):
+    """Keys min * n + max of the calipers' 6n candidate pairs, and the hypot of each."""
+    v = polygon.vertices
+    x, y, n = v.real, v.imag, v.size
+    angle = polygon._edge_angles
+    j = np.searchsorted(np.concatenate([angle, angle + 2.0 * np.pi]), angle + np.pi)
+    i = np.arange(n)
+    a = np.concatenate([side for side in (i, (i + 1) % n) for _ in range(3)])
+    b = np.concatenate([(j + shift) % n for _ in range(2) for shift in (-1, 0, 1)])
+    return np.minimum(a, b) * n + np.maximum(a, b), np.hypot(x[a] - x[b], y[a] - y[b])
+
+
+def _unfiltered_diameter(polygon) -> float:
+    """The calipers' diameter with every candidate pair measured with hypot."""
+    return float(_candidate_pairs(polygon)[1].max())
+
+
+def _assert_measures_farthest_once(polygon):
+    """hypot measures candidates only, each unordered pair once, and every farthest one."""
+    a, b = geometry._diameter_pairs(polygon.vertices, polygon._edge_angles)
+    n = len(polygon)
+    measured = np.minimum(a, b) * n + np.maximum(a, b)
+    keys, dist = _candidate_pairs(polygon)
+    assert np.unique(measured).size == measured.size
+    assert np.isin(measured, keys).all()
+    assert np.isin(keys[dist == dist.max()], measured).all()
+
+
+def _unfiltered_pop_mask(o, a, q, eps_len: float) -> np.ndarray:
+    """``geometry._pop_mask`` with the segment distance of every triple measured."""
+    rx, ry = a.real - o.real, a.imag - o.imag
+    ex, ey = q.real - o.real, q.imag - o.imag
+    cross = rx * ey - ry * ex
+    turned = cross <= 0.0
+    if turned.any():
+        return turned
+    len2 = ex * ex + ey * ey
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = np.divide(rx * ex + ry * ey, len2, out=np.zeros_like(len2),
+                      where=len2 != 0.0)
+        inner = cross / np.sqrt(len2)
+    dist = np.where(t <= 0.0, np.hypot(rx, ry),
+                    np.where(t >= 1.0, np.hypot(a.real - q.real, a.imag - q.imag), inner))
+    return dist <= eps_len
+
+
+def _stable_sort_distinct(pts: np.ndarray, dup: float):
+    """``geometry._sort_distinct`` with numpy's stable complex sort on every input."""
+    pts = np.sort(pts, kind="stable")
+    gap = np.abs(np.diff(pts))
+    near = gap <= dup
+    return pts[np.concatenate([[True], ~near])], pts[:-1][near & (gap > 0.0)]
+
+
+def _rolled_edge_angles(v: np.ndarray) -> np.ndarray:
+    angle = np.arctan2(np.roll(v.imag, -1) - v.imag, np.roll(v.real, -1) - v.real)
+    return angle + 2.0 * np.pi * np.concatenate(([0], np.cumsum(np.diff(angle) < -0.5 * np.pi)))
+
+
+def _rolled_boundary_points(v: np.ndarray, count: int) -> np.ndarray:
+    e = np.roll(v, -1) - v
+    lengths = np.abs(e)
+    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    s = (np.arange(count) + 0.5) / count * cum[-1]
+    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, v.size - 1)
+    return v[idx] + (s - cum[idx]) / lengths[idx] * e[idx]
+
+
+def _rolled_proper_check(v: np.ndarray):
+    """The error a proper polygon's vertices raise, or None, by the rolled formulas."""
+    e = np.roll(v, -1) - v
+    scale = max(np.ptp(v.real), np.ptp(v.imag))
+    if np.abs(e).min() <= _DUP_EPS * scale:
+        return "duplicate vertices"
+    if not ((np.roll(e, 1) * np.conj(e)).imag < 0).all():
+        return "vertices are not strictly convex in ccw order"
+    return None
 
 
 def _count_pop_masks(monkeypatch):
@@ -297,6 +377,7 @@ class TestHullReference:
         assert hull.kind == PROPER
         assert np.array_equal(hull.vertices, np.array(expected))
         assert hull.diameter == _scalar_calipers(expected)
+        assert hull.diameter == _unfiltered_diameter(hull)
 
     @settings(max_examples=200, deadline=None)
     @given(planar_points)
@@ -353,6 +434,31 @@ class TestHullReference:
         dropped = pts[~np.isin(pts, hull.vertices)]
         scale = max(np.ptp(pts.real), np.ptp(pts.imag))
         assert signed_distance(hull, dropped).max() <= _TURN_EPS * scale
+
+    @pytest.mark.parametrize("cloud", [
+        # every antipodal pair of +-w_k on a jittered circle lies within
+        # rounding of the largest distance
+        np.array([[1], [-1]]) * np.exp(1j * np.pi * np.sort(
+            np.random.default_rng(2).uniform(0, 1, 20_000))),
+        np.exp(2j * np.pi * np.arange(100_000) / 100_000),
+    ], ids=["antipodal", "co-circular"])
+    def test_diameter_ties_match_the_scalar_calipers(self, cloud):
+        hull = convex_hull(cloud.ravel())
+        assert len(hull) >= 0.99 * cloud.size
+        assert hull.diameter == _scalar_calipers(hull.vertices.tolist())
+        assert hull.diameter == _unfiltered_diameter(hull)
+        _assert_measures_farthest_once(hull)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -500, 1.0, 2.0 ** 500, 1.1e154])
+    def test_diameter_at_extreme_scales(self, scale):
+        # at 1.1e154 the squared diameter overflows, unless it is taken on
+        # the polygon scaled to 1; the squared edges do not
+        rng = np.random.default_rng(8)
+        for cloud in (np.exp(2j * np.pi * (np.arange(64) + 0.3) / 64),
+                      np.exp(2j * np.pi * rng.uniform(size=2000))):
+            polygon = ConvexPolygon(scale * (convex_hull(cloud).vertices + 0.5 - 0.25j), PROPER)
+            assert polygon.diameter == _scalar_calipers(polygon.vertices.tolist())
+            assert polygon.diameter == _unfiltered_diameter(polygon)
 
     @pytest.mark.parametrize("cloud, vertices, rounds", [
         # every point of a fine circle is a vertex: a per-point loop would
@@ -545,6 +651,127 @@ class TestPrefilter:
         bound = (signed_distance(hull, pts) > -2 * _DUP_EPS * scale).sum()
         assert len(sizes) == 1
         assert sizes[0] <= bound + 1000
+
+
+# Values that tie: signed zeros, subnormals, and a few round numbers.
+_tying_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309,
+                                 0.5, -1.0, 3.0])
+_sort_inputs = st.lists(
+    st.builds(complex,
+              st.one_of(_tying_floats, st.floats(-5, 5, allow_nan=False)),
+              st.one_of(_tying_floats, st.floats(-5, 5, allow_nan=False))),
+    min_size=1, max_size=60)
+
+
+@st.composite
+def _turn_triples(draw):
+    """Triples o -> a -> q, coordinates from about 1e-300 to 1e300, and the hull's eps_len.
+
+    ``micro-chord`` puts q within 1e-14 to 1e-200 of the size of the
+    coordinates from o, so that len2 is subnormal or 0 on small ones;
+    ``near-line`` puts a at line distances of 0.1 to 10 eps_len;
+    ``arc`` is a chain that turns left throughout, of sagitta down to
+    1e-18 of its length.  Every triple of the last three turns left.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "micro-chord", "near-line", "arc"]))
+    size = 10.0 ** draw(st.floats(-300, 300))
+    m = draw(st.integers(1, 64))
+    turn = np.exp(2j * np.pi * rng.uniform())  # the chords' direction
+    center = size * 10.0 ** rng.uniform(-3, 3) * (rng.normal() + 1j * rng.normal())
+    along = rng.uniform(-1e3, 1e3, m) if kind == "micro-chord" else rng.uniform(-0.5, 1.5, m)
+    with np.errstate(all="ignore"):
+        if kind == "arc":
+            t = np.sort(rng.uniform(-1, 1, m + 2))
+            chain = center + size * turn * (t + 1j * 10.0 ** rng.uniform(-18, 0) * t * t)
+            o, a, q = chain[:-2], chain[1:-1], chain[2:]
+        else:
+            o = center + size * (rng.normal(size=m) + 1j * rng.normal(size=m))
+            q = o + size * turn * 10.0 ** rng.uniform(-200, 0, m)
+            a = (center + size * (rng.normal(size=m) + 1j * rng.normal(size=m))
+                 if kind == "random" else
+                 o + (q - o) * along + 1j * turn * size * 10.0 ** rng.uniform(-20, 1, m))
+        pts = np.concatenate([o, a, q])
+        scale = max(np.ptp(pts.real), np.ptp(pts.imag))
+        eps_len = _TURN_EPS * scale
+        if kind == "near-line":
+            a = o + (q - o) * along + 1j * turn * eps_len * 10.0 ** rng.uniform(-1, 1, m)
+    assume(np.isfinite(pts).all() and np.isfinite(a).all() and 0.0 < scale < np.inf)
+    return o, a, q, eps_len
+
+
+class TestExactPrefilters:
+    """Each shortcut of the hull and its polygon is bitwise the formula it skips."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sort_inputs, st.sampled_from([-1.0, 0.0, 5e-324, 1e-12, 0.25]))
+    @example([complex(0.0, 1.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 1.0)], 0.0)
+    @example([complex(5e-324, 1.0), complex(-5e-324, 2.0), complex(1e-310, 0.0),
+              complex(-2.5e-309, 3.0)], 1e-12)  # distinct subnormal real parts
+    @example([complex(1.0, 2.0)] * 3 + [complex(0.5, 2.0)] * 2, 0.25)  # exact duplicates
+    def test_sort_matches_the_stable_complex_sort(self, pts, dup):
+        # the argsort of distinct real parts, and the tie fallback
+        pts = np.array(pts, dtype=np.complex128)
+        for got, ref in zip(geometry._sort_distinct(pts, dup), _stable_sort_distinct(pts, dup)):
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_turn_triples())
+    def test_pop_mask_matches_the_unfiltered_formula(self, triples):
+        o, a, q, eps_len = triples
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            got = geometry._pop_mask(o, a, q, eps_len)
+            ref = _unfiltered_pop_mask(o, a, q, eps_len)
+        assert np.array_equal(got, ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(planar_points.map(np.array), _hard_clouds()))
+    def test_diameter_measures_each_farthest_candidate_once(self, pts):
+        hull = convex_hull(pts)
+        assume(hull.kind == PROPER)
+        _assert_measures_farthest_once(hull)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(-300, 300))
+    def test_near_duplicates_match_hypot(self, seed, log_dist):
+        rng = np.random.default_rng(seed)
+        dist = 10.0 ** log_dist
+        dx = dist * rng.normal(size=200) * 10.0 ** rng.uniform(-3, 1, 200)
+        dy = dist * rng.normal(size=200) * 10.0 ** rng.uniform(-3, 1, 200)
+        dx[:20], dy[:10], dy[10:20] = dist, 0.0, dist * 1e-9  # on and just past the bound
+        with np.errstate(under="ignore"):
+            assert np.array_equal(geometry._within(dx, dy, dist), np.hypot(dx, dy) <= dist)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 9), st.floats(-17, 0))
+    def test_validation_matches_the_rolled_check(self, seed, n, log_bend):
+        # convex polygons with a vertex near a chord or a duplicate, and
+        # shuffled ones, are accepted or refused as by the rolled formulas
+        rng = np.random.default_rng(seed)
+        v = np.exp(2j * np.pi * np.sort(rng.uniform(size=n)))
+        k = int(rng.integers(n))
+        mid = 0.5 * (v[k - 1] + v[(k + 1) % n])
+        v[k] = mid + (v[k] - mid) * 10.0 ** log_bend
+        if rng.uniform() < 0.2:
+            v[k] = v[k - 1]
+        if rng.uniform() < 0.2:
+            rng.shuffle(v)
+        expected = _rolled_proper_check(v)
+        try:
+            ConvexPolygon(v, PROPER)
+            got = None
+        except ValueError as err:
+            got = str(err)
+        assert got == expected
+
+    @pytest.mark.parametrize("name", ["circle", "gauss", "parabola", "regular-polygon"])
+    def test_cached_edge_data_match_the_rolled_formulas(self, name):
+        hull = convex_hull(_fixed_clouds()[name])
+        v = hull.vertices
+        assert np.array_equal(hull._edge_angles, _rolled_edge_angles(v))
+        for count in (1, 7, 4096):
+            assert np.array_equal(boundary_points(hull, count).view(np.uint64),
+                                  _rolled_boundary_points(v, count).view(np.uint64))
 
 
 class TestMinAreaRectangle:

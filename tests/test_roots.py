@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -631,6 +632,21 @@ class TestSolverPlan:
             roots_mod.solve_fibers(q, [0.5, 2.0j])
             assert roots_mod._cached_plan.cache_info().currsize <= _PLAN_CACHE_SIZE
         assert roots_mod._cached_plan.cache_info().currsize == _PLAN_CACHE_SIZE
+
+    def test_a_cached_plan_keeps_one_pair_table(self):
+        # At degree 1024, col_order is d(d - 1)/2 int64 indices, 4.0 MiB.
+        # With the row of each pair kept as well, the cached plan held 8.09
+        # MiB; that table is now built only when two iterates collide.
+        coeffs = np.random.default_rng(3).normal(size=1025).astype(np.complex128)
+        roots_mod._cached_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            roots_mod._plan(coeffs)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            roots_mod._cached_plan.cache_clear()
+        assert held <= 4.5 * 2 ** 20
 
 
 class TestNonFiniteResidual:
