@@ -228,7 +228,7 @@ def _diameter_pairs(v: np.ndarray, angle: np.ndarray):
                     nxt[nxt == n] = 0
                     rows = rows[~_in_window(j[rows] + shift, j[nxt], n)]
                 kept.append((side, shift, rows))
-    del x, y, xb, yb, d2, dy
+    del x, y  # before the index arithmetic on the kept pairs, which bounds the peak
     a = np.concatenate([rows + side for side, _, rows in kept])
     a[a == n] = 0
     b = np.concatenate([j[rows] + shift for _, shift, rows in kept])

@@ -15,7 +15,7 @@ max(1e-300, |p| / (1 + |w|)), so the step stays within 1 + |w|.  A
 whole family p(z) = t_m can be solved in one vectorized batch, which is
 what the inverse-iteration sampler leans on.  What depends on p alone
 (the Newton polygon of its a_j, j >= 1, the starts it fixes, p', the
-scales of the residual bound and the pair tables of the iteration) is
+scales of the residual bound and the iteration's pair order) is
 built once per coefficient vector, into a ``_Plan`` that a cache of
 _PLAN_CACHE_SIZE entries keeps; a sample solves the same p some 26
 times.

@@ -703,7 +703,7 @@ def _turn_triples(draw):
 class TestExactPrefilters:
     """Each shortcut of the hull and its polygon is bitwise the formula it skips."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(_sort_inputs, st.sampled_from([-1.0, 0.0, 5e-324, 1e-12, 0.25]))
     @example([complex(0.0, 1.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 1.0)], 0.0)
     @example([complex(5e-324, 1.0), complex(-5e-324, 2.0), complex(1e-310, 0.0),
@@ -742,7 +742,7 @@ class TestExactPrefilters:
         with np.errstate(under="ignore"):
             assert np.array_equal(geometry._within(dx, dy, dist), np.hypot(dx, dy) <= dist)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 9), st.floats(-17, 0))
     def test_validation_matches_the_rolled_check(self, seed, n, log_bend):
         # convex polygons with a vertex near a chord or a duplicate, and
