@@ -1,54 +1,28 @@
 """Planar convex geometry on complex points.
 
-A hull is built in three steps.  A prefilter first drops the points
-strictly inside a polygon of extreme input points.  The polygon starts as
-the Akl-Toussaint octagon plus quickhull's first split, the farthest
-point on each side of the octagon's longest chord, and, as in quickhull,
-gains the farthest point beyond each edge while a pass still drops at
-least half the points it tests; of a generic Julia cloud of 1e5 points
-well under 1% survive.  Each point is measured against every edge line,
-not against a fan from a center, so a thin cloud (the Julia set of a
-Chebyshev conjugate, a segment blurred by 1e-10 of its length) loses its
-interior as a round one does.
-Only the survivors are then sorted lexicographically, by an argsort of
-the real parts when no two are equal (``_sort_distinct``), and stripped
-of near-duplicates.  Last, a monotone chain over the sorted survivors:
-the chord from the first to the last point splits them into a lower and
-an upper chain.  Each chain, and then the closed cycle across its two
-seams, is reduced in rounds of one vectorized turn test over every
-consecutive triple.  A round drops every other member of each run of
-failing vertices, never two neighbours, since each of two neighbours can
-be collinear only through the other.  The turn tolerance is read only in
-a round where every triple turns left (``_pop_mask``), and measured only
-on the triples whose line distance, a lower bound, may lie within it.
-
-Where a cheap bound rules a case out, the exact formula is skipped, and
-it still decides every case the bound cannot rule out, so no shortcut
-changes a bit: the sort's tie fallback, the line distance of
-``_pop_mask``, the coordinate gaps before ``hypot`` in ``_within``, and
-the squared distances before ``hypot`` in ``_antipodal_diameter``, each
-with its rounding argument in its docstring.
-
-Tolerance contract: the vertices are input points in strictly convex ccw
-order, and every input point lies within 1e-12 * scale of the hull; a
-cluster inside ``_DUP_EPS * scale`` keeps one representative, and a
-point dropped as collinear lies within about ``_TURN_EPS * scale`` of it.
-The prefilter changes no vertex.  A point it drops lies at least
-``2 * _DUP_EPS * scale`` inside the hull of the other input points, so
-neither it nor a point within ``_DUP_EPS * scale`` of it is a vertex;
-and as the tolerance reads only chains that turn left throughout, which
-hold no such point, it drops the same vertices with or without it.
-Sorting only the survivors changes one thing: a dropped point no longer
-splits a run of near-duplicates.  So when a dropped point may sort inside
-a run of distinct near-duplicates of the survivors, the whole cloud is
-sorted and stripped first, and the prefilter runs on what is left.
+A hull's vertices are exactly the extreme input points, in strictly
+convex ccw order; no tolerance merges near points or straightens thin
+turns.  Every turn, in the hull and in ``ConvexPolygon``'s validation, is
+decided by one exact predicate, ``_orientation``: Shewchuk's adaptive
+``orient2d``, vectorized, with its exact stages built on the error-free
+transforms of ``eft``.  So a float cloud that is not exactly collinear
+(a sampled segment) gives a thin Proper hull, and only an exactly
+collinear one a Segment.  A hull is built in three steps: a prefilter
+(``_candidates``) drops the points that its rounding bound shows strictly
+inside a polygon of extreme input points, of a generic Julia cloud of
+1e5 points all but well under 1%; the survivors are sorted and cut to
+distinct values (``_sort_distinct``); a monotone chain
+(``_monotone_chain``) drops, in rounds of one vectorized turn test, every
+vertex that does not turn left.
 
 Distances and the polygon Hausdorff distance live here too.  A signed
 distance to a proper polygon measures each point's distance to every
 edge line once, then the segment distance and the inside test only on
 the window of three edges around the nearest line
 (``_polygon_distance_kernel``, which says why that is exact).
-``_clamp_offsets`` is the one segment-distance primitive.
+``_clamp_offsets`` is the one segment-distance primitive.  The squared
+distances before ``hypot`` in ``_antipodal_diameter`` skip pairs that
+cannot be the farthest, by the rounding argument of ``_diameter_pairs``.
 """
 from __future__ import annotations
 
@@ -57,15 +31,27 @@ from functools import cached_property
 
 import numpy as np
 
+from .eft import expansion_sum, two_product, two_sum
+
 PROPER = "Proper"
 SEGMENT = "Segment"
 POINT = "Point"
 
-# Orientation ties: a vertex within 1e-14 * scale of the chord between its
-# neighbors reads as collinear (cross <= eps * scale * |chord|); a plain
-# cross <= eps * scale^2 test would misread thin turns over micro-edges.
-_TURN_EPS = 1e-14
-_DUP_EPS = 1e-12
+# Shewchuk's error bounds for orient2d in the unit roundoff u = 2^-53;
+# _FLOOR covers the rounding of operations that underflow.
+_U = 2.0 ** -53
+_CCW_A, _CCW_B = (3.0 + 16.0 * _U) * _U, (2.0 + 12.0 * _U) * _U
+_CCW_C, _RESULT = (9.0 + 64.0 * _U) * _U * _U, (3.0 + 8.0 * _U) * _U
+_FLOOR = 2.0 ** -1070
+
+# Coordinates 0 or within [_SAFE_MIN, _SAFE_MAX] in magnitude keep the
+# products of the exact stages free of overflow and underflow.
+_SAFE_MIN, _SAFE_MAX = 2.0 ** -480, 2.0 ** 500
+
+# Depth inside the prefilter's polygon, as a fraction of the scale, from
+# which a point is strictly inside: 64 u, over three times the rounding
+# bound of ``_candidates``.
+_PREFILTER_DEPTH = 64.0 * _U
 
 # Squared distances at least this fraction of the largest may be the
 # largest distance (``_antipodal_diameter``); 2^-49 is 16 units of rounding.
@@ -79,6 +65,10 @@ _CHUNK_BUDGET = 65_536
 # Edges per block of the diameter's squared distances: small enough that
 # the block's few float temporaries stay in cache.
 _DIAMETER_BLOCK = 16_384
+
+# A line within this fraction of D of the least one, D >= |q - v_k| for
+# every vertex, may be the least one (``_polygon_distance_kernel``): 32 u.
+_LINE_SLACK = 32.0 * _U
 
 _TINY = np.finfo(np.float64).tiny  # the least normal float
 
@@ -97,9 +87,10 @@ def _points_of(obj) -> np.ndarray:
 class ConvexPolygon:
     """Convex hull output: vertices in counter-clockwise order.
 
-    ``kind`` is Proper (>= 3 vertices, strict turns), Segment (2) or
-    Point (1).  A proper polygon computes what its stages share once, on
-    first use: the diameter, the edge angles (read by the diameter,
+    ``kind`` is Proper (>= 3 vertices, each edge nonzero and each turn
+    strictly left by ``_orientation``), Segment (2 distinct) or Point
+    (1).  A proper polygon computes what its stages share once, on first
+    use: the diameter, the edge angles (read by the diameter,
     ``decimate`` and ``_min_area_rectangle``) and the cumulative edge
     lengths (read by ``boundary_points``).  The vertices are not to be
     changed in place after construction.
@@ -119,17 +110,10 @@ class ConvexPolygon:
         elif self.kind == PROPER:
             if v.size < 3:
                 raise ValueError("proper polygon needs >= 3 vertices")
-            # ring[k + 1] is the edge v_k -> v_k+1, ring[0] the last one again
-            ring = np.empty(v.size + 1, dtype=np.complex128)
-            np.subtract(v[1:], v[:-1], out=ring[1:-1])
-            ring[-1] = v[0] - v[-1]
-            ring[0] = ring[-1]
-            e = ring[1:]
-            scale = max(np.ptp(v.real), np.ptp(v.imag))
-            if np.abs(e).min() <= _DUP_EPS * scale:
+            ring = np.concatenate([v[-1:], v, v[:1]])
+            if (ring[1:] == ring[:-1]).any():
                 raise ValueError("duplicate vertices")
-            turn = (ring[:-1] * np.conj(e)).imag
-            if not (turn < 0).all():
+            if not (_orientation(ring[:-2], ring[1:-1], ring[2:]) > 0.0).all():
                 raise ValueError("vertices are not strictly convex in ccw order")
         else:
             raise ValueError(f"unknown polygon kind {self.kind!r}")
@@ -249,44 +233,111 @@ def _in_window(b: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     return b <= 2
 
 
-def _convex_corners(c: np.ndarray) -> np.ndarray:
-    """The ccw vertices, strict turns only, of the hull of a few points.
+def _orientation(a, b, c) -> np.ndarray:
+    """Per triple, a float whose sign is exactly that of the turn a -> b -> c.
 
-    Andrew's monotone chain, one Python step per point.
+    Positive for a left (ccw) turn, negative for a right one, zero for
+    collinear points; c is a complex array, a and b arrays of its shape or
+    scalars.  Shewchuk's adaptive ``orient2d``, vectorized: the cross
+    product of the rounded differences from c decides every triple where
+    it exceeds the static bound ``(3 + 16u) u`` of the two products'
+    magnitudes, u = 2^-53, plus 2^-1070 for a product that underflows.
+    Of the rest, a triple with an exactly zero factor in each product is
+    collinear, and ``_adaptive_turns`` decides the others in floats where
+    each coordinate is 0 or within [2^-480, 2^500] in magnitude: no
+    product of its error-free transforms can then overflow or hold a bit
+    below 2^-1074.  A row outside that range takes Python integers.
     """
-    seq = np.unique(c).tolist()  # complex values sort by real, then imaginary part
+    coords = [part(z) for z in (a, b, c) for part in (np.real, np.imag)]
+    ax, ay, bx, by, cx, cy = coords
+    with np.errstate(over="ignore", invalid="ignore"):
+        acx, bcx, acy, bcy = ax - cx, bx - cx, ay - cy, by - cy
+        left, right = acx * bcy, acy * bcx
+        det = left - right
+        bound = _CCW_A * (np.abs(left) + np.abs(right)) + _FLOOR
+        rows = np.flatnonzero(np.logical_not(np.abs(det) > bound))
+    if rows.size:
+        zero = ((acx[rows] == 0.0) | (bcy[rows] == 0.0)) & ((acy[rows] == 0.0) | (bcx[rows] == 0.0))
+        det[rows[zero]] = 0.0
+        rows = rows[~zero]
+    if rows.size:
+        open_ = np.stack([np.broadcast_to(w, det.shape)[rows] for w in coords])
+        size = np.abs(open_)
+        safe = ~((size > _SAFE_MAX) | ((size > 0.0) & (size < _SAFE_MIN))).any(axis=0)
+        det[rows[safe]] = _adaptive_turns(*open_[:, safe])
+        for i in np.flatnonzero(~safe):  # in integer units of 2^-1074, exactly
+            ax, ay, bx, by, cx, cy = (n << (1075 - d.bit_length()) for n, d in
+                                      map(float.as_integer_ratio, open_[:, i].tolist()))
+            turn = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+            det[rows[i]] = (turn > 0) - (turn < 0)
+    return det
 
-    def chain(points):
-        out: list = []
-        for q in points:
-            while len(out) >= 2 and ((out[-1] - out[-2]).conjugate() * (q - out[-2])).imag <= 0:
-                out.pop()
-            out.append(q)
-        return out[:-1]
 
-    return np.array(chain(seq) + chain(seq[::-1]))
+def _cross(p, q, r, s):
+    """The expansion of p q - r s, and |p q| + |r s| rounded."""
+    high, low = two_product(p, q)
+    high2, low2 = two_product(r, s)
+    return expansion_sum([low, high], [-low2, -high2]), np.abs(high) + np.abs(high2)
+
+
+def _adaptive_turns(ax, ay, bx, by, cx, cy) -> np.ndarray:
+    """Shewchuk's stages B to D of ``orient2dadapt``, each on the rows the last left open.
+
+    B takes the cross product of the rounded differences exactly, as a
+    four-component expansion, and decides where its float estimate
+    exceeds ``(2 + 12u) u`` of the products' magnitudes, or where the
+    differences were exact.  C adds the first-order terms of the
+    differences' rounding errors, under its own bound.  D sums every term
+    of the exact cross product as one expansion, whose last nonzero
+    component gives the sign.
+    """
+    (acx, acx_tail), (bcx, bcx_tail), (acy, acy_tail), (bcy, bcy_tail) = (
+        two_sum(p, -q) for p, q in ((ax, cx), (bx, cx), (ay, cy), (by, cy)))
+    b, detsum = _cross(acx, bcy, acy, bcx)
+    det = ((b[0] + b[1]) + b[2]) + b[3]
+    exact = (acx_tail == 0.0) & (bcx_tail == 0.0) & (acy_tail == 0.0) & (bcy_tail == 0.0)
+    rows = np.flatnonzero(~((np.abs(det) >= _CCW_B * detsum) | exact))
+    acx, bcx, acy, bcy, acx_tail, bcx_tail, acy_tail, bcy_tail, detsum, *b = (
+        w[rows] for w in (acx, bcx, acy, bcy, acx_tail, bcx_tail, acy_tail, bcy_tail, detsum, *b))
+    estimate = det[rows]
+    bound = _CCW_C * detsum + _RESULT * np.abs(estimate)
+    estimate += (acx * bcy_tail + bcy * acx_tail) - (acy * bcx_tail + bcx * acy_tail)
+    det[rows] = estimate
+    rest = np.flatnonzero(~(np.abs(estimate) >= bound))
+    if rest.size:
+        acx, bcx, acy, bcy, acx_tail, bcx_tail, acy_tail, bcy_tail, *total = (
+            w[rest] for w in (acx, bcx, acy, bcy, acx_tail, bcx_tail, acy_tail, bcy_tail, *b))
+        for p, q, r, s in ((acx_tail, bcy, acy_tail, bcx), (acx, bcy_tail, acy, bcx_tail),
+                           (acx_tail, bcy_tail, acy_tail, bcx_tail)):
+            total = expansion_sum(total, _cross(p, q, r, s)[0])
+        top = np.zeros(rest.size)
+        for component in total:
+            top = np.where(component != 0.0, component, top)
+        det[rows[rest]] = top
+    return det
 
 
 def _candidates(pts: np.ndarray, scale: float) -> np.ndarray:
     """Indices, ascending, of the points that may be hull vertices.
 
-    A convex polygon P of extreme input points rules out every point that
-    lies at least ``2 * _DUP_EPS * scale`` inside each edge line of P.  P
-    starts as the Akl-Toussaint octagon plus quickhull's first split: the
-    farthest point on each side of the chord between the two octagon
-    corners farthest apart.  On a thin, turned cloud the octagon's corners
-    gather at the cloud's two ends, and that split gives P its width.  A
-    pass measures each tested point's depth inside every edge line of P,
-    so the test is exact however thin P is.  While a pass drops at least
-    half the points it tests, the point farthest beyond each edge becomes
-    a corner, as in quickhull, and the survivors are tested again.  So the
-    tested points halve from pass to pass, and a cloud in convex position
-    (a circle) or on a line costs one pass.
+    A point is dropped when it lies at least ``_PREFILTER_DEPTH * scale``
+    inside each edge line of a convex polygon P of input points, which
+    puts it strictly inside P.  P starts as the Akl-Toussaint octagon plus
+    quickhull's first split, the farthest point on each side of the chord
+    between the two octagon corners farthest apart, which gives a thin,
+    turned cloud's P its width.  While a pass drops at least half the
+    points it tests, the point farthest beyond each edge becomes a corner,
+    as in quickhull, and the survivors are tested again; a cloud in convex
+    position (a circle) or on a line costs one pass.
 
-    Points are measured from an octagon corner, so a depth is rounded by
-    some 1e-16 * scale.  Should rounding leave a corner of P slightly
-    reflex, a point inside every edge line still lies inside P, which lies
-    inside the hull of its corners.
+    The rounding bound, with u = 2^-53: the corners' order comes from
+    exact turns, and each edge's unit normal from the exact corners'
+    difference, so its direction errs by at most 5u however short the
+    edge.  Coordinates shifted by an input point lie within scale and err
+    by at most u * scale.  The dot products and their difference then err
+    by 8.5u * scale, the shifts add 2.9u * scale and the normal's error
+    7.1u * scale across the cloud: under 20u * scale, well inside the
+    depth of 64u * scale, whose floor of 2^-1070 covers underflow.
     """
     x, y = pts.real, pts.imag
     s, t = x + y, x - y
@@ -297,21 +348,21 @@ def _candidates(pts: np.ndarray, scale: float) -> np.ndarray:
     first, last = ends[far // ends.size], ends[far % ends.size]
     x, y = pts.real - first.real, pts.imag - first.imag
     chord = last - first
+    length = abs(chord)  # a unit chord: no product overflows
     inside, term = np.empty_like(x), np.empty_like(x)
-    np.multiply(y, chord.real, out=inside)
-    inside -= np.multiply(x, chord.imag, out=term)  # the side of the chord
-    split = np.concatenate([octagon, [np.argmin(inside), np.argmax(inside)]])
-    corners = x[split] + 1j * y[split]
-    depth = 2.0 * _DUP_EPS * scale
+    np.multiply(y, chord.real / length, out=inside)
+    inside -= np.multiply(x, chord.imag / length, out=term)  # the side of the chord
+    corners = pts[np.concatenate([octagon, [np.argmin(inside), np.argmax(inside)]])]
+    depth = _PREFILTER_DEPTH * scale + _FLOOR
     keep = np.arange(pts.size)
     while True:
-        v = _convex_corners(corners)
+        v = _monotone_chain(_sort_distinct(corners))
         if v.size < 3:
             return keep
         e = np.roll(v, -1) - v
-        normal = 1j * e / np.abs(e)  # inward, for ccw corners
-        nx, ny = normal.real, normal.imag
-        offset = nx * v.real + ny * v.imag
+        length = np.abs(e)
+        nx, ny = -e.imag / length, e.real / length  # inward, for ccw corners
+        offset = nx * (v.real - first.real) + ny * (v.imag - first.imag)
         near, below = np.zeros(keep.size, dtype=bool), np.empty(keep.size, dtype=bool)
         inside, term = inside[:keep.size], term[:keep.size]
         new = []
@@ -326,194 +377,70 @@ def _candidates(pts: np.ndarray, scale: float) -> np.ndarray:
         out = np.flatnonzero(near)
         if 2 * out.size > keep.size or not new:
             return keep[out]
-        corners = np.concatenate([v, x[new] + 1j * y[new]])
+        corners = np.concatenate([v, pts[keep[new]]])
         keep, x, y = keep[out], x[out], y[out]
 
 
-def _pop_mask(o, a, q, eps_len: float) -> np.ndarray:
-    """Mask of middle vertices a dropped from the triples o -> a -> q.
+def _sort_distinct(pts: np.ndarray) -> np.ndarray:
+    """The points in lexicographic order, each run of equal ones cut to its first.
 
-    True on a non-left turn (exact cross test); only when every triple
-    turns left, True where a lies within ``eps_len`` of the chord segment
-    [o, q].  Distance is measured to the segment, not the line, so
-    far-away vertices over micro-chords survive.  Distances use hypot, as
-    ``abs`` of a Python complex does.  The tolerance thus only ever reads
-    a convex chain, which points strictly inside the hull do not change;
-    a tolerance test against a chord to such a point could drop a vertex
-    that the chain without it keeps, and the prefilter would change it.
-
-    The segment distance is at least the line distance cross / |q - o|,
-    so that formula runs only where the line distance is at most
-    2 * eps_len, or where len2 = |q - o|^2 is 0, subnormal or not finite.
-    That skips no drop.  With u = 2^-53 and len2 normal, so that
-    |q - o| >= 1.49e-154, the computed line distance is at most
-    |a - o| (1 + 7u) and at most |a - q| (1 + 9u) + 3.1u |q - o|, up to
-    absolute terms below 2e-169.  Where it exceeds 2 * eps_len, each of
-    the three distances the formula may take thus exceeds eps_len, as
-    long as every chord is at most 2^50 * eps_len long and eps_len is at
-    least 1e-168.  The hull's eps_len = 1e-14 * scale meets both: its
-    chords are at most sqrt(2) * scale long, and len2 is normal only on
-    chords of at least 1.49e-154.
+    As numpy's stable complex sort: by real part, imaginary part, then
+    input order, 0.0 and -0.0 equal.  An argsort of the real parts gives
+    that order but in runs of equal real parts, which alone are sorted
+    again, by imaginary part and index.
     """
-    rx, ry = a.real - o.real, a.imag - o.imag
-    ex, ey = q.real - o.real, q.imag - o.imag
-    cross = rx * ey - ry * ex
-    turned = cross <= 0.0
-    if turned.any():
-        return turned
-    len2 = ex * ex + ey * ey
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inner = cross / np.sqrt(len2)
-    near = ~((inner > 2.0 * eps_len) & (inner < np.inf) & (len2 >= _TINY))
-    at = np.flatnonzero(near)
-    rx, ry, ex, ey, len2, inner, a, q = (w[at] for w in (rx, ry, ex, ey, len2, inner, a, q))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = np.divide(rx * ex + ry * ey, len2, out=np.zeros_like(len2),
-                      where=len2 != 0.0)
-    dist = np.where(t <= 0.0, np.hypot(rx, ry),
-                    np.where(t >= 1.0, np.hypot(a.real - q.real, a.imag - q.imag), inner))
-    near[at] = dist <= eps_len
-    return near
+    order = np.argsort(pts.real)
+    x = pts.real[order]
+    starts = np.concatenate(([True], x[1:] != x[:-1]))
+    if not starts.all():
+        tied = np.flatnonzero(~(starts & np.concatenate((starts[1:], [True]))))
+        index = order[tied]
+        order[tied] = index[np.lexsort((index, pts.imag[index], np.cumsum(starts)[tied]))]
+    pts = pts[order]
+    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
-def _within(dx: np.ndarray, dy: np.ndarray, dist: float) -> np.ndarray:
-    """hypot(dx, dy) <= dist, with hypot taken only where |dx| and |dy| both are.
+def _monotone_chain(pts: np.ndarray) -> np.ndarray:
+    """The hull vertices of sorted distinct points, ccw from the first; 2 on a line.
 
-    hypot is at least the larger of |dx| and |dy|, so no other entry passes.
+    Andrew's monotone chain, in rounds.  The chord from the first point F
+    to the last L splits the points into a lower chain, on or right of
+    it, and an upper one, on or left, walked as one closed path
+    F -> lower -> L -> upper -> F.  A round drops every vertex of the path
+    but L that does not turn left.  In x-monotone order such a vertex
+    lies on or beyond the segment between its neighbours, on the chord's
+    side, so it lies in the hull of them and of the chord and is no
+    extreme point: dropping them all at once changes no hull.  A path that
+    turns left at each vertex but L is the hull, and it turns left at L too
+    unless every point lies on the chord.
     """
-    near = np.abs(dx) <= dist
-    near &= np.abs(dy) <= dist
-    at = np.flatnonzero(near)
-    near[at] = np.hypot(dx[at], dy[at]) <= dist
-    return near
-
-
-def _every_other(mask: np.ndarray) -> np.ndarray:
-    """The members at even offsets in each run of True: never two neighbours."""
-    idx = np.arange(mask.size)
-    start = mask & ~np.concatenate(([False], mask[:-1]))
-    first = np.maximum.accumulate(np.where(start, idx, 0))
-    return mask & ((idx - first) % 2 == 0)
-
-
-def _every_other_cyclic(mask: np.ndarray) -> np.ndarray:
-    """``_every_other`` around a cycle, whose last and first entries are neighbours."""
-    n = mask.size
-    if mask.all():
-        drop = np.zeros(n, dtype=bool)
-        drop[:n - n % 2:2] = True
-        return drop
-    shift = int(np.argmin(mask)) + 1  # a run never wraps past a False entry
-    return np.roll(_every_other(np.roll(mask, -shift)), shift)
-
-
-def _reduce_chain(c: np.ndarray, eps_len: float) -> np.ndarray:
-    """Drop popped vertices of an open chain in rounds; the two ends stay.
-
-    Each round drops every other member of each run of popped vertices.
-    Dropping two neighbours at once could lose a true vertex, when each
-    was collinear only through the other.
-    """
-    while c.size > 2:
-        drop = _every_other(_pop_mask(c[:-2], c[1:-1], c[2:], eps_len))
-        if not drop.any():
+    first, last = pts[0], pts[-1]
+    side = _orientation(first, last, pts)
+    lower = pts[side <= 0.0]
+    path = np.concatenate([lower, pts[side >= 0.0][-2::-1]])
+    pinned = np.arange(path.size) == lower.size - 1  # L
+    while path.size > 3:
+        keep = _orientation(path[:-2], path[1:-1], path[2:]) > 0.0
+        keep |= pinned[1:-1]
+        if keep.all():
             break
-        c = c[np.concatenate(([True], ~drop, [True]))]
-    return c
-
-
-def _reduce_cycle(v: np.ndarray, scale: float) -> np.ndarray:
-    """Drop near-duplicate, then popped vertices around the cycle, in rounds.
-
-    Of a near-duplicate pair the later vertex goes (the last one across
-    the seam), and no round drops two neighbours, the seam included.
-    """
-    eps_len = _TURN_EPS * scale
-    while v.size > 2:
-        prev = np.roll(v, 1)
-        near = _within(v.real - prev.real, v.imag - prev.imag, _DUP_EPS * scale)
-        if near.any():
-            near[-1] |= near[0]
-            near[0] = False
-            drop = near
-        else:
-            drop = _pop_mask(prev, v, np.roll(v, -1), eps_len)
-            if not drop.any():
-                break
-        v = v[~_every_other_cyclic(drop)]
-    return v
-
-
-def _sort_distinct(pts: np.ndarray, dup: float):
-    """(points, near): lexicographically sorted, each run cut to its first.
-
-    numpy orders complex values by real part, then imaginary part; the
-    stable sort keeps exact ties, such as 0.0 and -0.0, in input order.
-    When no two real parts are equal, an argsort of the real parts alone
-    gives that same order, about five times faster; on a tie the complex
-    sort runs instead.
-    A run is a chain of neighbours at most ``dup`` apart in the sort;
-    ``near`` holds the first of each pair of distinct such neighbours.
-    """
-    ordered = pts[np.argsort(pts.real)]
-    x = ordered.real
-    pts = ordered if (x[1:] > x[:-1]).all() else np.sort(pts, kind="stable")
-    gap = np.abs(np.diff(pts))
-    near = gap <= dup
-    return pts[np.concatenate([[True], ~near])], pts[:-1][near & (gap > 0.0)]
-
-
-def _splits_a_run(pts: np.ndarray, keep: np.ndarray, near: np.ndarray,
-                  dup: float) -> bool:
-    """Whether a point not in ``keep`` may sort between two near neighbours.
-
-    Such a point would split their run in the sort of the whole cloud.  It
-    would sort between the first of a pair, ``near``, and the second,
-    whose real part is at most ``dup`` above it; the test asks only for a
-    real part at most ``2 * dup`` above, which is looser and rounding-safe.
-    """
-    dropped = np.ones(pts.size, dtype=bool)
-    dropped[keep] = False
-    x = pts.real[dropped]
-    at = np.searchsorted(near.real, x, side="right") - 1
-    return bool(((at >= 0) & (x <= near.real[at] + 2.0 * dup)).any())
+        keep = np.concatenate(([True], keep, [True]))
+        path, pinned = path[keep], pinned[keep]
+    return path[:-1]
 
 
 def convex_hull(points) -> ConvexPolygon:
-    """Monotone-chain hull with collinear interior points removed.
+    """The hull: exactly the extreme input points, ccw from the lexicographically first.
 
-    The lower chain takes the points on or right of the chord from the
-    first to the last sorted point, the upper chain those on or left of it.
+    A Segment when the points are exactly collinear, a Point when they are
+    all equal.
     """
     pts = _points_of(points)
     scale = max(np.ptp(pts.real), np.ptp(pts.imag))
     if scale == 0.0:
         return ConvexPolygon(pts[:1].copy(), POINT)
-    keep = _candidates(pts, scale)
-    cand, near = _sort_distinct(pts[keep], _DUP_EPS * scale)
-    if near.size and _splits_a_run(pts, keep, near, _DUP_EPS * scale):
-        # the sort of the whole cloud would keep more of that run: sort it first
-        cand = _sort_distinct(pts, _DUP_EPS * scale)[0]
-        cand = cand[_candidates(cand, scale)]
-    pts = cand
-    if pts.size == 1:
-        return ConvexPolygon(pts, POINT)
-    eps_len = _TURN_EPS * scale
-    first, chord = pts[0], pts[-1] - pts[0]
-    side = chord.real * (pts.imag - first.imag) - chord.imag * (pts.real - first.real)
-    lower = _reduce_chain(pts[side <= 0.0], eps_len)
-    upper = _reduce_chain(pts[side >= 0.0][::-1], eps_len)
-    hull = _reduce_cycle(np.concatenate([lower[:-1], upper[:-1]]), scale)
-    if hull.size <= 2:
-        # tolerance-collinear input: recover the true extremes by two sweeps,
-        # the sort-order endpoints can sit anywhere along the line
-        e1 = pts[np.argmax(np.abs(pts - pts[0]))]
-        e2 = pts[np.argmax(np.abs(pts - e1))]
-        if abs(e2 - e1) <= _DUP_EPS * scale:
-            return ConvexPolygon(np.array([e1]), POINT)
-        ends = sorted([e1, e2], key=lambda z: (z.real, z.imag))
-        return ConvexPolygon(np.array(ends), SEGMENT)
-    return ConvexPolygon(hull, PROPER)
+    v = _monotone_chain(_sort_distinct(pts[_candidates(pts, scale)]))
+    return ConvexPolygon(v, SEGMENT if v.size == 2 else PROPER)
 
 
 def _min_area_rectangle(polygon: ConvexPolygon):
@@ -591,6 +518,12 @@ def _polygon_distance_kernel(vertices: np.ndarray, pts: np.ndarray) -> np.ndarra
     Outside, the nearest boundary point x has q - x in the normal cone at
     x, which is spanned by the normals of the one or two edges through x;
     the most violated line is one of those, so x lies in the window.
+    Each computed line distance errs by under 11u D, u = 2^-53 and
+    D >= |q - v_k| for every k, so rounding may misorder two lines within
+    22u D of each other; where a line outside the window comes within
+    ``_LINE_SLACK * D`` of the least, every edge is measured instead.
+    Across a micro-edge or a run of tiny turns, the window alone could
+    miss the nearest edge by far more than rounding.
     """
     vx, vy = vertices.real, vertices.imag
     ex = np.roll(vx, -1) - vx
@@ -599,6 +532,17 @@ def _polygon_distance_kernel(vertices: np.ndarray, pts: np.ndarray) -> np.ndarra
     length = np.hypot(ex, ey)
     ux, uy = ex / length, ey / length
     window = np.arange(-1, 2)
+    slack = _LINE_SLACK * (np.abs(pts - vertices[0]) + 2.0 * max(np.ptp(vx), np.ptp(vy)))
+
+    def measure(qx, qy, k):
+        """Signed distances of the points (qx, qy) to the boundary, on the edges k of each."""
+        rx, ry = qx - vx[k], qy - vy[k]
+        wx, wy = ex[k], ey[k]
+        dx, dy = _clamp_offsets(rx, ry, wx, wy, inv_len2[k])
+        dist = np.sqrt((dx * dx + dy * dy).min(axis=1))
+        inside = ((wx * ry - wy * rx) >= 0.0).all(axis=1)
+        return np.where(inside, -dist, dist)
+
     out = np.empty(pts.size)
     chunk = max(1, _CHUNK_BUDGET // vertices.size)
     line_buf = np.empty((min(chunk, pts.size), vertices.size))
@@ -612,13 +556,15 @@ def _polygon_distance_kernel(vertices: np.ndarray, pts: np.ndarray) -> np.ndarra
         across = np.subtract(qx, vx, out=across_buf[:hi - lo])
         across *= uy
         line -= across
-        k = (line.argmin(axis=1)[:, None] + window) % vertices.size
-        rx, ry = qx - vx[k], qy - vy[k]
-        wx, wy = ex[k], ey[k]
-        dx, dy = _clamp_offsets(rx, ry, wx, wy, inv_len2[k])
-        dist = np.sqrt((dx * dx + dy * dy).min(axis=1))
-        inside = ((wx * ry - wy * rx) >= 0.0).all(axis=1)
-        out[lo:hi] = np.where(inside, -dist, dist)
+        rows = np.arange(hi - lo)[:, None]
+        least = line.argmin(axis=1)[:, None]
+        k = (least + window) % vertices.size
+        out[lo:hi] = measure(qx, qy, k)
+        reach = line[rows, least] + slack[lo:hi, None]
+        line[rows, k] = np.inf
+        wide = np.flatnonzero(line.min(axis=1) <= reach[:, 0])
+        if wide.size:  # a near tie beyond the window
+            out[lo + wide] = measure(qx[wide], qy[wide], np.arange(vertices.size))
     return out
 
 

@@ -28,8 +28,7 @@ from juliahull.geometry import (
     PROPER,
     SEGMENT,
     POINT,
-    _DUP_EPS,
-    _TURN_EPS,
+    _PREFILTER_DEPTH,
     decimate,
     distance_to_segments,
 )
@@ -42,88 +41,68 @@ planar_points = st.lists(
 )
 
 
-def _scalar_pops(o, a, q, eps_len: float) -> bool:
-    """Middle vertex a is dropped from the chain o -> a -> q (plain Python)."""
-    cross = ((a.real - o.real) * (q.imag - o.imag)
-             - (a.imag - o.imag) * (q.real - o.real))
-    if cross <= 0.0:
-        return True
-    ex, ey = q.real - o.real, q.imag - o.imag
-    len2 = ex * ex + ey * ey
-    if len2 == 0.0:
-        return abs(a - o) <= eps_len
-    t = ((a.real - o.real) * ex + (a.imag - o.imag) * ey) / len2
-    if t <= 0.0:
-        dist = abs(a - o)
-    elif t >= 1.0:
-        dist = abs(a - q)
-    else:
-        dist = cross / (len2 ** 0.5)
-    return dist <= eps_len
+def _units(x: float) -> int:
+    """x as the integer multiple of 2^-1074 it is."""
+    numerator, denominator = x.as_integer_ratio()
+    return numerator * ((1 << 1074) // denominator)
 
 
-def _scalar_chain(seq, eps_len: float) -> list:
-    out: list = []
-    for q in seq:
-        while len(out) >= 2 and _scalar_pops(out[-2], out[-1], q, eps_len):
-            out.pop()
-        out.append(q)
-    return out
+def _exact_turn(o, a, q) -> int:
+    """Sign of the turn o -> a -> q in integers: 1 left, -1 right, 0 collinear."""
+    ox, oy, ax, ay, qx, qy = (_units(v) for v in (o.real, o.imag, a.real, a.imag,
+                                                  q.real, q.imag))
+    cross = (ax - ox) * (qy - oy) - (ay - oy) * (qx - ox)
+    return (cross > 0) - (cross < 0)
 
 
-def _scalar_prune_cyclic(verts: list, scale: float) -> list:
-    """Drop near-duplicate and tolerance-collinear vertices around the cycle."""
-    eps_len = _TURN_EPS * scale
-    dup = _DUP_EPS * scale
-    changed = True
-    while changed and len(verts) > 2:
-        changed = False
-        out: list = []
-        for q in verts:
-            if out and abs(q - out[-1]) <= dup:
-                changed = True
-                continue
-            while len(out) >= 2 and _scalar_pops(out[-2], out[-1], q, eps_len):
-                out.pop()
-                changed = True
-            out.append(q)
-        if len(out) >= 2 and abs(out[0] - out[-1]) <= dup:
-            out.pop()
-            changed = True
-        # turns across the seam are not seen by the sweep above
-        while len(out) > 2 and _scalar_pops(out[-2], out[-1], out[0], eps_len):
-            out.pop()
-            changed = True
-        while len(out) > 2 and _scalar_pops(out[-1], out[0], out[1], eps_len):
-            out.pop(0)
-            changed = True
-        verts = out
-    return verts
+def _reference_turn(o, a, q) -> int:
+    """``_exact_turn``, by a float cross product where that is far from rounding."""
+    left = (a.real - o.real) * (q.imag - o.imag)
+    right = (a.imag - o.imag) * (q.real - o.real)
+    if abs(left - right) > 1e-12 * (abs(left) + abs(right)) + 1e-280:
+        return 1 if left > right else -1
+    return _exact_turn(o, a, q)
 
 
-def _scalar_hull_vertices(points) -> list:
-    """Stack monotone chain over all sorted points, then the cyclic prune.
-
-    The same sort and dedup as ``convex_hull``, but no prefilter, so a
-    match also shows that the prefilter drops no vertex; returns the
-    vertices of a proper hull, or fewer than 3 points for a degenerate one.
-    """
+def _lexsorted_distinct(points) -> np.ndarray:
+    """A stable lexicographic sort, each run of equal points cut to its first."""
     pts = np.asarray(points, dtype=np.complex128).ravel()
-    scale = max(np.ptp(pts.real), np.ptp(pts.imag))
-    if scale == 0.0:
-        return []
     pts = pts[np.lexsort((pts.imag, pts.real))]
-    pts = pts[np.concatenate([[True], np.abs(np.diff(pts)) > _DUP_EPS * scale])]
-    seq = pts.tolist()
-    eps_len = _TURN_EPS * scale
-    lower = _scalar_chain(seq, eps_len)
-    upper = _scalar_chain(reversed(seq), eps_len)
-    return _scalar_prune_cyclic(lower[:-1] + upper[:-1], scale)
+    return pts[np.concatenate([[True], pts[1:] != pts[:-1]])]
+
+
+def _rational_hull_vertices(points) -> list:
+    """Andrew's stack chain over all sorted distinct points, with exact turns.
+
+    No prefilter, so a match also shows that the prefilter drops no
+    vertex; returns the ccw vertices from the lexicographically first, 2
+    for collinear points and 1 for equal ones.
+    """
+    seq = _lexsorted_distinct(points).tolist()
+    if len(seq) == 1:
+        return seq
+
+    def chain(points):
+        out: list = []
+        for q in points:
+            while len(out) >= 2 and _reference_turn(out[-2], out[-1], q) <= 0:
+                out.pop()
+            out.append(q)
+        return out[:-1]
+
+    return chain(seq) + chain(seq[::-1])
 
 
 def _scalar_calipers(pts: list) -> float:
-    """Rotating calipers over a proper ccw polygon, one edge at a time."""
+    """Rotating calipers over a proper ccw polygon, one edge at a time.
+
+    The caliper advances while the next edge turns left of edge i.  Where
+    the float cross product is within reach of rounding, that is decided
+    in integers: on a thin triangle the float one can read a turn of
+    pi - 1e-16 as more than pi, and stop past the farthest vertex.
+    """
     n = len(pts)
+    exact = []  # the vertices in integers, once one is needed
     best = 0.0
     j = 1
     for i in range(n):
@@ -132,7 +111,12 @@ def _scalar_calipers(pts: list) -> float:
         while True:
             nj = j + 1 if j + 1 < n else 0
             step = pts[nj] - pts[j]
-            if e.real * step.imag - e.imag * step.real > 0.0:
+            cross = e.real * step.imag - e.imag * step.real
+            if abs(cross) <= 1e-12 * abs(e) * abs(step):
+                exact = exact or [(_units(z.real), _units(z.imag)) for z in pts]
+                (ax, ay), (bx, by), (cx, cy), (dx, dy) = (exact[k] for k in (i, ni, j, nj))
+                cross = (bx - ax) * (dy - cy) - (by - ay) * (dx - cx)
+            if cross > 0:
                 j = nj
             else:
                 break
@@ -168,30 +152,10 @@ def _assert_measures_farthest_once(polygon):
     assert np.isin(keys[dist == dist.max()], measured).all()
 
 
-def _unfiltered_pop_mask(o, a, q, eps_len: float) -> np.ndarray:
-    """``geometry._pop_mask`` with the segment distance of every triple measured."""
-    rx, ry = a.real - o.real, a.imag - o.imag
-    ex, ey = q.real - o.real, q.imag - o.imag
-    cross = rx * ey - ry * ex
-    turned = cross <= 0.0
-    if turned.any():
-        return turned
-    len2 = ex * ex + ey * ey
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = np.divide(rx * ex + ry * ey, len2, out=np.zeros_like(len2),
-                      where=len2 != 0.0)
-        inner = cross / np.sqrt(len2)
-    dist = np.where(t <= 0.0, np.hypot(rx, ry),
-                    np.where(t >= 1.0, np.hypot(a.real - q.real, a.imag - q.imag), inner))
-    return dist <= eps_len
-
-
-def _stable_sort_distinct(pts: np.ndarray, dup: float):
+def _stable_sort_distinct(pts: np.ndarray) -> np.ndarray:
     """``geometry._sort_distinct`` with numpy's stable complex sort on every input."""
     pts = np.sort(pts, kind="stable")
-    gap = np.abs(np.diff(pts))
-    near = gap <= dup
-    return pts[np.concatenate([[True], ~near])], pts[:-1][near & (gap > 0.0)]
+    return pts[np.concatenate([[True], pts[1:] != pts[:-1]])]
 
 
 def _rolled_edge_angles(v: np.ndarray) -> np.ndarray:
@@ -208,27 +172,40 @@ def _rolled_boundary_points(v: np.ndarray, count: int) -> np.ndarray:
     return v[idx] + (s - cum[idx]) / lengths[idx] * e[idx]
 
 
-def _rolled_proper_check(v: np.ndarray):
-    """The error a proper polygon's vertices raise, or None, by the rolled formulas."""
-    e = np.roll(v, -1) - v
-    scale = max(np.ptp(v.real), np.ptp(v.imag))
-    if np.abs(e).min() <= _DUP_EPS * scale:
+def _rational_proper_check(v: np.ndarray):
+    """The error a proper polygon's vertices raise, or None, with turns in rationals."""
+    if (v == np.roll(v, -1)).any():
         return "duplicate vertices"
-    if not ((np.roll(e, 1) * np.conj(e)).imag < 0).all():
+    ring = v.tolist()
+    if not all(_exact_turn(ring[k - 1], ring[k], ring[(k + 1) % len(ring)]) > 0
+               for k in range(len(ring))):
         return "vertices are not strictly convex in ccw order"
     return None
 
 
-def _count_pop_masks(monkeypatch):
-    """Wrap the hull's turn test; returns the list of triple counts passed."""
+def _count_turn_tests(monkeypatch):
+    """Wrap the orientation predicate; returns the list of triple counts passed.
+
+    Calls made inside the prefilter, on its few corners, are not counted.
+    """
     calls = []
-    original = geometry._pop_mask
+    in_prefilter = []
+    orientation, candidates = geometry._orientation, geometry._candidates
 
-    def counted(*args):
-        calls.append(args[1].size)
-        return original(*args)
+    def counted(a, b, c):
+        if not in_prefilter:
+            calls.append(np.size(c))
+        return orientation(a, b, c)
 
-    monkeypatch.setattr(geometry, "_pop_mask", counted)
+    def uncounted(pts, scale):
+        in_prefilter.append(True)
+        try:
+            return candidates(pts, scale)
+        finally:
+            in_prefilter.pop()
+
+    monkeypatch.setattr(geometry, "_orientation", counted)
+    monkeypatch.setattr(geometry, "_candidates", uncounted)
     return calls
 
 
@@ -240,6 +217,20 @@ def _cascade_cloud():
     """
     x = np.linspace(0, 1, 4000)
     return np.concatenate([x + 1e-3j * (x * x - x), [0.99 - 10j]])
+
+
+def _micro_edge_cloud(seed: int, count: int) -> np.ndarray:
+    """A convex polygon of ``count`` vertices, each with three points beside it.
+
+    They lie 1 to 30 units of rounding of the scale along the vertex's
+    edge, and up to a fifth of that outside it, so the exact hull keeps
+    many of them, with edges down to one ulp.
+    """
+    rng = np.random.default_rng(seed)
+    v = 3.0 * np.exp(2j * np.pi * np.sort(rng.uniform(size=count))) + 0.5 - 0.25j
+    e = np.roll(v, -1) - v
+    step = np.spacing(3.0) * rng.uniform(1, 30, (3, count)) / np.abs(e)
+    return np.concatenate([v, *(v + e * t * (1 - 0.1j * k) for k, t in enumerate(step))])
 
 
 def _fixed_clouds():
@@ -281,8 +272,8 @@ class TestConvexHull:
                     np.concatenate([rng.normal(size=300) + 1j * rng.normal(size=300)] * 2),
                     np.array([complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
                               complex(0.0, 0.0), 1j, complex(-0.0, 1.0)])):
-            got, _ = geometry._sort_distinct(pts, -1.0)  # no neighbour is near
-            reference = pts[np.lexsort((pts.imag, pts.real))]
+            got = geometry._sort_distinct(pts)
+            reference = _lexsorted_distinct(pts)
             assert np.array_equal(got.view(np.uint64), reference.view(np.uint64))
 
     def test_identical_points_become_point(self):
@@ -348,49 +339,31 @@ class TestConvexHull:
 
 
 class TestHullReference:
-    """The vectorized hull and diameter against the scalar stack chain.
-
-    Exact vertex agreement is claimed only by ``_assert_matches``.  On
-    near-duplicate clusters and on slivers thinner than the turn tolerance
-    the two may keep different vertices; there ``_assert_contract`` checks
-    the contract instead: a convex hull of input points that leaves every
-    point at most 1e-12 * scale outside.
-    """
-
-    @staticmethod
-    def _assert_contract(pts):
-        scale = max(np.ptp(pts.real), np.ptp(pts.imag))
-        hull = convex_hull(pts)
-        assert hull.kind == PROPER
-        assert np.isin(hull.vertices, pts).all()
-        e = np.roll(hull.vertices, -1) - hull.vertices
-        assert ((np.roll(e, 1) * np.conj(e)).imag < 0).all()
-        assert signed_distance(hull, pts).max() <= 1e-12 * scale
+    """The vectorized hull and diameter against the rational stack chain, bit for bit."""
 
     @staticmethod
     def _assert_matches(pts):
         hull = convex_hull(pts)
-        expected = _scalar_hull_vertices(pts)
-        if len(expected) <= 2:
-            assert hull.kind != PROPER
+        expected = _rational_hull_vertices(pts)
+        assert hull.kind == {1: POINT, 2: SEGMENT}.get(len(expected), PROPER)
+        if hull.kind == POINT:  # any of the equal points, 0.0 and -0.0 alike
+            assert hull.vertices[0] == expected[0]
             return
-        assert hull.kind == PROPER
-        assert np.array_equal(hull.vertices, np.array(expected))
-        assert hull.diameter == _scalar_calipers(expected)
-        assert hull.diameter == _unfiltered_diameter(hull)
+        assert np.array_equal(hull.vertices.view(np.uint64),
+                              np.array(expected, dtype=np.complex128).view(np.uint64))
+        if hull.kind == PROPER:
+            assert hull.diameter == _scalar_calipers(expected)
+            assert hull.diameter == _unfiltered_diameter(hull)
 
     @settings(max_examples=200, deadline=None)
     @given(planar_points)
-    # the sort splits 0 and -9.4e-249 by -1j: the two keep different members
+    # 0 and -9.4e-249 sort apart, split by -1j: both are vertices
     @example([0j, -1j, 1 + 0j, 2 + 0j, -1 - 1j, -9.386184325654943e-249 + 0j])
+    # a thin triangle: its middle vertex lies 1e-16 of the scale off the chord
+    @example([1.3906947559347846 - 1.5209263412463796j, 0.9250222734093918 - 0.9000296978791891j,
+              0.1704391996562163 + 0.10608106712504516j])
     def test_random_clouds(self, pts):
-        pts = np.array(pts)
-        scale = max(np.ptp(pts.real), np.ptp(pts.imag))
-        gaps = np.abs(pts[:, None] - pts[None, :])
-        if ((gaps > 0) & (gaps <= _DUP_EPS * scale)).any() and len(_scalar_hull_vertices(pts)) > 2:
-            self._assert_contract(pts)
-        else:
-            self._assert_matches(pts)
+        self._assert_matches(np.array(pts))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)),
@@ -403,48 +376,44 @@ class TestHullReference:
         self._assert_matches(_fixed_clouds()[name])
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_clusters_inside_dup_eps_keep_the_contract(self, seed):
-        # near-duplicates of hull vertices may keep a different
-        # representative than the stack chain; the contract still holds
+    def test_clusters_of_near_duplicates_match_the_exact_chain(self, seed):
+        # points within 2e-13 of the scale of each hull vertex: each one
+        # that is extreme is a vertex, however near the others
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=400) + 1j * rng.normal(size=400)
         corners = convex_hull(pts).vertices
         scale = max(np.ptp(pts.real), np.ptp(pts.imag))
-        jitter = 0.2 * _DUP_EPS * scale * (rng.normal(size=(corners.size, 4))
-                                           + 1j * rng.normal(size=(corners.size, 4)))
-        self._assert_contract(np.concatenate([pts, (corners[:, None] + jitter).ravel()]))
+        jitter = 2e-13 * scale * (rng.normal(size=(corners.size, 4))
+                                  + 1j * rng.normal(size=(corners.size, 4)))
+        self._assert_matches(np.concatenate([pts, (corners[:, None] + jitter).ravel()]))
 
-    def test_thin_parabola_slivers_keep_the_contract(self):
-        # x + 1e-12i x^2 is thinner than the turn tolerance: on 258 of these
-        # 300 clouds the vertex set differs from the stack chain's, and the
-        # worst point lies 1.7e-14 * scale outside the hull
+    def test_thin_parabola_slivers_match_the_exact_chain(self):
+        # x + 1e-12i x^2 turns by less than 1e-12 at each point, and every
+        # point is a vertex
         rng = np.random.default_rng(0)
         for _ in range(300):
             x = rng.uniform(-1, 1, int(rng.integers(3, 81)))
-            self._assert_contract(x + 1e-12j * x * x)
+            self._assert_matches(x + 1e-12j * x * x)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_parabola_keeps_every_point_inside(self, seed):
-        # on these clouds, dropping two neighbours in one round (each
-        # collinear only through the other) leaves a true vertex 1e-10 to
-        # 1e-8 * scale outside the hull
+        # every point of the parabola is extreme, so a vertex of the hull
         x = np.random.default_rng(seed).uniform(-1, 1, 20_000)
         pts = x + 1j * x * x
-        hull = convex_hull(pts)
-        dropped = pts[~np.isin(pts, hull.vertices)]
-        scale = max(np.ptp(pts.real), np.ptp(pts.imag))
-        assert signed_distance(hull, dropped).max() <= _TURN_EPS * scale
+        self._assert_matches(pts)
+        assert len(convex_hull(pts)) == pts.size
 
-    @pytest.mark.parametrize("cloud", [
+    @pytest.mark.parametrize("cloud, least", [
         # every antipodal pair of +-w_k on a jittered circle lies within
         # rounding of the largest distance
-        np.array([[1], [-1]]) * np.exp(1j * np.pi * np.sort(
-            np.random.default_rng(2).uniform(0, 1, 20_000))),
-        np.exp(2j * np.pi * np.arange(100_000) / 100_000),
-    ], ids=["antipodal", "co-circular"])
-    def test_diameter_ties_match_the_scalar_calipers(self, cloud):
+        (np.array([[1], [-1]]) * np.exp(1j * np.pi * np.sort(
+            np.random.default_rng(2).uniform(0, 1, 20_000))), 39_600),
+        (np.exp(2j * np.pi * np.arange(100_000) / 100_000), 99_000),
+        (_micro_edge_cloud(3, 64), 65),
+    ], ids=["antipodal", "co-circular", "micro-edges"])
+    def test_diameter_ties_match_the_scalar_calipers(self, cloud, least):
         hull = convex_hull(cloud.ravel())
-        assert len(hull) >= 0.99 * cloud.size
+        assert len(hull) >= least
         assert hull.diameter == _scalar_calipers(hull.vertices.tolist())
         assert hull.diameter == _unfiltered_diameter(hull)
         _assert_measures_farthest_once(hull)
@@ -470,7 +439,8 @@ class TestHullReference:
         (_cascade_cloud(), 3, 4),
     ], ids=["circle", "gauss", "cascade"])
     def test_turn_tests_run_in_few_rounds(self, monkeypatch, cloud, vertices, rounds):
-        calls = _count_pop_masks(monkeypatch)
+        # the calls: the chord's side, each round, and the validation
+        calls = _count_turn_tests(monkeypatch)
         assert len(convex_hull(cloud)) == vertices
         assert len(calls) <= rounds
 
@@ -478,11 +448,10 @@ class TestHullReference:
         # the prefilter leaves few points to reduce; the rounds alone must
         # also be few, and keep the stack chain's vertices
         pts = np.array([1, 1j]) @ np.random.default_rng(1).normal(size=(2, 4096))
-        pts = pts[np.lexsort((pts.imag, pts.real))]
-        eps_len = _TURN_EPS * max(np.ptp(pts.real), np.ptp(pts.imag))
-        expected = _scalar_chain(pts.tolist(), eps_len)
-        calls = _count_pop_masks(monkeypatch)
-        assert np.array_equal(geometry._reduce_chain(pts, eps_len), np.array(expected))
+        expected = _rational_hull_vertices(pts)
+        calls = _count_turn_tests(monkeypatch)
+        got = geometry._monotone_chain(geometry._sort_distinct(pts))
+        assert np.array_equal(got, np.array(expected))
         assert len(calls) <= 64
 
 
@@ -505,24 +474,25 @@ def _count_sorted_points(monkeypatch):
 
 @st.composite
 def _hard_clouds(draw):
-    """Clouds whose hull sits at the chain's tolerances."""
-    kind = draw(st.sampled_from(["clusters", "sliver", "tilted", "circle"]))
+    """Clouds of near-duplicates, slivers, near-collinear runs and micro-edges."""
+    kind = draw(st.sampled_from(["clusters", "sliver", "tilted", "circle", "micro-edges"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "clusters":
         # near-duplicates of random points, in clusters narrower than
-        # _DUP_EPS * scale; the stack chain keeps the lexicographically
-        # first of each, which may lie inside the others' hull, but by less
+        # 4e-13 of the scale
         pts = np.array(draw(planar_points))
         scale = max(np.ptp(pts.real), np.ptp(pts.imag))
         shape = (pts.size, draw(st.integers(1, 5)))
-        jitter = (0.4 * _DUP_EPS * scale * np.sqrt(rng.uniform(size=shape))
+        jitter = (4e-13 * scale * np.sqrt(rng.uniform(size=shape))
                   * np.exp(2j * np.pi * rng.uniform(size=shape)))
         return np.concatenate([pts, (pts[:, None] + jitter).ravel()])
+    if kind == "micro-edges":
+        return _micro_edge_cloud(int(rng.integers(2 ** 32)), draw(st.integers(3, 80)))
     if kind == "sliver":
         x = rng.uniform(-1, 1, draw(st.integers(3, 400)))
         return x + 1e-12j * x * x
     if kind == "tilted":
-        # a thin segment at an angle, thinner than the turn tolerance in places
+        # a thin segment at an angle, thinner in places than rounding
         t = rng.uniform(-2, 2, draw(st.integers(3, 400)))
         width = draw(st.sampled_from([0.0, 1e-16, 1e-13, 1e-9]))
         return (0.6 - 0.8j) * (t + 1j * width * rng.normal(size=t.size)) + 0.25
@@ -540,7 +510,7 @@ class TestPrefilter:
         if scale == 0.0:
             return
         kept = pts[geometry._candidates(pts, scale)]
-        assert np.isin(np.array(_scalar_hull_vertices(pts)), kept).all()
+        assert np.isin(np.array(_rational_hull_vertices(pts)), kept).all()
 
     @settings(max_examples=200, deadline=None)
     @given(planar_points)
@@ -556,36 +526,33 @@ class TestPrefilter:
     def test_keeps_every_vertex_of_fixed_clouds(self, name):
         self._assert_keeps_vertices(_fixed_clouds()[name])
 
-    @pytest.mark.parametrize("p, stack_chain", [
-        (Polynomial([-1, 0, 1]), True),
-        (Polynomial([0.3 - 0.2j, 0.1j, -0.5, 1]), True),
-        (chebyshev(4), True),
+    @pytest.mark.parametrize("p, seeds", [
+        (Polynomial([-1, 0, 1]), [0]),
+        (Polynomial([0.3 - 0.2j, 0.1j, -0.5, 1]), [0]),
+        # a segment blurred across by about 1e-12 of its length, at 16 seeds
+        (chebyshev(4), range(16)),
         # a segment blurred across by rounding alone, its end a fixed point
-        # that the sample closes in on to 1e-9: within the turn tolerance,
-        # where the rounds and the stack chain may keep different vertices
-        (conjugate(chebyshev(5), AffineMap(0.7 - 1.1j, 0.3 + 0.2j)), False),
-        (monomial(1, 2), True),
+        # that the sample closes in on to 1e-9
+        (conjugate(chebyshev(5), AffineMap(0.7 - 1.1j, 0.3 + 0.2j)), [0]),
+        (monomial(1, 2), [0]),
     ], ids=["basilica", "cubic", "T4", "T5-conjugate", "z^2"])
-    def test_julia_samples_match_the_stack_chain(self, p, stack_chain):
-        pts = sample_julia(p, 20_000, seed=0).points
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(geometry, "_candidates", lambda p, scale: np.arange(p.size))
-            unfiltered = convex_hull(pts)
-        assert np.array_equal(convex_hull(pts).vertices, unfiltered.vertices)
-        if stack_chain:
+    def test_julia_samples_match_the_stack_chain(self, p, seeds):
+        for seed in seeds:
+            pts = sample_julia(p, 20_000, seed=seed).points
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(geometry, "_candidates", lambda p, scale: np.arange(p.size))
+                unfiltered = convex_hull(pts)
+            assert np.array_equal(convex_hull(pts).vertices, unfiltered.vertices)
             TestHullReference._assert_matches(pts)
-        else:
-            TestHullReference._assert_contract(pts)
 
-    def test_dropped_point_splitting_a_run_keeps_its_representative(self):
-        # -1j and its near-duplicate are split, in the sort of the whole
-        # cloud, by the interior point before it, so the stack chain keeps
-        # both and then the first of them around the cycle
+    def test_point_beside_a_vertex_is_a_vertex_too(self):
+        # -1j and a point 5e-84 left of it, which the interior point before
+        # it splits from -1j in the sort: both are extreme
         tiny = -4.966197415073449e-84
         pts = np.array([1j, -1j, 1, -1, tiny, tiny - 1j])
         TestHullReference._assert_matches(pts)
         hull = convex_hull(pts)
-        assert -1j in hull.vertices and tiny - 1j not in hull.vertices
+        assert -1j in hull.vertices and tiny - 1j in hull.vertices
 
     def test_basilica_sorts_few_points(self, monkeypatch):
         # the octagon alone leaves about a third of a basilica sample
@@ -622,23 +589,19 @@ class TestPrefilter:
         hull = convex_hull(pts)
         assert hull.kind == unfiltered.kind
         assert np.array_equal(hull.vertices, unfiltered.vertices)
-        if log_width >= -11:
-            # thinner slivers come within the turn tolerance, where the
-            # rounds and the stack chain may keep different vertices
-            TestHullReference._assert_matches(pts)
+        TestHullReference._assert_matches(pts)
 
     @pytest.mark.parametrize("key", ["cheb4", "cheb5-conjugate"])
     def test_thin_julia_samples_sort_few_points(self, monkeypatch, tmp_path, key):
         # the prefilter keeps at most 1000 points beyond those it may not
-        # drop: the ones within 2 * _DUP_EPS * scale of the hull's boundary
-        # (926 of the seed-0 T4 sample, all near the segment's ends, where
-        # the sample is thinner than that)
+        # drop: the ones within _PREFILTER_DEPTH * scale of the hull's
+        # boundary
         sizes = []
         original = geometry._sort_distinct
 
-        def counted(pts, dup):
+        def counted(pts):
             sizes.append(pts.size)
-            return original(pts, dup)
+            return original(pts)
 
         monkeypatch.setattr(geometry, "_sort_distinct", counted)
         workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent
@@ -648,9 +611,8 @@ class TestPrefilter:
         pts = sample_julia(parse_polynomial(op.poly).polynomial, 100_000, seed=0).points
         hull = convex_hull(pts)
         scale = max(np.ptp(pts.real), np.ptp(pts.imag))
-        bound = (signed_distance(hull, pts) > -2 * _DUP_EPS * scale).sum()
-        assert len(sizes) == 1
-        assert sizes[0] <= bound + 1000
+        bound = (signed_distance(hull, pts) > -_PREFILTER_DEPTH * scale).sum()
+        assert sizes[-1] <= bound + 1000
 
 
 # Values that tie: signed zeros, subnormals, and a few round numbers.
@@ -665,64 +627,83 @@ _sort_inputs = st.lists(
 
 @st.composite
 def _turn_triples(draw):
-    """Triples o -> a -> q, coordinates from about 1e-300 to 1e300, and the hull's eps_len.
+    """Triples (a, b, c) of complex arrays at the orientation predicate's hard cases.
 
-    ``micro-chord`` puts q within 1e-14 to 1e-200 of the size of the
-    coordinates from o, so that len2 is subnormal or 0 on small ones;
-    ``near-line`` puts a at line distances of 0.1 to 10 eps_len;
-    ``arc`` is a chain that turns left throughout, of sagitta down to
-    1e-18 of its length.  Every triple of the last three turns left.
+    ``line``: rounded points a + t d of a line, so that most turns are
+    tiny and of either sign, some nudged off it by an ulp; ``diagonal``:
+    points (t, t), (t, -t) or (t, 2t) with t from 1e-30 to 1e30, exactly
+    collinear though their differences round; ``zeros``: coordinates from
+    a few round values and both signed zeros; ``tiny``: subnormal and
+    near-subnormal coordinates; ``underflow``: coordinates of 1e-320 to
+    1e-150, whose products underflow.  Half of them are scaled by 2^k, k
+    from -1000 to 1000, where they stay finite.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    kind = draw(st.sampled_from(["random", "micro-chord", "near-line", "arc"]))
-    size = 10.0 ** draw(st.floats(-300, 300))
-    m = draw(st.integers(1, 64))
-    turn = np.exp(2j * np.pi * rng.uniform())  # the chords' direction
-    center = size * 10.0 ** rng.uniform(-3, 3) * (rng.normal() + 1j * rng.normal())
-    along = rng.uniform(-1e3, 1e3, m) if kind == "micro-chord" else rng.uniform(-0.5, 1.5, m)
-    with np.errstate(all="ignore"):
-        if kind == "arc":
-            t = np.sort(rng.uniform(-1, 1, m + 2))
-            chain = center + size * turn * (t + 1j * 10.0 ** rng.uniform(-18, 0) * t * t)
-            o, a, q = chain[:-2], chain[1:-1], chain[2:]
-        else:
-            o = center + size * (rng.normal(size=m) + 1j * rng.normal(size=m))
-            q = o + size * turn * 10.0 ** rng.uniform(-200, 0, m)
-            a = (center + size * (rng.normal(size=m) + 1j * rng.normal(size=m))
-                 if kind == "random" else
-                 o + (q - o) * along + 1j * turn * size * 10.0 ** rng.uniform(-20, 1, m))
-        pts = np.concatenate([o, a, q])
-        scale = max(np.ptp(pts.real), np.ptp(pts.imag))
-        eps_len = _TURN_EPS * scale
-        if kind == "near-line":
-            a = o + (q - o) * along + 1j * turn * eps_len * 10.0 ** rng.uniform(-1, 1, m)
-    assume(np.isfinite(pts).all() and np.isfinite(a).all() and 0.0 < scale < np.inf)
-    return o, a, q, eps_len
+    kind = draw(st.sampled_from(["line", "diagonal", "zeros", "tiny", "underflow"]))
+    shape = (3, draw(st.integers(1, 64)))
+    if kind == "line":
+        start, step = rng.normal(size=2) + 1j * rng.normal(size=2)
+        pts = start + step * rng.uniform(-1, 1, shape)
+        x, y = pts.real, pts.imag
+        x[1] += draw(st.sampled_from([0, 1, -2])) * np.spacing(x[1])
+    elif kind == "diagonal":
+        x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-30, 30, shape)
+        y = draw(st.sampled_from([1.0, -1.0, 2.0])) * x
+    elif kind == "zeros":
+        values = np.array([0.0, -0.0, 0.5, -1.0, 3.0])
+        x, y = rng.choice(values, shape), rng.choice(values, shape)
+    elif kind == "tiny":
+        values = np.array([0.0, -0.0, 5e-324, -1e-323, 1e-310, -2.5e-309, 2.0 ** -1022,
+                           1e-300, 1.0])
+        x, y = rng.choice(values, shape), rng.choice(values, shape)
+    else:
+        x, y = 10.0 ** rng.uniform(-320, -150, (2,) + shape) * rng.normal(size=(2,) + shape)
+    if draw(st.booleans()):
+        exponent = draw(st.integers(-1000, 1000))
+        with np.errstate(over="ignore"):
+            x, y = np.ldexp(x, exponent), np.ldexp(y, exponent)
+    assume(np.isfinite(x).all() and np.isfinite(y).all())
+    pts = np.empty(shape, dtype=np.complex128)
+    pts.real, pts.imag = x, y  # keeps signed zeros, which 1j * y would not
+    return pts[0], pts[1], pts[2]
+
+
+class TestOrientation:
+    """The exact orientation predicate against rational arithmetic."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_turn_triples())
+    # both products underflow to 0, though the turn is left
+    @example((np.array([1e-300 + 0j]), np.array([1e-300j]), np.array([0j])))
+    # products overflow to inf
+    @example((np.array([1e300 + 0j]), np.array([1e300j]), np.array([-1e300 - 1e300j])))
+    def test_signs_match_rationals(self, triples):
+        a, b, c = triples
+        got = np.sign(geometry._orientation(a, b, c))
+        expected = [_exact_turn(*t) for t in zip(a.tolist(), b.tolist(), c.tolist())]
+        assert got.tolist() == expected
+
+    def test_scalar_ends_broadcast(self):
+        # the chord's side: two scalar ends against an array of points
+        pts = np.array([0.5 + 1e-17j, 0.5, 0.5 - 1e-17j, 2 + 0j])
+        got = np.sign(geometry._orientation(0j, 1 + 0j, pts))
+        assert got.tolist() == [1.0, 0.0, -1.0, 0.0]
 
 
 class TestExactPrefilters:
     """Each shortcut of the hull and its polygon is bitwise the formula it skips."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_sort_inputs, st.sampled_from([-1.0, 0.0, 5e-324, 1e-12, 0.25]))
-    @example([complex(0.0, 1.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 1.0)], 0.0)
+    @given(_sort_inputs)
+    @example([complex(0.0, 1.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 1.0)])
     @example([complex(5e-324, 1.0), complex(-5e-324, 2.0), complex(1e-310, 0.0),
-              complex(-2.5e-309, 3.0)], 1e-12)  # distinct subnormal real parts
-    @example([complex(1.0, 2.0)] * 3 + [complex(0.5, 2.0)] * 2, 0.25)  # exact duplicates
-    def test_sort_matches_the_stable_complex_sort(self, pts, dup):
-        # the argsort of distinct real parts, and the tie fallback
+              complex(-2.5e-309, 3.0)])  # distinct subnormal real parts
+    @example([complex(1.0, 2.0)] * 3 + [complex(0.5, 2.0)] * 2)  # exact duplicates
+    def test_sort_matches_the_stable_complex_sort(self, pts):
+        # the argsort of the real parts, and the tied runs sorted again
         pts = np.array(pts, dtype=np.complex128)
-        for got, ref in zip(geometry._sort_distinct(pts, dup), _stable_sort_distinct(pts, dup)):
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-
-    @settings(max_examples=400, deadline=None)
-    @given(_turn_triples())
-    def test_pop_mask_matches_the_unfiltered_formula(self, triples):
-        o, a, q, eps_len = triples
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            got = geometry._pop_mask(o, a, q, eps_len)
-            ref = _unfiltered_pop_mask(o, a, q, eps_len)
-        assert np.array_equal(got, ref)
+        got, ref = geometry._sort_distinct(pts), _stable_sort_distinct(pts)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(planar_points.map(np.array), _hard_clouds()))
@@ -732,21 +713,10 @@ class TestExactPrefilters:
         _assert_measures_farthest_once(hull)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.floats(-300, 300))
-    def test_near_duplicates_match_hypot(self, seed, log_dist):
-        rng = np.random.default_rng(seed)
-        dist = 10.0 ** log_dist
-        dx = dist * rng.normal(size=200) * 10.0 ** rng.uniform(-3, 1, 200)
-        dy = dist * rng.normal(size=200) * 10.0 ** rng.uniform(-3, 1, 200)
-        dx[:20], dy[:10], dy[10:20] = dist, 0.0, dist * 1e-9  # on and just past the bound
-        with np.errstate(under="ignore"):
-            assert np.array_equal(geometry._within(dx, dy, dist), np.hypot(dx, dy) <= dist)
-
-    @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 9), st.floats(-17, 0))
     def test_validation_matches_the_rolled_check(self, seed, n, log_bend):
         # convex polygons with a vertex near a chord or a duplicate, and
-        # shuffled ones, are accepted or refused as by the rolled formulas
+        # shuffled ones, are accepted or refused as by rational turns
         rng = np.random.default_rng(seed)
         v = np.exp(2j * np.pi * np.sort(rng.uniform(size=n)))
         k = int(rng.integers(n))
@@ -756,7 +726,7 @@ class TestExactPrefilters:
             v[k] = v[k - 1]
         if rng.uniform() < 0.2:
             rng.shuffle(v)
-        expected = _rolled_proper_check(v)
+        expected = _rational_proper_check(v)
         try:
             ConvexPolygon(v, PROPER)
             got = None
@@ -781,7 +751,16 @@ class TestMinAreaRectangle:
     @given(planar_points, st.floats(0, 2 * np.pi), st.floats(0.01, 1))
     def test_holds_every_vertex_in_no_more_area_than_the_box(self, pts, angle, squash):
         pts = np.exp(1j * angle) * (np.array(pts).real + 1j * squash * np.array(pts).imag)
-        hull = convex_hull(pts)
+        self._assert_least_rectangle(convex_hull(pts))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_micro_edge_hulls(self, seed):
+        hull = convex_hull(_micro_edge_cloud(seed, 16))
+        assert np.abs(np.diff(hull.vertices)).min() < 4 * np.spacing(3.0)
+        self._assert_least_rectangle(hull)
+
+    @staticmethod
+    def _assert_least_rectangle(hull):
         v = hull.vertices
         corner, axis, width, height = geometry._min_area_rectangle(hull)
         assert abs(abs(axis) - 1.0) <= 1e-15 and width >= 0.0 and height >= 0.0
@@ -923,6 +902,10 @@ def _window_cases(draw):
     scale = 10.0 ** draw(st.floats(-5, 5))
     offset = draw(st.sampled_from([0.0, 1.0, 1e3])) * scale * np.exp(2j * np.pi * rng.uniform())
     pts = scale * np.exp(2j * np.pi * rng.uniform()) * (np.cos(theta) + 1j * thin * np.sin(theta))
+    if draw(st.integers(0, 3)) == 0:
+        # edges down to one ulp, at scale 3
+        scale, offset = 3.0, 0.0
+        pts = _micro_edge_cloud(int(rng.integers(2 ** 32)), min(count, 100))
     hull = convex_hull(pts + offset)
     assume(hull.kind == PROPER)
     v = hull.vertices
@@ -1104,7 +1087,7 @@ class TestDecimate:
         assert decimate(hull, eps).vertices.tolist() == [v[k] for k in sorted(kept)]
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["circle", "ellipse", "thin"]), st.integers(100, 1500),
+    @given(st.sampled_from(["circle", "ellipse", "thin", "micro-edges"]), st.integers(100, 1500),
            st.floats(0.0, 1e-2), st.floats(0, 2 * np.pi),
            st.sampled_from([1e-8, 1e-6, 1e-4, 1e-2]), st.integers(0, 2 ** 32 - 1))
     def test_tangent_search_matches_the_full_scan(self, shape, n, jitter, turn, eps, seed):
@@ -1113,11 +1096,13 @@ class TestDecimate:
         # interior vertex finds, bit for bit
         rng = np.random.default_rng(seed)
         aspect = {"circle": 1.0, "ellipse": rng.uniform(0.05, 0.9),
-                  "thin": 10.0 ** rng.uniform(-9, -4)}[shape]
+                  "thin": 10.0 ** rng.uniform(-9, -4), "micro-edges": 1.0}[shape]
         angle = rng.uniform(0, 2 * np.pi, n)
         radius = 1.0 + jitter * rng.uniform(size=n)
         pts = (radius * (np.cos(angle) + 1j * aspect * np.sin(angle))
                * np.exp(1j * turn) + (0.3 - 2.0j))
+        if shape == "micro-edges":  # edges down to one ulp
+            pts = _micro_edge_cloud(seed, n // 4)
         hull = convex_hull(pts)
         assume(hull.kind == PROPER and len(hull) > 64)
         budget = eps * hull.diameter
