@@ -24,9 +24,10 @@ A suite op writes no files; its file digests are those of empty input.
 Two trees whose lines are identical give byte-identical reports, scenes,
 rasters and exit codes on the whole benchmark.
 
-Every benchmark polynomial has degree 6 or less, so four more lines per
-polynomial of ``SAMPLED`` (a real one and a unimodular monomial among
-them) digest ``sample_julia(p, 20_000, seed)`` at a higher degree, its
+Every benchmark polynomial has degree 6 or less and a repelling fixed
+point, so four more lines per polynomial of ``SAMPLED`` (a real one, a
+unimodular monomial and z^2 + 1/4, which has no repelling fixed point,
+among them) digest ``sample_julia(p, 20_000, seed)``, its
 ``convex_hull``, that hull's ``diameter`` with the vertices of
 ``decimate(hull, 1e-5 * diameter)``, and the cells of
 ``escape_grid(p, 512, 200)``, in the same fields:
@@ -112,13 +113,15 @@ def _real_polynomial(d: int, seed: int) -> Polynomial:
     return Polynomial(rng.uniform(-1, 1, d + 1))
 
 
-# Sampled polynomials of degree above 6, each built from the seed.  The
+# Sampled polynomials off the benchmark, each built from the seed.  The
 # fixed conjugate g o T_8 o g^-1 has a thin, tilted and shifted Julia set,
 # the segment g([-1, 1]), so its sample and hull lines cover that path.
 # The real polynomial's Julia set is symmetric about the real axis, and
 # its fibers near that axis mix real roots and conjugate pairs, where a
 # conjugation-symmetric start can stall; the monomial's fibers are
-# binomials, whose starts lie next to their roots.
+# binomials, whose starts lie next to their roots.  z^2 + 1/4 is
+# parabolic: no fixed point repels, so its sample seeds on a 2-cycle, a
+# path no benchmark op takes.
 SAMPLED = {
     "cheb:8": lambda seed: chebyshev(8),
     "cheb8-conjugate": lambda seed: conjugate(chebyshev(8),
@@ -128,6 +131,7 @@ SAMPLED = {
     "random-d24": lambda seed: _random_polynomial(24, seed),
     "real-d8": lambda seed: _real_polynomial(8, seed),
     "monomial-c7": lambda seed: monomial(0.6 + 0.8j, 7),
+    "quad:0.25+0i": lambda seed: parse_polynomial("quad:0.25+0i").polynomial,
 }
 
 

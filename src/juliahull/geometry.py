@@ -337,8 +337,14 @@ def _candidates(pts: np.ndarray, scale: float) -> np.ndarray:
     by at most u * scale.  The dot products and their difference then err
     by 8.5u * scale, the shifts add 2.9u * scale and the normal's error
     7.1u * scale across the cloud: under 20u * scale, well inside the
-    depth of 64u * scale, whose floor of 2^-1070 covers underflow.
+    depth of 64u * scale, whose floor of 2^-1070 covers underflow.  No
+    shift overflows: ``convex_hull`` passes ``pts`` scaled by a power of
+    two into the unit box, as ``_diameter_pairs`` does.  A scaled
+    coordinate that underflows moves a point or a corner of P by under
+    2^-1074, so a depth by under 2^-1072, which the floor covers too.
     """
+    if scale == 0.0:  # distinct points that underflowed to one
+        return np.arange(pts.size)
     x, y = pts.real, pts.imag
     s, t = x + y, x - y
     octagon = np.unique([np.argmin(x), np.argmax(x), np.argmin(y), np.argmax(y),
@@ -436,10 +442,18 @@ def convex_hull(points) -> ConvexPolygon:
     all equal.
     """
     pts = _points_of(points)
-    scale = max(np.ptp(pts.real), np.ptp(pts.imag))
-    if scale == 0.0:
+    box = np.array([pts.real.min(), pts.real.max(), pts.imag.min(), pts.imag.max()])
+    if box[0] == box[1] and box[2] == box[3]:
         return ConvexPolygon(pts[:1].copy(), POINT)
-    v = _monotone_chain(_sort_distinct(pts[_candidates(pts, scale)]))
+    # the prefilter takes the points scaled into the unit box, the chain the
+    # points; scaling keeps their order, so the scaled box bounds the scaled points
+    exponent = int(np.frexp(np.abs(box).max())[1])
+    unit, box = np.empty_like(pts), np.ldexp(box, -exponent)
+    np.ldexp(pts.real, -exponent, out=unit.real)
+    np.ldexp(pts.imag, -exponent, out=unit.imag)
+    keep = _candidates(unit, max(box[1] - box[0], box[3] - box[2]))
+    del unit  # before the chain, which on a convex cloud holds every point
+    v = _monotone_chain(_sort_distinct(pts[keep]))
     return ConvexPolygon(v, SEGMENT if v.size == 2 else PROPER)
 
 

@@ -18,20 +18,23 @@ does every iterated preimage of it, so points are kept from the first
 step on.  That step solves z0's fiber alone, keeps it, and sends the
 orbits along its other d - 1 roots: under z0's own root, the root
 nearest z0 (simple, as p'(z0) != 0), the preimage tree repeats the
-points kept one level up.  While orbits share targets, a step solves
-each distinct target once, hands its fiber to every orbit at it, and
-keeps it once, in the order of the targets' first orbits; once every
-target is distinct, it keeps every fiber.  Each kept fiber is thus that
-of z0 or of an earlier kept point, and no target's fiber is kept twice.
-A multiple root is the one exception to no point being kept twice: its
-copies are distinct targets whose subtrees may round to the same bits
-(z0 = 1 of T_4 is a critical value, so its fiber holds 0 twice).  The last
-step solves only the targets whose fibers fill the rest of the sample,
-held by a prefix of the orbits, so a sample is the prefix of any larger
-one at the same seed.  A fiber does not depend on the batch it is solved
-in, so sharing and trimming change no sample bit.  When no fixed point
-repels, the orbits start at 1+0i, off J_p, and the first 2 * BURN_IN
-steps are discarded.
+points kept one level up.  When no fixed point repels, z0 is a point of
+a repelling 2-cycle {z0, z1}, on J_p too, and the orbits leave aside
+z1 = p(z0), the root of z0's fiber under which the tree repeats z0's
+fiber two levels down (``_orbit_seed``).  While orbits share targets, a
+step solves each distinct target once, hands its fiber to every orbit
+at it, and keeps it once, in the order of the targets' first orbits;
+once every target is distinct, it keeps every fiber.  Each kept fiber is
+thus that of z0 or of an earlier kept point, and no target's fiber is
+kept twice.  A multiple root is the one exception to no point being
+kept twice: its copies are distinct targets whose subtrees may round to
+the same bits (z0 = 1 of T_4 is a critical value, so its fiber holds 0
+twice).  The last step solves only the targets whose fibers fill the
+rest of the sample, held by a prefix of the orbits, so a sample is the
+prefix of any larger one at the same seed.  A fiber does not depend on
+the batch it is solved in, so sharing and trimming change no sample
+bit.  A fiber that fails to converge ends the sample with
+SamplingError; nothing is retried.
 
 ``escape_grid`` rasters the bounded-orbit set by iterating cell centers
 until they leave the escape disk; ``_bounded`` is that iteration.  The
@@ -101,19 +104,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomial import Polynomial, _horner, escape_radius, format_complex, format_polynomial
-from .roots import (
-    MAX_ITERATIONS,
-    NoRepellingFixedPointError,
-    repelling_fixed_point,
-    solve_fibers,
-)
-
-# Half the pullback steps discarded from orbits seeded at 1+0i, used when
-# no fixed point repels: that seed is not on the Julia set, so its orbits
-# need 2 * BURN_IN steps of geometric convergence.  Orbits seeded at a
-# repelling fixed point discard none.
-BURN_IN = 64
+from .polynomial import (Polynomial, _horner, compose, escape_radius, format_complex,
+                         format_polynomial)
+from .roots import NoRepellingFixedPointError, repelling_fixed_point, solve_fibers
 
 # Orbits advanced in lockstep per batch; a throughput knob, not semantics.
 _ORBIT_BATCH = 2048
@@ -252,109 +245,92 @@ def _branch_of_rank(p: Polynomial, fiber: np.ndarray, targets: np.ndarray,
     return np.take_along_axis(order, rank[:, None], axis=1)[:, 0]
 
 
-def _pullback(p: Polynomial, z: np.ndarray, prev_fiber, prev_branch,
-              rank: np.ndarray, share=None):
-    """One backward step for all orbits; retries stubborn members.
+def _pullback(p: Polynomial, z: np.ndarray, rank: np.ndarray, share=None):
+    """One backward step for all orbits: (children, fiber).
 
-    Returns (children, fiber, branch) where branch[i] is the column of
-    fiber row i that holds its root of rank ``rank[i]`` (``_branch_of_rank``)
-    and children = fiber[i, branch[i]].
-    ``share`` = ``_distinct(z)`` solves each distinct target once and hands
-    every orbit its target's fiber, which is the fiber a solve of that
-    orbit alone gives.  A member whose fiber solve fails is retried, first
-    with a longer iteration budget, then by backing up to a different
-    branch of the previous fiber; five failed retries abort the sampler.
-    ``prev_fiber`` holds the roots each orbit may back up to: its previous
-    fiber, or after the fixed point's step that fiber without z0's root.
+    Row i of ``fiber`` is the fiber of z[i], and children[i] its root of
+    rank ``rank[i]`` (``_branch_of_rank``).  ``share`` = ``_distinct(z)``
+    solves each distinct target once and hands every orbit its target's
+    fiber, which is the fiber a solve of that orbit alone gives.  A fiber
+    that fails to converge raises SamplingError: a second solve would
+    restart from the same starts and replay the first.
     """
-    if share is None:
-        roots, res, ok = solve_fibers(p, z)
-    else:
-        first, inverse = share
-        roots, res, ok = (np.take(a, inverse, axis=0)
-                          for a in solve_fibers(p, z[first]))
-    attempt = 0
-    while not ok.all():
-        attempt += 1
-        if attempt > 5:
-            i = int(np.flatnonzero(~ok)[0])
-            raise SamplingError(
-                "inverse iteration aborted: fiber solve kept failing at "
-                f"z={format_complex(z[i])} (worst residual {res[i].max():.3e})"
-            )
-        bad = np.flatnonzero(~ok)
-        if prev_fiber is not None and attempt > 1:
-            swapped = (prev_branch[bad] + attempt) % prev_fiber.shape[1]
-            z[bad] = prev_fiber[bad, swapped]
-        r2, s2, ok2 = solve_fibers(p, z[bad], max_iter=MAX_ITERATIONS * (attempt + 1))
-        roots[bad], res[bad], ok[bad] = r2, s2, ok2
+    targets = z if share is None else z[share[0]]
+    roots, res, ok = solve_fibers(p, targets)
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[0])
+        raise SamplingError(
+            "inverse iteration aborted: fiber solve did not converge at "
+            f"z={format_complex(targets[i])} (worst residual {res[i].max():.3e})"
+        )
+    if share is not None:
+        roots = np.take(roots, share[1], axis=0)
     branch = _branch_of_rank(p, roots, z, rank)
-    return roots[np.arange(z.size), branch], roots, branch
+    return roots[np.arange(z.size), branch], roots
 
 
 def _orbit_seed(p: Polynomial):
-    """Start point of the orbits and the number of their steps discarded."""
+    """(z0, pred): the orbits' start, on J_p, and the root of its fiber they leave aside.
+
+    z0 is a repelling fixed point and pred = z0 (not p(z0), which in
+    floats can land far from z0 when the coefficients are widely spread).
+    When no fixed point repels, a 2-cycle does (at most d - 1 cycles do
+    not, by Fatou and Shishikura): z0 is a repelling fixed point of p o p
+    and pred = p(z0).  Raises SamplingError when neither exists or p o p
+    exceeds the degree cap.
+    """
     try:
-        return repelling_fixed_point(p), 0
+        z0 = repelling_fixed_point(p)
+        return z0, z0
     except NoRepellingFixedPointError:
-        return 1.0 + 0j, 2 * BURN_IN
+        pass
+    try:
+        z0 = repelling_fixed_point(compose(p, p))
+    except (NoRepellingFixedPointError, ValueError) as exc:
+        raise SamplingError(
+            f"no fixed point repels, and no 2-cycle seeds the orbits: {exc}") from None
+    return z0, complex(p(z0))
 
 
 def _run_orbits(p: Polynomial, n: int, seed: int) -> np.ndarray:
     d = p.degree
     m = min(_ORBIT_BATCH, n)
-    z0, burn = _orbit_seed(p)
+    z0, pred = _orbit_seed(p)
     rng = np.random.Generator(np.random.Philox(seed))
     kept = np.empty(n, dtype=np.complex128)
-    lo = 0  # points kept so far
-    if burn:
-        z = np.full(m, z0, dtype=np.complex128)
-        fiber = branch = None
-    else:
-        # keep z0's fiber, and leave z0 along its other d - 1 roots
-        _, fiber, _ = _pullback(p, np.array([z0]), None, None, np.zeros(1, dtype=np.intp))
-        kept[:d] = fiber[0, :n]
-        lo = min(d, n)
-        fiber = np.delete(fiber, np.argmin(np.abs(fiber[0] - z0)), axis=1)
-        fiber = np.broadcast_to(fiber, (m, d - 1))
-        branch = _branch_of_rank(p, fiber, np.full(m, z0), rng.integers(0, d - 1, size=m))
-        z = fiber[0, branch]
+    # keep z0's fiber, and leave z0 along its roots other than pred's
+    _, fiber = _pullback(p, np.array([z0]), np.zeros(1, dtype=np.intp))
+    kept[:d] = fiber[0, :n]
+    lo = min(d, n)  # points kept so far
+    fiber = np.delete(fiber, np.argmin(np.abs(fiber[0] - pred)), axis=1)
+    fiber = np.broadcast_to(fiber, (m, d - 1))
+    z = fiber[0, _branch_of_rank(p, fiber, np.full(m, z0), rng.integers(0, d - 1, size=m))]
     shared = True  # orbits share targets until every target of a step is distinct
-    step = 0
     while lo < n:
         rank = rng.integers(0, d, size=z.size)
         share = _distinct(z) if shared else None
         shared = share is not None and share[0].size < z.size
-        keep = step >= burn
-        if keep and (z.size if share is None else share[0].size) * d >= n - lo:
+        if (z.size if share is None else share[0].size) * d >= n - lo:
             # the last step solves only the members whose fibers it keeps:
             # the first w distinct targets, held by the first k orbits
             w = -(-(n - lo) // d)
             k = w if share is None else np.sort(share[0])[w - 1] + 1
-            z, fiber, branch, rank = z[:k], fiber[:k], branch[:k], rank[:k]
+            z, rank = z[:k], rank[:k]
             if share is not None:
                 share = _distinct(z)
-        targets = None if share is None else z.copy()
-        children, fiber, branch = _pullback(p, z, fiber, branch, rank, share)
-        if share is not None and not np.array_equal(z, targets):
-            # a retry backed orbits up to a sibling, which other orbits may
-            # hold: find the distinct targets again, to keep each fiber once
-            share, shared = _distinct(z), True
-        if keep:
-            # the fibers of distinct targets, in the order of their first orbits
-            rows = (fiber if share is None else fiber[np.sort(share[0])]).ravel()[:n - lo]
-            kept[lo:lo + rows.size] = rows
-            lo += rows.size
-        z = children
-        step += 1
+        z, fiber = _pullback(p, z, rank, share)
+        # the fibers of distinct targets, in the order of their first orbits
+        rows = (fiber if share is None else fiber[np.sort(share[0])]).ravel()[:n - lo]
+        kept[lo:lo + rows.size] = rows
+        lo += rows.size
     return kept
 
 
 def sample_julia(p: Polynomial, n: int, seed: int) -> PointCloud:
     """n-point inverse-iteration sample of the Julia set, reproducible per seed.
 
-    Raises SamplingError when the fiber solves keep failing or a sample
-    point leaves the escape disk.
+    Raises SamplingError when no fixed point or 2-cycle repels, a fiber
+    solve fails or a sample point leaves the escape disk.
     """
     if p.degree < 2:
         raise ValueError("julia sampling requires degree >= 2")

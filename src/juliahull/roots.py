@@ -371,7 +371,7 @@ def _iterate(plan, targets, z, bounds_of, max_iter):
         w -= np.divide(pv, denom, out=pv)
 
 
-def solve_fibers(p: Polynomial, targets, max_iter: int = MAX_ITERATIONS):
+def solve_fibers(p: Polynomial, targets):
     """Roots of p(z) = t for every t in ``targets``, in vectorized batches.
 
     Returns ``(roots, residuals, ok)`` with shapes (m, d), (m, d), (m,).
@@ -379,8 +379,8 @@ def solve_fibers(p: Polynomial, targets, max_iter: int = MAX_ITERATIONS):
     bounds the pair buffers of ``_iterate`` at high degree.  ``ok[i]`` is
     True when every residual |p(root) - t| of member i meets the
     backward-stable bound RESIDUAL_TOL * max(largest coefficient modulus,
-    per-root evaluation scale), and that bound is finite.  No exception is
-    raised here; ``preimage_fibers`` wraps this with the raising behavior.
+    per-root evaluation scale), and that bound is finite, within
+    MAX_ITERATIONS steps.  Nothing raises here; ``preimage_fibers`` does.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=np.complex128))
     coeffs = p.coeffs
@@ -393,13 +393,13 @@ def solve_fibers(p: Polynomial, targets, max_iter: int = MAX_ITERATIONS):
     # members are solved independently, so chunking leaves every bit unchanged
     chunk = max(1, _CHUNK_BUDGET // (d * d))
     if targets.size <= chunk:
-        return _solve_batch(p, targets, max_iter)
-    parts = [_solve_batch(p, targets[lo:lo + chunk], max_iter)
+        return _solve_batch(p, targets)
+    parts = [_solve_batch(p, targets[lo:lo + chunk])
              for lo in range(0, targets.size, chunk)]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _solve_batch(p: Polynomial, targets: np.ndarray, max_iter: int):
+def _solve_batch(p: Polynomial, targets: np.ndarray):
     """``solve_fibers`` on one chunk of members, for degree >= 2.
 
     Degree 2 starts from the exact roots, in Vieta form; they meet the
@@ -418,7 +418,7 @@ def _solve_batch(p: Polynomial, targets: np.ndarray, max_iter: int):
     with np.errstate(over="ignore", invalid="ignore"):
         z = (_quadratic_roots(plan.coeffs, targets) if p.degree == 2
              else _initial_points(plan, targets))
-        res, ok = _iterate(plan, targets, z, bounds_of, max_iter)
+        res, ok = _iterate(plan, targets, z, bounds_of, MAX_ITERATIONS)
     return z, res, ok
 
 

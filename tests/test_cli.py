@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import juliahull.julia as julia_mod
 from juliahull import checks, cli
+from juliahull import NoRepellingFixedPointError
 from juliahull import ParseError, RootSolveError, Polynomial, chebyshev, format_polynomial, parse_polynomial
 from juliahull.cli import main, parse_complex
 
@@ -131,7 +133,16 @@ class TestCommands:
     def test_sampler_failure_exits_3(self, unsolvable_fibers, capsys):
         assert main(["suite", "--poly", "quad:-1+0i"] + SMALL) == 3
         err = capsys.readouterr().err
-        assert err.startswith("juliahull: ") and "kept failing" in err
+        assert err.startswith("juliahull: ") and "did not converge" in err
+
+    def test_no_repelling_cycle_exits_3(self, monkeypatch, capsys):
+        def no_fixed_point(p):
+            raise NoRepellingFixedPointError("forced")
+
+        monkeypatch.setattr(julia_mod, "repelling_fixed_point", no_fixed_point)
+        assert main(["suite", "--poly", "quad:-1+0i"] + SMALL) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("juliahull: Julia sampling failed: ") and "no 2-cycle" in err
 
     def test_check_json_document(self, tmp_path):
         out = tmp_path / "checks.json"

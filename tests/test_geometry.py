@@ -251,6 +251,33 @@ def _fixed_clouds():
     }
 
 
+def _wide_clouds():
+    """Named random clouds, boxes and rings whose coordinates reach +-1.7e308.
+
+    The differences of their points overflow, and so would a prefilter
+    that shifted them unscaled.  The points of "underflow" are distinct
+    but one in the unit box, where their imaginary parts underflow to 0.
+    """
+    rng = np.random.default_rng(23)
+    top = 1.7e308
+    clouds = {"axes": np.array([-1e308, 1e308, 1j, 0.5 - 2j]),
+              "underflow": 2.0 ** 1023 + np.array([0, 1e-300j, 3e-300j])}
+    for k in range(40):
+        kind = ("cloud", "box", "ring")[k % 3]
+        n = int(rng.integers(3, 200))
+        x, y = top * rng.uniform(-1, 1, (2, n))
+        if kind == "box":
+            x = np.concatenate([x, [-top, top, top, -top]])
+            y = np.concatenate([y, [-top, -top, top, top]])
+        elif kind == "ring":
+            turn = np.exp(2j * np.pi * rng.uniform(size=n))
+            x, y = top * turn.real, top * turn.imag
+        pts = np.empty(x.size, dtype=np.complex128)
+        pts.real, pts.imag = x, y
+        clouds[f"{kind}-{k}"] = pts
+    return clouds
+
+
 class TestConvexHull:
     def test_square_with_interior_point(self, square):
         hull = convex_hull(square)
@@ -342,7 +369,7 @@ class TestHullReference:
     """The vectorized hull and diameter against the rational stack chain, bit for bit."""
 
     @staticmethod
-    def _assert_matches(pts):
+    def _assert_matches(pts, diameter=True):
         hull = convex_hull(pts)
         expected = _rational_hull_vertices(pts)
         assert hull.kind == {1: POINT, 2: SEGMENT}.get(len(expected), PROPER)
@@ -351,7 +378,7 @@ class TestHullReference:
             return
         assert np.array_equal(hull.vertices.view(np.uint64),
                               np.array(expected, dtype=np.complex128).view(np.uint64))
-        if hull.kind == PROPER:
+        if hull.kind == PROPER and diameter:
             assert hull.diameter == _scalar_calipers(expected)
             assert hull.diameter == _unfiltered_diameter(hull)
 
@@ -374,6 +401,12 @@ class TestHullReference:
     @pytest.mark.parametrize("name", sorted(_fixed_clouds()))
     def test_fixed_clouds(self, name):
         self._assert_matches(_fixed_clouds()[name])
+
+    @pytest.mark.parametrize("name", sorted(_wide_clouds()))
+    def test_clouds_wider_than_the_float_range(self, name):
+        # the prefilter runs on the points scaled into the unit box; their
+        # diameter overflows, so only the vertices are compared
+        self._assert_matches(_wide_clouds()[name], diameter=False)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_clusters_of_near_duplicates_match_the_exact_chain(self, seed):

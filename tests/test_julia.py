@@ -26,7 +26,7 @@ from juliahull import (
     to_pgm,
 )
 from juliahull.geometry import SEGMENT
-from juliahull.julia import BURN_IN, EscapeGrid, SamplingError
+from juliahull.julia import EscapeGrid, SamplingError
 
 
 def _hausdorff(a, b):
@@ -117,7 +117,6 @@ class TestSampleJulia:
 
         def recorded(p, z, *args):
             out = original(p, z, *args)
-            # after the call: _pullback may have swapped stubborn parents in place
             pairs.append((z.copy(), out[1].copy()))
             return out
 
@@ -233,26 +232,50 @@ class TestSampleJulia:
         gap = np.abs((g.a * base + g.b)[:, :, None] - moved[:, None, :]).min(axis=2)
         assert gap.max() <= 1e-6 * convex_hull(moved.ravel()).diameter
 
-    def test_fallback_seed_doubles_burn_in(self, monkeypatch, squaring):
-        from juliahull import roots as roots_mod
+    def test_forced_two_cycle_seed_lies_on_the_circle(self, monkeypatch, squaring):
+        # with no fixed point of z^2 taken as repelling, the orbits start on
+        # a repelling 2-cycle of z^4, and every point is kept
+        original = julia_mod.repelling_fixed_point
 
+        def no_fixed_point(p):
+            if p.degree == 2:
+                raise roots_mod.NoRepellingFixedPointError("forced")
+            return original(p)
+
+        monkeypatch.setattr(julia_mod, "repelling_fixed_point", no_fixed_point)
+        z0, pred = julia_mod._orbit_seed(squaring)
+        # z0 solves z^4 = z to the solver's bound, not to the last bit
+        assert abs(abs(z0) - 1.0) <= 1e-9 and abs(pred - z0 * z0) <= 1e-15
+        assert abs(pred * pred - z0) <= 1e-9 and abs(pred - z0) > 1.0
+        calls = _count_solves(monkeypatch)
+        n = 1_000
+        cloud = sample_julia(squaring, n, seed=1)
+        assert sum(calls) == math.ceil(n / 2)
+        assert np.abs(np.abs(cloud.points) - 1.0).max() <= 1e-12
+
+    def test_parabolic_quadratic_seeds_on_its_two_cycle(self, monkeypatch):
+        # z^2 + 1/4: the fixed point 1/2 is parabolic, so the orbits start
+        # on the repelling 2-cycle -1/2 +- i and discard no step
+        p = Polynomial([0.25, 0, 1])
+        z0, pred = julia_mod._orbit_seed(p)
+        assert abs(z0.real + 0.5) <= 1e-12 and abs(abs(z0.imag) - 1.0) <= 1e-12
+        assert abs(pred - np.conj(z0)) <= 1e-12
+        calls = _count_solves(monkeypatch)
+        n = 10_001
+        cloud = sample_julia(p, n, seed=1)
+        assert sum(calls) == math.ceil(n / 2)
+        assert len(cloud) == n
+
+    def test_no_repelling_cycle_raises_sampling_error(self, monkeypatch, basilica):
         def no_fixed_point(p):
             raise roots_mod.NoRepellingFixedPointError("forced")
 
         monkeypatch.setattr(julia_mod, "repelling_fixed_point", no_fixed_point)
-        calls = _count_solves(monkeypatch)
-        n = 1_000  # one batch of n orbits; one kept step holds 2n roots
-        cloud = sample_julia(squaring, n, seed=1)
-        assert len(calls) == 2 * BURN_IN + 1
-        assert np.abs(np.abs(cloud.points) - 1.0).max() <= 1e-6
-
-    def test_parabolic_quadratic_seeds_from_one(self, monkeypatch):
-        # z^2 + 1/4: no fixed point repels, so the orbits start at 1+0i
-        calls = _count_solves(monkeypatch)
-        n = 1_000
-        cloud = sample_julia(Polynomial([0.25, 0, 1]), n, seed=1)
-        assert len(calls) == 2 * BURN_IN + 1
-        assert len(cloud) == n
+        with pytest.raises(SamplingError, match="no 2-cycle"):
+            sample_julia(basilica, 1_000, seed=0)
+        # p o p of degree 65^2 exceeds the degree cap
+        with pytest.raises(SamplingError, match="degree cap"):
+            sample_julia(monomial(1, 65), 1_000, seed=0)
 
     def test_quadratic_sample_takes_no_solver_step(self, monkeypatch, basilica):
         # every fiber starts exact, so _iterate leaves its start untouched
@@ -271,7 +294,7 @@ class TestSampleJulia:
 
     def test_unconverged_solves_raise_sampling_error(self, unsolvable_fibers,
                                                      basilica):
-        with pytest.raises(SamplingError, match="kept failing"):
+        with pytest.raises(SamplingError, match="did not converge"):
             sample_julia(basilica, 1_000, seed=0)
 
     def test_escaped_point_raises_sampling_error(self, monkeypatch, basilica):
@@ -313,13 +336,15 @@ def _count_steps(monkeypatch):
     return steps
 
 
-_FIXED_POINT_SEEDED = pytest.mark.parametrize("p", [
-    Polynomial([-1, 0, 1]),
-    monomial(1, 2),
-    monomial(0.6 + 0.8j, 3),
-    chebyshev(4),
-    Polynomial([0.3 - 0.2j, 0.1j, -0.5, 0.2 + 0.1j, 1]),
-], ids=["basilica", "z^2", "rotated-z^3", "T4", "quartic"])
+_FIXED_POINT_SEEDS = {
+    "basilica": Polynomial([-1, 0, 1]),
+    "z^2": monomial(1, 2),
+    "rotated-z^3": monomial(0.6 + 0.8j, 3),
+    "T4": chebyshev(4),
+    "quartic": Polynomial([0.3 - 0.2j, 0.1j, -0.5, 0.2 + 0.1j, 1]),
+}
+_FIXED_POINT_SEEDED = pytest.mark.parametrize(
+    "p", list(_FIXED_POINT_SEEDS.values()), ids=list(_FIXED_POINT_SEEDS))
 
 
 class TestDeduplicatedBurnIn:
@@ -357,42 +382,23 @@ class TestDeduplicatedBurnIn:
         monomial(1, 2),
         monomial(0.6 + 0.8j, 3),
         Polynomial([0.3 - 0.2j, 0.1j, -0.5, 0.2 + 0.1j, 1]),
-    ], ids=["basilica", "z^2", "rotated-z^3", "quartic"])
+        Polynomial([0.25, 0, 1]),
+    ], ids=["basilica", "z^2", "rotated-z^3", "quartic", "parabolic"])
     def test_fixed_point_sample_repeats_no_point(self, p):
         # T_d would not do: z0 = 1 is a critical value, so its fiber holds
         # critical points twice (T_4's holds 0 twice), and the subtrees of
-        # the two copies may round to the same bits (T_4 at seeds 0 and 10)
+        # the two copies may round to the same bits (T_4 at seeds 0 and 10);
+        # z^2 + 1/4 seeds on its 2-cycle
         points = sample_julia(p, 100_000, seed=0).points
         assert np.unique(_bits(points).reshape(-1, 2), axis=0).shape[0] == points.size
 
-    @_FIXED_POINT_SEEDED
+    @pytest.mark.parametrize("p", [*_FIXED_POINT_SEEDS.values(), Polynomial([0.25, 0, 1])],
+                             ids=[*_FIXED_POINT_SEEDS, "parabolic"])
     def test_each_fiber_hangs_from_the_seed_or_a_kept_point(self, monkeypatch, p):
-        # so every sample point is an iterated preimage of the fixed point z0
+        # so every sample point is an iterated preimage of the seed z0, a
+        # fixed point or, for z^2 + 1/4, a point of a 2-cycle
         target_of = _record_targets(monkeypatch)
         points = sample_julia(p, 20_000 // p.degree * p.degree, seed=1).points
-        _assert_fibers_hang_from_kept_points(p, points, target_of)
-
-    def test_retries_follow_a_shared_solve(self, monkeypatch):
-        # targets whose real part's bits are 0 mod 7 fail their first two
-        # solves, so their orbits retry, longer and then on a swapped branch,
-        # which another orbit's target may be
-        p = Polynomial([0.3 - 0.2j, 0.1j, -0.5, 1])
-        original = julia_mod.solve_fibers
-        retries = []
-
-        def flaky(p, targets, max_iter=roots_mod.MAX_ITERATIONS):
-            roots, res, ok = original(p, targets, max_iter=max_iter)
-            if max_iter <= 2 * roots_mod.MAX_ITERATIONS:
-                ok &= _bits(targets.real) % 7 != 0
-            if max_iter > roots_mod.MAX_ITERATIONS:
-                retries.append((max_iter, targets.size))
-            return roots, res, ok
-
-        monkeypatch.setattr(julia_mod, "solve_fibers", flaky)
-        target_of = _record_targets(monkeypatch)
-        points = sample_julia(p, 20_001, seed=5).points
-        assert 3 * roots_mod.MAX_ITERATIONS in dict(retries)  # a swap
-        assert np.unique(_bits(points).reshape(-1, 2), axis=0).shape[0] == points.size
         _assert_fibers_hang_from_kept_points(p, points, target_of)
 
 
@@ -413,12 +419,12 @@ def _record_targets(monkeypatch):
 
 
 def _assert_fibers_hang_from_kept_points(p, points, target_of):
-    """Each whole fiber of ``points`` is that of the fixed point or of a point before it.
+    """Each whole fiber of ``points`` is that of the seed or of a point before it.
 
     No two of the fibers share a target.
     """
     d = p.degree
-    seen = {_bits(np.array([roots_mod.repelling_fixed_point(p)])).tobytes()}
+    seen = {_bits(np.array([julia_mod._orbit_seed(p)[0]])).tobytes()}
     targets = [target_of[fiber.tobytes()] for fiber in _bits(points).reshape(-1, 2 * d)]
     assert len(set(targets)) == len(targets)
     for fiber, target in zip(_bits(points).reshape(-1, 2 * d), targets):

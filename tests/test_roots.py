@@ -1,5 +1,4 @@
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -79,8 +78,7 @@ class TestAllRoots:
 
     def test_nonconvergence_carries_best_iterate(self, monkeypatch):
         # one Aberth step leaves the degree-7 roots short of the bound
-        monkeypatch.setattr(roots_mod, "solve_fibers",
-                            partial(roots_mod.solve_fibers, max_iter=1))
+        monkeypatch.setattr(roots_mod, "MAX_ITERATIONS", 1)
         p = Polynomial(np.arange(1, 9, dtype=complex))
         with pytest.raises(RootSolveError) as info:
             all_roots(p)
@@ -133,18 +131,19 @@ def _assert_batch_independent(monkeypatch, p, targets, max_iter=MAX_ITERATIONS,
     The batch is solved whole, in chunks of three members, with its targets
     repeated and reordered, and (with ``alone``) one target at a time.
     """
-    whole = roots_mod.solve_fibers(p, targets, max_iter=max_iter)
+    monkeypatch.setattr(roots_mod, "MAX_ITERATIONS", max_iter)
+    whole = roots_mod.solve_fibers(p, targets)
     rng = np.random.default_rng(targets.size)
     mixed = rng.permutation(np.r_[np.arange(targets.size),
                                   np.arange(targets.size)[::3]])
-    batches = [(mixed, roots_mod.solve_fibers(p, targets[mixed], max_iter=max_iter))]
+    batches = [(mixed, roots_mod.solve_fibers(p, targets[mixed]))]
     if alone:
-        batches += [([i], roots_mod.solve_fibers(p, targets[i:i + 1], max_iter=max_iter))
+        batches += [([i], roots_mod.solve_fibers(p, targets[i:i + 1]))
                     for i in range(targets.size)]
     # three members per chunk: the last chunk is short unless 3 divides m
     monkeypatch.setattr(roots_mod, "_CHUNK_BUDGET", 3 * p.degree ** 2)
     batches.append((np.arange(targets.size),
-                    roots_mod.solve_fibers(p, targets, max_iter=max_iter)))
+                    roots_mod.solve_fibers(p, targets)))
     for members, solved in batches:
         for a, b in zip(whole, solved):
             assert np.array_equal(a[members], b)
@@ -363,17 +362,18 @@ class TestReferenceSolver:
     # the full budget, and 3 steps converge none; the two tests below run
     # the full budget, the second on members that need more than 200
     @pytest.mark.parametrize("max_iter", [200, 3])
-    def test_bitwise_equal_to_reference(self, d, monic, max_iter):
+    def test_bitwise_equal_to_reference(self, monkeypatch, d, monic, max_iter):
         p, targets = _seeded_fibers(d, monic)
         expected = _reference_solve(p, targets, max_iter=max_iter)
-        for a, b in zip(roots_mod.solve_fibers(p, targets, max_iter=max_iter),
-                        expected):
+        monkeypatch.setattr(roots_mod, "MAX_ITERATIONS", max_iter)
+        for a, b in zip(roots_mod.solve_fibers(p, targets), expected):
             assert np.array_equal(a, b)
 
-    def test_bitwise_equal_to_reference_above_degree_64(self):
+    def test_bitwise_equal_to_reference_above_degree_64(self, monkeypatch):
         p, targets = _seeded_fibers(66, monic=False, m=20)
         expected = _reference_solve(p, targets, max_iter=3)
-        for a, b in zip(roots_mod.solve_fibers(p, targets, max_iter=3), expected):
+        monkeypatch.setattr(roots_mod, "MAX_ITERATIONS", 3)
+        for a, b in zip(roots_mod.solve_fibers(p, targets), expected):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("d", [*range(2, 81), 129, 257])
@@ -468,7 +468,9 @@ class TestReferenceSolver:
         assert evaluate(derivative(p), row)[1] == 0 and self._aberth_sums(row)[1] == 0
         rng = np.random.default_rng(34)
         targets = rng.normal(size=40) + 1j * rng.normal(size=40)
-        first_step = roots_mod.solve_fibers(p, targets, max_iter=1)[0][:, 1]
+        with monkeypatch.context() as patch:
+            patch.setattr(roots_mod, "MAX_ITERATIONS", 1)
+            first_step = roots_mod.solve_fibers(p, targets)[0][:, 1]
         assert np.allclose(np.abs(first_step), 1.0, rtol=1e-15)
         self._assert_converges_as_reference(p, targets)
 
@@ -482,7 +484,9 @@ class TestReferenceSolver:
         pv = evaluate(p, row) - target
         assert np.array_equal(pv[0] * self._aberth_sums(row)[0:1],
                               evaluate(derivative(p), row[0:1]))
-        assert roots_mod.solve_fibers(p, target, max_iter=1)[0][0, 0] == 0.5 + 0.5j
+        with monkeypatch.context() as patch:
+            patch.setattr(roots_mod, "MAX_ITERATIONS", 1)
+            assert roots_mod.solve_fibers(p, target)[0][0, 0] == 0.5 + 0.5j
         self._assert_converges_as_reference(p, target)
 
     def test_tiny_leading_coefficient_converges(self):
