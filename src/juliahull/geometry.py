@@ -648,9 +648,13 @@ def _rdp_splits(v: np.ndarray, angle: np.ndarray, lo: np.ndarray, hi: np.ndarray
     keeps that vertex and splits there.  On such an arc the distance to
     the chord's line grows while the edges turn towards the chord's
     direction and shrinks after, so the farthest vertex is where the
-    edge angles pass the chord's (``searchsorted``), up to rounding; that
-    vertex and its two neighbours in the span are measured.  Every span
-    of a level is measured in one pass; returns the kept interior indices.
+    edge angles pass the chord's (``searchsorted``), up to rounding.  That
+    vertex and the two on each side of it in the span are measured: edges
+    down to one ulp, whose computed angles rounding scrambles, come in
+    short runs beside a vertex, and with one on each side 15 of 11,244
+    decimations of such hulls split other than a scan of every vertex.
+    Every span of a level is measured in one pass; returns the kept
+    interior indices.
     """
     vx, vy = v.real, v.imag
     kept = [lo[:0]]
@@ -662,7 +666,7 @@ def _rdp_splits(v: np.ndarray, angle: np.ndarray, lo: np.ndarray, hi: np.ndarray
         # the chord's direction lies within the span's turn of its edges
         mid = 0.5 * (angle[lo] + angle[hi - 1])
         chord += 2.0 * np.pi * np.round((mid - chord) / (2.0 * np.pi))
-        k = np.searchsorted(angle, chord)[:, None] + np.arange(-1, 2)
+        k = np.searchsorted(angle, chord)[:, None] + np.arange(-2, 3)
         k = np.clip(k, (lo + 1)[:, None], (hi - 1)[:, None])
         dx, dy = _clamp_offsets(vx[k] - vx[lo][:, None], vy[k] - vy[lo][:, None],
                                 ex[:, None], ey[:, None], _inverse_len2(ex, ey)[:, None])

@@ -1,40 +1,43 @@
 """Point-cloud and raster approximations of Julia sets.
 
 ``sample_julia`` transcribes backward invariance into full-fiber inverse
-iteration: every step solves the whole fiber p(.) = z of each orbit's
-current point, keeps all d preimages as sample points, and moves the orbit
-on along one randomly chosen branch.  Orbits are run as one vectorized
-batch, which is equivalent to many independent seeded orbits.  An orbit
-draws the rank of its branch, not a column of the solver's output: the
-roots rank by their offsets from the fibers' centroid, measured along a
-direction turned a fixed angle from the target's (``_branch_of_rank``).
-Ranks survive an affine change of coordinates, so with one seed the
-sample of g p g^-1 is the image under g of that of p, up to the solver's
-accuracy, when p has one fixed point of largest multiplier modulus and d
-divides n (a partial last fiber keeps its roots in the solver's order).
+iteration: it grows the preimage tree of a repelling point z0 of J_p.
+Every step solves the whole fiber p(.) = t of each of its targets t,
+keeps all d roots as sample points and picks the next step's targets
+among them.  While a step holds fewer than ``_ORBIT_BATCH`` targets, the
+next holds every root it solved, in order, cut to ``_ORBIT_BATCH``: the
+tree is complete, breadth first, down to the first level of that size.
+From then on each target is an orbit, which moves on to the root of a
+random rank in its own fiber; the orbits are one vectorized batch,
+equivalent to many independent seeded orbits.  So a sample's first
+points do not depend on the seed: 8,192 for d = 2 and 12,705 for d = 3.
 
-The orbits start at a repelling fixed point z0, which lies on J_p, as
-does every iterated preimage of it, so points are kept from the first
-step on.  That step solves z0's fiber alone, keeps it, and sends the
-orbits along its other d - 1 roots: under z0's own root, the root
-nearest z0 (simple, as p'(z0) != 0), the preimage tree repeats the
-points kept one level up.  When no fixed point repels, z0 is a point of
-a repelling 2-cycle {z0, z1}, on J_p too, and the orbits leave aside
-z1 = p(z0), the root of z0's fiber under which the tree repeats z0's
-fiber two levels down (``_orbit_seed``).  While orbits share targets, a
-step solves each distinct target once, hands its fiber to every orbit
-at it, and keeps it once, in the order of the targets' first orbits;
-once every target is distinct, it keeps every fiber.  Each kept fiber is
-thus that of z0 or of an earlier kept point, and no target's fiber is
-kept twice.  A multiple root is the one exception to no point being
-kept twice: its copies are distinct targets whose subtrees may round to
-the same bits (z0 = 1 of T_4 is a critical value, so its fiber holds 0
-twice).  The last step solves only the targets whose fibers fill the
-rest of the sample, held by a prefix of the orbits, so a sample is the
-prefix of any larger one at the same seed.  A fiber does not depend on
-the batch it is solved in, so sharing and trimming change no sample
-bit.  A fiber that fails to converge ends the sample with
-SamplingError; nothing is retried.
+Every fiber is kept in rank order (``_ranked``): its roots rank by their
+offsets from the fibers' centroid, measured along a direction turned a
+fixed angle from the target's.  Ranks survive an affine change of
+coordinates, so with one seed the sample of g p g^-1 is the image under
+g of that of p, point by point up to the solver's accuracy, when p has
+one fixed point of largest multiplier modulus.
+
+z0 is a repelling fixed point.  Every iterated preimage of it lies on
+J_p too, so points are kept from the first step on.  That step solves
+z0's fiber and leaves aside its root nearest z0 (simple, as
+p'(z0) != 0), under which the tree repeats the points kept one level up.
+When no fixed point repels, z0 is a point of a repelling 2-cycle
+{z0, z1}, on J_p too, and the first step leaves aside z1 = p(z0), the
+root under which the tree repeats z0's fiber two levels down
+(``_orbit_seed``).  Each kept fiber is thus that of z0 or of an earlier
+kept point.  A multiple root is the one way a point is kept twice.  Each
+fiber is kept whole, but a root equal to its left neighbour in rank
+order is not a target again, so the copies of an exact double root (0 in
+T_2's fiber of -1) grow one subtree.  Roots that differ in their last
+bits grow separate subtrees, which agree up to rounding.
+
+The last step solves only the targets whose fibers fill the rest of the
+sample.  A fiber does not depend on the batch it is solved in, and the
+orbits draw their ranks for a whole batch, so a sample is the prefix of
+any larger one at the same seed.  A fiber that fails to converge ends
+the sample with SamplingError; nothing is retried.
 
 ``escape_grid`` rasters the bounded-orbit set by iterating cell centers
 until they leave the escape disk; ``_bounded`` is that iteration.  The
@@ -104,16 +107,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomial import (Polynomial, _horner, compose, escape_radius, format_complex,
-                         format_polynomial)
+from .polynomial import (Polynomial, _horner, compose, derivative, escape_radius,
+                         format_complex, format_polynomial)
 from .roots import NoRepellingFixedPointError, repelling_fixed_point, solve_fibers
 
-# Orbits advanced in lockstep per batch; a throughput knob, not semantics.
+# Most targets per step.  z0's tree is complete up to the first level this
+# size, which sets the seed-free prefix of a sample; from then on each
+# target is one orbit (module docstring).
 _ORBIT_BATCH = 2048
 
+# Newton steps on the nested p(p(z)) - z that polish a 2-cycle seed
+# (``_orbit_seed``): they take the nested residual of the z + z^24 seed
+# from 21 to 4e-8, and move those of z + z^8 and z + z^16 by 1e-11 or less.
+_CYCLE_NEWTON_STEPS = 8
+
 # e^{-i}: the roots of a fiber rank along a direction turned one radian
-# off its target's (``_branch_of_rank``), so mirror-symmetric fibers do
-# not tie.
+# off its target's (``_ranked``), so mirror-symmetric fibers do not tie.
 _KEY_TURN = np.exp(-1j)
 
 _GRID_SPAN = 1.05  # half-width of the raster square in units of R (5% margin)
@@ -200,84 +209,57 @@ class SamplingError(RuntimeError):
     """Inverse iteration could not produce a trustworthy Julia sample."""
 
 
-def _distinct(z: np.ndarray):
-    """(first, inverse) with z[first] holding each bit pattern of z once.
-
-    z is z[first][inverse] bit for bit, and ``first`` holds the least index
-    of each pattern.  Targets are sorted by one 64-bit key, the real part's
-    bits xor the imaginary part's with their halves swapped, so the two
-    sign bits stay apart and z, -z and conj(z) get different keys.  A run
-    of bit-identical neighbours is one target: a key shared by two patterns
-    can only split a pattern, never merge two.
-    """
-    re, im = z.view(np.uint64).reshape(z.size, 2).T
-    order = np.argsort(re ^ ((im << 32) | (im >> 32)))
-    re, im = re[order], im[order]
-    starts = np.empty(z.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(re[1:], re[:-1], out=starts[1:])
-    starts[1:] |= im[1:] != im[:-1]
-    inverse = np.empty(z.size, dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return np.minimum.reduceat(order, np.flatnonzero(starts)), inverse
-
-
-def _branch_of_rank(p: Polynomial, fiber: np.ndarray, targets: np.ndarray,
-                    rank: np.ndarray) -> np.ndarray:
-    """Column of each row of ``fiber`` that holds its root of rank ``rank``.
+def _ranked(p: Polynomial, fiber: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``fiber`` with each row in rank order.
 
     The roots w over a target t rank by the key Re((w - c) conj(u)): their
     offsets from c = -a_{d-1} / (d a_d), the centroid of every fiber,
     projected on u = e^i (t - c).  An affine map g(z) = az + b takes the
     fibers of p to those of g p g^-1, and c and t with them, so it
-    multiplies every key by |a|^2 and keeps each rank.  The branch a
-    seeded orbit takes thus does not depend on the coordinates.  Two roots
-    tie only when their difference is perpendicular to u.  Turning u one
-    radian off t - c keeps that off the real roots and mirror pairs of a
-    real polynomial over a real target, which differ along or across
-    t - c.  Ties, and t = c, keep the solver's order.
+    multiplies every key by |a|^2 and keeps each rank.  The sample's order
+    and the branches its orbits take thus do not depend on the
+    coordinates.  Two roots tie only when their difference is
+    perpendicular to u.  Turning u one radian off t - c keeps that off the
+    real roots and mirror pairs of a real polynomial over a real target,
+    which differ along or across t - c.  Ties, and t = c, keep the solver's
+    order.
     """
     c = -p.coeffs[-2] / (p.degree * p.coeffs[-1])
     conj_u = np.conj(targets - c) * _KEY_TURN
     if fiber.shape[1] == 2:  # c drops out of the difference of the two keys
-        return rank ^ (((fiber[:, 0] - fiber[:, 1]) * conj_u).real > 0)
+        swap = ((fiber[:, 0] - fiber[:, 1]) * conj_u).real > 0
+        return np.where(swap[:, None], fiber[:, ::-1], fiber)
     order = np.argsort(((fiber - c) * conj_u[:, None]).real, axis=1, kind="stable")
-    return np.take_along_axis(order, rank[:, None], axis=1)[:, 0]
+    return np.take_along_axis(fiber, order, axis=1)
 
 
-def _pullback(p: Polynomial, z: np.ndarray, rank: np.ndarray, share=None):
-    """One backward step for all orbits: (children, fiber).
+def _pullback(p: Polynomial, z: np.ndarray) -> np.ndarray:
+    """The fibers of the targets z, row i that of z[i], each in rank order (``_ranked``).
 
-    Row i of ``fiber`` is the fiber of z[i], and children[i] its root of
-    rank ``rank[i]`` (``_branch_of_rank``).  ``share`` = ``_distinct(z)``
-    solves each distinct target once and hands every orbit its target's
-    fiber, which is the fiber a solve of that orbit alone gives.  A fiber
-    that fails to converge raises SamplingError: a second solve would
-    restart from the same starts and replay the first.
+    A fiber that fails to converge raises SamplingError: a second solve
+    would restart from the same starts and replay the first.
     """
-    targets = z if share is None else z[share[0]]
-    roots, res, ok = solve_fibers(p, targets)
+    roots, res, ok = solve_fibers(p, z)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
         raise SamplingError(
             "inverse iteration aborted: fiber solve did not converge at "
-            f"z={format_complex(targets[i])} (worst residual {res[i].max():.3e})"
+            f"z={format_complex(z[i])} (worst residual {res[i].max():.3e})"
         )
-    if share is not None:
-        roots = np.take(roots, share[1], axis=0)
-    branch = _branch_of_rank(p, roots, z, rank)
-    return roots[np.arange(z.size), branch], roots
+    return _ranked(p, roots, z)
 
 
 def _orbit_seed(p: Polynomial):
-    """(z0, pred): the orbits' start, on J_p, and the root of its fiber they leave aside.
+    """(z0, pred): the tree's root, on J_p, and the root of its fiber the tree leaves aside.
 
     z0 is a repelling fixed point and pred = z0 (not p(z0), which in
     floats can land far from z0 when the coefficients are widely spread).
     When no fixed point repels, a 2-cycle does (at most d - 1 cycles do
     not, by Fatou and Shishikura): z0 is a repelling fixed point of p o p
-    and pred = p(z0).  Raises SamplingError when neither exists or p o p
-    exceeds the degree cap.
+    and pred = p(z0).  The expanded p o p is ill-conditioned at high
+    degree, so z0 then takes _CYCLE_NEWTON_STEPS Newton steps on the
+    nested p(p(z)) - z, whose derivative is p'(p(z)) p'(z) - 1.  Raises
+    SamplingError when neither exists or p o p exceeds the degree cap.
     """
     try:
         z0 = repelling_fixed_point(p)
@@ -289,45 +271,48 @@ def _orbit_seed(p: Polynomial):
     except (NoRepellingFixedPointError, ValueError) as exc:
         raise SamplingError(
             f"no fixed point repels, and no 2-cycle seeds the orbits: {exc}") from None
-    return z0, complex(p(z0))
+    dp = derivative(p)
+    for _ in range(_CYCLE_NEWTON_STEPS):
+        z1 = p(z0)
+        z0 -= (p(z1) - z0) / (dp(z1) * dp(z0) - 1.0)
+    return z0, p(z0)
 
 
 def _run_orbits(p: Polynomial, n: int, seed: int) -> np.ndarray:
     d = p.degree
-    m = min(_ORBIT_BATCH, n)
     z0, pred = _orbit_seed(p)
     rng = np.random.Generator(np.random.Philox(seed))
     kept = np.empty(n, dtype=np.complex128)
-    # keep z0's fiber, and leave z0 along its roots other than pred's
-    _, fiber = _pullback(p, np.array([z0]), np.zeros(1, dtype=np.intp))
-    kept[:d] = fiber[0, :n]
-    lo = min(d, n)  # points kept so far
-    fiber = np.delete(fiber, np.argmin(np.abs(fiber[0] - pred)), axis=1)
-    fiber = np.broadcast_to(fiber, (m, d - 1))
-    z = fiber[0, _branch_of_rank(p, fiber, np.full(m, z0), rng.integers(0, d - 1, size=m))]
-    shared = True  # orbits share targets until every target of a step is distinct
+    z, lo = np.array([z0]), 0  # the step's targets; points kept so far
     while lo < n:
-        rank = rng.integers(0, d, size=z.size)
-        share = _distinct(z) if shared else None
-        shared = share is not None and share[0].size < z.size
-        if (z.size if share is None else share[0].size) * d >= n - lo:
-            # the last step solves only the members whose fibers it keeps:
-            # the first w distinct targets, held by the first k orbits
-            w = -(-(n - lo) // d)
-            k = w if share is None else np.sort(share[0])[w - 1] + 1
-            z, rank = z[:k], rank[:k]
-            if share is not None:
-                share = _distinct(z)
-        z, fiber = _pullback(p, z, rank, share)
-        # the fibers of distinct targets, in the order of their first orbits
-        rows = (fiber if share is None else fiber[np.sort(share[0])]).ravel()[:n - lo]
+        # the last step solves only the targets whose fibers it keeps
+        z = z[:-(-(n - lo) // d)]
+        fiber = _pullback(p, z)
+        rows = fiber.ravel()[:n - lo]
         kept[lo:lo + rows.size] = rows
+        if z.size < _ORBIT_BATCH:
+            # the next level of z0's tree: a root equal to its left
+            # neighbour grows no second subtree, and under z0's root
+            # nearest pred the tree would repeat itself
+            fresh = np.ones(fiber.shape, dtype=bool)
+            fresh[:, 1:] = fiber[:, 1:] != fiber[:, :-1]
+            if lo == 0:
+                fresh[0, np.argmin(np.abs(fiber[0] - pred))] = False
+            z = fiber[fresh][:_ORBIT_BATCH]
+        else:
+            z = fiber[np.arange(z.size), rng.integers(0, d, size=z.size)]
         lo += rows.size
     return kept
 
 
 def sample_julia(p: Polynomial, n: int, seed: int) -> PointCloud:
     """n-point inverse-iteration sample of the Julia set, reproducible per seed.
+
+    The sample is the prefix of any larger one at the same seed.  Its
+    first points, the complete preimage tree of z0 down to the first level
+    of ``_ORBIT_BATCH`` fibers (8,192 points for d = 2, 12,705 for d = 3),
+    are the same at every seed; the seed draws the orbits' branches after
+    that (module docstring).
 
     Raises SamplingError when no fixed point or 2-cycle repels, a fiber
     solve fails or a sample point leaves the escape disk.

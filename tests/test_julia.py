@@ -88,11 +88,15 @@ class TestSampleJulia:
         assert cloud.points.real.max() <= 1 + 1e-6
 
     def test_reproducible_and_seed_sensitive(self, basilica):
-        a = sample_julia(basilica, 2_000, seed=3).points
-        b = sample_julia(basilica, 2_000, seed=3).points
-        c = sample_julia(basilica, 2_000, seed=4).points
+        a = sample_julia(basilica, 10_000, seed=3).points
+        b = sample_julia(basilica, 10_000, seed=3).points
+        c = sample_julia(basilica, 10_000, seed=4).points
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        # z0's complete tree down to its first level of 2048 fibers is the
+        # same at every seed; the seed draws the branches after it
+        prefix = 2 * (2 * 2048)
+        assert np.array_equal(a[:prefix], c[:prefix])
+        assert not np.array_equal(a[prefix:], c[prefix:])
 
     def test_points_stay_inside_escape_disk(self, basilica):
         cloud = sample_julia(basilica, 5_000, seed=1)
@@ -115,21 +119,29 @@ class TestSampleJulia:
         pairs = []
         original = julia_mod._pullback
 
-        def recorded(p, z, *args):
-            out = original(p, z, *args)
-            pairs.append((z.copy(), out[1].copy()))
-            return out
+        def recorded(p, z):
+            fiber = original(p, z)
+            pairs.append((z.copy(), fiber.copy()))
+            return fiber
 
         monkeypatch.setattr(julia_mod, "_pullback", recorded)
-        sample_julia(basilica, 2_000, seed=2)
+        sample_julia(basilica, 16_001, seed=2)
         for parents, fiber in pairs:
             # every root of every solved fiber, not only the followed branch
             assert fiber.shape == (parents.size, basilica.degree)
             assert np.abs(evaluate(basilica, fiber) - parents[:, None]).max() <= 1e-8
-        for (_, fiber), (children, _) in zip(pairs, pairs[1:]):
-            # each orbit goes on from one root of its previous fiber; the
-            # last step solves only the first orbits
-            assert np.all((fiber[:children.size] == children[:, None]).any(axis=1))
+        # the first step leaves aside z0's root nearest z0
+        (z0,), first = pairs[0]
+        assert np.array_equal(pairs[1][0], np.delete(first, np.argmin(np.abs(first - z0))))
+        for (parents, fiber), (children, _) in zip(pairs[1:], pairs[2:]):
+            if parents.size < 2048:
+                # the next level of the tree: every root, in order
+                assert np.array_equal(children, fiber.ravel()[:children.size])
+            else:
+                # each orbit goes on from one root of its own fiber; the
+                # last step solves only the first orbits
+                assert np.all((fiber[:children.size] == children[:, None]).any(axis=1))
+        assert [z.size for z, _ in pairs].count(2048) == 2
 
     def test_sample_is_made_of_whole_fibers(self, basilica):
         # every fiber is kept whole, and n is a multiple of d = 2
@@ -143,15 +155,12 @@ class TestSampleJulia:
         calls = _count_solves(monkeypatch)
         n, m, d = 100_000, 2048, basilica.degree
         sample_julia(basilica, n, seed=0)
-        # the fixed point's fiber, then its other root, where every orbit
-        # goes; then each step solves its distinct targets, at most d times
-        # as many as the step before, until all m are distinct
-        assert calls[:6] == [1, 1, 2, 4, 8, 16]
-        assert all(b <= min(d * a, m) for a, b in zip(calls[1:], calls[2:]))
-        assert calls.index(m) == 23 and set(calls[23:-1]) == {m}
-        # every solved fiber is kept: the last step solves only the 583 it needs
-        assert sum(calls) == n // d
-        assert len(calls) == 37 and calls[-1] == 583
+        # the fixed point's fiber, then its other root, then every root of
+        # each level until a level holds m; then m orbits
+        assert calls[:12] == [1] + [2 ** k for k in range(11)]
+        assert set(calls[12:-1]) == {m} and len(calls) == 36
+        # every solved fiber is kept: the last step solves only the 848 it needs
+        assert sum(calls) == n // d and calls[-1] == 848
 
     @pytest.mark.parametrize("p, n", [
         (Polynomial([-1, 0, 1]), 100_000),
@@ -171,14 +180,15 @@ class TestSampleJulia:
 
     def test_trim_changes_no_sample_bit(self, monkeypatch):
         # a sample is the prefix of any larger one at the same seed, whether
-        # its last step falls while orbits share targets (3_001) or after
+        # its last step falls in the complete tree (3_001) or after the
+        # orbits branch at random (90_001)
         p = Polynomial([0.3 - 0.2j, 0.1j, -0.5, 0.2 + 0.1j, 1])
         full = sample_julia(p, 100_000, seed=3).points
-        for n, shared in ((3_001, True), (90_001, False)):
+        for n, complete in ((3_001, True), (90_001, False)):
             calls = _count_solves(monkeypatch)
             trimmed = sample_julia(p, n, seed=3).points
             assert sum(calls) == math.ceil(n / 4)
-            assert (max(calls) < 2048) == shared
+            assert (max(calls) < 2048) == complete
             assert np.array_equal(_bits(trimmed), _bits(full[:n]))
 
     def test_one_more_pullback_is_stationary(self, basilica):
@@ -212,11 +222,11 @@ class TestSampleJulia:
         targets = rng.normal(size=m) + 1j * rng.normal(size=m)
         fiber, _, ok = roots_mod.solve_fibers(p, targets)
         assert ok.all()
-        rank = rng.integers(0, d, m)
         c = -p.coeffs[-2] / (d * p.coeffs[-1])
         key = ((fiber - c) * np.conj(np.exp(1j) * (targets - c))[:, None]).real
-        expected = [sorted(range(d), key=lambda j: key[i, j])[rank[i]] for i in range(m)]
-        assert julia_mod._branch_of_rank(p, fiber, targets, rank).tolist() == expected
+        expected = [[fiber[i, j] for j in sorted(range(d), key=lambda j: key[i, j])]
+                    for i in range(m)]
+        assert np.array_equal(julia_mod._ranked(p, fiber, targets), expected)
 
     @pytest.mark.parametrize("p, g", [
         (Polynomial([-0.12 + 0.74j, 0, 1]), AffineMap(0.3 - 1.1j, 0.5 - 2j)),
@@ -224,13 +234,15 @@ class TestSampleJulia:
         (Polynomial([0.3 - 0.2j, 0.1j, -0.5, 1]), AffineMap(0.3 - 1.1j, 0.5 - 2j)),
     ], ids=["rabbit", "cubic-turned", "cubic"])
     def test_conjugate_sample_is_the_image(self, p, g):
-        # orbits draw ranks, not solver columns, so one seed gives the image
-        # sample fiber by fiber, up to the solver's accuracy (1.6e-9 here)
-        n = 3_000 * p.degree
-        base = sample_julia(p, n, seed=1).points.reshape(-1, p.degree)
-        moved = sample_julia(conjugate(p, g), n, seed=1).points.reshape(-1, p.degree)
-        gap = np.abs((g.a * base + g.b)[:, :, None] - moved[:, None, :]).min(axis=2)
-        assert gap.max() <= 1e-6 * convex_hull(moved.ravel()).diameter
+        # fibers are kept in rank order and orbits draw ranks, not solver
+        # columns, so one seed gives the image sample point by point, up to
+        # the solver's accuracy, also in a partial last fiber (d divides
+        # no n here)
+        n = 20_003
+        base = sample_julia(p, n, seed=1).points
+        moved = sample_julia(conjugate(p, g), n, seed=1).points
+        gap = np.abs(g.a * base + g.b - moved).max()
+        assert gap <= 1e-6 * convex_hull(moved).diameter
 
     def test_forced_two_cycle_seed_lies_on_the_circle(self, monkeypatch, squaring):
         # with no fixed point of z^2 taken as repelling, the orbits start on
@@ -265,6 +277,14 @@ class TestSampleJulia:
         cloud = sample_julia(p, n, seed=1)
         assert sum(calls) == math.ceil(n / 2)
         assert len(cloud) == n
+
+    def test_two_cycle_seed_is_polished_on_the_nested_map(self):
+        # z + z^24: its fixed points all sit at the parabolic 0, and the
+        # root of the expanded p o p - z lies 3e-3 off the 2-cycle, with a
+        # nested residual of 21
+        p = Polynomial([0, 1] + [0] * 22 + [1])
+        z0, pred = julia_mod._orbit_seed(p)
+        assert abs(p(p(z0)) - z0) <= 1e-6 and pred == p(z0)
 
     def test_no_repelling_cycle_raises_sampling_error(self, monkeypatch, basilica):
         def no_fixed_point(p):
@@ -307,35 +327,6 @@ def _bits(z):
     return np.ascontiguousarray(z).view(np.uint64)
 
 
-def _fibers_without_repeats(points, d):
-    """The whole fibers of a sample, in order, each bit pattern of one kept once."""
-    fibers = points[:points.size // d * d].reshape(-1, d)
-    _, first = np.unique(_bits(fibers).reshape(len(fibers), -1), axis=0,
-                         return_index=True)
-    return fibers[np.sort(first)].ravel()
-
-
-def _undeduplicated_sample(monkeypatch, p, steps, seed):
-    """A sample of ``steps`` full steps in which every orbit is solved and kept."""
-    monkeypatch.setattr(julia_mod, "_distinct",
-                        lambda z: (np.arange(z.size), np.arange(z.size)))
-    d = p.degree
-    return sample_julia(p, d + 2048 * d * (steps - 1), seed=seed).points
-
-
-def _count_steps(monkeypatch):
-    """Wrap the sampler's _pullback; returns the list of target counts."""
-    steps = []
-    original = julia_mod._pullback
-
-    def counting(p, z, *args):
-        steps.append(z.size)
-        return original(p, z, *args)
-
-    monkeypatch.setattr(julia_mod, "_pullback", counting)
-    return steps
-
-
 _FIXED_POINT_SEEDS = {
     "basilica": Polynomial([-1, 0, 1]),
     "z^2": monomial(1, 2),
@@ -348,34 +339,32 @@ _FIXED_POINT_SEEDED = pytest.mark.parametrize(
 
 
 class TestDeduplicatedBurnIn:
-    """Shared targets are solved once and their fibers kept once."""
-
-    def test_distinct_keeps_every_bit_pattern_apart(self):
-        # z, -z and conj(z), and the two signed zeros, are different targets
-        z = np.array([1 + 1j, -1 - 1j, 1 - 1j, complex(0.0, 0.5),
-                      complex(-0.0, 0.5), 1 + 1j, -1 - 1j, complex(0.0, 0.5)])
-        first, inverse = julia_mod._distinct(z)
-        assert first.size == 5
-        assert np.array_equal(_bits(z[first][inverse]), _bits(z))
-        assert len({tuple(b) for b in _bits(z[first]).reshape(-1, 2).tolist()}) == 5
-
-    def test_distinct_lists_each_pattern_at_its_first_index(self):
-        z = np.array([2j, 1.0, 2j, 3.0, 1.0, -0.0, 0.0, 3.0, 2j])
-        first, inverse = julia_mod._distinct(z)
-        assert sorted(first.tolist()) == [0, 1, 3, 5, 6]
-        assert np.array_equal(first[inverse], [0, 1, 0, 3, 1, 5, 6, 3, 0])
+    """The sample grows z0's preimage tree, and keeps no fiber twice."""
 
     @_FIXED_POINT_SEEDED
-    def test_sample_equals_the_undeduplicated_one(self, monkeypatch, p):
-        # solving and keeping every orbit's fiber gives the same fibers, with
-        # those of orbits at a shared target repeated
-        steps = _count_steps(monkeypatch)
-        deduplicated = sample_julia(p, 20_000, seed=3).points
-        calls = _count_solves(monkeypatch)
-        plain = _undeduplicated_sample(monkeypatch, p, len(steps), seed=3)
-        assert calls[:2] == [1, 2048]  # the fixed point, then every orbit
-        kept = _fibers_without_repeats(plain, p.degree)
-        assert np.array_equal(_bits(deduplicated), _bits(kept[:20_000]))
+    def test_first_levels_are_the_complete_tree(self, p):
+        # the first d^k points are p^-k(z0), which holds every shallower
+        # level, as z0 is fixed: the complete tree of repeated fibers from
+        # z0, with z0's own subtree in it, up to the solver's rounding.
+        # T_4's z0 = 1 is a critical value, so the copy of z0 in the tree
+        # has a fiber off by the square root of its rounding (2.8e-7).
+        d = p.degree
+        tol = 1e-6 if p is _FIXED_POINT_SEEDS["T4"] else 1e-9
+        k = int(math.log(8_192, d) + 1e-9)  # 2^13, 3^8, 4^6 lie in the seed-free prefix
+        level = np.array([julia_mod._orbit_seed(p)[0]])
+        for _ in range(k):
+            level = roots_mod.preimage_fibers(p, level).ravel()
+        points = sample_julia(p, d ** k, seed=5).points
+        assert np.unique(_bits(points).reshape(-1, 2), axis=0).shape[0] == d ** k
+        assert _hausdorff(points, level) <= tol * convex_hull(points).diameter
+
+    @pytest.mark.parametrize("p", [chebyshev(2), Polynomial([-2, 0, 1])],
+                             ids=["T2", "z^2-2"])
+    def test_exact_double_root_grows_one_subtree(self, p):
+        # z0's other root -1 (or -2) has the double root 0, kept twice in its
+        # fiber but a target once; as two targets, 6,039 points would repeat
+        points = sample_julia(p, 100_000, seed=0).points
+        assert np.unique(_bits(points).reshape(-1, 2), axis=0).shape[0] == points.size - 1
 
     @pytest.mark.parametrize("p", [
         Polynomial([-1, 0, 1]),
@@ -403,18 +392,17 @@ class TestDeduplicatedBurnIn:
 
 
 def _record_targets(monkeypatch):
-    """Wrap the sampler's solve_fibers; returns {fiber bits: target bits}."""
+    """Wrap the sampler's _pullback; returns {ranked fiber bits: target bits}."""
     target_of = {}
-    original = julia_mod.solve_fibers
+    original = julia_mod._pullback
 
-    def recording(p, targets, *args, **kwargs):
-        roots, res, ok = original(p, targets, *args, **kwargs)
-        for t, fiber in zip(_bits(targets).reshape(-1, 2),
-                            _bits(roots).reshape(len(roots), -1)):
-            target_of[fiber.tobytes()] = t.tobytes()
-        return roots, res, ok
+    def recording(p, targets):
+        fiber = original(p, targets)
+        for t, row in zip(_bits(targets).reshape(-1, 2), _bits(fiber).reshape(len(fiber), -1)):
+            target_of[row.tobytes()] = t.tobytes()
+        return fiber
 
-    monkeypatch.setattr(julia_mod, "solve_fibers", recording)
+    monkeypatch.setattr(julia_mod, "_pullback", recording)
     return target_of
 
 
