@@ -26,8 +26,9 @@ rasters and exit codes on the whole benchmark.
 
 Every benchmark polynomial has degree 6 or less and a repelling fixed
 point, so four more lines per polynomial of ``SAMPLED`` (a real one, a
-unimodular monomial, z^2 + 1/4, which has no repelling fixed point,
-and T_2, whose fiber of -1 holds a double root, among them) digest
+unimodular monomial, z^2 + 1/4 and a conjugate of it, which have no
+repelling fixed point, and T_2, whose fiber of -1 holds a double root,
+among them) digest
 ``sample_julia(p, 20_000, seed)``, its ``convex_hull``, that hull's
 ``diameter`` with the vertices of ``decimate(hull, 1e-5 * diameter)``,
 and the cells of ``escape_grid(p, 512, 200)``, in the same fields:
@@ -120,9 +121,11 @@ def _real_polynomial(d: int, seed: int) -> Polynomial:
 # its fibers near that axis mix real roots and conjugate pairs, where a
 # conjugation-symmetric start can stall; the monomial's fibers are
 # binomials, whose starts lie next to their roots.  z^2 + 1/4 is
-# parabolic: no fixed point repels, so its sample seeds on a 2-cycle, a
-# path no benchmark op takes.  T_2's fiber of -1 holds the exact double
-# root 0, which the sample's tree expands once.
+# parabolic: no fixed point repels, so its sample seeds at the parabolic
+# fixed point 1/2, a path no benchmark op takes; its conjugate seeds at
+# the image of 1/2, whose solved copies stay inside the repelling margin
+# too.  T_2's fiber of -1 holds the exact double root 0, which the
+# sample's tree expands once.
 SAMPLED = {
     "cheb:8": lambda seed: chebyshev(8),
     "cheb8-conjugate": lambda seed: conjugate(chebyshev(8),
@@ -133,6 +136,8 @@ SAMPLED = {
     "real-d8": lambda seed: _real_polynomial(8, seed),
     "monomial-c7": lambda seed: monomial(0.6 + 0.8j, 7),
     "quad:0.25+0i": lambda seed: parse_polynomial("quad:0.25+0i").polynomial,
+    "quad0.25-conjugate": lambda seed: conjugate(parse_polynomial("quad:0.25+0i").polynomial,
+                                                 AffineMap(2, 1j)),
     "cheb:2": lambda seed: chebyshev(2),
 }
 

@@ -17,13 +17,11 @@ from .polynomial import (
     parse_polynomial,
 )
 from .roots import (
-    NoRepellingFixedPointError,
     RootSet,
     RootSolveError,
     all_roots,
     critical_points,
     preimage_fibers,
-    repelling_fixed_point,
 )
 from .julia import (
     EscapeGrid,

@@ -61,9 +61,6 @@ FILLED_IN_HULL = "filled_in_hull"
 PREIMAGE_CONVEXITY = "preimage_convexity"
 HALF_PLANE_SURJECTIVITY = "half_plane_surjectivity"
 
-ALL_CHECKS = (BACKWARD_INCLUSION, CRITICAL_IN_HULL, FILLED_IN_HULL,
-              PREIMAGE_CONVEXITY, HALF_PLANE_SURJECTIVITY)
-
 # Coefficient agreement required to accept a normal-form match.
 _MATCH_TOL = 1e-6
 

@@ -1,7 +1,7 @@
 """Point-cloud and raster approximations of Julia sets.
 
 ``sample_julia`` transcribes backward invariance into full-fiber inverse
-iteration: it grows the preimage tree of a repelling point z0 of J_p.
+iteration: it grows the preimage tree of a fixed point z0 on J_p.
 Every step solves the whole fiber p(.) = t of each of its targets t,
 keeps all d roots as sample points and picks the next step's targets
 among them.  While a step holds fewer than ``_ORBIT_BATCH`` targets, the
@@ -19,19 +19,17 @@ coordinates, so with one seed the sample of g p g^-1 is the image under
 g of that of p, point by point up to the solver's accuracy, when p has
 one fixed point of largest multiplier modulus.
 
-z0 is a repelling fixed point.  Every iterated preimage of it lies on
-J_p too, so points are kept from the first step on.  That step solves
-z0's fiber and leaves aside its root nearest z0 (simple, as
+z0 is the repelling fixed point of largest multiplier modulus or, when
+none repels, a parabolic one (``_orbit_seed``).  Every iterated preimage
+of it lies on J_p too, so points are kept from the first step on.  That
+step solves z0's fiber and leaves aside its root nearest z0 (simple, as
 p'(z0) != 0), under which the tree repeats the points kept one level up.
-When no fixed point repels, z0 is a point of a repelling 2-cycle
-{z0, z1}, on J_p too, and the first step leaves aside z1 = p(z0), the
-root under which the tree repeats z0's fiber two levels down
-(``_orbit_seed``).  Each kept fiber is thus that of z0 or of an earlier
-kept point.  A multiple root is the one way a point is kept twice.  Each
-fiber is kept whole, but a root equal to its left neighbour in rank
-order is not a target again, so the copies of an exact double root (0 in
-T_2's fiber of -1) grow one subtree.  Roots that differ in their last
-bits grow separate subtrees, which agree up to rounding.
+Each kept fiber is thus that of z0 or of an earlier kept point.  A
+multiple root is the one way a point is kept twice.  Each fiber is kept
+whole, but a root equal to its left neighbour in rank order is not a
+target again, so the copies of an exact double root (0 in T_2's fiber of
+-1) grow one subtree.  Roots that differ in their last bits grow
+separate subtrees, which agree up to rounding.
 
 The last step solves only the targets whose fibers fill the rest of the
 sample.  A fiber does not depend on the batch it is solved in, and the
@@ -107,19 +105,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomial import (Polynomial, _horner, compose, derivative, escape_radius,
+from .polynomial import (Polynomial, _horner, derivative, escape_radius,
                          format_complex, format_polynomial)
-from .roots import NoRepellingFixedPointError, repelling_fixed_point, solve_fibers
+from .roots import all_roots, solve_fibers
 
 # Most targets per step.  z0's tree is complete up to the first level this
 # size, which sets the seed-free prefix of a sample; from then on each
 # target is one orbit (module docstring).
 _ORBIT_BATCH = 2048
 
-# Newton steps on the nested p(p(z)) - z that polish a 2-cycle seed
-# (``_orbit_seed``): they take the nested residual of the z + z^24 seed
-# from 21 to 4e-8, and move those of z + z^8 and z + z^16 by 1e-11 or less.
-_CYCLE_NEWTON_STEPS = 8
+# A fixed point repels when its multiplier modulus exceeds 1 by this much
+# (``_orbit_seed``).  A Siegel point, whose multiplier has modulus exactly
+# 1, is the center of a Fatou component, not a point of J_p; rounded to
+# |lambda| = 1 + ulp it must not pass for a repelling seed.
+_REPELLING_MARGIN = 1e-9
 
 # e^{-i}: the roots of a fiber rank along a direction turned one radian
 # off its target's (``_ranked``), so mirror-symmetric fibers do not tie.
@@ -249,38 +248,30 @@ def _pullback(p: Polynomial, z: np.ndarray) -> np.ndarray:
     return _ranked(p, roots, z)
 
 
-def _orbit_seed(p: Polynomial):
-    """(z0, pred): the tree's root, on J_p, and the root of its fiber the tree leaves aside.
+def _orbit_seed(p: Polynomial) -> complex:
+    """z0, the root of the sample tree: a fixed point of p on J_p.
 
-    z0 is a repelling fixed point and pred = z0 (not p(z0), which in
-    floats can land far from z0 when the coefficients are widely spread).
-    When no fixed point repels, a 2-cycle does (at most d - 1 cycles do
-    not, by Fatou and Shishikura): z0 is a repelling fixed point of p o p
-    and pred = p(z0).  The expanded p o p is ill-conditioned at high
-    degree, so z0 then takes _CYCLE_NEWTON_STEPS Newton steps on the
-    nested p(p(z)) - z, whose derivative is p'(p(z)) p'(z) - 1.  Raises
-    SamplingError when neither exists or p o p exceeds the degree cap.
+    The fixed point of largest multiplier modulus |lambda|, if it repels
+    (|lambda| > 1 + _REPELLING_MARGIN); otherwise the one whose lambda lies
+    nearest 1.  A fixed point with lambda = 1 exists when none repels: were
+    every fixed point simple with |lambda| <= 1, each term of the fixed
+    point formula sum 1/(1 - lambda_j) = 0 would have real part at least
+    1/2.  It is parabolic, and lies on J_p (Milnor, Dynamics in One
+    Complex Variable, section 12).
     """
-    try:
-        z0 = repelling_fixed_point(p)
-        return z0, z0
-    except NoRepellingFixedPointError:
-        pass
-    try:
-        z0 = repelling_fixed_point(compose(p, p))
-    except (NoRepellingFixedPointError, ValueError) as exc:
-        raise SamplingError(
-            f"no fixed point repels, and no 2-cycle seeds the orbits: {exc}") from None
-    dp = derivative(p)
-    for _ in range(_CYCLE_NEWTON_STEPS):
-        z1 = p(z0)
-        z0 -= (p(z1) - z0) / (dp(z1) * dp(z0) - 1.0)
-    return z0, p(z0)
+    shifted = p.coeffs.copy()
+    shifted[1] -= 1.0
+    fixed = all_roots(Polynomial(shifted)).roots
+    multipliers = _horner(derivative(p).coeffs, fixed)
+    i = np.argmax(np.abs(multipliers))
+    if not abs(multipliers[i]) > 1.0 + _REPELLING_MARGIN:
+        i = np.argmin(np.abs(multipliers - 1.0))
+    return complex(fixed[i])
 
 
 def _run_orbits(p: Polynomial, n: int, seed: int) -> np.ndarray:
     d = p.degree
-    z0, pred = _orbit_seed(p)
+    z0 = _orbit_seed(p)
     rng = np.random.Generator(np.random.Philox(seed))
     kept = np.empty(n, dtype=np.complex128)
     z, lo = np.array([z0]), 0  # the step's targets; points kept so far
@@ -293,11 +284,11 @@ def _run_orbits(p: Polynomial, n: int, seed: int) -> np.ndarray:
         if z.size < _ORBIT_BATCH:
             # the next level of z0's tree: a root equal to its left
             # neighbour grows no second subtree, and under z0's root
-            # nearest pred the tree would repeat itself
+            # nearest z0 the tree would repeat itself
             fresh = np.ones(fiber.shape, dtype=bool)
             fresh[:, 1:] = fiber[:, 1:] != fiber[:, :-1]
             if lo == 0:
-                fresh[0, np.argmin(np.abs(fiber[0] - pred))] = False
+                fresh[0, np.argmin(np.abs(fiber[0] - z0))] = False
             z = fiber[fresh][:_ORBIT_BATCH]
         else:
             z = fiber[np.arange(z.size), rng.integers(0, d, size=z.size)]
@@ -314,8 +305,8 @@ def sample_julia(p: Polynomial, n: int, seed: int) -> PointCloud:
     are the same at every seed; the seed draws the orbits' branches after
     that (module docstring).
 
-    Raises SamplingError when no fixed point or 2-cycle repels, a fiber
-    solve fails or a sample point leaves the escape disk.
+    Raises SamplingError when a fiber solve fails or a sample point
+    leaves the escape disk.
     """
     if p.degree < 2:
         raise ValueError("julia sampling requires degree >= 2")

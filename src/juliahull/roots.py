@@ -72,8 +72,6 @@ MAX_ITERATIONS = 400
 # fibers two steps from their roots; 0.05 takes three.
 _START_TURN = 0.03
 
-_REPELLING_MARGIN = 1e-9
-
 # Fiber members per solve times d**2.  Each step holds the d(d-1)/2 pair
 # reciprocals of every member twice, in two (pairs, m) complex buffers;
 # 2**20 keeps the two together near 16 MiB at any degree and splits no
@@ -103,10 +101,6 @@ class RootSolveError(RuntimeError):
         super().__init__(message)
         self.best_roots = best_roots
         self.residuals = residuals
-
-
-class NoRepellingFixedPointError(RuntimeError):
-    """All finite fixed points have multiplier modulus <= 1."""
 
 
 class _Plan(NamedTuple):
@@ -453,19 +447,3 @@ def critical_points(p: Polynomial) -> RootSet:
         raise ValueError("critical points require degree >= 2")
     return all_roots(derivative(p))
 
-
-def repelling_fixed_point(p: Polynomial) -> complex:
-    """A fixed point z* with |p'(z*)| > 1, of largest multiplier modulus."""
-    if p.degree < 2:
-        raise ValueError("repelling fixed point requires degree >= 2")
-    shifted = p.coeffs.copy()
-    shifted[1] -= 1.0
-    fixed = all_roots(Polynomial(shifted))
-    multipliers = np.abs(_horner(derivative(p).coeffs, fixed.roots))
-    repelling = multipliers > 1.0 + _REPELLING_MARGIN
-    if not repelling.any():
-        raise NoRepellingFixedPointError(
-            "no strictly repelling fixed point found"
-        )
-    candidates = np.flatnonzero(repelling)
-    return complex(fixed.roots[candidates[np.argmax(multipliers[candidates])]])

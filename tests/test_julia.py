@@ -232,70 +232,48 @@ class TestSampleJulia:
         (Polynomial([-0.12 + 0.74j, 0, 1]), AffineMap(0.3 - 1.1j, 0.5 - 2j)),
         (Polynomial([0.3 - 0.2j, 0.1j, -0.5, 1]), AffineMap(-1.0, 0.25j)),
         (Polynomial([0.3 - 0.2j, 0.1j, -0.5, 1]), AffineMap(0.3 - 1.1j, 0.5 - 2j)),
-    ], ids=["rabbit", "cubic-turned", "cubic"])
+        (Polynomial([0.25, 0, 1]), AffineMap(2.0, 1j)),
+        (Polynomial([0.25, 0, 1]), AffineMap(0.5 - 0.5j, 0.1)),
+    ], ids=["rabbit", "cubic-turned", "cubic", "parabolic-scaled", "parabolic-turned"])
     def test_conjugate_sample_is_the_image(self, p, g):
         # fibers are kept in rank order and orbits draw ranks, not solver
         # columns, so one seed gives the image sample point by point, up to
         # the solver's accuracy, also in a partial last fiber (d divides
-        # no n here)
+        # no n here).  Both parabolic maps seed at the image of 1/2: the
+        # second one 7.5e-9 off it, where rounding lifts |lambda| past the
+        # margin
         n = 20_003
         base = sample_julia(p, n, seed=1).points
         moved = sample_julia(conjugate(p, g), n, seed=1).points
         gap = np.abs(g.a * base + g.b - moved).max()
         assert gap <= 1e-6 * convex_hull(moved).diameter
 
-    def test_forced_two_cycle_seed_lies_on_the_circle(self, monkeypatch, squaring):
-        # with no fixed point of z^2 taken as repelling, the orbits start on
-        # a repelling 2-cycle of z^4, and every point is kept
-        original = julia_mod.repelling_fixed_point
-
-        def no_fixed_point(p):
-            if p.degree == 2:
-                raise roots_mod.NoRepellingFixedPointError("forced")
-            return original(p)
-
-        monkeypatch.setattr(julia_mod, "repelling_fixed_point", no_fixed_point)
-        z0, pred = julia_mod._orbit_seed(squaring)
-        # z0 solves z^4 = z to the solver's bound, not to the last bit
-        assert abs(abs(z0) - 1.0) <= 1e-9 and abs(pred - z0 * z0) <= 1e-15
-        assert abs(pred * pred - z0) <= 1e-9 and abs(pred - z0) > 1.0
-        calls = _count_solves(monkeypatch)
-        n = 1_000
-        cloud = sample_julia(squaring, n, seed=1)
-        assert sum(calls) == math.ceil(n / 2)
-        assert np.abs(np.abs(cloud.points) - 1.0).max() <= 1e-12
-
-    def test_parabolic_quadratic_seeds_on_its_two_cycle(self, monkeypatch):
-        # z^2 + 1/4: the fixed point 1/2 is parabolic, so the orbits start
-        # on the repelling 2-cycle -1/2 +- i and discard no step
+    def test_parabolic_quadratic_seeds_at_its_fixed_point(self, monkeypatch):
+        # z^2 + 1/4: the one fixed point 1/2 is parabolic, on J_p, so the
+        # orbits start there and discard no step
         p = Polynomial([0.25, 0, 1])
-        z0, pred = julia_mod._orbit_seed(p)
-        assert abs(z0.real + 0.5) <= 1e-12 and abs(abs(z0.imag) - 1.0) <= 1e-12
-        assert abs(pred - np.conj(z0)) <= 1e-12
+        assert julia_mod._orbit_seed(p) == 0.5
         calls = _count_solves(monkeypatch)
         n = 10_001
         cloud = sample_julia(p, n, seed=1)
         assert sum(calls) == math.ceil(n / 2)
         assert len(cloud) == n
 
-    def test_two_cycle_seed_is_polished_on_the_nested_map(self):
-        # z + z^24: its fixed points all sit at the parabolic 0, and the
-        # root of the expanded p o p - z lies 3e-3 off the 2-cycle, with a
-        # nested residual of 21
-        p = Polynomial([0, 1] + [0] * 22 + [1])
-        z0, pred = julia_mod._orbit_seed(p)
-        assert abs(p(p(z0)) - z0) <= 1e-6 and pred == p(z0)
+    def test_parabolic_seed_passes_over_an_attracting_fixed_point(self):
+        # z^3 - 0.5i z^2 + z: none repels; the double fixed point 0 is
+        # parabolic, on J_p, and 0.5i attracts (lambda = 0.75), in the
+        # Fatou set, so the seed is the fixed point whose lambda lies
+        # nearest 1, not the one of least or largest |lambda|
+        p = Polynomial([0, 1, -0.5j, 1])
+        assert abs(julia_mod._orbit_seed(p)) <= 1e-6
 
-    def test_no_repelling_cycle_raises_sampling_error(self, monkeypatch, basilica):
-        def no_fixed_point(p):
-            raise roots_mod.NoRepellingFixedPointError("forced")
-
-        monkeypatch.setattr(julia_mod, "repelling_fixed_point", no_fixed_point)
-        with pytest.raises(SamplingError, match="no 2-cycle"):
-            sample_julia(basilica, 1_000, seed=0)
-        # p o p of degree 65^2 exceeds the degree cap
-        with pytest.raises(SamplingError, match="degree cap"):
-            sample_julia(monomial(1, 65), 1_000, seed=0)
+    @pytest.mark.parametrize("d", [24, 32, 64])
+    def test_parabolic_cluster_seed_lies_at_zero(self, d):
+        # z + z^d: all d fixed points sit at the parabolic 0, solved as a
+        # cluster around it, and none repels
+        p = Polynomial([0, 1] + [0] * (d - 2) + [1])
+        assert abs(julia_mod._orbit_seed(p)) <= 1e-4
+        assert len(sample_julia(p, 2_000, seed=0)) == 2_000
 
     def test_quadratic_sample_takes_no_solver_step(self, monkeypatch, basilica):
         # every fiber starts exact, so _iterate leaves its start untouched
@@ -351,7 +329,7 @@ class TestDeduplicatedBurnIn:
         d = p.degree
         tol = 1e-6 if p is _FIXED_POINT_SEEDS["T4"] else 1e-9
         k = int(math.log(8_192, d) + 1e-9)  # 2^13, 3^8, 4^6 lie in the seed-free prefix
-        level = np.array([julia_mod._orbit_seed(p)[0]])
+        level = np.array([julia_mod._orbit_seed(p)])
         for _ in range(k):
             level = roots_mod.preimage_fibers(p, level).ravel()
         points = sample_julia(p, d ** k, seed=5).points
@@ -377,7 +355,7 @@ class TestDeduplicatedBurnIn:
         # T_d would not do: z0 = 1 is a critical value, so its fiber holds
         # critical points twice (T_4's holds 0 twice), and the subtrees of
         # the two copies may round to the same bits (T_4 at seeds 0 and 10);
-        # z^2 + 1/4 seeds on its 2-cycle
+        # z^2 + 1/4 seeds at its parabolic fixed point
         points = sample_julia(p, 100_000, seed=0).points
         assert np.unique(_bits(points).reshape(-1, 2), axis=0).shape[0] == points.size
 
@@ -385,7 +363,7 @@ class TestDeduplicatedBurnIn:
                              ids=[*_FIXED_POINT_SEEDS, "parabolic"])
     def test_each_fiber_hangs_from_the_seed_or_a_kept_point(self, monkeypatch, p):
         # so every sample point is an iterated preimage of the seed z0, a
-        # fixed point or, for z^2 + 1/4, a point of a 2-cycle
+        # repelling fixed point or, for z^2 + 1/4, the parabolic one
         target_of = _record_targets(monkeypatch)
         points = sample_julia(p, 20_000 // p.degree * p.degree, seed=1).points
         _assert_fibers_hang_from_kept_points(p, points, target_of)
@@ -412,7 +390,7 @@ def _assert_fibers_hang_from_kept_points(p, points, target_of):
     No two of the fibers share a target.
     """
     d = p.degree
-    seen = {_bits(np.array([julia_mod._orbit_seed(p)[0]])).tobytes()}
+    seen = {_bits(np.array([julia_mod._orbit_seed(p)])).tobytes()}
     targets = [target_of[fiber.tobytes()] for fiber in _bits(points).reshape(-1, 2 * d)]
     assert len(set(targets)) == len(targets)
     for fiber, target in zip(_bits(points).reshape(-1, 2 * d), targets):

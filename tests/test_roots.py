@@ -7,7 +7,6 @@ import juliahull.julia as julia_mod
 import juliahull.roots as roots_mod
 from juliahull import (
     AffineMap,
-    NoRepellingFixedPointError,
     Polynomial,
     RootSolveError,
     all_roots,
@@ -19,7 +18,6 @@ from juliahull import (
     evaluate,
     monomial,
     preimage_fibers,
-    repelling_fixed_point,
     sample_julia,
     signed_distance,
 )
@@ -708,24 +706,24 @@ class TestCriticalPoints:
 
 
 class TestRepellingFixedPoint:
+    """The sampler's seed is the repelling fixed point of largest multiplier modulus."""
+
     def test_square_picks_one_not_zero(self, squaring):
-        assert abs(repelling_fixed_point(squaring) - 1.0) <= 1e-9
+        assert abs(julia_mod._orbit_seed(squaring) - 1.0) <= 1e-9
 
     def test_t2_fixed_point(self, t2):
-        assert abs(repelling_fixed_point(t2) - 1.0) <= 1e-9
+        assert abs(julia_mod._orbit_seed(t2) - 1.0) <= 1e-9
 
     def test_basilica_larger_multiplier(self, basilica):
         # quadratic-formula oracle: fixed points (1 +- sqrt 5)/2, multiplier |2z|
         plus = (1 + np.sqrt(5)) / 2
         minus = (1 - np.sqrt(5)) / 2
         expected = plus if abs(2 * plus) > abs(2 * minus) else minus
-        assert abs(repelling_fixed_point(basilica) - expected) <= 1e-9
+        assert abs(julia_mod._orbit_seed(basilica) - expected) <= 1e-9
 
     def test_parabolic_quadratic_has_none(self):
         # z^2 + 1/4 has one fixed point, the double root 1/2, of multiplier
-        # exactly 1; the sampler then seeds from 1+0i (tests/test_julia.py)
-        with pytest.raises(NoRepellingFixedPointError):
-            repelling_fixed_point(Polynomial([0.25, 0, 1]))
-
-    def test_error_type_available_for_fallback(self):
-        assert issubclass(NoRepellingFixedPointError, RuntimeError)
+        # exactly 1, and its solved copies stay inside the margin; the
+        # sampler then seeds at 1/2 itself (tests/test_julia.py)
+        fixed = all_roots(Polynomial([0.25, -1, 1])).roots
+        assert np.abs(2 * fixed).max() <= 1 + julia_mod._REPELLING_MARGIN
