@@ -25,21 +25,27 @@ Two trees whose lines are identical give byte-identical reports, scenes,
 rasters and exit codes on the whole benchmark.
 
 Every benchmark polynomial has degree 6 or less and a repelling fixed
-point, so four more lines per polynomial of ``SAMPLED`` (a real one, a
+point, so five more lines per polynomial of ``SAMPLED`` (a real one, a
 unimodular monomial, z^2 + 1/4 and a conjugate of it, which have no
 repelling fixed point, and T_2, whose fiber of -1 holds a double root,
 among them) digest
 ``sample_julia(p, 20_000, seed)``, its ``convex_hull``, that hull's
 ``diameter`` with the vertices of ``decimate(hull, 1e-5 * diameter)``,
+the ``signed_distance`` to that decimated hull of a fixed query set Q,
 and the cells of ``escape_grid(p, 512, 200)``, in the same fields:
 
     seed sample/name 0 sha256(points) sha256(b"") sha256(b"") sha256(b"")
     seed hull/name 0 sha256(vertices) sha256(b"") sha256(b"") sha256(b"")
     seed diameter/name 0 sha256(diameter, decimated) sha256(b"") ...
+    seed distance/name 0 sha256(distances) sha256(b"") ...
     seed grid/name 0 sha256(cells) sha256(b"") sha256(b"") sha256(b"")
 
-So a change of the diameter or of the decimation shows on its own line,
-even where the reports round it away.
+Q holds 2048 boundary points of the full hull, 1024 Dirichlet points
+inside it (random weights on four random vertices, drawn from the seed),
+the preimages under p of the first 128 of those, and 12 points 2, 10
+and 100 diameters away.  So a change of the diameter, of the decimation
+or of the distance kernel shows on its own line, even where the reports
+round it away.
 
 The render ops raster only even quadratics, whose grid iterates the box
 rows up to the real axis.  So one more line per ``generic-suite``
@@ -84,13 +90,16 @@ import numpy as np  # noqa: E402
 from juliahull import (  # noqa: E402
     AffineMap,
     Polynomial,
+    boundary_points,
     chebyshev,
     conjugate,
     convex_hull,
     escape_grid,
     monomial,
     parse_polynomial,
+    preimage_fibers,
     sample_julia,
+    signed_distance,
 )
 from juliahull.cli import main as cli_main  # noqa: E402
 from juliahull.geometry import decimate  # noqa: E402
@@ -185,13 +194,24 @@ def scene_digest(svg: bytes) -> str:
         svg))
 
 
+def _distance_queries(p: Polynomial, hull, seed: int) -> np.ndarray:
+    """Boundary points of the hull, Dirichlet points inside it, preimages of some, far points."""
+    rng = np.random.default_rng([seed, 2])
+    v = hull.vertices
+    inside = (v[rng.integers(0, v.size, (1024, 4))] * rng.dirichlet(np.ones(4), 1024)).sum(axis=1)
+    far = v.mean() + hull.diameter * np.outer([2.0, 10.0, 100.0],
+                                              np.exp(1j * (0.3 + 0.5 * np.pi * np.arange(4))))
+    return np.concatenate([boundary_points(hull, 2048), inside,
+                           preimage_fibers(p, inside[:128]).ravel(), far.ravel()])
+
+
 def _data_line(seed: int, name: str, data: np.ndarray) -> str:
     """A line of an array's digest, with the three file fields of empty input."""
     return " ".join([str(seed), name, "0", _sha(data.tobytes()), _sha(b""), _sha(b""), _sha(b"")])
 
 
 def digest_lines(seed: int, workdir: Path):
-    """One digest line per workload op at ``seed``, then per sample, hull, diameter and grid.
+    """One digest line per workload op at ``seed``, then per sampled polynomial's arrays.
 
     The 2048^2 grids of the ``generic-suite`` polynomials come last.
     """
@@ -210,11 +230,12 @@ def digest_lines(seed: int, workdir: Path):
         points = sample_julia(p, SAMPLE_POINTS, seed).points
         hull = convex_hull(points)
         diameter = np.float64(hull.diameter)
-        decimated = decimate(hull, 1e-5 * diameter).vertices
+        query = decimate(hull, 1e-5 * diameter)
+        distances = signed_distance(query, _distance_queries(p, hull, seed))
         cells = escape_grid(p, GRID_RESOLUTION, GRID_MAX_ITER).cells
-        for kind, data in (("sample", points), ("hull", hull.vertices),
-                           ("diameter", np.concatenate([[diameter], decimated.view(np.float64)])),
-                           ("grid", cells)):
+        decimated = np.concatenate([[diameter], query.vertices.view(np.float64)])
+        for kind, data in (("sample", points), ("hull", hull.vertices), ("diameter", decimated),
+                           ("distance", distances), ("grid", cells)):
             yield _data_line(seed, f"{kind}/{name}", data)
     for op in make_workload("generic-suite", seed, workdir):
         p = parse_polynomial(op.poly).polynomial

@@ -16,10 +16,13 @@ distinct values (``_sort_distinct``); a monotone chain
 vertex that does not turn left.
 
 Distances and the polygon Hausdorff distance live here too.  A signed
-distance to a proper polygon measures each point's distance to every
-edge line once, then the segment distance and the inside test only on
-the window of three edges around the nearest line
-(``_polygon_distance_kernel``, which says why that is exact).
+distance to a proper polygon finds each point's nearest edge line, then
+measures the segment distance and the inside test only on the window of
+three edges around it (``_polygon_distance_kernel``, which says why that
+is exact).  A polygon of a few hundred vertices or more measures the
+lines only on a run of edges that a search over the edge angles finds
+and a bound through the vertex centroid certifies (``_edge_runs``); a
+smaller one measures every line.
 ``_clamp_offsets`` is the one segment-distance primitive.  The squared
 distances before ``hypot`` in ``_antipodal_diameter`` skip pairs that
 cannot be the farthest, by the rounding argument of ``_diameter_pairs``.
@@ -70,6 +73,27 @@ _DIAMETER_BLOCK = 16_384
 # every vertex, may be the least one (``_polygon_distance_kernel``): 32 u.
 _LINE_SLACK = 32.0 * _U
 
+# ``_edge_runs`` widens each arc of normals by this angle, far above the
+# rounding of the angles it compares, which stays under 1e-14: 2^-40 rad.
+_ANGLE_SLACK = 2.0 ** -40
+
+# Proper polygons of at least this many vertices find each point's edges
+# by a search over the edge angles (``_edge_runs``), smaller ones by a
+# scan of every edge.  The crossover, measured on a 2-vCPU x86 VM with
+# numpy 2.4.6 on 6,000 to 7,400 check queries: on a regular n-gon the
+# runs hold one edge and the search took 2.8 ms at n = 32 and 3.0 ms at
+# 256, against a scan of 2.9 and 8.6 ms; on decimated Julia hulls of
+# z^2 + 0.2i, z^3 + 0.1 and z^2 + 0.05, which are not round, the runs are
+# wider and the search took 4.6, 3.8 and 5.7 ms at 130, 135 and 198
+# vertices, against 3.5, 3.8 and 5.3 ms, but 9.2 ms against 10.5 at 420.
+_SEARCH_MIN_VERTICES = 256
+
+# A point-edge pair of a run costs about as much as this many pairs of the
+# scan, so a point whose run holds more than n / _RUN_COST edges is
+# scanned.  On the 420- and 198-vertex hulls of z^2 + 0.05 above, limits
+# of n/4, n/8 and n/16 took 10.6, 9.0 and 9.5 ms, and 6.1, 4.8 and 5.5 ms.
+_RUN_COST = 8
+
 _TINY = np.finfo(np.float64).tiny  # the least normal float
 
 
@@ -91,9 +115,11 @@ class ConvexPolygon:
     strictly left by ``_orientation``), Segment (2 distinct) or Point
     (1).  A proper polygon computes what its stages share once, on first
     use: the diameter, the edge angles (read by the diameter,
-    ``decimate`` and ``_min_area_rectangle``) and the cumulative edge
-    lengths (read by ``boundary_points``).  The vertices are not to be
-    changed in place after construction.
+    ``decimate`` and ``_min_area_rectangle``), the cumulative edge
+    lengths (read by ``boundary_points``) and the edge tables of the
+    distance kernel (read by ``signed_distance``, which the checks call
+    about ten times per query hull).  The vertices are not to be changed
+    in place after construction.
     """
 
     vertices: np.ndarray
@@ -134,10 +160,7 @@ class ConvexPolygon:
     def _edge_angles(self) -> np.ndarray:
         """Directions of the edges v_k -> v_k+1 of a proper polygon, unwrapped to increase."""
         x, y = self.vertices.real, self.vertices.imag
-        angle = np.arctan2(np.roll(y, -1) - y, np.roll(x, -1) - x)
-        # every turn lies in (0, pi), so a drop below -pi/2 is a wrap past pi
-        wraps = np.concatenate(([0], np.cumsum(np.diff(angle) < -0.5 * np.pi)))
-        return angle + 2.0 * np.pi * wraps
+        return _unwrapped_angles(np.roll(x, -1) - x, np.roll(y, -1) - y)
 
     @cached_property
     def _cumulative_lengths(self) -> np.ndarray:
@@ -145,6 +168,18 @@ class ConvexPolygon:
         v = self.vertices
         lengths = np.abs(np.roll(v, -1) - v)
         return np.concatenate([[0.0], np.cumsum(lengths)])
+
+    @cached_property
+    def _edges(self) -> "_Edges":
+        return _Edges(self.vertices)
+
+
+def _unwrapped_angles(ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    """Directions of the edges (ex, ey) of a proper ccw polygon, unwrapped to increase."""
+    angle = np.arctan2(ey, ex)
+    # every turn lies in (0, pi), so a drop below -pi/2 is a wrap past pi
+    wraps = np.concatenate(([0], np.cumsum(np.diff(angle) < -0.5 * np.pi)))
+    return angle + 2.0 * np.pi * wraps
 
 
 def _antipodal_diameter(v: np.ndarray, angle: np.ndarray) -> float:
@@ -520,15 +555,185 @@ def _clamp_offsets(rx, ry, ex, ey, inv_len2):
     return rx - t * ex, ry - t * ey
 
 
-def _polygon_distance_kernel(vertices: np.ndarray, pts: np.ndarray) -> np.ndarray:
+class _Edges:
+    """The edge tables of a proper ccw polygon that the distance kernel reads.
+
+    Edge k runs from vertex k to k + 1; (ux, uy) is its unit direction and
+    ``extent`` twice the larger side of the bounding box.  ``searchable``
+    says whether ``_edge_runs`` serves the polygon: it has at least
+    ``_SEARCH_MIN_VERTICES`` vertices, and its coordinates lie where no
+    table of ``_edge_runs`` overflows and |q - c| is a normal float
+    wherever its arc is under pi.  ``ring`` and ``center`` are that
+    search's tables.
+    """
+
+    def __init__(self, vertices: np.ndarray):
+        vx, vy = vertices.real, vertices.imag
+        self.vertices, self.vx, self.vy = vertices, vx, vy
+        self.ex = np.roll(vx, -1) - vx
+        self.ey = np.roll(vy, -1) - vy
+        length = np.hypot(self.ex, self.ey)
+        self.inv_len2 = _inverse_len2(self.ex, self.ey)
+        self.ux, self.uy = self.ex / length, self.ey / length
+        self.extent = 2.0 * max(np.ptp(vx), np.ptp(vy))
+        self.searchable = (vertices.size >= _SEARCH_MIN_VERTICES and _SAFE_MIN <= self.extent
+                           and np.abs(vertices).max() <= _SAFE_MAX)
+
+    @cached_property
+    def ring(self) -> np.ndarray:
+        """The edge angles, unwrapped, over three turns, as their running maximum."""
+        angle = _unwrapped_angles(self.ex, self.ey)
+        ring = np.concatenate([angle - 2.0 * np.pi, angle, angle + 2.0 * np.pi])
+        return np.maximum.accumulate(ring, out=ring)
+
+    @cached_property
+    def center(self) -> tuple[complex, float]:
+        """(c, rho): the vertex centroid, and a lower bound on every line's distance from it."""
+        c = self.vertices.mean()
+        rho = (self.lines(c.real, c.imag, slice(None)).min()
+               - _LINE_SLACK * (abs(c - self.vertices[0]) + self.extent))
+        return c, rho
+
+    def lines(self, qx, qy, k):
+        """Signed distances of the points (qx, qy) to the lines of edges k, positive inside.
+
+        The arithmetic, and so every bit, is that of the scan in
+        ``_scan_kernel``; operands broadcast.
+        """
+        return (qy - self.vy[k]) * self.ux[k] - (qx - self.vx[k]) * self.uy[k]
+
+    def measure(self, qx, qy, k):
+        """Signed distances of the points (qx, qy) to the boundary, on the edges k of each."""
+        rx, ry = qx - self.vx[k], qy - self.vy[k]
+        wx, wy = self.ex[k], self.ey[k]
+        dx, dy = _clamp_offsets(rx, ry, wx, wy, self.inv_len2[k])
+        dist = np.sqrt((dx * dx + dy * dy).min(axis=1))
+        inside = ((wx * ry - wy * rx) >= 0.0).all(axis=1)
+        return np.where(inside, -dist, dist)
+
+
+def _scan_kernel(e: _Edges, pts: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """Signed distances of ``pts``, each point's least line found by a scan of every edge."""
+    n = e.vx.size
+    window = np.arange(-1, 2)
+    out = np.empty(pts.size)
+    chunk = max(1, _CHUNK_BUDGET // n)
+    line_buf = np.empty((min(chunk, pts.size), n))
+    across_buf = np.empty_like(line_buf)
+    for lo in range(0, pts.size, chunk):
+        hi = min(lo + chunk, pts.size)
+        qx = pts[lo:hi].real[:, None]
+        qy = pts[lo:hi].imag[:, None]
+        line = np.subtract(qy, e.vy, out=line_buf[:hi - lo])
+        line *= e.ux
+        across = np.subtract(qx, e.vx, out=across_buf[:hi - lo])
+        across *= e.uy
+        line -= across
+        rows = np.arange(hi - lo)[:, None]
+        least = line.argmin(axis=1)[:, None]
+        k = (least + window) % n
+        out[lo:hi] = e.measure(qx, qy, k)
+        reach = line[rows, least] + slack[lo:hi, None]
+        line[rows, k] = np.inf
+        wide = np.flatnonzero(line.min(axis=1) <= reach[:, 0])
+        if wide.size:  # a near tie beyond the window
+            out[lo + wide] = e.measure(qx[wide], qy[wide], np.arange(n))
+    return out
+
+
+def _edge_runs(e: _Edges, pts: np.ndarray, slack: np.ndarray):
+    """(first, count) per point: a run of edges holding every line the scan could pick.
+
+    The run is edges first, first + 1, ... first + count - 1, mod n.  With
+    c the vertex centroid, the line distance of edge k is exactly affine,
+    line_k(q) = line_k(c) - <q - c, n_k>, for the outward normal
+    n_k = (uy_k, -ux_k) of |n_k| within 2u of 1, u = 2^-53.  So with
+    rho <= line_k(c) for every k, line_k(q) >= rho - |q - c| cos psi_k,
+    where psi_k is the angle from q - c to n_k.  The scan measures every
+    edge whose computed line is within its reach, the least computed line
+    plus ``slack``.  The least is at most D0, the computed line of either
+    edge whose normal is nearest the direction of q - c; a computed line
+    errs by under 11u D (``_polygon_distance_kernel``), and ``slack`` is at
+    least 32u D; so every such edge has an exact line under
+    B = D0 + 2 slack, and cos psi_k >= (rho - B) / (|q - c| |n_k|).  That
+    is one arc of normals around the direction of q - c, a circular run
+    of edges in the order of their angles, found by ``searchsorted``.  The
+    arc's cosine is lowered by 2^-48 of itself, for |n_k| and the rounding
+    of its own terms, and its half-angle widened by ``_ANGLE_SLACK``, for
+    the rounding of the angles.  The angles searched are the running
+    maximum of the computed ones (``_Edges.ring``): the exact directions
+    increase, but arctan2 is not promised to be monotone, so two edges
+    whose directions differ by less than an ulp may compute out of order,
+    and the running maximum is sorted and stays as close to the exact
+    directions as the computed angles do.  rho (``_Edges.center``) is the
+    least computed line at c less 32u of its own D, a lower bound on every
+    line_k(c).  A point whose arc reaches pi (near c, or where a term is
+    not finite) gets count n.
+    """
+    n = e.vx.size
+    ring = e.ring
+    c, rho = e.center
+    dx, dy = pts.real - c.real, pts.imag - c.imag
+    r = np.hypot(dx, dy)
+    # the direction of the edge whose outward normal points along q - c
+    toward = np.arctan2(dy, dx) + 0.5 * np.pi
+    toward = ring[n] + np.mod(toward - ring[n], 2.0 * np.pi)
+    nearest = np.searchsorted(ring, toward)
+    d0 = e.lines(pts.real, pts.imag, np.stack([nearest - 1, nearest]) % n).min(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_arc = (rho - (d0 + 2.0 * slack)) / r
+        cos_arc -= 2.0 ** -48 * np.abs(cos_arc)
+        half = np.arccos(np.clip(cos_arc, -1.0, 1.0)) + _ANGLE_SLACK
+    first = np.searchsorted(ring, toward - half)
+    count = np.searchsorted(ring, toward + half, side="right") - first
+    count[~((half < np.pi) & (r < np.inf))] = n
+    return first, count
+
+
+def _least_on_runs(e: _Edges, pts: np.ndarray, slack: np.ndarray, first: np.ndarray,
+                   count: np.ndarray):
+    """(least, wide) per point, from the lines of its run of edges alone (``_edge_runs``).
+
+    ``least`` is the edge of the least computed line, the least index on
+    exact ties, and ``wide`` whether a line outside its window comes
+    within ``slack`` of it: the scan's k* and near-tie test, as long as
+    the run holds every line within that reach.
+    """
+    n = e.vx.size
+    ends = np.cumsum(count)
+    starts = ends - count
+    k = np.repeat(first - starts, count) + np.arange(ends[-1])
+    k %= n
+    line = e.lines(np.repeat(pts.real, count), np.repeat(pts.imag, count), k)
+    least_line = np.minimum.reduceat(line, starts)
+    least = np.minimum.reduceat(np.where(line == np.repeat(least_line, count), k, n), starts)
+    beyond = (k - np.repeat(least, count) + 1) % n > 2  # outside the window
+    beyond &= line <= np.repeat(least_line + slack, count)
+    return least, np.logical_or.reduceat(beyond, starts)
+
+
+def _measure_runs(e: _Edges, pts: np.ndarray, slack: np.ndarray, first: np.ndarray,
+                  count: np.ndarray) -> np.ndarray:
+    """Signed distances of points on their runs of edges; a near tie beyond the window is scanned."""
+    least, wide = _least_on_runs(e, pts, slack, first, count)
+    out = e.measure(pts.real[:, None], pts.imag[:, None],
+                    (least[:, None] + np.arange(-1, 2)) % e.vx.size)
+    wide = np.flatnonzero(wide)
+    if wide.size:
+        out[wide] = _scan_kernel(e, pts[wide], slack[wide])
+    return out
+
+
+def _polygon_distance_kernel(vertices: np.ndarray, pts: np.ndarray,
+                             edges: _Edges | None = None) -> np.ndarray:
     """Signed distances of ``pts`` to a proper ccw polygon, real arithmetic.
 
-    One pass over the edges finds, per point q, the edge k* whose line q
-    lies least inside of (or most outside of): q - v_k turned by
-    conj(e_k)/|e_k| has q's signed distance to that line as its imaginary
-    part.  The segment distance and the inside test then run on the window
-    of edges k* - 1, k*, k* + 1 alone.  Inside, the distance to the
-    boundary is the least line distance, and its foot lies on edge k*.
+    Per point q, the edge k* whose line q lies least inside of (or most
+    outside of), the least index on exact ties, is found first: q - v_k
+    turned by conj(e_k)/|e_k| has q's signed distance to that line as its
+    imaginary part.  The segment distance and the inside test then run on
+    the window of edges k* - 1, k*, k* + 1 alone.  Inside, the distance to
+    the boundary is the least line distance, and its foot lies on edge k*.
     Outside, the nearest boundary point x has q - x in the normal cone at
     x, which is spanned by the normals of the one or two edges through x;
     the most violated line is one of those, so x lies in the window.
@@ -538,47 +743,40 @@ def _polygon_distance_kernel(vertices: np.ndarray, pts: np.ndarray) -> np.ndarra
     ``_LINE_SLACK * D`` of the least, every edge is measured instead.
     Across a micro-edge or a run of tiny turns, the window alone could
     miss the nearest edge by far more than rounding.
+
+    ``edges`` is the polygon's ``_Edges``, built here when not given.  A
+    polygon that ``_edge_runs`` does not serve (``_Edges.searchable``), as
+    one of fewer than ``_SEARCH_MIN_VERTICES`` vertices, finds k* by a
+    scan of every edge (``_scan_kernel``).  A larger one computes
+    lines only on each point's run of edges (``_edge_runs``), which holds
+    every line the scan compares with its least, and takes k* and makes
+    the near-tie test there as the scan does (``_least_on_runs``); so
+    each output is bit for bit the scan's, at a cost per point that does
+    not grow with n on a round hull.  A point whose run holds more than
+    n / ``_RUN_COST`` edges, or that has a near tie beyond its window, is
+    scanned.
     """
-    vx, vy = vertices.real, vertices.imag
-    ex = np.roll(vx, -1) - vx
-    ey = np.roll(vy, -1) - vy
-    inv_len2 = _inverse_len2(ex, ey)
-    length = np.hypot(ex, ey)
-    ux, uy = ex / length, ey / length
-    window = np.arange(-1, 2)
-    slack = _LINE_SLACK * (np.abs(pts - vertices[0]) + 2.0 * max(np.ptp(vx), np.ptp(vy)))
-
-    def measure(qx, qy, k):
-        """Signed distances of the points (qx, qy) to the boundary, on the edges k of each."""
-        rx, ry = qx - vx[k], qy - vy[k]
-        wx, wy = ex[k], ey[k]
-        dx, dy = _clamp_offsets(rx, ry, wx, wy, inv_len2[k])
-        dist = np.sqrt((dx * dx + dy * dy).min(axis=1))
-        inside = ((wx * ry - wy * rx) >= 0.0).all(axis=1)
-        return np.where(inside, -dist, dist)
-
+    e = _Edges(vertices) if edges is None else edges
+    n = vertices.size
+    slack = _LINE_SLACK * (np.abs(pts - vertices[0]) + e.extent)
+    if not e.searchable or pts.size == 0:
+        return _scan_kernel(e, pts, slack)
+    first, count = _edge_runs(e, pts, slack)
+    short = count * _RUN_COST <= n
+    if short.all() and count.sum() <= _CHUNK_BUDGET:  # the usual case: one block
+        return _measure_runs(e, pts, slack, first, count)
     out = np.empty(pts.size)
-    chunk = max(1, _CHUNK_BUDGET // vertices.size)
-    line_buf = np.empty((min(chunk, pts.size), vertices.size))
-    across_buf = np.empty_like(line_buf)
-    for lo in range(0, pts.size, chunk):
-        hi = min(lo + chunk, pts.size)
-        qx = pts[lo:hi].real[:, None]
-        qy = pts[lo:hi].imag[:, None]
-        line = np.subtract(qy, vy, out=line_buf[:hi - lo])
-        line *= ux
-        across = np.subtract(qx, vx, out=across_buf[:hi - lo])
-        across *= uy
-        line -= across
-        rows = np.arange(hi - lo)[:, None]
-        least = line.argmin(axis=1)[:, None]
-        k = (least + window) % vertices.size
-        out[lo:hi] = measure(qx, qy, k)
-        reach = line[rows, least] + slack[lo:hi, None]
-        line[rows, k] = np.inf
-        wide = np.flatnonzero(line.min(axis=1) <= reach[:, 0])
-        if wide.size:  # a near tie beyond the window
-            out[lo + wide] = measure(qx[wide], qy[wide], np.arange(vertices.size))
+    rows = np.flatnonzero(short)
+    # blocks of about _CHUNK_BUDGET point-edge pairs, as the scan's
+    pairs = np.cumsum(count[rows])
+    cuts = np.searchsorted(pairs, np.arange(_CHUNK_BUDGET, pairs[-1] if rows.size else 0,
+                                            _CHUNK_BUDGET))
+    for block in np.split(rows, cuts):
+        if block.size:
+            out[block] = _measure_runs(e, pts[block], slack[block], first[block], count[block])
+    rest = np.flatnonzero(~short)
+    if rest.size:
+        out[rest] = _scan_kernel(e, pts[rest], slack[rest])
     return out
 
 
@@ -602,12 +800,16 @@ def signed_distance(polygon: ConvexPolygon, z):
     """Exact Euclidean distance to the boundary, negative strictly inside.
 
     Segment and Point polygons have no interior, so the result is the
-    plain (nonnegative) distance there.
+    plain (nonnegative) distance there.  A proper polygon measures each
+    point on a window of three edges around its nearest edge line, found
+    by a scan of every edge or, on polygons of ``_SEARCH_MIN_VERTICES``
+    or more, on a certified run of them; both give the same bits
+    (``_polygon_distance_kernel``).
     """
     arr = np.asarray(z, dtype=np.complex128)
     pts = np.atleast_1d(arr).ravel()
     if polygon.kind == PROPER:
-        out = _polygon_distance_kernel(polygon.vertices, pts)
+        out = _polygon_distance_kernel(polygon.vertices, pts, polygon._edges)
     else:  # a point is a zero-length segment
         out = distance_to_segments(pts, polygon.vertices[:1], polygon.vertices[-1:])
     if arr.ndim == 0:

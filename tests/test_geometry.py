@@ -920,10 +920,14 @@ def _all_edges_kernel(vertices: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 @st.composite
-def _window_cases(draw):
-    """(vertices, queries): polygons at the kernel's tolerances, hard queries."""
+def _window_cases(draw, max_count=600):
+    """(vertices, queries): polygons at the kernel's tolerances, hard queries.
+
+    Up to ``max_count`` points on a curve, or a sixth of that many with
+    ulp-long edges beside each.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    count = draw(st.integers(3, 600))
+    count = draw(st.integers(3, max_count))
     if draw(st.booleans()):
         theta = 2 * np.pi * (np.arange(count) + rng.uniform()) / count
     else:
@@ -938,7 +942,7 @@ def _window_cases(draw):
     if draw(st.integers(0, 3)) == 0:
         # edges down to one ulp, at scale 3
         scale, offset = 3.0, 0.0
-        pts = _micro_edge_cloud(int(rng.integers(2 ** 32)), min(count, 100))
+        pts = _micro_edge_cloud(int(rng.integers(2 ** 32)), min(count, max_count // 6))
     hull = convex_hull(pts + offset)
     assume(hull.kind == PROPER)
     v = hull.vertices
@@ -1039,6 +1043,165 @@ class TestWindowKernel:
         assert circle.kind == PROPER and circle.vertices.size == 512
         pts = np.concatenate([z for _, z in self._check_queries(monkeypatch, squaring, fast_cfg)])
         assert self._assert_bit_equal_but_ties(circle.vertices, pts) <= 1
+
+
+def _full_scan_kernel(vertices: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The window kernel with each point's least line found by a scan of every edge.
+
+    The search's reference: k* is the least index among exact ties, and a
+    line outside the window within ``_LINE_SLACK * D`` of the least sends
+    the point to every edge.
+    """
+    vx, vy = vertices.real, vertices.imag
+    ex = np.roll(vx, -1) - vx
+    ey = np.roll(vy, -1) - vy
+    inv_len2 = geometry._inverse_len2(ex, ey)
+    length = np.hypot(ex, ey)
+    ux, uy = ex / length, ey / length
+    window = np.arange(-1, 2)
+    slack = geometry._LINE_SLACK * (np.abs(pts - vertices[0])
+                                    + 2.0 * max(np.ptp(vx), np.ptp(vy)))
+
+    def measure(qx, qy, k):
+        rx, ry = qx - vx[k], qy - vy[k]
+        wx, wy = ex[k], ey[k]
+        dx, dy = geometry._clamp_offsets(rx, ry, wx, wy, inv_len2[k])
+        dist = np.sqrt((dx * dx + dy * dy).min(axis=1))
+        inside = ((wx * ry - wy * rx) >= 0.0).all(axis=1)
+        return np.where(inside, -dist, dist)
+
+    out = np.empty(pts.size)
+    for lo in range(0, pts.size, 64):
+        qx, qy = pts[lo:lo + 64].real[:, None], pts[lo:lo + 64].imag[:, None]
+        line = (qy - vy) * ux - (qx - vx) * uy
+        rows = np.arange(qx.size)[:, None]
+        least = line.argmin(axis=1)[:, None]
+        k = (least + window) % vertices.size
+        out[lo:lo + 64] = measure(qx, qy, k)
+        reach = line[rows, least] + slack[lo:lo + 64, None]
+        line[rows, k] = np.inf
+        wide = np.flatnonzero(line.min(axis=1) <= reach[:, 0])
+        out[lo + wide] = measure(qx[wide], qy[wide], np.arange(vertices.size))
+    return out
+
+
+def _assert_same_bits(got: np.ndarray, ref: np.ndarray):
+    differs = np.flatnonzero(got.view(np.uint64) != ref.view(np.uint64))
+    assert differs.size == 0, f"{differs.size} differ, first at {differs[0]}"
+
+
+def _symmetric_polygon(count: int, radius: float) -> np.ndarray:
+    """The vertices of a ``count``-gon whose vertices are exact mirror images in the real axis."""
+    upper = radius * np.exp(1j * np.pi * (np.arange(count // 2) + 0.5) / (count // 2))
+    return convex_hull(np.concatenate([upper, upper.conj()])).vertices
+
+
+class TestEdgeSearch:
+    """The searched edge runs of the distance kernel against the full scan, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_window_cases(max_count=4096))
+    def test_matches_the_full_scan(self, case):
+        v, queries = case
+        _assert_same_bits(geometry._polygon_distance_kernel(v, queries),
+                          _full_scan_kernel(v, queries))
+
+    @settings(max_examples=120, deadline=None)
+    @given(_window_cases(max_count=4096))
+    def test_runs_hold_every_line_within_the_scans_reach(self, case):
+        # the certificate itself, on polygons of every size: each line the
+        # scan compares with its least is in the run, and the run picks the
+        # scan's least edge (the least index on exact ties) and near ties
+        v, queries = case
+        e = geometry._Edges(v)
+        slack = geometry._LINE_SLACK * (np.abs(queries - v[0]) + e.extent)
+        first, count = geometry._edge_runs(e, queries, slack)
+        rows = np.flatnonzero(count * geometry._RUN_COST <= v.size)
+        rows = rows[::max(1, rows.size // 256)]  # bounds the line matrix below
+        assume(rows.size)
+        q = queries[rows]
+        ex, ey = np.roll(v.real, -1) - v.real, np.roll(v.imag, -1) - v.imag
+        length = np.hypot(ex, ey)
+        line = ((q.imag[:, None] - v.imag) * (ex / length)
+                - (q.real[:, None] - v.real) * (ey / length))
+        least = line.argmin(axis=1)
+        within = line <= (line[np.arange(rows.size), least] + slack[rows])[:, None]
+        # the place of each edge in the run
+        place = (np.arange(v.size) - first[rows, None]) % v.size
+        assert (place < count[rows, None])[within].all()
+        got_least, got_wide = geometry._least_on_runs(e, q, slack[rows], first[rows], count[rows])
+        assert np.array_equal(got_least, least)
+        window = (np.arange(v.size) - least[:, None] + 1) % v.size <= 2
+        assert np.array_equal(got_wide, (within & ~window).any(axis=1))
+
+    def test_circle_queries_take_short_runs(self, monkeypatch, fast_cfg, squaring):
+        # the squaring map's check queries against a regular 512-gon: nearly
+        # every point is measured on a short searched run, and the center,
+        # where every line ties, on every edge
+        circle = convex_hull(np.exp(2j * np.pi * np.arange(512) / 512)).vertices
+        calls = TestWindowKernel._check_queries(monkeypatch, squaring, fast_cfg)
+        pts = np.concatenate([z for _, z in calls] + [np.zeros(1), circle.mean(keepdims=True)])
+        e = geometry._Edges(circle)
+        slack = geometry._LINE_SLACK * (np.abs(pts - circle[0]) + e.extent)
+        _, count = geometry._edge_runs(e, pts, slack)
+        assert np.median(count) <= 3
+        assert (count * geometry._RUN_COST <= circle.size).mean() > 0.99
+        assert (count[-2:] == circle.size).all()
+        _assert_same_bits(geometry._polygon_distance_kernel(circle, pts),
+                          _full_scan_kernel(circle, pts))
+
+    def test_exact_ties_at_the_center_of_a_regular_512_gon(self):
+        # the vertices and the center are exactly symmetric under quarter
+        # turns, so the lines of edges k and k + 128 tie exactly there
+        quarter = np.exp(2j * np.pi * (np.arange(128) + 0.5) / 512)
+        circle = convex_hull(np.concatenate([quarter * 1j ** m for m in range(4)])).vertices
+        assert circle.size == 512
+        pts = np.array([0j, 1e-300, 1e-17 + 1e-17j, 0.5, 0.5j, -0.5])
+        _assert_same_bits(geometry._polygon_distance_kernel(circle, pts),
+                          _full_scan_kernel(circle, pts))
+
+    @pytest.mark.parametrize("n", [16, 512])
+    def test_no_queries(self, n):
+        hull = convex_hull(np.exp(2j * np.pi * np.arange(n) / n))
+        assert signed_distance(hull, np.zeros((0, 3), dtype=complex)).shape == (0, 3)
+
+    def test_near_ties_on_short_runs_near_the_center(self):
+        # within 1e-6 of the center of a regular n-gon, lines beyond the
+        # window come within the slack of the least while the runs stay
+        # short, so the margins of the certificate decide what is compared
+        rng = np.random.default_rng(1)
+        for n in (256, 512, 4096):
+            v = convex_hull(3 * np.exp(2j * np.pi * np.arange(n) / n) + (0.5 - 2j)).vertices
+            pts = v.mean() + 10.0 ** rng.uniform(-14, -6, 4000) * np.exp(
+                2j * np.pi * rng.uniform(size=4000))
+            e = geometry._Edges(v)
+            slack = geometry._LINE_SLACK * (np.abs(pts - v[0]) + e.extent)
+            first, count = geometry._edge_runs(e, pts, slack)
+            short = count * geometry._RUN_COST <= n
+            _, wide = geometry._least_on_runs(e, pts[short], slack[short], first[short],
+                                              count[short])
+            assert short.sum() > 2000 and wide.sum() > 500
+            _assert_same_bits(geometry._polygon_distance_kernel(v, pts), _full_scan_kernel(v, pts))
+
+    def test_exact_ties_at_the_vertices_of_an_axis_parallel_edge(self):
+        # the first vertex closes a vertical edge, so the lines of edges
+        # n - 1 and 0 both read exactly 0 there; the least index must win
+        arc = np.exp(1j * np.linspace(-0.4 * np.pi, 0.4 * np.pi, 600)) + 1.0
+        v = convex_hull(np.concatenate([arc, [-1 - 0.5j, -1 + 0.5j]])).vertices
+        assert v[0] == -1 - 0.5j and v[-1] == -1 + 0.5j and v.size >= 256
+        pts = np.concatenate([v, 0.5 * (v + np.roll(v, -1))])
+        _assert_same_bits(geometry._polygon_distance_kernel(v, pts), _full_scan_kernel(v, pts))
+
+    def test_basilica_real_axis_queries(self, monkeypatch, fast_cfg, basilica):
+        # a conjugation-symmetric hull holds real-axis queries equidistant,
+        # to an ulp, from mirror-image edges: near ties beyond the window
+        calls = TestWindowKernel._check_queries(monkeypatch, basilica, fast_cfg)
+        pts = np.concatenate([z for _, z in calls])
+        pts = pts[pts.imag == 0.0]
+        assert pts.size
+        for v in (calls[0][0].vertices, _symmetric_polygon(512, np.abs(pts).max())):
+            _assert_same_bits(geometry._polygon_distance_kernel(v, pts),
+                              _full_scan_kernel(v, pts))
 
 
 class TestBoundaryPoints:
