@@ -42,10 +42,13 @@ and the cells of ``escape_grid(p, 512, 200)``, in the same fields:
 
 Q holds 2048 boundary points of the full hull, 1024 Dirichlet points
 inside it (random weights on four random vertices, drawn from the seed),
-the preimages under p of the first 128 of those, and 12 points 2, 10
-and 100 diameters away.  So a change of the diameter, of the decimation
-or of the distance kernel shows on its own line, even where the reports
-round it away.
+the preimages under p of the first 128 of those, 12 points 2, 10 and
+100 diameters away, and the vertex centroid of the decimated hull with
+8 points within 1e-9 diameters of it.  On a round hull of 256 vertices
+or more (monomial-c7's) every edge line nearly ties there, so the
+distance kernel's search measures those points on runs of every edge.
+So a change of the diameter, of the decimation or of the distance
+kernel shows on its own line, even where the reports round it away.
 
 The render ops raster only even quadratics, whose grid iterates the box
 rows up to the real axis.  So one more line per ``generic-suite``
@@ -194,15 +197,19 @@ def scene_digest(svg: bytes) -> str:
         svg))
 
 
-def _distance_queries(p: Polynomial, hull, seed: int) -> np.ndarray:
-    """Boundary points of the hull, Dirichlet points inside it, preimages of some, far points."""
+def _distance_queries(p: Polynomial, hull, query, seed: int) -> np.ndarray:
+    """Boundary, Dirichlet, preimage and far points of the hull, and the query hull's centroid."""
     rng = np.random.default_rng([seed, 2])
     v = hull.vertices
     inside = (v[rng.integers(0, v.size, (1024, 4))] * rng.dirichlet(np.ones(4), 1024)).sum(axis=1)
     far = v.mean() + hull.diameter * np.outer([2.0, 10.0, 100.0],
                                               np.exp(1j * (0.3 + 0.5 * np.pi * np.arange(4))))
+    centroid = query.vertices.mean()
+    around = centroid + 1e-9 * hull.diameter * rng.uniform(0, 1, 8) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, 8))
     return np.concatenate([boundary_points(hull, 2048), inside,
-                           preimage_fibers(p, inside[:128]).ravel(), far.ravel()])
+                           preimage_fibers(p, inside[:128]).ravel(), far.ravel(),
+                           [centroid], around])
 
 
 def _data_line(seed: int, name: str, data: np.ndarray) -> str:
@@ -231,7 +238,7 @@ def digest_lines(seed: int, workdir: Path):
         hull = convex_hull(points)
         diameter = np.float64(hull.diameter)
         query = decimate(hull, 1e-5 * diameter)
-        distances = signed_distance(query, _distance_queries(p, hull, seed))
+        distances = signed_distance(query, _distance_queries(p, hull, query, seed))
         cells = escape_grid(p, GRID_RESOLUTION, GRID_MAX_ITER).cells
         decimated = np.concatenate([[diameter], query.vertices.view(np.float64)])
         for kind, data in (("sample", points), ("hull", hull.vertices), ("diameter", decimated),

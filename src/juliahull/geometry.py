@@ -20,9 +20,9 @@ distance to a proper polygon finds each point's nearest edge line, then
 measures the segment distance and the inside test only on the window of
 three edges around it (``_polygon_distance_kernel``, which says why that
 is exact).  A polygon of a few hundred vertices or more measures the
-lines only on a run of edges that a search over the edge angles finds
-and a bound through the vertex centroid certifies (``_edge_runs``); a
-smaller one measures every line.
+lines only on a run of edges that a search over its sorted edge angles
+finds and a bound through the vertex centroid certifies (``_edge_runs``);
+a smaller one measures every line.
 ``_clamp_offsets`` is the one segment-distance primitive.  The squared
 distances before ``hypot`` in ``_antipodal_diameter`` skip pairs that
 cannot be the farthest, by the rounding argument of ``_diameter_pairs``.
@@ -88,12 +88,6 @@ _ANGLE_SLACK = 2.0 ** -40
 # vertices, against 3.5, 3.8 and 5.3 ms, but 9.2 ms against 10.5 at 420.
 _SEARCH_MIN_VERTICES = 256
 
-# A point-edge pair of a run costs about as much as this many pairs of the
-# scan, so a point whose run holds more than n / _RUN_COST edges is
-# scanned.  On the 420- and 198-vertex hulls of z^2 + 0.05 above, limits
-# of n/4, n/8 and n/16 took 10.6, 9.0 and 9.5 ms, and 6.1, 4.8 and 5.5 ms.
-_RUN_COST = 8
-
 _TINY = np.finfo(np.float64).tiny  # the least normal float
 
 
@@ -114,12 +108,13 @@ class ConvexPolygon:
     ``kind`` is Proper (>= 3 vertices, each edge nonzero and each turn
     strictly left by ``_orientation``), Segment (2 distinct) or Point
     (1).  A proper polygon computes what its stages share once, on first
-    use: the diameter, the edge angles (read by the diameter,
-    ``decimate`` and ``_min_area_rectangle``), the cumulative edge
-    lengths (read by ``boundary_points``) and the edge tables of the
-    distance kernel (read by ``signed_distance``, which the checks call
-    about ten times per query hull).  The vertices are not to be changed
-    in place after construction.
+    use: the diameter, the one sorted table of edge angles (read by the
+    diameter, ``decimate``, ``_min_area_rectangle`` and the distance
+    kernel's search), the cumulative edge lengths (read by
+    ``boundary_points``) and the edge tables of the distance kernel (read
+    by ``signed_distance``, which the checks call about ten times per
+    query hull).  The vertices are not to be changed in place after
+    construction.
     """
 
     vertices: np.ndarray
@@ -158,9 +153,9 @@ class ConvexPolygon:
 
     @cached_property
     def _edge_angles(self) -> np.ndarray:
-        """Directions of the edges v_k -> v_k+1 of a proper polygon, unwrapped to increase."""
+        """Directions of the edges v_k -> v_k+1 of a proper polygon, unwrapped and sorted."""
         x, y = self.vertices.real, self.vertices.imag
-        return _unwrapped_angles(np.roll(x, -1) - x, np.roll(y, -1) - y)
+        return _unwrapped_angles(np.arctan2(np.roll(y, -1) - y, np.roll(x, -1) - x))
 
     @cached_property
     def _cumulative_lengths(self) -> np.ndarray:
@@ -171,28 +166,44 @@ class ConvexPolygon:
 
     @cached_property
     def _edges(self) -> "_Edges":
-        return _Edges(self.vertices)
+        return _Edges(self)
 
 
-def _unwrapped_angles(ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
-    """Directions of the edges (ex, ey) of a proper ccw polygon, unwrapped to increase."""
-    angle = np.arctan2(ey, ex)
-    # every turn lies in (0, pi), so a drop below -pi/2 is a wrap past pi
+def _unwrapped_angles(angle: np.ndarray) -> np.ndarray:
+    """The edge directions ``angle`` of a proper ccw polygon, from arctan2, unwrapped and sorted.
+
+    Every turn lies in (0, pi), so a drop below -pi/2 is a wrap past pi.
+    The exact directions then increase, but arctan2 is not promised to be
+    monotone: two edges less than an ulp apart in direction may compute
+    out of order.  Their running maximum is sorted, as every search over
+    it needs, and as close to the exact directions as the computed ones.
+    """
     wraps = np.concatenate(([0], np.cumsum(np.diff(angle) < -0.5 * np.pi)))
-    return angle + 2.0 * np.pi * wraps
+    angle = angle + 2.0 * np.pi * wraps
+    if (angle[1:] < angle[:-1]).any():  # numpy's running maximum is a slow sequential scan
+        np.maximum.accumulate(angle, out=angle)
+    return angle
+
+
+def _angle_ring(angle: np.ndarray, first: int = -1) -> np.ndarray:
+    """The sorted edge angles over turns ``first`` to 1: ``angle`` + 2 pi k, first <= k <= 1."""
+    ring = np.concatenate([angle + 2.0 * np.pi * k for k in range(first, 2)])
+    if (ring[1:] < ring[:-1]).any():  # at a join, where the turn at vertex 0 is below rounding
+        np.maximum.accumulate(ring, out=ring)
+    return ring
 
 
 def _antipodal_diameter(v: np.ndarray, angle: np.ndarray) -> float:
     """Rotating calipers on a proper ccw polygon, all edges at once.
 
     Edge k runs from vertex k to k + 1, and ``angle`` holds the edge
-    directions, unwrapped to increase.  For edge i the calipers stop at
+    directions, unwrapped and sorted.  For edge i the calipers stop at
     the first vertex j whose edge has turned by at least pi from edge i;
-    ``searchsorted`` finds it up to rounding, so the candidate pairs are
-    (i, j - 1 .. j + 1) and (i + 1, j - 1 .. j + 1) over all i, and the
-    diameter is the largest of their distances, each measured with hypot
-    as ``abs`` of a Python complex measures it.  hypot measures only the
-    pairs ``_diameter_pairs`` keeps.
+    ``searchsorted`` over ``_angle_ring`` finds it up to rounding, so the
+    candidate pairs are (i, j - 1 .. j + 1) and (i + 1, j - 1 .. j + 1)
+    over all i, and the diameter is the largest of their distances, each
+    measured with hypot as ``abs`` of a Python complex measures it.  hypot
+    measures only the pairs ``_diameter_pairs`` keeps.
     """
     a, b = _diameter_pairs(v, angle)
     return float(np.hypot(v.real[a] - v.real[b], v.imag[a] - v.imag[b]).max())
@@ -219,7 +230,7 @@ def _diameter_pairs(v: np.ndarray, angle: np.ndarray):
     edge b - 1 or b; hypot of (a, b) and of (b, a) are the same number.
     """
     n = v.size
-    j = np.searchsorted(np.concatenate([angle, angle + 2.0 * np.pi]), angle + np.pi)
+    j = np.searchsorted(_angle_ring(angle, 0), angle + np.pi)
     j %= n
     exponent = int(np.frexp(max(np.abs(v.real).max(), np.abs(v.imag).max()))[1])
     # vertex k of the scaled polygon at x[k], y[k], for k = 0 .. n
@@ -516,7 +527,7 @@ def _min_area_rectangle(polygon: ConvexPolygon):
     e = np.roll(v, -1) - v
     axes = e / np.abs(e)
     angle = polygon._edge_angles
-    ring = np.concatenate([angle, angle + 2.0 * np.pi, angle + 4.0 * np.pi])
+    ring = _angle_ring(angle, 0)
     i = np.arange(n)
     ends = np.stack([i, (i + 1) % n])
     extent = []
@@ -563,13 +574,14 @@ class _Edges:
     says whether ``_edge_runs`` serves the polygon: it has at least
     ``_SEARCH_MIN_VERTICES`` vertices, and its coordinates lie where no
     table of ``_edge_runs`` overflows and |q - c| is a normal float
-    wherever its arc is under pi.  ``ring`` and ``center`` are that
-    search's tables.
+    wherever its arc is under pi.  That search reads ``center`` and
+    ``angle``, the polygon's own ``_edge_angles``.
     """
 
-    def __init__(self, vertices: np.ndarray):
-        vx, vy = vertices.real, vertices.imag
-        self.vertices, self.vx, self.vy = vertices, vx, vy
+    def __init__(self, polygon: ConvexPolygon):
+        vertices = self.vertices = polygon.vertices
+        vx, vy = self.vx, self.vy = vertices.real, vertices.imag
+        self.angle = polygon._edge_angles
         self.ex = np.roll(vx, -1) - vx
         self.ey = np.roll(vy, -1) - vy
         length = np.hypot(self.ex, self.ey)
@@ -578,13 +590,6 @@ class _Edges:
         self.extent = 2.0 * max(np.ptp(vx), np.ptp(vy))
         self.searchable = (vertices.size >= _SEARCH_MIN_VERTICES and _SAFE_MIN <= self.extent
                            and np.abs(vertices).max() <= _SAFE_MAX)
-
-    @cached_property
-    def ring(self) -> np.ndarray:
-        """The edge angles, unwrapped, over three turns, as their running maximum."""
-        angle = _unwrapped_angles(self.ex, self.ey)
-        ring = np.concatenate([angle - 2.0 * np.pi, angle, angle + 2.0 * np.pi])
-        return np.maximum.accumulate(ring, out=ring)
 
     @cached_property
     def center(self) -> tuple[complex, float]:
@@ -598,7 +603,7 @@ class _Edges:
         """Signed distances of the points (qx, qy) to the lines of edges k, positive inside.
 
         The arithmetic, and so every bit, is that of the scan in
-        ``_scan_kernel``; operands broadcast.
+        ``_least_by_scan``; operands broadcast.
         """
         return (qy - self.vy[k]) * self.ux[k] - (qx - self.vx[k]) * self.uy[k]
 
@@ -612,33 +617,27 @@ class _Edges:
         return np.where(inside, -dist, dist)
 
 
-def _scan_kernel(e: _Edges, pts: np.ndarray, slack: np.ndarray) -> np.ndarray:
-    """Signed distances of ``pts``, each point's least line found by a scan of every edge."""
+def _least_by_scan(e: _Edges, pts: np.ndarray, slack: np.ndarray):
+    """(least, wide) per point, as ``_least_on_runs`` gives them, from the lines of every edge."""
     n = e.vx.size
-    window = np.arange(-1, 2)
-    out = np.empty(pts.size)
+    least = np.empty(pts.size, dtype=np.intp)
+    wide = np.empty(pts.size, dtype=bool)
     chunk = max(1, _CHUNK_BUDGET // n)
     line_buf = np.empty((min(chunk, pts.size), n))
     across_buf = np.empty_like(line_buf)
     for lo in range(0, pts.size, chunk):
         hi = min(lo + chunk, pts.size)
-        qx = pts[lo:hi].real[:, None]
-        qy = pts[lo:hi].imag[:, None]
-        line = np.subtract(qy, e.vy, out=line_buf[:hi - lo])
+        line = np.subtract(pts[lo:hi].imag[:, None], e.vy, out=line_buf[:hi - lo])
         line *= e.ux
-        across = np.subtract(qx, e.vx, out=across_buf[:hi - lo])
+        across = np.subtract(pts[lo:hi].real[:, None], e.vx, out=across_buf[:hi - lo])
         across *= e.uy
         line -= across
-        rows = np.arange(hi - lo)[:, None]
-        least = line.argmin(axis=1)[:, None]
-        k = (least + window) % n
-        out[lo:hi] = e.measure(qx, qy, k)
-        reach = line[rows, least] + slack[lo:hi, None]
-        line[rows, k] = np.inf
-        wide = np.flatnonzero(line.min(axis=1) <= reach[:, 0])
-        if wide.size:  # a near tie beyond the window
-            out[lo + wide] = e.measure(qx[wide], qy[wide], np.arange(n))
-    return out
+        rows = np.arange(hi - lo)
+        k = least[lo:hi] = line.argmin(axis=1)
+        reach = line[rows, k] + slack[lo:hi]
+        line[rows[:, None], (k[:, None] + np.arange(-1, 2)) % n] = np.inf
+        wide[lo:hi] = line.min(axis=1) <= reach
+    return least, wide
 
 
 def _edge_runs(e: _Edges, pts: np.ndarray, slack: np.ndarray):
@@ -657,21 +656,16 @@ def _edge_runs(e: _Edges, pts: np.ndarray, slack: np.ndarray):
     least 32u D; so every such edge has an exact line under
     B = D0 + 2 slack, and cos psi_k >= (rho - B) / (|q - c| |n_k|).  That
     is one arc of normals around the direction of q - c, a circular run
-    of edges in the order of their angles, found by ``searchsorted``.  The
-    arc's cosine is lowered by 2^-48 of itself, for |n_k| and the rounding
-    of its own terms, and its half-angle widened by ``_ANGLE_SLACK``, for
-    the rounding of the angles.  The angles searched are the running
-    maximum of the computed ones (``_Edges.ring``): the exact directions
-    increase, but arctan2 is not promised to be monotone, so two edges
-    whose directions differ by less than an ulp may compute out of order,
-    and the running maximum is sorted and stays as close to the exact
-    directions as the computed angles do.  rho (``_Edges.center``) is the
-    least computed line at c less 32u of its own D, a lower bound on every
-    line_k(c).  A point whose arc reaches pi (near c, or where a term is
-    not finite) gets count n.
+    of edges in the order of their angles, found by ``searchsorted`` over
+    the sorted angles of ``_angle_ring``.  The arc's cosine is lowered by
+    2^-48 of itself, for |n_k| and the rounding of its own terms, and its
+    half-angle widened by ``_ANGLE_SLACK``, for the rounding of the
+    angles.  rho (``_Edges.center``) is the least computed line at c less
+    32u of its own D, a lower bound on every line_k(c).  A point whose
+    arc reaches pi (near c, or where a term is not finite) gets count n.
     """
     n = e.vx.size
-    ring = e.ring
+    ring = _angle_ring(e.angle)
     c, rho = e.center
     dx, dy = pts.real - c.real, pts.imag - c.imag
     r = np.hypot(dx, dy)
@@ -700,32 +694,27 @@ def _least_on_runs(e: _Edges, pts: np.ndarray, slack: np.ndarray, first: np.ndar
     the run holds every line within that reach.
     """
     n = e.vx.size
-    ends = np.cumsum(count)
-    starts = ends - count
-    k = np.repeat(first - starts, count) + np.arange(ends[-1])
-    k %= n
-    line = e.lines(np.repeat(pts.real, count), np.repeat(pts.imag, count), k)
-    least_line = np.minimum.reduceat(line, starts)
-    least = np.minimum.reduceat(np.where(line == np.repeat(least_line, count), k, n), starts)
-    beyond = (k - np.repeat(least, count) + 1) % n > 2  # outside the window
-    beyond &= line <= np.repeat(least_line + slack, count)
-    return least, np.logical_or.reduceat(beyond, starts)
+    least = np.empty(pts.size, dtype=np.intp)
+    wide = np.empty(pts.size, dtype=bool)
+    cuts = np.searchsorted(np.cumsum(count), np.arange(_CHUNK_BUDGET, count.sum(), _CHUNK_BUDGET))
+    bounds = np.unique([0, *cuts, pts.size]).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        size = count[lo:hi]
+        stops = np.cumsum(size)
+        starts = stops - size
+        k = np.repeat(first[lo:hi] - starts, size) + np.arange(stops[-1])
+        k %= n
+        line = e.lines(np.repeat(pts[lo:hi].real, size), np.repeat(pts[lo:hi].imag, size), k)
+        least_line = np.minimum.reduceat(line, starts)
+        least[lo:hi] = np.minimum.reduceat(np.where(line == np.repeat(least_line, size), k, n),
+                                           starts)
+        beyond = ~_in_window(k, np.repeat(least[lo:hi], size), n)
+        beyond &= line <= np.repeat(least_line + slack[lo:hi], size)
+        wide[lo:hi] = np.logical_or.reduceat(beyond, starts)
+    return least, wide
 
 
-def _measure_runs(e: _Edges, pts: np.ndarray, slack: np.ndarray, first: np.ndarray,
-                  count: np.ndarray) -> np.ndarray:
-    """Signed distances of points on their runs of edges; a near tie beyond the window is scanned."""
-    least, wide = _least_on_runs(e, pts, slack, first, count)
-    out = e.measure(pts.real[:, None], pts.imag[:, None],
-                    (least[:, None] + np.arange(-1, 2)) % e.vx.size)
-    wide = np.flatnonzero(wide)
-    if wide.size:
-        out[wide] = _scan_kernel(e, pts[wide], slack[wide])
-    return out
-
-
-def _polygon_distance_kernel(vertices: np.ndarray, pts: np.ndarray,
-                             edges: _Edges | None = None) -> np.ndarray:
+def _polygon_distance_kernel(polygon: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
     """Signed distances of ``pts`` to a proper ccw polygon, real arithmetic.
 
     Per point q, the edge k* whose line q lies least inside of (or most
@@ -744,39 +733,31 @@ def _polygon_distance_kernel(vertices: np.ndarray, pts: np.ndarray,
     Across a micro-edge or a run of tiny turns, the window alone could
     miss the nearest edge by far more than rounding.
 
-    ``edges`` is the polygon's ``_Edges``, built here when not given.  A
-    polygon that ``_edge_runs`` does not serve (``_Edges.searchable``), as
-    one of fewer than ``_SEARCH_MIN_VERTICES`` vertices, finds k* by a
-    scan of every edge (``_scan_kernel``).  A larger one computes
-    lines only on each point's run of edges (``_edge_runs``), which holds
-    every line the scan compares with its least, and takes k* and makes
-    the near-tie test there as the scan does (``_least_on_runs``); so
-    each output is bit for bit the scan's, at a cost per point that does
-    not grow with n on a round hull.  A point whose run holds more than
-    n / ``_RUN_COST`` edges, or that has a near tie beyond its window, is
-    scanned.
+    A polygon that ``_Edges.searchable`` admits, of
+    ``_SEARCH_MIN_VERTICES`` vertices or more, computes lines only on each
+    point's run of edges (``_edge_runs``), which holds every line the scan
+    compares with its least, and takes k* and makes the near-tie test
+    there as the scan does (``_least_on_runs``); so each output is bit for
+    bit the scan's, at a cost per point that does not grow with n on a
+    round hull.  A smaller one computes every line (``_least_by_scan``).
     """
-    e = _Edges(vertices) if edges is None else edges
-    n = vertices.size
-    slack = _LINE_SLACK * (np.abs(pts - vertices[0]) + e.extent)
-    if not e.searchable or pts.size == 0:
-        return _scan_kernel(e, pts, slack)
-    first, count = _edge_runs(e, pts, slack)
-    short = count * _RUN_COST <= n
-    if short.all() and count.sum() <= _CHUNK_BUDGET:  # the usual case: one block
-        return _measure_runs(e, pts, slack, first, count)
+    e = polygon._edges
+    n = e.vx.size
+    slack = _LINE_SLACK * (np.abs(pts - e.vertices[0]) + e.extent)
+    if e.searchable:
+        least, wide = _least_on_runs(e, pts, slack, *_edge_runs(e, pts, slack))
+    else:
+        least, wide = _least_by_scan(e, pts, slack)
+    qx, qy = pts.real[:, None], pts.imag[:, None]
     out = np.empty(pts.size)
-    rows = np.flatnonzero(short)
-    # blocks of about _CHUNK_BUDGET point-edge pairs, as the scan's
-    pairs = np.cumsum(count[rows])
-    cuts = np.searchsorted(pairs, np.arange(_CHUNK_BUDGET, pairs[-1] if rows.size else 0,
-                                            _CHUNK_BUDGET))
-    for block in np.split(rows, cuts):
-        if block.size:
-            out[block] = _measure_runs(e, pts[block], slack[block], first[block], count[block])
-    rest = np.flatnonzero(~short)
-    if rest.size:
-        out[rest] = _scan_kernel(e, pts[rest], slack[rest])
+    for lo in range(0, pts.size, _CHUNK_BUDGET // 3):  # about _CHUNK_BUDGET pairs per block
+        rows = slice(lo, lo + _CHUNK_BUDGET // 3)
+        out[rows] = e.measure(qx[rows], qy[rows], (least[rows, None] + np.arange(-1, 2)) % n)
+    wide = np.flatnonzero(wide)
+    chunk = max(1, _CHUNK_BUDGET // n)
+    for lo in range(0, wide.size, chunk):  # a near tie beyond the window: every edge
+        rows = wide[lo:lo + chunk]
+        out[rows] = e.measure(qx[rows], qy[rows], np.arange(n))
     return out
 
 
@@ -809,7 +790,7 @@ def signed_distance(polygon: ConvexPolygon, z):
     arr = np.asarray(z, dtype=np.complex128)
     pts = np.atleast_1d(arr).ravel()
     if polygon.kind == PROPER:
-        out = _polygon_distance_kernel(polygon.vertices, pts, polygon._edges)
+        out = _polygon_distance_kernel(polygon, pts)
     else:  # a point is a zero-length segment
         out = distance_to_segments(pts, polygon.vertices[:1], polygon.vertices[-1:])
     if arr.ndim == 0:
@@ -896,8 +877,7 @@ def decimate(polygon: ConvexPolygon, eps: float) -> ConvexPolygon:
                       int(np.argmin(v.real)), int(np.argmin(v.imag))})
     # the arcs between consecutive anchors, the last one wrapping around
     ring = np.concatenate([v, v[:anchors[0] + 1]])
-    angle = polygon._edge_angles
-    angle = np.concatenate([angle, angle[:anchors[0]] + 2.0 * np.pi])
+    angle = _angle_ring(polygon._edge_angles, 0)[:v.size + anchors[0]]
     lo = np.array(anchors)
     hi = np.array(anchors[1:] + [anchors[0] + v.size])
     keep = np.unique(np.concatenate([lo, _rdp_splits(ring, angle, lo, hi, eps)]) % v.size)

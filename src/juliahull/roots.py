@@ -50,7 +50,7 @@ import numpy as np
 
 from .polynomial import Polynomial, _horner, derivative, format_complex
 
-# Relative residual bound of a converged member (``_residual_bounds``).
+# Relative residual bound of a converged member (``_iterate``).
 RESIDUAL_TOL = 1e-10
 # Aberth steps per solve.  From the Newton-polygon starts, every sampler
 # fiber of the benchmark polynomials (seed 0) converges within 16 steps,
@@ -111,9 +111,9 @@ class _Plan(NamedTuple):
     log|a_0 - t| where j* steps right past a vertex, and ``starts``, the
     starts of the edges right of vertex 0 in slots vertex[0]..d-1, zero
     left of it, or None when the polygon has one vertex.
-    ``_residual_bounds`` reads |a_j| with |a_0| zeroed, and its floor
-    max_{j >= 1} |a_j|.  ``_iterate`` reads the coefficients of p and p',
-    and ``col_order``, which orders the pairs q = (i, j), i < j, from
+    ``_iterate`` reads the coefficients of p and p', for its residual
+    bound |a_j| with |a_0| zeroed and its floor max_{j >= 1} |a_j|, and
+    ``col_order``, which orders the pairs q = (i, j), i < j, from
     by_row order (by i, then j) by j.
     """
 
@@ -235,19 +235,6 @@ def _quadratic_roots(coeffs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.stack([big, small], axis=1)
 
 
-def _residual_bounds(abs_coeffs, const_shift, z, floor):
-    """Per-root residual thresholds: RESIDUAL_TOL * max(floor, sum_j |a_j| |z|^j).
-
-    z is laid out as (d, members), and ``const_shift`` and ``floor`` hold
-    one value per member.  The evaluation-scale term is the smallest
-    residual double precision can certify at a root of that modulus; the
-    floor keeps the bound at least as strict as RESIDUAL_TOL times the
-    largest coefficient modulus.
-    """
-    scale = _horner(abs_coeffs, np.abs(z)) + const_shift
-    return RESIDUAL_TOL * np.maximum(scale, floor)
-
-
 def _row_sums(by_row, by_col, out):
     """The Aberth sums S_i of every root, added column by column.
 
@@ -275,15 +262,20 @@ def _row_sums(by_row, by_col, out):
     return out
 
 
-def _iterate(plan, targets, z, bounds_of, max_iter):
+def _iterate(plan, targets, z, max_iter):
     """Run Aberth's iteration on z in place; returns (residuals, ok).
 
     The working set w is laid out as (d, members), so every numpy call runs
-    along the long, contiguous member axis.  ``bounds_of(w, members)``
-    gives the thresholds of the iterates w of the members with those row
-    numbers in z.  Step 0 tests the starts through the transposed view of
-    z, so a batch whose starts all pass (every quadratic one) returns
-    before anything is copied or any pair buffer is built.
+    along the long, contiguous member axis.  A root w of target t meets
+    its residual bound when |p(w) - t| <= RESIDUAL_TOL * max(S, F), with
+    S = |a_0 - t| + sum_{j >= 1} |a_j| |w|^j, the smallest residual double
+    precision can certify at a root of that modulus, and the floor
+    F = max(|a_0 - t|, max_{j >= 1} |a_j|), which keeps the bound at least
+    as strict as RESIDUAL_TOL times the largest coefficient modulus.  The
+    per-member terms |a_0 - t| and F are compacted with the working set,
+    as the targets are.  Step 0 tests the starts through the transposed
+    view of z, so a batch whose starts all pass (every quadratic one)
+    returns before anything is copied or any pair buffer is built.
 
     A member whose residuals all pass a finite bound is frozen: its row of
     z, its residuals and its ``ok`` are written out, and it leaves the
@@ -305,11 +297,14 @@ def _iterate(plan, targets, z, bounds_of, max_iter):
     m, d = z.shape
     members = np.arange(m)
     w = z.T
+    const_shift = np.abs(plan.coeffs[0] - targets)
+    floor = np.maximum(plan.coeff_max, const_shift)
     for it in range(max_iter + 1):
         pv = _horner(plan.coeffs, w)
         pv -= targets
         err = np.abs(pv)
-        bound = bounds_of(w, members)
+        bound = _horner(plan.abs_coeffs, np.abs(w)) + const_shift
+        bound = RESIDUAL_TOL * np.maximum(bound, floor)
         # an overflowed bound certifies nothing: inf <= inf holds
         done = ((err <= bound) & (bound < np.inf)).all(axis=0)
         if it == max_iter or done.all():
@@ -333,8 +328,9 @@ def _iterate(plan, targets, z, bounds_of, max_iter):
             res[frozen] = err[:, done].T
             ok[frozen] = True
             keep = ~done
-            members, w, pv, targets = (members[keep], w[:, keep], pv[:, keep],
-                                       targets[keep])
+            members, w, pv, targets, const_shift, floor = (
+                members[keep], w[:, keep], pv[:, keep], targets[keep], const_shift[keep],
+                floor[keep])
         k = members.size
         by_row = row_buf[:pairs * k].reshape(pairs, k)
         for i in range(d - 1):
@@ -400,19 +396,12 @@ def _solve_batch(p: Polynomial, targets: np.ndarray):
     residual bound, so ``_iterate`` freezes them before any step.
     """
     plan = _plan(p.coeffs)
-    const_shift = np.abs(plan.coeffs[0] - targets)
-    floor = np.maximum(plan.coeff_max, const_shift)
-
-    def bounds_of(z, members):
-        return _residual_bounds(plan.abs_coeffs, const_shift[members], z,
-                                floor[members])
-
     # an overflow leaves its member unconverged, with a non-finite residual
     # or bound, and numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         z = (_quadratic_roots(plan.coeffs, targets) if p.degree == 2
              else _initial_points(plan, targets))
-        res, ok = _iterate(plan, targets, z, bounds_of, MAX_ITERATIONS)
+        res, ok = _iterate(plan, targets, z, MAX_ITERATIONS)
     return z, res, ok
 
 

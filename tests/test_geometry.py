@@ -1,4 +1,5 @@
 import runpy
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from juliahull import (
     AffineMap,
+    CheckConfig,
     Polynomial,
     boundary_points,
     build_context,
@@ -160,7 +162,8 @@ def _stable_sort_distinct(pts: np.ndarray) -> np.ndarray:
 
 def _rolled_edge_angles(v: np.ndarray) -> np.ndarray:
     angle = np.arctan2(np.roll(v.imag, -1) - v.imag, np.roll(v.real, -1) - v.real)
-    return angle + 2.0 * np.pi * np.concatenate(([0], np.cumsum(np.diff(angle) < -0.5 * np.pi)))
+    angle += 2.0 * np.pi * np.concatenate(([0], np.cumsum(np.diff(angle) < -0.5 * np.pi)))
+    return np.maximum.accumulate(angle)
 
 
 def _rolled_boundary_points(v: np.ndarray, count: int) -> np.ndarray:
@@ -905,6 +908,11 @@ class TestDistanceReference:
         assert np.abs(got - [0.0, 0.0, 1.0]).max() <= 2 * abs(tip)
 
 
+def _kernel(vertices: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """``geometry._polygon_distance_kernel`` on the proper polygon of these vertices."""
+    return geometry._polygon_distance_kernel(ConvexPolygon(vertices, PROPER), pts)
+
+
 def _all_edges_kernel(vertices: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Signed distances measured on every edge: the window kernel's reference."""
     vx, vy = vertices.real, vertices.imag
@@ -973,7 +981,7 @@ class TestWindowKernel:
     @given(_window_cases())
     def test_matches_all_edges_reference(self, case):
         v, queries = case
-        got = geometry._polygon_distance_kernel(v, queries)
+        got = _kernel(v, queries)
         ref = _all_edges_kernel(v, queries)
         scale = max(np.ptp(v.real), np.ptp(v.imag))
         near = np.abs(queries[:, None] - v[None, :]).min(axis=1)
@@ -1004,7 +1012,7 @@ class TestWindowKernel:
         At such a point (the center of a symmetric hull) the window may
         measure another of the equal distances than the reference's least.
         """
-        got = geometry._polygon_distance_kernel(v, pts)
+        got = _kernel(v, pts)
         ref = _all_edges_kernel(v, pts)
         bound = 8 * np.finfo(float).eps * max(np.ptp(v.real), np.ptp(v.imag), np.abs(pts).max())
         assert np.abs(got - ref).max() <= bound
@@ -1103,7 +1111,7 @@ class TestEdgeSearch:
     @given(_window_cases(max_count=4096))
     def test_matches_the_full_scan(self, case):
         v, queries = case
-        _assert_same_bits(geometry._polygon_distance_kernel(v, queries),
+        _assert_same_bits(_kernel(v, queries),
                           _full_scan_kernel(v, queries))
 
     @settings(max_examples=120, deadline=None)
@@ -1113,12 +1121,10 @@ class TestEdgeSearch:
         # scan compares with its least is in the run, and the run picks the
         # scan's least edge (the least index on exact ties) and near ties
         v, queries = case
-        e = geometry._Edges(v)
+        e = ConvexPolygon(v, PROPER)._edges
         slack = geometry._LINE_SLACK * (np.abs(queries - v[0]) + e.extent)
         first, count = geometry._edge_runs(e, queries, slack)
-        rows = np.flatnonzero(count * geometry._RUN_COST <= v.size)
-        rows = rows[::max(1, rows.size // 256)]  # bounds the line matrix below
-        assume(rows.size)
+        rows = np.arange(0, queries.size, max(1, queries.size // 256))  # bounds the line matrix
         q = queries[rows]
         ex, ey = np.roll(v.real, -1) - v.real, np.roll(v.imag, -1) - v.imag
         length = np.hypot(ex, ey)
@@ -1136,18 +1142,17 @@ class TestEdgeSearch:
 
     def test_circle_queries_take_short_runs(self, monkeypatch, fast_cfg, squaring):
         # the squaring map's check queries against a regular 512-gon: nearly
-        # every point is measured on a short searched run, and the center,
-        # where every line ties, on every edge
+        # every point is measured on a run of at most 3 edges, and the
+        # center, where every line ties, on every edge
         circle = convex_hull(np.exp(2j * np.pi * np.arange(512) / 512)).vertices
         calls = TestWindowKernel._check_queries(monkeypatch, squaring, fast_cfg)
         pts = np.concatenate([z for _, z in calls] + [np.zeros(1), circle.mean(keepdims=True)])
-        e = geometry._Edges(circle)
+        e = ConvexPolygon(circle, PROPER)._edges
         slack = geometry._LINE_SLACK * (np.abs(pts - circle[0]) + e.extent)
         _, count = geometry._edge_runs(e, pts, slack)
-        assert np.median(count) <= 3
-        assert (count * geometry._RUN_COST <= circle.size).mean() > 0.99
+        assert (count <= 3).mean() > 0.99
         assert (count[-2:] == circle.size).all()
-        _assert_same_bits(geometry._polygon_distance_kernel(circle, pts),
+        _assert_same_bits(_kernel(circle, pts),
                           _full_scan_kernel(circle, pts))
 
     def test_exact_ties_at_the_center_of_a_regular_512_gon(self):
@@ -1157,7 +1162,7 @@ class TestEdgeSearch:
         circle = convex_hull(np.concatenate([quarter * 1j ** m for m in range(4)])).vertices
         assert circle.size == 512
         pts = np.array([0j, 1e-300, 1e-17 + 1e-17j, 0.5, 0.5j, -0.5])
-        _assert_same_bits(geometry._polygon_distance_kernel(circle, pts),
+        _assert_same_bits(_kernel(circle, pts),
                           _full_scan_kernel(circle, pts))
 
     @pytest.mark.parametrize("n", [16, 512])
@@ -1167,21 +1172,20 @@ class TestEdgeSearch:
 
     def test_near_ties_on_short_runs_near_the_center(self):
         # within 1e-6 of the center of a regular n-gon, lines beyond the
-        # window come within the slack of the least while the runs stay
-        # short, so the margins of the certificate decide what is compared
+        # window come within the slack of the least on runs shorter than the
+        # polygon, so the margins of the certificate decide what is compared
         rng = np.random.default_rng(1)
         for n in (256, 512, 4096):
             v = convex_hull(3 * np.exp(2j * np.pi * np.arange(n) / n) + (0.5 - 2j)).vertices
             pts = v.mean() + 10.0 ** rng.uniform(-14, -6, 4000) * np.exp(
                 2j * np.pi * rng.uniform(size=4000))
-            e = geometry._Edges(v)
+            e = ConvexPolygon(v, PROPER)._edges
             slack = geometry._LINE_SLACK * (np.abs(pts - v[0]) + e.extent)
             first, count = geometry._edge_runs(e, pts, slack)
-            short = count * geometry._RUN_COST <= n
-            _, wide = geometry._least_on_runs(e, pts[short], slack[short], first[short],
-                                              count[short])
-            assert short.sum() > 2000 and wide.sum() > 500
-            _assert_same_bits(geometry._polygon_distance_kernel(v, pts), _full_scan_kernel(v, pts))
+            _, wide = geometry._least_on_runs(e, pts, slack, first, count)
+            short = count < n
+            assert short.sum() > 3000 and wide[short].sum() > 1000
+            _assert_same_bits(_kernel(v, pts), _full_scan_kernel(v, pts))
 
     def test_exact_ties_at_the_vertices_of_an_axis_parallel_edge(self):
         # the first vertex closes a vertical edge, so the lines of edges
@@ -1190,7 +1194,7 @@ class TestEdgeSearch:
         v = convex_hull(np.concatenate([arc, [-1 - 0.5j, -1 + 0.5j]])).vertices
         assert v[0] == -1 - 0.5j and v[-1] == -1 + 0.5j and v.size >= 256
         pts = np.concatenate([v, 0.5 * (v + np.roll(v, -1))])
-        _assert_same_bits(geometry._polygon_distance_kernel(v, pts), _full_scan_kernel(v, pts))
+        _assert_same_bits(_kernel(v, pts), _full_scan_kernel(v, pts))
 
     def test_basilica_real_axis_queries(self, monkeypatch, fast_cfg, basilica):
         # a conjugation-symmetric hull holds real-axis queries equidistant,
@@ -1200,8 +1204,105 @@ class TestEdgeSearch:
         pts = pts[pts.imag == 0.0]
         assert pts.size
         for v in (calls[0][0].vertices, _symmetric_polygon(512, np.abs(pts).max())):
-            _assert_same_bits(geometry._polygon_distance_kernel(v, pts),
+            _assert_same_bits(_kernel(v, pts),
                               _full_scan_kernel(v, pts))
+
+    @pytest.mark.parametrize("case", ["regular-512-gon", "rotated-z^3"])
+    def test_runs_of_every_edge(self, case):
+        # where every line nearly ties, the run holds every edge: at the
+        # vertex centroid of a regular 512-gon, and at the critical point 0
+        # of a rotated z^3, against the query hull of its seed-0 checks
+        if case == "regular-512-gon":
+            v = convex_hull(np.exp(2j * np.pi * np.arange(512) / 512)).vertices
+            centre = v.mean()
+        else:
+            v = build_context(monomial(0.6 + 0.8j, 3), CheckConfig(seed=0)).hull_query.vertices
+            centre = 0j
+        assert v.size == 512
+        pts = centre + np.array([0.0, 1e-15, 1e-14j, -1e-14])
+        e = ConvexPolygon(v, PROPER)._edges
+        slack = geometry._LINE_SLACK * (np.abs(pts - v[0]) + e.extent)
+        assert (geometry._edge_runs(e, pts, slack)[1] == v.size).all()
+        _assert_same_bits(_kernel(v, pts), _full_scan_kernel(v, pts))
+
+
+def _reaches(e, q: complex, k: int, turn: float = 0.0) -> bool:
+    """Whether edge k's outward normal, turned by ``turn`` towards q - c, lies in q's arc.
+
+    The arc of ``_edge_runs``, taken exactly: the normals n with
+    <q - c, n> >= rho - B, B = the least computed line at q plus twice
+    the slack, in rational arithmetic on the floats of ``_Edges``.  The
+    turn's cosine and sine are cut to two terms of their series, far below
+    an ulp for the turns here.
+    """
+    c, rho = e.center
+    slack = geometry._LINE_SLACK * (abs(q - e.vertices[0]) + e.extent)
+    arc = Fraction(rho) - Fraction(e.lines(q.real, q.imag, slice(None)).min() + 2.0 * slack)
+    dx, dy = Fraction(q.real) - Fraction(c.real), Fraction(q.imag) - Fraction(c.imag)
+    nx, ny = Fraction(e.uy[k]), -Fraction(e.ux[k])
+    cos, sin = 1 - Fraction(turn) ** 2 / 2, Fraction(turn) - Fraction(turn) ** 3 / 6
+    return max(dx * (nx * cos - side * ny * sin) + dy * (ny * cos + side * nx * sin)
+               for side in (1, -1)) >= arc
+
+
+class TestEdgeRunMargins:
+    """Each safety margin of ``_edge_runs``, on an input where dropping it changes the run."""
+
+    def test_angle_tables_are_sorted_through_rounding_inversions(self):
+        # arctan2 is not promised to be monotone, so two edges an ulp apart
+        # in direction may compute out of order, and a turn at vertex 0
+        # below the rounding puts the last edge past the first one turn on
+        first = 0.25
+        raw = np.array([first, 1.0, np.nextafter(1.0, 0.0), 2.0, 3.0, -3.0, -1.0,
+                        first + np.spacing(2.0 * np.pi)])
+        unwrapped = raw + 2.0 * np.pi * (np.arange(raw.size) >= 5)
+        angle = geometry._unwrapped_angles(raw)
+        assert (np.diff(angle) >= 0.0).all()
+        assert (np.abs(angle - unwrapped) <= np.spacing(unwrapped)).all()
+        assert angle[-1] - 2.0 * np.pi > angle[0]
+        assert (np.diff(geometry._angle_ring(angle)) >= 0.0).all()
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_runs_reach_past_their_exact_arc(self, n):
+        # a query nearly equidistant from the lines of edges k and k + 1,
+        # placed so that the normal of edge k + 1 lies just outside its exact
+        # arc, 2^-42 rad or less; the run's margins reach past that
+        v = convex_hull(np.exp(2j * np.pi * np.arange(n) / n) + (0.5 - 2j)).vertices
+        e = ConvexPolygon(v, PROPER)._edges
+        c, _ = e.center
+        normal = np.unwrap(np.arctan2(-e.ux, e.uy))
+        radius = 0.5 * np.abs(v - c).min()
+        turn = 2.0 ** -42
+        pts, edges = [], (np.random.default_rng(n).choice(n - 1, 32, replace=False) + 1)
+        for k in edges:
+            lo, hi = 0.5 * (normal[k - 1] + normal[k]) - 1e-6, 0.5 * (normal[k - 1] + normal[k])
+            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                if _reaches(e, c + radius * np.exp(1j * mid), k, turn):
+                    hi = mid
+                else:
+                    lo = mid
+            q = c + radius * np.exp(1j * hi)
+            assert _reaches(e, q, k, turn) and not _reaches(e, q, k)
+            pts.append(q)
+        pts = np.array(pts)
+        slack = geometry._LINE_SLACK * (np.abs(pts - v[0]) + e.extent)
+        first, count = geometry._edge_runs(e, pts, slack)
+        assert (count < n).all()
+        assert ((edges - first) % n < count).all()
+
+    def test_rho_bounds_every_line_at_the_centroid(self):
+        # the lines of a regular polygon nearly tie at its vertex centroid,
+        # and the least computed one may round above the least exact one
+        for n in (256, 300, 512, 1000, 4096):
+            for offset in (0.0, 0.5 - 2j, 1e3, -7 + 3j):
+                e = ConvexPolygon(convex_hull(np.exp(2j * np.pi * np.arange(n) / n)
+                                              + offset).vertices, PROPER)._edges
+                c, rho = e.center
+                cx, cy = Fraction(c.real), Fraction(c.imag)
+                assert Fraction(rho) <= min(
+                    (cy - Fraction(y)) * Fraction(ux) - (cx - Fraction(x)) * Fraction(uy)
+                    for x, y, ux, uy in zip(e.vx.tolist(), e.vy.tolist(),
+                                            e.ux.tolist(), e.uy.tolist()))
 
 
 class TestBoundaryPoints:

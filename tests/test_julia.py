@@ -280,9 +280,9 @@ class TestSampleJulia:
         runs = []
         original = roots_mod._iterate
 
-        def watched(plan, targets, z, bounds_of, max_iter):
+        def watched(plan, targets, z, max_iter):
             start = z.copy()
-            out = original(plan, targets, z, bounds_of, max_iter)
+            out = original(plan, targets, z, max_iter)
             runs.append(np.array_equal(z, start))
             return out
 
