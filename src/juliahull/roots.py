@@ -13,7 +13,9 @@ N = p / p', with one complex division.  Where p' - p S vanishes, the
 step is Newton's, p / p'; where p' vanishes too, the divisor is
 max(1e-300, |p| / (1 + |w|)), so the step stays within 1 + |w|.  A
 whole family p(z) = t_m can be solved in one vectorized batch, which is
-what the inverse-iteration sampler leans on.  What depends on p alone
+what the inverse-iteration sampler leans on; a caller that knows better
+starts for some members, as the sampler does from the fibers it has
+solved, passes them in their place.  What depends on p alone
 (the Newton polygon of its a_j, j >= 1, the starts it fixes, p', the
 scales of the residual bound and the iteration's pair order) is
 built once per coefficient vector, into a ``_Plan`` that a cache of
@@ -35,10 +37,12 @@ configuration or the iteration, so identical inputs give identical outputs.
 The iteration holds a batch as (d, members), so each numpy call runs along
 the long member axis, and it adds each root's Aberth sum column by column
 (``_row_sums``).  Every operation acts on each member's own
-roots, so a member's roots, residuals and ``ok`` do not depend on the
-batch it is solved in: not on the other members, their order or number,
-nor on the chunking.  The sampler's prefix property and the
-preimage-convexity check's batched rejection rounds rest on this.
+roots, so a member's roots, residuals and ``ok`` depend on its target and
+its starts alone: not on the other members, their order or number, nor
+on the chunking.  The preimage-convexity check's batched rejection
+rounds rest on this, and so does the sampler's prefix property, with
+the sampler's rule that a fiber's starts come only from fibers solved
+at earlier steps.
 """
 from __future__ import annotations
 
@@ -52,8 +56,9 @@ from .polynomial import Polynomial, _horner, derivative, format_complex
 
 # Relative residual bound of a converged member (``_iterate``).
 RESIDUAL_TOL = 1e-10
-# Aberth steps per solve.  From the Newton-polygon starts, every sampler
-# fiber of the benchmark polynomials (seed 0) converges within 16 steps,
+# Aberth steps per solve.  From the Newton-polygon starts, and from those
+# the sampler predicts (``julia._StartTable``), every sampler fiber of the
+# benchmark polynomials (seed 0) converges within 16 steps,
 # of a random degree-24 polynomial within 28, and the fibers of
 # 1e-60 z**3 within 2.  The cap leaves room for fibers near multiple
 # roots, where Aberth converges only linearly.  A member is frozen at the
@@ -361,16 +366,20 @@ def _iterate(plan, targets, z, max_iter):
         w -= np.divide(pv, denom, out=pv)
 
 
-def solve_fibers(p: Polynomial, targets):
+def solve_fibers(p: Polynomial, targets, starts=None):
     """Roots of p(z) = t for every t in ``targets``, in vectorized batches.
 
     Returns ``(roots, residuals, ok)`` with shapes (m, d), (m, d), (m,).
-    Members are solved in chunks of at most _CHUNK_BUDGET // d**2, which
-    bounds the pair buffers of ``_iterate`` at high degree.  ``ok[i]`` is
-    True when every residual |p(root) - t| of member i meets the
-    backward-stable bound RESIDUAL_TOL * max(largest coefficient modulus,
-    per-root evaluation scale), and that bound is finite, within
-    MAX_ITERATIONS steps.  Nothing raises here; ``preimage_fibers`` does.
+    ``starts``, if given, is an (m, d) array of Aberth starts, one row per
+    target; a row that is not all finite takes the solver's own starts
+    (``_initial_points``, or the exact roots at degree 2), as every row
+    does without it.  Members are solved in chunks of at most
+    _CHUNK_BUDGET // d**2, which bounds the pair buffers of ``_iterate`` at
+    high degree.  ``ok[i]`` is True when every residual |p(root) - t| of
+    member i meets the backward-stable bound RESIDUAL_TOL * max(largest
+    coefficient modulus, per-root evaluation scale), and that bound is
+    finite, within MAX_ITERATIONS steps.  Nothing raises here;
+    ``preimage_fibers`` does.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=np.complex128))
     coeffs = p.coeffs
@@ -380,27 +389,44 @@ def solve_fibers(p: Polynomial, targets):
     if d == 1:
         roots = ((targets - coeffs[0]) / coeffs[1])[:, None]
         return roots, np.zeros_like(targets.real)[:, None], np.ones(targets.size, bool)
+    if starts is not None:
+        starts = np.asarray(starts, dtype=np.complex128)
+        if starts.shape != (targets.size, d):
+            raise ValueError("starts must hold one row of d starts per target")
     # members are solved independently, so chunking leaves every bit unchanged
     chunk = max(1, _CHUNK_BUDGET // (d * d))
     if targets.size <= chunk:
-        return _solve_batch(p, targets)
-    parts = [_solve_batch(p, targets[lo:lo + chunk])
+        return _solve_batch(p, targets, starts)
+    parts = [_solve_batch(p, targets[lo:lo + chunk],
+                          None if starts is None else starts[lo:lo + chunk])
              for lo in range(0, targets.size, chunk)]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _solve_batch(p: Polynomial, targets: np.ndarray):
+def _solve_batch(p: Polynomial, targets: np.ndarray, starts=None):
     """``solve_fibers`` on one chunk of members, for degree >= 2.
 
     Degree 2 starts from the exact roots, in Vieta form; they meet the
-    residual bound, so ``_iterate`` freezes them before any step.
+    residual bound, so ``_iterate`` freezes them before any step.  Rows of
+    ``starts`` that are all finite replace those of the members they
+    belong to, which are then not built.
     """
     plan = _plan(p.coeffs)
+
+    def own(t):
+        return (_quadratic_roots(plan.coeffs, t) if p.degree == 2
+                else _initial_points(plan, t))
+
     # an overflow leaves its member unconverged, with a non-finite residual
     # or bound, and numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        z = (_quadratic_roots(plan.coeffs, targets) if p.degree == 2
-             else _initial_points(plan, targets))
+        if starts is None:
+            z = own(targets)
+        else:
+            z = starts.copy()
+            cold = ~np.isfinite(z).all(axis=1)
+            if cold.any():
+                z[cold] = own(targets[cold])
         res, ok = _iterate(plan, targets, z, MAX_ITERATIONS)
     return z, res, ok
 

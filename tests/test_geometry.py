@@ -1226,18 +1226,25 @@ class TestEdgeSearch:
         _assert_same_bits(_kernel(v, pts), _full_scan_kernel(v, pts))
 
 
+def _bracket_line(e, q: complex) -> float:
+    """D0 of ``_edge_runs``: the least computed line at q of the two edges whose normals bracket q - c."""
+    c, _ = e.center
+    normal = np.arctan2(-e.ux, e.uy)  # of the outward normal (uy, -ux)
+    after = int(np.argmin(np.mod(normal - np.angle(q - c), 2.0 * np.pi)))
+    return e.lines(q.real, q.imag, np.array([after - 1, after]) % e.vx.size).min()
+
+
 def _reaches(e, q: complex, k: int, turn: float = 0.0) -> bool:
     """Whether edge k's outward normal, turned by ``turn`` towards q - c, lies in q's arc.
 
     The arc of ``_edge_runs``, taken exactly: the normals n with
-    <q - c, n> >= rho - B, B = the least computed line at q plus twice
-    the slack, in rational arithmetic on the floats of ``_Edges``.  The
-    turn's cosine and sine are cut to two terms of their series, far below
-    an ulp for the turns here.
+    <q - c, n> >= rho - B, B = D0 plus twice the slack, in rational
+    arithmetic on the floats of ``_Edges``.  The turn's cosine and sine are
+    cut to two terms of their series, far below an ulp for the turns here.
     """
     c, rho = e.center
     slack = geometry._LINE_SLACK * (abs(q - e.vertices[0]) + e.extent)
-    arc = Fraction(rho) - Fraction(e.lines(q.real, q.imag, slice(None)).min() + 2.0 * slack)
+    arc = Fraction(rho) - Fraction(_bracket_line(e, q)) - 2 * Fraction(slack)
     dx, dy = Fraction(q.real) - Fraction(c.real), Fraction(q.imag) - Fraction(c.imag)
     nx, ny = Fraction(e.uy[k]), -Fraction(e.ux[k])
     cos, sin = 1 - Fraction(turn) ** 2 / 2, Fraction(turn) - Fraction(turn) ** 3 / 6
@@ -1245,8 +1252,43 @@ def _reaches(e, q: complex, k: int, turn: float = 0.0) -> bool:
                for side in (1, -1)) >= arc
 
 
+def _bisect_to_arc_edge(e, point, inside: float, outside: float, k: int,
+                        turn: float) -> complex:
+    """point(s) at the s between inside and outside where edge k's normal, turned, leaves the arc.
+
+    ``point(inside)`` must reach edge k turned by ``turn``, and
+    ``point(outside)`` not; the query found reaches it only turned, so its
+    normal lies outside the exact arc by at most ``turn``.
+    """
+    assert _reaches(e, point(inside), k, turn) and not _reaches(e, point(outside), k, turn)
+    while (mid := 0.5 * (inside + outside)) not in (inside, outside):
+        if _reaches(e, point(mid), k, turn):
+            inside = mid
+        else:
+            outside = mid
+    q = point(inside)
+    assert _reaches(e, q, k, turn) and not _reaches(e, q, k)
+    return q
+
+
+def _in_runs(e, pts: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Whether each point's run of ``_edge_runs`` holds its edge, and its arc's cosine."""
+    slack = geometry._LINE_SLACK * (np.abs(pts - e.vertices[0]) + e.extent)
+    first, count = geometry._edge_runs(e, pts, slack)
+    assert (count < e.vx.size).all()
+    return (edges - first) % e.vx.size < count
+
+
 class TestEdgeRunMargins:
-    """Each safety margin of ``_edge_runs``, on an input where dropping it changes the run."""
+    """Each safety margin of ``_edge_runs``, on an input where dropping it changes the run.
+
+    A normal placed just outside its exact arc by a turn must still be in
+    the run.  The cosine margin widens the arc by 2^-48 cos / sin of its
+    half-angle, and ``_ANGLE_SLACK`` by 2^-40: on arcs near a right angle
+    the first is about 1e-17 rad and only the second reaches a turn of
+    2^-42, and on arcs of 1e-4 rad the first is 3.6e-11 and only it
+    reaches 2^-37.  Neither covers the other's error, so both stay.
+    """
 
     def test_angle_tables_are_sorted_through_rounding_inversions(self):
         # arctan2 is not promised to be monotone, so two edges an ulp apart
@@ -1262,33 +1304,49 @@ class TestEdgeRunMargins:
         assert angle[-1] - 2.0 * np.pi > angle[0]
         assert (np.diff(geometry._angle_ring(angle)) >= 0.0).all()
 
-    @pytest.mark.parametrize("n", [256, 512])
-    def test_runs_reach_past_their_exact_arc(self, n):
-        # a query nearly equidistant from the lines of edges k and k + 1,
-        # placed so that the normal of edge k + 1 lies just outside its exact
-        # arc, 2^-42 rad or less; the run's margins reach past that
+    @pytest.mark.parametrize("n, turn", [(256, 2.0 ** -42), (512, 2.0 ** -42),
+                                         (2 ** 15, 2.0 ** -37)],
+                             ids=["256", "512", "narrow"])
+    def test_runs_reach_past_their_exact_arc(self, n, turn):
+        # a query nearly equidistant from the lines of edges k - 1 and k of
+        # a regular n-gon, placed so that the normal of edge k lies just
+        # outside its exact arc, by ``turn`` or less; the run's margins
+        # reach past that.  The arcs are about pi / n wide: 0.006 rad at
+        # n = 512, where either margin alone reaches 2^-42, and 1e-4 rad at
+        # 2^15, where only the cosine margin reaches 2^-37
         v = convex_hull(np.exp(2j * np.pi * np.arange(n) / n) + (0.5 - 2j)).vertices
         e = ConvexPolygon(v, PROPER)._edges
         c, _ = e.center
         normal = np.unwrap(np.arctan2(-e.ux, e.uy))
         radius = 0.5 * np.abs(v - c).min()
-        turn = 2.0 ** -42
-        pts, edges = [], (np.random.default_rng(n).choice(n - 1, 32, replace=False) + 1)
-        for k in edges:
-            lo, hi = 0.5 * (normal[k - 1] + normal[k]) - 1e-6, 0.5 * (normal[k - 1] + normal[k])
-            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-                if _reaches(e, c + radius * np.exp(1j * mid), k, turn):
-                    hi = mid
-                else:
-                    lo = mid
-            q = c + radius * np.exp(1j * hi)
-            assert _reaches(e, q, k, turn) and not _reaches(e, q, k)
-            pts.append(q)
-        pts = np.array(pts)
-        slack = geometry._LINE_SLACK * (np.abs(pts - v[0]) + e.extent)
-        first, count = geometry._edge_runs(e, pts, slack)
-        assert (count < n).all()
-        assert ((edges - first) % n < count).all()
+        edges = np.random.default_rng(n).choice(n - 1, 32, replace=False) + 1
+        pts = np.array([
+            _bisect_to_arc_edge(e, lambda s: c + radius * np.exp(1j * s),
+                                0.5 * (normal[k - 1] + normal[k]),
+                                0.5 * (normal[k - 1] + normal[k]) - 1e-6, k, turn)
+            for k in edges])
+        assert _in_runs(e, pts, edges).all()
+
+    def test_wide_runs_reach_past_their_exact_arc(self):
+        # on an ellipse of axes 1 and 0.05, a query q = c + r, 0.9 <= r <=
+        # 0.99, has D0 = 1 - r from the edges at the tip, so its arc's
+        # cosine, (rho - D0 - 2 slack) / r, is within 0.06 of 0: the arc is
+        # a half-turn wide, and its edge lies among the normals near
+        # +-pi/2.  There the cosine margin widens it by under 1e-17 rad,
+        # and only ``_ANGLE_SLACK`` reaches a normal 2^-42 outside it.
+        n, turn = 512, 2.0 ** -42
+        t = 2.0 * np.pi * np.arange(n) / n
+        v = convex_hull(np.cos(t) + 0.05j * np.sin(t) + (0.5 - 2j)).vertices
+        e = ConvexPolygon(v, PROPER)._edges
+        c, rho = e.center
+        psi = np.abs(np.arctan2(-e.ux, e.uy))  # of the outward normal, from +x
+        cos_lo, cos_hi = ((rho - (1.0 - r)) / r for r in (0.9, 0.99))
+        span = np.flatnonzero((np.cos(psi) > cos_lo + 0.005) & (np.cos(psi) < cos_hi - 0.005))
+        edges = np.random.default_rng(1).choice(span, 32, replace=False)
+        pts = np.array([_bisect_to_arc_edge(e, lambda r: c + r, 0.9, 0.99, k, turn)
+                        for k in edges])
+        assert (np.abs((rho - (1.0 - (pts - c).real)) / (pts - c).real) < 0.06).all()
+        assert _in_runs(e, pts, edges).all()
 
     def test_rho_bounds_every_line_at_the_centroid(self):
         # the lines of a regular polygon nearly tie at its vertex centroid,

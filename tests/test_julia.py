@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 import juliahull.julia as julia_mod
@@ -27,6 +29,7 @@ from juliahull import (
 )
 from juliahull.geometry import SEGMENT
 from juliahull.julia import EscapeGrid, SamplingError
+from juliahull.polynomial import _horner, derivative, parse_polynomial
 
 
 def _hausdorff(a, b):
@@ -119,8 +122,8 @@ class TestSampleJulia:
         pairs = []
         original = julia_mod._pullback
 
-        def recorded(p, z):
-            fiber = original(p, z)
+        def recorded(p, z, *args):
+            fiber = original(p, z, *args)
             pairs.append((z.copy(), fiber.copy()))
             return fiber
 
@@ -374,8 +377,8 @@ def _record_targets(monkeypatch):
     target_of = {}
     original = julia_mod._pullback
 
-    def recording(p, targets):
-        fiber = original(p, targets)
+    def recording(p, targets, *args):
+        fiber = original(p, targets, *args)
         for t, row in zip(_bits(targets).reshape(-1, 2), _bits(fiber).reshape(len(fiber), -1)):
             target_of[row.tobytes()] = t.tobytes()
         return fiber
@@ -396,6 +399,188 @@ def _assert_fibers_hang_from_kept_points(p, points, target_of):
     for fiber, target in zip(_bits(points).reshape(-1, 2 * d), targets):
         assert target in seen
         seen.update(pair.tobytes() for pair in fiber.reshape(d, 2))
+
+
+def _record_solves(monkeypatch):
+    """Wrap the sampler's solve_fibers; returns a list of (targets, starts, roots)."""
+    solves = []
+    original = julia_mod.solve_fibers
+
+    def recording(p, targets, starts=None):
+        out = original(p, targets, starts)
+        solves.append((targets.copy(), None if starts is None else starts.copy(), out[0]))
+        return out
+
+    monkeypatch.setattr(julia_mod, "solve_fibers", recording)
+    return solves
+
+
+def _residual_bound(p, roots, targets):
+    """The solver's bound on |p(w) - t| at each root (``roots._iterate``), bit for bit."""
+    plan = roots_mod._plan(p.coeffs)
+    shift = np.abs(plan.coeffs[0] - targets)[:, None]
+    scale = _horner(plan.abs_coeffs, np.abs(roots)) + shift
+    return roots_mod.RESIDUAL_TOL * np.maximum(scale, np.maximum(plan.coeff_max, shift))
+
+
+def _root_radius(p, roots, bound):
+    """A radius about each w in ``roots`` that holds a root of p - t, given |p(w) - t| <= bound.
+
+    With p(w + h) - t = sum_k c_k h^k, the roots h_i satisfy
+    c_k / c_0 = (-1)^k e_k(1/h_1, ..., 1/h_d), so some |h_i| is at most
+    (C(d, k) |c_0| / |c_k|)^(1/k) for every k >= 1: a simple root is
+    within about |c_0 / p'(w)|, a double one within about sqrt(|c_0 / c_2|).
+    """
+    d = p.degree
+    radius = np.full(roots.shape, np.inf)
+    for k in range(1, d + 1):
+        ck = np.abs(_horner(np.polynomial.polynomial.polyder(p.coeffs, k), roots))
+        ck /= math.factorial(k)
+        with np.errstate(divide="ignore"):
+            radius = np.minimum(radius, (math.comb(d, k) * bound / ck) ** (1.0 / k))
+    return radius
+
+
+def _same_fibers(p, a, b, targets):
+    """Row by row, whether the roots a and b pair off within root accuracy.
+
+    Two approximations of one root differ by at most the sum of their
+    ``_root_radius``; each row needs a pairing of its roots that keeps
+    every pair within that (a perfect matching, checked by assignment).
+    """
+    tol = (_root_radius(p, a, _residual_bound(p, a, targets))[:, :, None]
+           + _root_radius(p, b, _residual_bound(p, b, targets))[:, None, :])
+    near = np.abs(a[:, :, None] - b[:, None, :]) <= tol
+    return np.array([row[linear_sum_assignment(~row)].all() for row in near])
+
+
+def _ranked_bits(p, roots, targets):
+    """The bits of each solved fiber in rank order, as the sample keeps it."""
+    return _bits(julia_mod._ranked(p, roots, targets)).reshape(len(roots), -1)
+
+
+def _unit_square_polynomial(d):
+    """Coefficients uniform on the unit square, as the benchmark's random ops."""
+    rng = np.random.default_rng([11, d])
+    return Polynomial(rng.uniform(0, 1, d + 1) + 1j * rng.uniform(0, 1, d + 1))
+
+
+_WARM_STARTED = {
+    **{f"random-d{d}": _unit_square_polynomial(d) for d in range(3, 9)},
+    "cheb:4": parse_polynomial("cheb:4").polynomial,
+    "cheb:5": parse_polynomial("cheb:5").polynomial,
+    "negcheb:3": parse_polynomial("negcheb:3").polynomial,
+    "monomial:0.6+0.8i,3": parse_polynomial("monomial:0.6+0.8i,3").polynomial,
+}
+
+
+class TestWarmStarts:
+    """From degree 3 on, fibers start from a kept fiber over a nearby target."""
+
+    @pytest.mark.parametrize("p", list(_WARM_STARTED.values()), ids=list(_WARM_STARTED))
+    def test_kept_fibers_are_the_cold_fibers(self, monkeypatch, p):
+        # each kept fiber meets the residual bound and is, as a set, its
+        # target's fiber solved from the Newton polygon, within the
+        # accuracy the bound certifies for both
+        solves = _record_solves(monkeypatch)
+        n = 20_000 // p.degree * p.degree
+        points = sample_julia(p, n, seed=2).points
+        targets = np.concatenate([t for t, _, _ in solves])
+        roots = np.concatenate([r for _, _, r in solves])
+        assert np.array_equal(_ranked_bits(p, roots, targets), _bits(points).reshape(-1, 2 * p.degree))
+        assert (np.abs(_horner(p.coeffs, roots) - targets[:, None])
+                <= _residual_bound(p, roots, targets)).all()
+        cold, _, ok = roots_mod.solve_fibers(p, targets)
+        assert ok.all()
+        assert _same_fibers(p, roots, cold, targets).all()
+        # a fiber that misses its loneliest root, holding its nearest
+        # neighbour twice instead, is told apart unless every root lies in
+        # a cluster (T_4's fiber over -1 holds two double roots)
+        gap = np.abs(cold[:, :, None] - cold[:, None, :])
+        gap[:, np.arange(p.degree), np.arange(p.degree)] = np.inf
+        rows = np.arange(targets.size)
+        lonely = gap.min(axis=2).argmax(axis=1)
+        doubled = cold.copy()
+        doubled[rows, lonely] = cold[rows, gap[rows, lonely].argmin(axis=1)]
+        apart = gap.min(axis=2).max(axis=1) > 1e-3
+        assert apart.mean() > 0.99
+        assert not _same_fibers(p, roots, doubled, targets)[apart].any()
+        starts = [s for _, s, _ in solves]
+        if p.coeffs[1:-1].any():
+            # every step passes starts, and most rows are warm
+            assert all(s is not None for s in starts)
+            warm = np.concatenate([np.isfinite(s).all(axis=1) for s in starts])
+            assert warm.mean() > 0.8  # 0.87 to 0.98 here
+        else:
+            # a binomial's Newton-polygon starts are two steps from exact
+            assert all(s is None for s in starts)
+
+    @pytest.mark.parametrize("snap", [False, True], ids=["solved", "exact"])
+    def test_critical_point_source_takes_the_newton_polygon_starts(self, monkeypatch, snap):
+        # T_4's fiber over its seed 1 holds the double root 0, solved about
+        # 1e-12 off it or, snapped, exactly: p' vanishes there or nearly,
+        # and no target of that fiber's cell takes its prediction.  The
+        # division by p'(0) = 0 raises no RuntimeWarning.
+        p = chebyshev(4)
+        z0 = julia_mod._orbit_seed(p)
+        original = julia_mod._pullback
+
+        def snapped(p, z, *args):
+            fiber = original(p, z, *args)
+            if snap and z.size == 1:  # z0's fiber
+                fiber = np.where(np.abs(fiber) < 1e-9, 0, fiber)
+            return fiber
+
+        monkeypatch.setattr(julia_mod, "_pullback", snapped)
+        solves = _record_solves(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sample_julia(p, 20_000, seed=0)
+        table = julia_mod._StartTable(p, np.empty(p.degree, dtype=np.complex128))
+        home = table.cells(np.array([z0]))[0]
+        fell_back = 0
+        for targets, starts, roots in solves[1:]:
+            cold = ~np.isfinite(starts).all(axis=1)
+            # every row left without a start is the cold solve, bit for bit
+            assert np.array_equal(_bits(roots[cold]),
+                                  _bits(roots_mod.solve_fibers(p, targets[cold])[0]))
+            fell_back += np.count_nonzero(cold & (table.cells(targets) == home))
+        assert fell_back >= 1
+
+    def test_a_cell_holds_the_latest_fiber(self):
+        # the table is written after a step: a target reads the fiber kept
+        # last in its cell, so two fibers of one step in one cell leave the
+        # later one
+        p = _unit_square_polynomial(4)
+        kept = np.empty(3 * p.degree, dtype=np.complex128)
+        table = julia_mod._StartTable(p, kept)
+        t = np.array([0.1 + 0.1j, 0.1 + 0.1j + 1e-6, 0.1 + 0.1j + 2e-6])
+        kept[:] = roots_mod.solve_fibers(p, t)[0].ravel()
+        cells = table.cells(t)
+        assert np.unique(cells).size == 1
+        assert np.isnan(table.starts(t, cells)).all()  # nothing kept yet
+        table.record(t[:2], cells[:2], 0)
+        guess = table.starts(t[2:], cells[2:])[0]
+        step = (t[2] - t[1]) / _horner(derivative(p).coeffs, kept[4:8])
+        assert np.array_equal(guess, kept[4:8] + step)
+
+    @pytest.mark.parametrize("p, per_fiber", [
+        # measured 1.14 (22,890 member-steps over 20,000 fibers), against
+        # 3.80 with every fiber started from the Newton polygon; the bound
+        # leaves 30% headroom
+        (_unit_square_polynomial(5), 1.5),
+        # measured 1.35 (27,083), against 6.80 cold; 33% headroom
+        (conjugate(chebyshev(5), AffineMap(0.8 - 0.6j, 0.3 + 0.1j)), 1.8),
+    ], ids=["random-d5", "cheb5-conjugate"])
+    def test_member_steps_per_fiber(self, monkeypatch, p, per_fiber):
+        # the warm starts' whole point: Aberth member-steps per kept fiber
+        # of a seeded 1e5-point sample, counted at each step's Aberth sums
+        steps = []
+        row_sums = roots_mod._row_sums
+        monkeypatch.setattr(roots_mod, "_row_sums",
+                            lambda *args: steps.append(args[2].shape[1]) or row_sums(*args))
+        sample_julia(p, 100_000, seed=0)
+        assert sum(steps) / (100_000 / p.degree) <= per_fiber
 
 
 class TestEscapeGrid:

@@ -578,6 +578,56 @@ class TestNewtonPolygonStart:
         assert np.abs(z).max() <= 1.5 * np.abs(roots).max()
 
 
+class TestGivenStarts:
+    """``solve_fibers(p, targets, starts)``: finite rows replace the solver's starts."""
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_non_finite_rows_take_the_solvers_own_starts(self, d):
+        p, targets = _seeded_fibers(d, monic=False, m=40)
+        cold = roots_mod.solve_fibers(p, targets)
+        starts = np.full((targets.size, d), np.nan, dtype=np.complex128)
+        starts[::3, 0] = np.inf
+        starts[1::3, 1:] = 0.5  # one nan left in the row
+        for a, b in zip(cold, roots_mod.solve_fibers(p, targets, starts)):
+            assert np.array_equal(a, b)
+
+    def test_exact_starts_take_no_step(self, monkeypatch):
+        # the cold roots meet the residual bound, so given as starts they
+        # are frozen before any step, and come back bit for bit
+        p, targets = _seeded_fibers(5, monic=False, m=40)
+        roots, res, ok = roots_mod.solve_fibers(p, targets)
+        steps = []
+        row_sums = roots_mod._row_sums
+        monkeypatch.setattr(roots_mod, "_row_sums",
+                            lambda *args: steps.append(1) or row_sums(*args))
+        again = roots_mod.solve_fibers(p, targets, roots)
+        assert not steps
+        for a, b in zip((roots, res, ok), again):
+            assert np.array_equal(a, b)
+
+    def test_a_member_depends_on_its_own_target_and_starts(self, monkeypatch):
+        # rows of nearby fibers as starts, in chunks of three members, give
+        # each member's result of a solve of that member alone
+        p, targets = _seeded_fibers(4, monic=False, m=30)
+        starts = roots_mod.solve_fibers(p, targets + 1e-3)[0]
+        starts[::4] = np.nan
+        whole = roots_mod.solve_fibers(p, targets, starts)
+        assert whole[2].all()
+        monkeypatch.setattr(roots_mod, "_CHUNK_BUDGET", 3 * p.degree ** 2)
+        chunked = roots_mod.solve_fibers(p, targets, starts)
+        for i in range(targets.size):
+            alone = roots_mod.solve_fibers(p, targets[i:i + 1], starts[i:i + 1])
+            for a, b, c in zip(whole, chunked, alone):
+                assert np.array_equal(a[i:i + 1], b[i:i + 1])
+                assert np.array_equal(a[i:i + 1], c)
+
+    def test_starts_must_hold_a_row_per_target(self):
+        p, targets = _seeded_fibers(3, monic=False, m=4)
+        for shape in ((4, 2), (3, 3), (12,)):
+            with pytest.raises(ValueError, match="one row of d starts"):
+                roots_mod.solve_fibers(p, targets, np.zeros(shape, dtype=complex))
+
+
 def _log_coefficients(monkeypatch, module, name):
     """Wrap ``module.name`` to log the coefficient bytes it is called with.
 
